@@ -42,7 +42,7 @@ def hann_half_width() -> float:
     return float(_table()["window"]["hann_half_width"])
 
 
-def recalibrate(threads: int | None = None) -> dict:
+def recalibrate() -> dict:
     """Re-measure every stored constant and return a fresh table.
 
     The route constant is fit on Gaussian pairs at n=1 and n=2 (zero and
@@ -65,10 +65,10 @@ def recalibrate(threads: int | None = None) -> dict:
         g = make_grid(n, 32 if n == 2 else 64, 6.0 if n == 2 else 8.0)
         f = sample_analytic(GaussianPacket([0.3] * n, 1.0, [0.5] * n), g)
         h = sample_analytic(GaussianPacket([-0.2] * n, 0.8, [0.0] * n), g)
-        direct = P.twisted_convolution(f, h, theta, threads=threads)
+        direct = P.twisted_convolution(f, h, theta)
         fb = P.fourier_inverse(f)
         hb = P.fourier_inverse(h)
-        raw = P.fourier_forward(P.twisted_convolution_product(fb, hb, theta, threads=threads))
+        raw = P.fourier_forward(P.twisted_convolution_product(fb, hb, theta))
         num = np.vdot(raw.values, direct.values)
         den = np.vdot(raw.values, raw.values)
         c_fit = num / den

@@ -55,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", help="output directory (default: cwd)")
         sp.add_argument("--seed", type=int, default=None,
                         help=f"sphere-sampling seed (default {_DEFAULT_SEED})")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: TWISTLAB_THREADS or auto)")
 
     for name, doc in (
         ("product", "frequency-side twisted product of two fields"),
@@ -69,26 +67,24 @@ def _build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="run a verification suite")
     vp.add_argument("suite", help="products | wavefront | calculus | bridge | all")
     common(vp)
+    vp.add_argument("--threads", type=int, default=None,
+                    help="checks run at once (default: TWISTLAB_THREADS or min(8, cores))")
     return p
 
 
 def _dispatch(args) -> int:
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("TWISTLAB_THREADS")
-        threads = int(env) if env else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.command in ("product", "star"):
-        return _cmd_product(args, out, threads)
+        return _cmd_product(args, out)
     if args.command == "wf":
-        return _cmd_wf(args, out, threads)
+        return _cmd_wf(args, out)
     if args.command == "cone":
         return _cmd_cone(args, out)
     if args.command == "verify":
-        return _cmd_verify(args, out, threads)
+        return _cmd_verify(args, out)
     if args.command == "calibrate":
-        return _cmd_calibrate(out, threads)
+        return _cmd_calibrate(out)
     raise ConfigError(f"unknown command {args.command!r}")
 
 
@@ -199,7 +195,7 @@ def _run_record(out: Path, name: str, cfg: dict, outputs: dict) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_product(args, out: Path, threads) -> int:
+def _cmd_product(args, out: Path) -> int:
     from .products import (
         pointwise_product,
         twisted_convolution,
@@ -215,10 +211,9 @@ def _cmd_product(args, out: Path, threads) -> int:
     left = _field_from(_need(cfg, "left"), grid, "left")
     right = _field_from(_need(cfg, "right"), grid, "right")
     if op == "star":
-        result = twisted_convolution(left, right, theta,
-                                     wrap=bool(cfg.get("wrap", False)), threads=threads)
+        result = twisted_convolution(left, right, theta, wrap=bool(cfg.get("wrap", False)))
     elif op == "product":
-        result = twisted_convolution_product(left, right, theta, threads=threads)
+        result = twisted_convolution_product(left, right, theta)
     else:
         result = pointwise_product(left, right)
     field_path = out / f"{args.command}_field.json"
@@ -249,7 +244,7 @@ def _field_csv(f) -> str:
     return buf.getvalue()
 
 
-def _cmd_wf(args, out: Path, threads) -> int:
+def _cmd_wf(args, out: Path) -> int:
     from .spectral import gaussian_window, hann_window
     from .wavefront import WavefrontParams, direction_grid, estimate_wf
 
@@ -273,6 +268,8 @@ def _cmd_wf(args, out: Path, threads) -> int:
         params = WavefrontParams(directions=dirs, **pspec)
     except TypeError as exc:
         raise ConfigError(f"params: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"params.{exc}") from exc
     est = estimate_wf(u, window, params)
     (out / "wf_estimate.json").write_text(est.to_json())
     (out / "wf_directions.csv").write_text(est.to_csv())
@@ -390,9 +387,13 @@ def _witness_obj(w):
     return repr(w)
 
 
-def _cmd_verify(args, out: Path, threads) -> int:
+def _cmd_verify(args, out: Path) -> int:
     from .suites import run_suite
 
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get("TWISTLAB_THREADS")
+        threads = int(env) if env else None
     try:
         report = run_suite(args.suite, threads=threads)
     except KeyError as exc:
@@ -404,10 +405,10 @@ def _cmd_verify(args, out: Path, threads) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_calibrate(out: Path, threads) -> int:
+def _cmd_calibrate(out: Path) -> int:
     from .calibration import recalibrate
 
-    table = recalibrate(threads=threads)
+    table = recalibrate()
     path = out / "calibration.json"
     path.write_text(json.dumps(table, indent=2) + "\n")
     print(f"wrote {path}")

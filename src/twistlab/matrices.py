@@ -33,7 +33,7 @@ class AntisymmetricMatrix:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
-        if not np.allclose(a, -a.T, atol=1e-12):
+        if not np.allclose(a, -a.T, rtol=0.0, atol=1e-12):
             raise ValueError("matrix is not antisymmetric")
         return cls(a.shape[0], a)
 

@@ -88,11 +88,13 @@ def _cond(name: str, anchor: str, ok: bool, detail: str = "",
 # ---------------------------------------------------------------------------
 # products suite
 
-def _oracle_convolution(f: SampledField, g: SampledField, theta, probes: np.ndarray) -> np.ndarray:
+def _oracle_convolution(f: SampledField, g: SampledField, theta, probes: np.ndarray,
+                        wrap: bool = False) -> np.ndarray:
     """Brute-force twisted quadrature at selected output points.
 
     Deliberately naive: full-lattice sum with fancy-index shifts, no
-    tiling, no compensation.  Serves as the independent oracle.
+    factorisation, no FFT.  Out-of-box arguments of f are zero, or
+    periodic when `wrap`.  Serves as the independent oracle.
     """
     grid = f.grid
     n, big_n = grid.n, grid.N
@@ -103,6 +105,8 @@ def _oracle_convolution(f: SampledField, g: SampledField, theta, probes: np.ndar
     for row, p in enumerate(probes):
         pidx = np.unravel_index(int(p), (big_n,) * n)
         kidx = np.asarray(pidx)[None, :] - jidx + big_n // 2
+        if wrap:
+            kidx %= big_n
         valid = np.all((kidx >= 0) & (kidx < big_n), axis=1)
         fk = f.values[tuple(np.clip(kidx, 0, big_n - 1).T)] * valid
         phase = np.exp(-0.5j * (pts[int(p)] @ th @ pts.T))
@@ -133,6 +137,26 @@ def check_conv_oracle_2d() -> CheckResult:
     got = direct.values.reshape(-1)[probes]
     rel = float(np.linalg.norm(got - oracle) / np.linalg.norm(oracle))
     return _tol("conv-oracle-2d-symplectic", "conv-def", rel, 1e-6)
+
+
+@_check("products", 1)
+def check_conv_fast_vs_oracle() -> CheckResult:
+    # seeded fields without decay, random antisymmetric theta, both
+    # boundary modes; error is the worst point over the oracle's peak
+    rng = np.random.default_rng(20240817)
+    worst = 0.0
+    for n, big_n in ((1, 16), (2, 10), (3, 6)):
+        g = make_grid(n, big_n, float(rng.uniform(2.0, 6.0)))
+        upper = np.triu(rng.uniform(-1.5, 1.5, (n, n)), 1)
+        theta = upper - upper.T
+        shape = (big_n,) * n
+        f, h = (SampledField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                for _ in range(2))
+        for wrap in (False, True):
+            got = twisted_convolution(f, h, theta, wrap=wrap).values.reshape(-1)
+            want = _oracle_convolution(f, h, theta, np.arange(g.M), wrap=wrap)
+            worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+    return _tol("conv-fast-vs-oracle", "conv-def", worst, 1e-12)
 
 
 @_check("products", 2)

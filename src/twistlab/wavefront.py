@@ -100,6 +100,33 @@ class WavefrontParams:
     dead_floor: float = 1e-13
     directions: DirectionGrid | None = None
 
+    def __post_init__(self):
+        """Reject ill-typed or out-of-range fields; each message starts
+        with the offending field's name."""
+        def integer(v):
+            return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+        def number(v):
+            return (integer(v) or isinstance(v, (float, np.floating))) and not math.isnan(v)
+
+        checks = (
+            ("k_test", self.k_test is None or number(self.k_test), "a number or null"),
+            ("r_max_frac", number(self.r_max_frac) and 0.0 < self.r_max_frac <= 1.0,
+             "a number in (0, 1]"),
+            ("r_min_frac", number(self.r_min_frac) and 0.0 < self.r_min_frac < 1.0,
+             "a number in (0, 1)"),
+            ("radii", integer(self.radii) and self.radii >= 8,
+             "an integer of at least 8 for a stable fit"),
+            ("flag_floor", self.flag_floor is None or number(self.flag_floor), "a number or null"),
+            ("dead_floor", number(self.dead_floor) and self.dead_floor >= 0.0,
+             "a nonnegative number"),
+            ("directions", self.directions is None or isinstance(self.directions, DirectionGrid),
+             "a direction grid or null"),
+        )
+        for name, ok, want in checks:
+            if not ok:
+                raise ValueError(f"{name}: expected {want}, got {getattr(self, name)!r}")
+
     def resolved_k_test(self) -> float:
         return calibration.default_k_test() if self.k_test is None else float(self.k_test)
 
@@ -215,8 +242,6 @@ def estimate_wf_from_stft(v: STFTData, params: WavefrontParams | None = None) ->
     r_trust = min(tx, tf)
     r_max = params.r_max_frac * r_trust
     r_min = params.r_min_frac * r_max
-    if params.radii < 8:
-        raise ValueError("need at least 8 radii for a stable fit")
     dirs = params.directions if params.directions is not None else direction_grid(dim)
     if dirs.dim != dim:
         raise ValueError(f"direction grid dimension {dirs.dim} != phase space dimension {dim}")

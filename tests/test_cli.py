@@ -107,6 +107,22 @@ def test_wf_outputs(tmp_path):
     assert run["resolved_config"]["params"]["k_test"] == 0.05
 
 
+@pytest.mark.parametrize("params, key", [
+    ({"radii": "12"}, "params.radii"),
+    ({"r_min_frac": 2.0}, "params.r_min_frac"),
+    ({"r_max_frac": 1.5}, "params.r_max_frac"),
+])
+def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
+    cfg = _write(tmp_path / "wf.json", {
+        "schema_version": 1,
+        "grid": {"n": 1, "N": 64, "L": 8.0},
+        "field": {"kind": "delta", "a": 0.0},
+        "params": params,
+    })
+    assert main(["wf", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_cone_existence_failure_exit_1(tmp_path):
     from twistlab.cones import full_space, product_set, set_to_obj
 

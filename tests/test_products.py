@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twistlab import products
 from twistlab.catalog import GaussianPacket, sample_analytic
 from twistlab.grids import SampledField, field_l2_distance, make_grid
 from twistlab.products import (
@@ -11,6 +12,7 @@ from twistlab.products import (
     twisted_convolution,
     twisted_convolution_product,
 )
+from twistlab.suites import _oracle_convolution
 
 J = [[0.0, 1.0], [-1.0, 0.0]]
 NEG_J = [[0.0, -1.0], [1.0, 0.0]]
@@ -29,6 +31,9 @@ def test_theta_validation(grid2d, rng):
         twisted_convolution(f, f, [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="antisymmetric"):
         twisted_convolution_product(f, f, [[1.0]])
+    # off by 1e-6: within np.allclose's default rtol, still not antisymmetric
+    with pytest.raises(ValueError, match="antisymmetric 2x2"):
+        twisted_convolution(f, f, [[0.0, 1.0], [-1.000001, 0.0]])
 
 
 def test_grid_mismatch(grid2d, rng):
@@ -117,3 +122,34 @@ def test_product_deterministic(seed):
     a = twisted_convolution_product(f, f, [[0.0]])
     b = twisted_convolution_product(f, f, [[0.0]])
     np.testing.assert_array_equal(a.values, b.values)
+
+
+def _random_case(n, big_n, seed):
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n, big_n, float(rng.uniform(1.0, 6.0)))
+    upper = np.triu(rng.uniform(-2.0, 2.0, (n, n)), 1)
+    shape = (big_n,) * n
+    f, g = (SampledField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in range(2))
+    return f, g, upper - upper.T
+
+
+@given(st.sampled_from((1, 2, 3)), st.sampled_from((4, 6, 8, 10)), st.booleans(),
+       st.integers(0, 2**31 - 1))
+def test_kernel_matches_oracle(n, big_n, wrap, seed):
+    # fields without decay, so both boundary modes matter; the error at
+    # every grid point is measured against the oracle's peak magnitude
+    f, g, theta = _random_case(n, big_n, seed)
+    got = twisted_convolution(f, g, theta, wrap=wrap).values.reshape(-1)
+    want = _oracle_convolution(f, g, theta, np.arange(f.grid.M), wrap=wrap)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_kernel_independent_of_block_size(monkeypatch, wrap):
+    f, g, theta = _random_case(3, 8, 7)
+    whole = twisted_convolution(f, g, theta, wrap=wrap).values
+    # two x' rows per block zero-padded, five periodic (the last block short)
+    monkeypatch.setattr(products, "_BLOCK_ELEMS", 3000)
+    split = twisted_convolution(f, g, theta, wrap=wrap).values
+    np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-14 * np.abs(whole).max())

@@ -157,6 +157,18 @@ def test_zero_field_rejected(grid128):
         estimate_wf(z)
 
 
+@pytest.mark.parametrize("kw, key", [
+    ({"r_min_frac": 2.0}, "r_min_frac"),
+    ({"r_min_frac": 0.0}, "r_min_frac"),
+    ({"r_max_frac": 1.2}, "r_max_frac"),
+    ({"radii": 7}, "radii"),
+    ({"radii": "12"}, "radii"),
+])
+def test_params_rejected_by_name(kw, key):
+    with pytest.raises(ValueError, match=f"^{key}:"):
+        WavefrontParams(**kw)
+
+
 def test_trust_region_must_be_nonempty():
     # a unit window overflows a half-width-1 box: no trusted radii
     g = make_grid(1, 16, 1.0)
