@@ -167,6 +167,14 @@ def _field_from(spec, grid, key: str):
     raise ConfigError(f"{key}.kind: unknown field kind {kind!r}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
 def _num_or_vec(x):
     if isinstance(x, (list, tuple)):
         return tuple(float(v) for v in x)
@@ -251,19 +259,36 @@ def _cmd_wf(args, out: Path) -> int:
     cfg = _load_config(args)
     grid = _grid_from(cfg)
     u = _field_from(_need(cfg, "field"), grid, "field")
+    if grid.n > 2:
+        raise ConfigError(f"grid.n: direction grids exist for n = 1 and 2, got {grid.n}")
     wspec = cfg.get("window", {"kind": "gaussian"})
+    if not isinstance(wspec, dict):
+        raise ConfigError(f"window: expected an object with a 'kind' field, got {wspec!r}")
     wkind = wspec.get("kind", "gaussian")
     if wkind == "gaussian":
         window = gaussian_window(grid)
     elif wkind == "hann":
-        window = hann_window(grid, float(wspec.get("half_width", 2.5)))
+        half_width = wspec.get("half_width", 2.5)
+        if not _is_number(half_width) or not 0.0 < half_width < float("inf"):
+            raise ConfigError(f"window.half_width: expected a positive number, got {half_width!r}")
+        window = hann_window(grid, float(half_width))
     else:
         raise ConfigError(f"window.kind: unknown window {wkind!r}")
-    pspec = dict(cfg.get("params", {}))
-    seed = args.seed if args.seed is not None else int(pspec.pop("seed", _DEFAULT_SEED))
-    dirs = None
-    if "direction_count" in pspec:
-        dirs = direction_grid(2 * grid.n, int(pspec.pop("direction_count")), seed)
+    pspec = cfg.get("params", {})
+    if not isinstance(pspec, dict):
+        raise ConfigError(f"params: expected an object, got {pspec!r}")
+    pspec = dict(pspec)
+    seed = pspec.pop("seed", _DEFAULT_SEED)
+    if args.seed is not None:
+        seed = args.seed
+    count = pspec.pop("direction_count", None)
+    for key, val in (("seed", seed), ("direction_count", count)):
+        if val is not None and (not _is_int(val) or val < 0):
+            raise ConfigError(f"params.{key}: expected a nonnegative integer, got {val!r}")
+    try:
+        dirs = direction_grid(2 * grid.n, count, seed)
+    except ValueError as exc:
+        raise ConfigError(f"params.direction_count: {exc}") from exc
     try:
         params = WavefrontParams(directions=dirs, **pspec)
     except TypeError as exc:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, SampledField
 
@@ -29,6 +30,10 @@ def _axis_shape(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return v.reshape(shape)
 
 
+def _fft_scale(g: Grid) -> float:
+    return ((2.0 * np.pi) ** -0.5 * g.spacing * (-1.0) ** (g.N // 2)) ** g.n
+
+
 def fourier_forward(f: SampledField) -> SampledField:
     """Unitary Fourier transform; the result lives on the dual grid."""
     g = f.grid
@@ -37,8 +42,7 @@ def fourier_forward(f: SampledField) -> SampledField:
     for ax in range(g.n):
         s = _axis_shape(signs, ax, g.n)
         w = np.fft.fft(w * s, axis=ax) * s
-    scale = ((2.0 * np.pi) ** -0.5 * g.spacing * (-1.0) ** (g.N // 2)) ** g.n
-    return SampledField(g.dual(), w * scale)
+    return SampledField(g.dual(), w * _fft_scale(g))
 
 
 def fourier_inverse(f: SampledField) -> SampledField:
@@ -187,44 +191,40 @@ class STFTData:
         )
 
 
-def _shift_zero_pad(values: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
-    """Integer lattice translate; samples pushed past the box vanish."""
-    out = np.zeros_like(values)
-    src = []
-    dst = []
-    for s, size in zip(shifts, values.shape):
-        if abs(s) >= size:
-            return out
-        if s >= 0:
-            src.append(slice(0, size - s))
-            dst.append(slice(s, size))
-        else:
-            src.append(slice(-s, size))
-            dst.append(slice(0, size + s))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
 def stft(u: SampledField, window: WindowFunction) -> STFTData:
     """V(x, xi) on the full lattice: for each grid point x, transform
     y -> u(y) conj(window(y - x)) and divide by the window norm.
 
     The window is translated by whole grid steps with zero fill, so any
     sampled window works; the (2pi)^{-n/2} lives inside the transform.
+    Positions are taken a row at a time (every index but the last
+    fixed): one batched FFT transforms all window translates of the row,
+    bit-identical to applying `fourier_forward` to each in turn.
     """
     g = u.grid
     if not g.compatible(window.grid):
         raise ValueError("field and window grids differ")
-    n, N = g.n, g.N
-    wvals = window.values
+    n, N, h = g.n, g.N, g.N // 2
+    # (-1)^(j_1 + ... + j_n): fourier_forward's per-axis sign flips,
+    # moved out of the transform (flipping a sign is exact)
+    signs = np.ones((N,) * n)
+    for ax in range(n):
+        signs = signs * _axis_shape((-1.0) ** np.arange(N), ax, n)
+    pad = np.zeros((3 * N,) * n, dtype=complex)
+    pad[(slice(N, 2 * N),) * n] = window.values
+    # translates[j] is conj(window) moved to x_j, zero outside the box:
+    # a strided view, nothing is copied
+    translates = sliding_window_view(np.conj(pad), (N,) * n)[(slice(N + h, h, -1),) * n]
+    signed = u.values * signs
+    post = signs * _fft_scale(g)
     nrm = 1.0 / window.l2norm
     out = np.empty((N,) * n + (N,) * n, dtype=complex)
-    uvals = u.values
-    for j in np.ndindex(*(N,) * n):
-        shifts = tuple(idx - N // 2 for idx in j)
-        shifted = _shift_zero_pad(wvals, shifts)
-        slab = fourier_forward(SampledField(g, uvals * np.conj(shifted)))
-        out[j] = slab.values * nrm
+    for row in np.ndindex(*(N,) * (n - 1)):
+        block = signed * translates[row]
+        for ax in range(-n, 0):  # axis order as in fourier_forward
+            block = np.fft.fft(block, axis=ax)
+        block *= post
+        np.multiply(block, nrm, out=out[row])
     return STFTData(
         base_grid=g,
         freq_grid=g.dual(),

@@ -51,7 +51,7 @@ from .products import (
     twisted_convolution_product,
 )
 from .reports import CheckResult, VerificationReport
-from .spectral import gaussian_window, hann_window
+from .spectral import fourier_forward, gaussian_window, hann_window, stft
 from .wavefront import (
     WavefrontParams,
     check_chirp_shear,
@@ -132,7 +132,11 @@ def check_conv_oracle_2d() -> CheckResult:
     f = sample_analytic(GaussianPacket([0.3, -0.1], 1.0, [0.4, 0.0]), g)
     h = sample_analytic(GaussianPacket([-0.2, 0.2], 0.9, [0.0, -0.3]), g)
     direct = twisted_convolution(f, h, theta)
-    probes = (np.arange(16) * (g.M // 16) + g.M // 32).astype(int)
+    # a 4x4 lattice over the whole box plus the output's peak
+    ticks = np.arange(4) * (g.N // 4) + g.N // 8
+    lattice = np.ravel_multi_index(np.meshgrid(ticks, ticks, indexing="ij"), (g.N,) * 2)
+    peak = int(np.argmax(np.abs(direct.values)))
+    probes = np.unique(np.append(lattice.reshape(-1), peak))
     oracle = _oracle_convolution(f, h, theta, probes)
     got = direct.values.reshape(-1)[probes]
     rel = float(np.linalg.norm(got - oracle) / np.linalg.norm(oracle))
@@ -255,6 +259,54 @@ def check_product_closed_form() -> CheckResult:
 
 # ---------------------------------------------------------------------------
 # wavefront suite
+
+def _shift_zero_pad(values: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
+    """Integer lattice translate; samples pushed past the box vanish."""
+    out = np.zeros_like(values)
+    src = []
+    dst = []
+    for s, size in zip(shifts, values.shape):
+        if abs(s) >= size:
+            return out
+        if s >= 0:
+            src.append(slice(0, size - s))
+            dst.append(slice(s, size))
+        else:
+            src.append(slice(-s, size))
+            dst.append(slice(0, size + s))
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def _oracle_stft(u: SampledField, window) -> np.ndarray:
+    """Windowed transform one position at a time: translate the window
+    with zero fill, multiply, `fourier_forward`.  Serves as the
+    reference for the batched `stft`."""
+    g = u.grid
+    n, big_n = g.n, g.N
+    nrm = 1.0 / window.l2norm
+    out = np.empty((big_n,) * (2 * n), dtype=complex)
+    for j in np.ndindex(*(big_n,) * n):
+        shifted = _shift_zero_pad(window.values, tuple(idx - big_n // 2 for idx in j))
+        out[j] = fourier_forward(SampledField(g, u.values * np.conj(shifted))).values * nrm
+    return out
+
+
+@_check("wavefront")
+def check_stft_batched_vs_loop() -> CheckResult:
+    # both routes do the same floating-point operations on every
+    # sample, so any difference at all is a defect
+    rng = np.random.default_rng(20240817)
+    worst = 0.0
+    for n, big_n in ((1, 64), (2, 12)):
+        g = make_grid(n, big_n, float(rng.uniform(3.0, 8.0)))
+        shape = (big_n,) * n
+        u = SampledField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for win in (gaussian_window(g), hann_window(g)):
+            diff = np.abs(stft(u, win).values - _oracle_stft(u, win))
+            worst = max(worst, float(diff.max()))
+    return _tol("stft-batched-vs-loop", "stft-def", worst, 0.0)
+
 
 _WF_GRID = (1, 128, 12.0)
 _TRUE_DIRS = {

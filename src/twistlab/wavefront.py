@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -29,16 +30,19 @@ _SPHERE_SEED = 20240817
 
 @dataclass(frozen=True, eq=False)
 class DirectionGrid:
-    """Antipodally closed unit vectors with a covering-radius estimate."""
+    """Antipodally closed unit vectors with a covering-radius estimate.
+    The grid owns a read-only copy of its directions, so one grid can be
+    shared by every caller."""
 
     directions: np.ndarray
     resolution_deg: float
 
     def __post_init__(self):
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
+        dirs = np.atleast_2d(np.array(self.directions, dtype=float))
         norms = np.linalg.norm(dirs, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise ValueError("directions must be unit vectors")
+        dirs.flags.writeable = False
         object.__setattr__(self, "directions", dirs)
 
     @property
@@ -50,18 +54,29 @@ class DirectionGrid:
         return self.directions.shape[0]
 
 
+_DEFAULT_COUNTS = {2: 360, 4: 2048}
+_PROBES, _PROBE_BLOCK = 4096, 512
+
+
 def direction_grid(dim: int, count: int | None = None, seed: int = _SPHERE_SEED) -> DirectionGrid:
     """Standard sphere samplings: uniform angles on S^1, a scrambled
-    low-discrepancy net mapped to S^3; both closed under negation."""
+    low-discrepancy net mapped to S^3; both closed under negation.
+
+    Grids are pure in (dim, count, seed) and memoised per process, so
+    repeated calls return the same read-only object."""
+    d = _DEFAULT_COUNTS.get(dim, 0) if count is None else int(count)
+    return _direction_grid(dim, d, seed)
+
+
+@lru_cache(maxsize=8)
+def _direction_grid(dim: int, d: int, seed: int) -> DirectionGrid:
     if dim == 2:
-        d = 360 if count is None else int(count)
         if d < 4 or d % 2:
             raise ValueError("need an even count of at least 4")
         ang = np.arange(d) * (2.0 * np.pi / d)
         dirs = np.column_stack([np.cos(ang), np.sin(ang)])
         return DirectionGrid(dirs, resolution_deg=180.0 / d)
     if dim == 4:
-        d = 2048 if count is None else int(count)
         if d < 8 or d % 2:
             raise ValueError("need an even count of at least 8")
         half = d // 2
@@ -78,13 +93,16 @@ def direction_grid(dim: int, count: int | None = None, seed: int = _SPHERE_SEED)
         )
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         dirs = np.concatenate([q, -q], axis=0)
-        # covering radius probed on a deterministic random cloud
+        # covering radius probed on a deterministic random cloud, a block
+        # of probes at a time to bound the probe-direction cosine matrix
         rng = np.random.default_rng(seed + 1)
-        probes = rng.standard_normal((4096, 4))
+        probes = rng.standard_normal((_PROBES, 4))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        cosmax = np.max(np.abs(probes @ dirs.T), axis=1)
-        res = float(np.degrees(np.max(np.arccos(np.clip(cosmax, -1.0, 1.0)))))
-        return DirectionGrid(dirs, resolution_deg=res)
+        worst = 0.0
+        for start in range(0, _PROBES, _PROBE_BLOCK):
+            cosmax = np.max(np.abs(probes[start:start + _PROBE_BLOCK] @ dirs.T), axis=1)
+            worst = max(worst, float(np.max(np.arccos(np.clip(cosmax, -1.0, 1.0)))))
+        return DirectionGrid(dirs, resolution_deg=float(np.degrees(worst)))
     raise ValueError("direction grids are provided for phase space dimensions 2 and 4")
 
 

@@ -107,17 +107,38 @@ def test_wf_outputs(tmp_path):
     assert run["resolved_config"]["params"]["k_test"] == 0.05
 
 
-@pytest.mark.parametrize("params, key", [
-    ({"radii": "12"}, "params.radii"),
-    ({"r_min_frac": 2.0}, "params.r_min_frac"),
-    ({"r_max_frac": 1.5}, "params.r_max_frac"),
-])
-def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
+def test_wf_seed_flag_overrides_config_seed(tmp_path):
     cfg = _write(tmp_path / "wf.json", {
         "schema_version": 1,
         "grid": {"n": 1, "N": 64, "L": 8.0},
         "field": {"kind": "delta", "a": 0.0},
-        "params": params,
+        "params": {"k_test": 0.05, "seed": 5},
+    })
+    out = tmp_path / "out"
+    assert main(["wf", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+    run = json.loads((out / "wf_run.json").read_text())
+    assert run["resolved_config"]["params"]["seed"] == 3
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"params": {"radii": "12"}}, "params.radii"),
+    ({"params": {"r_min_frac": 2.0}}, "params.r_min_frac"),
+    ({"params": {"r_max_frac": 1.5}}, "params.r_max_frac"),
+    ({"params": {"direction_count": "many"}}, "params.direction_count"),
+    ({"params": {"direction_count": 7}}, "params.direction_count"),
+    ({"params": {"seed": "x"}}, "params.seed"),
+    ({"params": [1]}, "params"),
+    ({"window": "hann"}, "window"),
+    ({"window": {"kind": "hann", "half_width": "wide"}}, "window.half_width"),
+    ({"window": {"kind": "hann", "half_width": None}}, "window.half_width"),
+])
+def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
+    # each case is a top-level config fragment: params, window, ...
+    cfg = _write(tmp_path / "wf.json", {
+        "schema_version": 1,
+        "grid": {"n": 1, "N": 64, "L": 8.0},
+        "field": {"kind": "delta", "a": 0.0},
+        **params,
     })
     assert main(["wf", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twistlab.catalog import Delta, GaussianPacket, PlaneWave, sample_analytic
 from twistlab.grids import SampledField, field_l2_distance, make_grid
 from twistlab.spectral import (
+    WindowFunction,
     fourier_forward,
     fourier_inverse,
     gaussian_window,
@@ -13,6 +16,7 @@ from twistlab.spectral import (
     parseval_constant,
     stft,
 )
+from twistlab.suites import _oracle_stft
 
 
 @pytest.fixture
@@ -130,3 +134,20 @@ def test_stft_json_and_csv(grid128):
     assert doc["n"] == 1
     header = v.to_csv().splitlines()[0]
     assert header.split(",")[:2] == ["x1", "xi1"]
+
+
+@given(st.sampled_from((1, 2)), st.sampled_from(tuple(range(4, 17, 2))),
+       st.sampled_from(("gaussian", "hann", "random")), st.integers(0, 2**31 - 1))
+def test_stft_matches_loop_oracle(n, big_n, kind, seed):
+    # the batched transform does the loop's floating-point operations in
+    # the same order, so the bytes agree, not just the values
+    rng = np.random.default_rng(seed)
+    g = make_grid(n, big_n, float(rng.uniform(1.0, 8.0)))
+    u = _rand_field(g, rng)
+    if kind == "gaussian":
+        win = gaussian_window(g)
+    elif kind == "hann":
+        win = hann_window(g, float(rng.uniform(0.5, 4.0)))
+    else:
+        win = WindowFunction(g, _rand_field(g, rng).values)
+    assert stft(u, win).values.tobytes() == _oracle_stft(u, win).tobytes()

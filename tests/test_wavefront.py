@@ -7,6 +7,7 @@ from twistlab.catalog import Chirp, Delta, GaussianPacket, PlaneWave, sample_ana
 from twistlab.grids import SampledField, make_grid
 from twistlab.spectral import gaussian_window, hann_window
 from twistlab.wavefront import (
+    DirectionGrid,
     WavefrontParams,
     check_chirp_shear,
     check_fourier_symmetry,
@@ -53,6 +54,19 @@ def test_direction_grid_sphere_seeded():
     half = a.count // 2
     np.testing.assert_allclose(a.directions[half:], -a.directions[:half], rtol=1e-15)
     assert 0.0 < a.resolution_deg < 45.0
+
+
+def test_direction_grid_memoised_read_only():
+    a = direction_grid(4)
+    assert direction_grid(4) is a
+    assert direction_grid(4, 2048) is a
+    assert direction_grid(2) is direction_grid(2, 360)
+    with pytest.raises(ValueError):
+        a.directions[0, 0] = 0.0
+    # a grid built from a caller's array copies it and leaves it writable
+    raw = np.eye(2)
+    DirectionGrid(raw, resolution_deg=45.0)
+    raw[0, 0] = 1.0
 
 
 def test_delta_flags_frequency_axis(delta_estimate):
