@@ -9,6 +9,7 @@ with the same config and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,7 +43,10 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each `parse_args`
+    call starts from a fresh namespace, so no value carries over."""
     p = argparse.ArgumentParser(
         prog="twistlab",
         description="Twisted products, spectrogram singularity estimation, "
@@ -326,6 +330,28 @@ def _cone_set(spec, key: str):
 
 
 def _cmd_cone(args, out: Path) -> int:
+    from .cones import ExactnessError
+
+    cfg = _load_config(args)
+    op = _need(cfg, "op")
+    theta = None
+    if "theta" in cfg:
+        theta = tuple(tuple(_rational_entry(x) for x in row) for row in cfg["theta"])
+    doc: dict = {"schema_version": _SCHEMA, "kind": "cone_report", "op": op}
+    try:
+        failed = _cone_op(op, cfg, theta, doc)
+    except (ValueError, ExactnessError) as exc:
+        # bad set data, a sampled set where exact data is needed, or a
+        # cone past the enumeration budget
+        raise ConfigError(f"op {op}: {exc}") from exc
+    (out / "cone_report.json").write_text(json.dumps(doc, indent=2) + "\n")
+    _run_record(out, "cone", cfg, {"report": "cone_report.json"})
+    print(json.dumps(doc, indent=2))
+    return 1 if failed else 0
+
+
+def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
+    """Run one cone operation into `doc`; True when its verdict fails."""
     from .calculus import (
         shift_algebra_check,
         existence_condition,
@@ -337,12 +363,6 @@ def _cmd_cone(args, out: Path) -> int:
     )
     from .cones import set_to_obj
 
-    cfg = _load_config(args)
-    op = _need(cfg, "op")
-    theta = None
-    if "theta" in cfg:
-        theta = tuple(tuple(_rational_entry(x) for x in row) for row in cfg["theta"])
-    doc: dict = {"schema_version": _SCHEMA, "kind": "cone_report", "op": op}
     failed = False
     if op in ("existence", "existence_theta_inv"):
         u = _cone_set(_need(cfg, "u"), "u")
@@ -387,10 +407,7 @@ def _cmd_cone(args, out: Path) -> int:
         failed = not res.defined
     else:
         raise ConfigError(f"op: unknown cone operation {op!r}")
-    (out / "cone_report.json").write_text(json.dumps(doc, indent=2) + "\n")
-    _run_record(out, "cone", cfg, {"report": "cone_report.json"})
-    print(json.dumps(doc, indent=2))
-    return 1 if failed else 0
+    return failed
 
 
 def _zero_theta_frac(n: int):

@@ -37,7 +37,6 @@ from .rational import (
     mat_t,
     matmul,
     matvec,
-    primitive,
     primitive_ray,
     rref,
     row_space_canonical,

@@ -4,15 +4,18 @@ Everything here works over tuples of fractions.Fraction and is exact.
 The central primitive is extreme-ray enumeration for cones of the form
 {w >= 0 : A w = 0}; dimensions stay tiny (a handful of rows, at most a
 few dozen columns), so minimal-support enumeration over column subsets
-is both exact and fast.  No external solver is used: verdicts built on
-these routines are meant to certify counterexamples.
+is both exact and fast.  It runs over Python integers, with fraction-free
+elimination, and refuses cones past a budget of candidate supports.  No
+external solver is used: verdicts built on these routines are meant to
+certify counterexamples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from math import comb, gcd, lcm
+from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -82,39 +85,13 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def primitive(a: Vec) -> Vec:
-    """Scale a rational vector to coprime integer entries, first nonzero > 0."""
-    if is_zero_vec(a):
-        return a
-    from math import gcd, lcm
-
-    den = 1
-    for x in a:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
-
-
 def primitive_ray(a: Vec) -> Vec:
     """Scale by a positive rational to coprime integers, keeping direction."""
     if is_zero_vec(a):
         return a
-    from math import gcd, lcm
-
-    den = 1
-    for x in a:
-        den = lcm(den, x.denominator)
+    den = lcm(*(x.denominator for x in a))
     ints = [int(x * den) for x in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = gcd(*ints)
     return tuple(Fraction(v // g) for v in ints)
 
 
@@ -185,52 +162,134 @@ def solve(a: Mat, b: Vec) -> Vec | None:
 
 def row_space_canonical(rows: Sequence[Vec]) -> Mat:
     """Canonical (rref, primitive-scaled) basis of the row space."""
+    # an rref row leads with a 1, so its primitive ray is sign-normalised
     red, _ = rref(tuple(rows))
-    return tuple(primitive(r) for r in red if not is_zero_vec(r))
+    return tuple(primitive_ray(r) for r in red if not is_zero_vec(r))
+
+
+MAX_SUPPORTS = 1 << 15
+"""Most candidate supports `extreme_rays` will try.  For scale: 18
+generators in R^4 give 16,663, enumerated in full in about 1 s."""
+
+
+def _integer_rows(a: Mat) -> list[list[int]]:
+    """Each row times the lcm of its denominators: integers, same nullspace."""
+    out = []
+    for row in a:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(m: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of an integer
+    matrix, in place.
+
+    Returns the pivot columns and the last pivot d.  Afterwards pivot row
+    i holds d in column pivots[i], every other row holds 0 there, and
+    each row is d times the corresponding row of the rref.  Each step
+    divides by the previous pivot, and the division is exact: every entry
+    is a minor of the input (Bareiss 1968).
+    """
+    pivots: list[int] = []
+    prev = 1
+    k = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[k], m[pr] = m[pr], m[k]
+        top = m[k]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+        k += 1
+        if k == len(m):
+            break
+    return pivots, prev
+
+
+def _positive_kernel_ray(cols: list[tuple[int, ...]]) -> list[int] | None:
+    """Coprime generator of the kernel of the integer matrix with these
+    columns, when that kernel is one-dimensional and can be signed
+    strictly positive; None otherwise."""
+    m = [list(r) for r in zip(*cols)]
+    pivots, d = _eliminate(m)
+    if len(cols) - len(pivots) != 1:
+        return None
+    free = next(c for c in range(len(cols)) if c not in pivots)
+    # row i reads d w[pivots[i]] + m[i][free] w[free] = 0; take w[free] = d
+    gen = [d] * len(cols)
+    for row, pc in zip(m, pivots):
+        gen[pc] = -row[free]
+    if all(x < 0 for x in gen):
+        gen = [-x for x in gen]
+    elif not all(x > 0 for x in gen):
+        return None
+    g = gcd(*gen)
+    return [x // g for x in gen]
+
+
+def _ray_stream(a: Mat, ncols: int) -> Iterator[Vec]:
+    """Extreme rays of {w >= 0 : A w = 0}, lazily, in `extreme_rays` order.
+
+    The size budget is checked before the first ray is asked for.
+    """
+    if ncols == 0:
+        return iter(())
+    if not a:
+        # free nonnegative orthant: extreme rays are the unit vectors
+        return iter([tuple(ONE if j == i else ZERO for j in range(ncols)) for i in range(ncols)])
+    rows = _integer_rows(a)
+    r = len(_eliminate([row[:] for row in rows])[0])
+    max_support = min(ncols, r + 1)
+    count = sum(comb(ncols, s) for s in range(1, max_support + 1))
+    if count > MAX_SUPPORTS:
+        raise ValueError(
+            f"cone too large for exact ray enumeration: k={ncols} columns of rank {r} "
+            f"give {count} candidate supports, above the budget of {MAX_SUPPORTS}"
+        )
+    return _minimal_support_rays(list(zip(*rows)), ncols, max_support)
+
+
+def _minimal_support_rays(cols: list[tuple[int, ...]], ncols: int,
+                          max_support: int) -> Iterator[Vec]:
+    found: list[int] = []  # supports of the rays yielded so far, as bit masks
+    for size in range(1, max_support + 1):
+        for support in combinations(range(ncols), size):
+            mask = sum(1 << j for j in support)
+            # the kernel of a strict superset of a found support contains
+            # that ray, so it is not one-dimensional and strictly positive
+            if any(f & mask == f for f in found):
+                continue
+            gen = _positive_kernel_ray([cols[j] for j in support])
+            if gen is None:
+                continue
+            found.append(mask)
+            w = [ZERO] * ncols
+            for j, val in zip(support, gen):
+                w[j] = Fraction(val)
+            yield tuple(w)
 
 
 def extreme_rays(a: Mat, ncols: int) -> list[Vec]:
     """Extreme rays of the pointed cone {w >= 0 : A w = 0}.
 
-    Enumerates candidate supports: a ray with support S exists iff the
-    columns of A restricted to S have a one-dimensional nullspace whose
-    generator can be signed strictly positive.  Supports of extreme rays
-    have size at most rank(A_S) + 1, so subsets up to full rank + 1
-    suffice.  Returned rays are primitive-scaled and deduplicated.
+    Enumerates candidate supports by size, then in `combinations` order:
+    a ray with support S exists iff the columns of A restricted to S have
+    a one-dimensional nullspace whose generator can be signed strictly
+    positive.  Supports of extreme rays have size at most rank(A_S) + 1,
+    so subsets up to full rank + 1 suffice, and supports that strictly
+    contain one already found are skipped.  Arithmetic is over integers
+    (rows scaled to integers, fraction-free elimination); rays are
+    coprime integer vectors.  Raises ValueError when the number of
+    candidate supports exceeds MAX_SUPPORTS.
     """
-    if ncols == 0:
-        return []
-    if not a:
-        # free nonnegative orthant: extreme rays are the unit vectors
-        return [tuple(ONE if j == i else ZERO for j in range(ncols)) for i in range(ncols)]
-    full_rank = rank(a)
-    max_support = min(ncols, full_rank + 1)
-    cols = mat_t(a)
-    rays: dict[Vec, None] = {}
-    for size in range(1, max_support + 1):
-        for support in combinations(range(ncols), size):
-            sub = mat_t(tuple(cols[j] for j in support))
-            ns = nullspace(sub, ncols=size)
-            if len(ns) != 1:
-                continue
-            gen = ns[0]
-            if all(x > 0 for x in gen):
-                pass
-            elif all(x < 0 for x in gen):
-                gen = vneg(gen)
-            else:
-                continue
-            w = [ZERO] * ncols
-            for j, val in zip(support, gen):
-                w[j] = val
-            rays[primitive(tuple(w))] = None
-    # minimal supports only: drop rays whose support strictly contains another's
-    out = []
-    supports = {r: frozenset(j for j, x in enumerate(r) if x != 0) for r in rays}
-    for r, s in supports.items():
-        if not any(o != s and o < s for o in supports.values()):
-            out.append(r)
-    return out
+    return list(_ray_stream(a, ncols))
 
 
 def nonneg_solve(gens: Sequence[Vec], v: Vec) -> Vec | None:
@@ -249,7 +308,7 @@ def nonneg_solve(gens: Sequence[Vec], v: Vec) -> Vec | None:
         tuple(gens[j][i] for j in range(k)) + (-v[i],)
         for i in range(d)
     )
-    for ray in extreme_rays(a, k + 1):
+    for ray in _ray_stream(a, k + 1):
         s = ray[k]
         if s > 0:
             return tuple(x / s for x in ray[:k])

@@ -191,14 +191,29 @@ class STFTData:
         )
 
 
-def stft(u: SampledField, window: WindowFunction) -> STFTData:
-    """V(x, xi) on the full lattice: for each grid point x, transform
-    y -> u(y) conj(window(y - x)) and divide by the window norm.
+@dataclass(frozen=True, eq=False)
+class STFTMagnitude:
+    """|V| over the full position-frequency lattice, with the window
+    spreads the estimator's trusted radii are read from; what
+    `estimate_wf_from_stft` needs of an `STFTData`, at half its size."""
+
+    base_grid: Grid
+    freq_grid: Grid
+    values: np.ndarray
+    window_sigma_x: float
+    window_sigma_xi: float
+
+    def magnitude(self) -> np.ndarray:
+        return self.values
+
+
+def _stft_rows(u: SampledField, window: WindowFunction):
+    """V(x, xi) one position row at a time (every position index but the
+    last fixed): yields (row index, array of shape (N,) + (N,) * n).
 
     The window is translated by whole grid steps with zero fill, so any
     sampled window works; the (2pi)^{-n/2} lives inside the transform.
-    Positions are taken a row at a time (every index but the last
-    fixed): one batched FFT transforms all window translates of the row,
+    One batched FFT transforms all window translates of the row,
     bit-identical to applying `fourier_forward` to each in turn.
     """
     g = u.grid
@@ -218,21 +233,40 @@ def stft(u: SampledField, window: WindowFunction) -> STFTData:
     signed = u.values * signs
     post = signs * _fft_scale(g)
     nrm = 1.0 / window.l2norm
-    out = np.empty((N,) * n + (N,) * n, dtype=complex)
     for row in np.ndindex(*(N,) * (n - 1)):
         block = signed * translates[row]
         for ax in range(-n, 0):  # axis order as in fourier_forward
             block = np.fft.fft(block, axis=ax)
         block *= post
-        np.multiply(block, nrm, out=out[row])
+        block *= nrm
+        yield row, block
+
+
+def stft(u: SampledField, window: WindowFunction) -> STFTData:
+    """V(x, xi) on the full lattice: for each grid point x, transform
+    y -> u(y) conj(window(y - x)) and divide by the window norm."""
+    n, N = u.grid.n, u.grid.N
+    out = np.empty((N,) * n + (N,) * n, dtype=complex)
+    for row, block in _stft_rows(u, window):
+        out[row] = block
     return STFTData(
-        base_grid=g,
-        freq_grid=g.dual(),
+        base_grid=u.grid,
+        freq_grid=u.grid.dual(),
         values=out,
         normalization=(2.0 * np.pi) ** (-n / 2.0) / window.l2norm,
         window_sigma_x=window.sigma_x,
         window_sigma_xi=window.sigma_xi,
     )
+
+
+def stft_magnitude(u: SampledField, window: WindowFunction) -> STFTMagnitude:
+    """|V| on the full lattice, equal to `abs(stft(u, window).values)`
+    without ever holding the complex spectrogram: one row at a time."""
+    n, N = u.grid.n, u.grid.N
+    mag = np.empty((N,) * n + (N,) * n)
+    for row, block in _stft_rows(u, window):
+        np.abs(block, out=mag[row])
+    return STFTMagnitude(u.grid, u.grid.dual(), mag, window.sigma_x, window.sigma_xi)
 
 
 def parseval_constant(g: Grid) -> float:

@@ -15,6 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -49,6 +50,17 @@ from .products import (
     star_via_product,
     twisted_convolution,
     twisted_convolution_product,
+)
+from .rational import (
+    ONE,
+    ZERO,
+    extreme_rays,
+    mat_t,
+    nonneg_solve,
+    nullspace,
+    primitive_ray,
+    rank,
+    vneg,
 )
 from .reports import CheckResult, VerificationReport
 from .spectral import fourier_forward, gaussian_window, hann_window, stft
@@ -700,6 +712,91 @@ def check_pullback() -> CheckResult:
         ok = False
         notes.append("normal-direction case not refused")
     return _cond("pullback-cases", "pullback", ok, "; ".join(notes))
+
+
+def _oracle_extreme_rays(a, ncols: int) -> list:
+    """Extreme rays of {w >= 0 : A w = 0} by the Fraction subset
+    enumerator: one rref per candidate support, then a minimal-support
+    filter.  Serves as the reference for `rational.extreme_rays`."""
+    if ncols == 0:
+        return []
+    if not a:
+        # free nonnegative orthant: extreme rays are the unit vectors
+        return [tuple(ONE if j == i else ZERO for j in range(ncols)) for i in range(ncols)]
+    full_rank = rank(a)
+    max_support = min(ncols, full_rank + 1)
+    cols = mat_t(a)
+    rays: dict = {}
+    for size in range(1, max_support + 1):
+        for support in combinations(range(ncols), size):
+            sub = mat_t(tuple(cols[j] for j in support))
+            ns = nullspace(sub, ncols=size)
+            if len(ns) != 1:
+                continue
+            gen = ns[0]
+            if all(x > 0 for x in gen):
+                pass
+            elif all(x < 0 for x in gen):
+                gen = vneg(gen)
+            else:
+                continue
+            w = [ZERO] * ncols
+            for j, val in zip(support, gen):
+                w[j] = val
+            rays[primitive_ray(tuple(w))] = None
+    # minimal supports only: drop rays whose support strictly contains another's
+    out = []
+    supports = {r: frozenset(j for j, x in enumerate(r) if x != 0) for r in rays}
+    for r, s in supports.items():
+        if not any(o != s and o < s for o in supports.values()):
+            out.append(r)
+    return out
+
+
+def _oracle_nonneg_solve(gens, v):
+    """`rational.nonneg_solve` over the oracle's ray list."""
+    k = len(gens)
+    if all(x == 0 for x in v):
+        return tuple([ZERO] * k)
+    if k == 0:
+        return None
+    a = tuple(tuple(g[i] for g in gens) + (-v[i],) for i in range(len(v)))
+    for ray in _oracle_extreme_rays(a, k + 1):
+        if ray[k] > 0:
+            return tuple(x / ray[k] for x in ray[:k])
+    return None
+
+
+def _random_rational_matrix(rng: random.Random, rows: int, cols: int) -> tuple:
+    """Small rational entries, some zero; sometimes a dependent last row
+    and a zero column."""
+    a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.8 else ZERO
+          for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.3:
+        c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        a[-1] = [c * x for x in a[0]]
+    if rng.random() < 0.2:
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = ZERO
+    return tuple(tuple(row) for row in a)
+
+
+@_check("calculus")
+def check_extreme_rays_int_vs_oracle() -> CheckResult:
+    # both sides are exact, so any difference in the lists, order
+    # included, or in the membership coefficients is a defect
+    rng = random.Random(20240817)
+    mismatches = 0
+    for _ in range(150):
+        m, k = rng.randint(1, 4), rng.randint(1, 6)
+        a = _random_rational_matrix(rng, m, k)
+        if extreme_rays(a, k) != _oracle_extreme_rays(a, k):
+            mismatches += 1
+        gens = mat_t(a)
+        if nonneg_solve(gens[:-1], gens[-1]) != _oracle_nonneg_solve(gens[:-1], gens[-1]):
+            mismatches += 1
+    return _tol("extreme-rays-int-vs-oracle", "extreme-rays", float(mismatches), 0.0)
 
 
 # ---------------------------------------------------------------------------

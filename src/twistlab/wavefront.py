@@ -23,7 +23,14 @@ from scipy.stats import qmc
 from . import calibration
 from .cones import ConicSet, caps_set
 from .grids import SampledField
-from .spectral import STFTData, WindowFunction, fourier_forward, gaussian_window, stft
+from .spectral import (
+    STFTData,
+    STFTMagnitude,
+    WindowFunction,
+    fourier_forward,
+    gaussian_window,
+    stft_magnitude,
+)
 
 _SPHERE_SEED = 20240817
 
@@ -214,7 +221,7 @@ class WavefrontEstimate:
         return buf.getvalue()
 
 
-def trusted_radii(v: STFTData) -> tuple[float, float]:
+def trusted_radii(v: STFTData | STFTMagnitude) -> tuple[float, float]:
     """Largest |x| and |xi| not contaminated by box truncation: the box
     half-width minus twice the window spread on each side."""
     g, d = v.base_grid, v.freq_grid
@@ -242,11 +249,12 @@ def estimate_wf(
         raise ValueError("cannot estimate singularities of the zero field")
     if window is None:
         window = gaussian_window(u.grid)
-    v = stft(u, window)
-    return estimate_wf_from_stft(v, params)
+    # only |V| is read, so the complex spectrogram is never built
+    return estimate_wf_from_stft(stft_magnitude(u, window), params)
 
 
-def estimate_wf_from_stft(v: STFTData, params: WavefrontParams | None = None) -> WavefrontEstimate:
+def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
+                          params: WavefrontParams | None = None) -> WavefrontEstimate:
     if params is None:
         params = WavefrontParams()
     n = v.base_grid.n

@@ -193,6 +193,58 @@ def test_cone_rational_theta_pairs(tmp_path):
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+def test_cone_past_enumeration_budget_exit_2(tmp_path, capsys):
+    import random
+
+    from twistlab.cones import polyhedral, set_to_obj
+
+    rng = random.Random(3)
+    big = polyhedral([[rng.randint(-3, 3) for _ in range(4)] for _ in range(24)])
+    cfg = _write(tmp_path / "cone.json", {
+        "schema_version": 1,
+        "op": "existence",
+        "theta": [[0, 1], [-1, 0]],
+        "u": set_to_obj(big),
+        "v": set_to_obj(polyhedral([[1, 0, 0, 0], [0, 0, 1, 0]])),
+    })
+    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "op existence" in err and "candidate supports" in err
+    assert "Traceback" not in err
+
+
+def test_cone_sampled_set_exit_2(tmp_path, capsys):
+    from twistlab.cones import caps_set, full_space, product_set, set_to_obj
+
+    cfg = _write(tmp_path / "cone.json", {
+        "schema_version": 1,
+        "op": "existence",
+        "theta": [[0]],
+        "u": set_to_obj(caps_set(np.array([[1.0, 0.0]]), 5.0)),
+        "v": set_to_obj(product_set(None, full_space(1))),
+    })
+    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "op existence" in err and "exact" in err and "Traceback" not in err
+
+
+def test_parser_reused_without_leaking_values(tmp_path, monkeypatch):
+    from twistlab import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: seen.append(vars(args)) or 0)
+    assert main(["wf", "--config", "a.json", "--seed", "5"]) == 0
+    assert main(["cone", "--config", "b.json", "--out", str(tmp_path)]) == 0
+    assert main(["verify", "calculus"]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    assert seen == [
+        {"command": "wf", "config": "a.json", "out": ".", "seed": 5},
+        {"command": "cone", "config": "b.json", "out": str(tmp_path), "seed": None},
+        {"command": "verify", "suite": "calculus", "config": None, "out": ".", "seed": None,
+         "threads": None},
+    ]
+
+
 def test_verify_exit_codes(tmp_path):
     out = tmp_path / "v"
     assert main(["verify", "bridge", "--out", str(out)]) == 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twistlab.rational import (
+    MAX_SUPPORTS,
     cone_contains,
     dot,
     extreme_rays,
@@ -16,10 +18,12 @@ from twistlab.rational import (
     nullspace,
     primitive_ray,
     rank,
+    row_space_canonical,
     rref,
     solve,
     vec,
 )
+from twistlab.suites import _oracle_extreme_rays, _oracle_nonneg_solve
 
 fracs = st.fractions(max_denominator=6)
 small_vecs = st.lists(fracs, min_size=2, max_size=4).map(tuple)
@@ -36,6 +40,11 @@ def test_primitive_ray_scaling_and_sign():
     assert primitive_ray(vec([Fraction(1, 2), Fraction(3, 2)])) == (1, 3)
     # sign of the ray is preserved, not normalized away
     assert primitive_ray(vec([-2, 4])) == (-1, 2)
+
+
+def test_row_space_canonical_leads_positive():
+    rows = [vec([-2, 4, 0]), vec([0, 0, Fraction(-3, 2)]), vec([1, -2, 5])]
+    assert row_space_canonical(rows) == ((1, -2, 0), (0, 0, 1))
 
 
 def test_rref_pivots():
@@ -101,3 +110,53 @@ def test_solve_verifies_when_consistent(a11, a12, a21, a22):
     x = solve(a, b)
     assert x is not None
     assert matvec(a, x) == b
+
+
+entries = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def cone_matrices(draw):
+    """(A, k): 1-4 rows over 1-7 columns, with a dependent last row and a
+    zero column now and then."""
+    m, k = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    rows = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        c = draw(st.fractions(-2, 2, max_denominator=2))
+        rows[-1] = [c * x for x in rows[0]]
+    zero_col = draw(st.one_of(st.none(), st.integers(0, k - 1)))
+    if zero_col is not None:
+        for row in rows:
+            row[zero_col] = Fraction(0)
+    return tuple(tuple(r) for r in rows), k
+
+
+@given(cone_matrices())
+def test_extreme_rays_match_subset_oracle(case):
+    a, k = case
+    rays = extreme_rays(a, k)
+    assert rays == _oracle_extreme_rays(a, k)          # order included
+    assert all(type(x) is Fraction for r in rays for x in r)
+    gens = [tuple(row[j] for row in a) for j in range(k)]
+    assert nonneg_solve(gens[:-1], gens[-1]) == _oracle_nonneg_solve(gens[:-1], gens[-1])
+
+
+def _random_gens(count, seed):
+    rng = random.Random(seed)
+    return [vec([rng.randint(-3, 3) for _ in range(4)]) for _ in range(count)]
+
+
+def test_enumeration_budget_refuses_large_cones():
+    # 24 generators in R^4: 25 columns of rank 4, 68,405 candidate supports
+    gens = _random_gens(24, 1)
+    with pytest.raises(ValueError, match=r"k=25 columns of rank 4 give 68405 candidate"):
+        nonneg_solve(gens, vec([1, 2, 3, 4]))
+    a = tuple(zip(*gens))
+    with pytest.raises(ValueError, match=str(MAX_SUPPORTS)):
+        extreme_rays(a, 24)
+
+
+def test_enumeration_budget_admits_18_generators():
+    # 19 columns of rank 4: 16,663 candidate supports, inside the budget
+    gens = _random_gens(18, 2)
+    assert cone_contains(gens, gens[0])

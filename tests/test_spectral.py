@@ -15,6 +15,7 @@ from twistlab.spectral import (
     hann_window,
     parseval_constant,
     stft,
+    stft_magnitude,
 )
 from twistlab.suites import _oracle_stft
 
@@ -150,4 +151,6 @@ def test_stft_matches_loop_oracle(n, big_n, kind, seed):
         win = hann_window(g, float(rng.uniform(0.5, 4.0)))
     else:
         win = WindowFunction(g, _rand_field(g, rng).values)
-    assert stft(u, win).values.tobytes() == _oracle_stft(u, win).tobytes()
+    want = _oracle_stft(u, win)
+    assert stft(u, win).values.tobytes() == want.tobytes()
+    assert stft_magnitude(u, win).values.tobytes() == np.abs(want).tobytes()

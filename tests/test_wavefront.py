@@ -5,7 +5,7 @@ import pytest
 
 from twistlab.catalog import Chirp, Delta, GaussianPacket, PlaneWave, sample_analytic
 from twistlab.grids import SampledField, make_grid
-from twistlab.spectral import gaussian_window, hann_window
+from twistlab.spectral import gaussian_window, hann_window, stft
 from twistlab.wavefront import (
     DirectionGrid,
     WavefrontParams,
@@ -13,6 +13,7 @@ from twistlab.wavefront import (
     check_fourier_symmetry,
     direction_grid,
     estimate_wf,
+    estimate_wf_from_stft,
     hausdorff_deg,
 )
 
@@ -209,6 +210,20 @@ def test_estimate_deterministic(grid128):
     b = estimate_wf(u, params=WavefrontParams(k_test=0.05))
     np.testing.assert_array_equal(a.k_hat, b.k_hat)
     np.testing.assert_array_equal(a.flagged, b.flagged)
+
+
+@pytest.mark.parametrize("n, big_n, L", [(1, 128, 12.0), (2, 20, 7.0)])
+def test_estimate_from_magnitude_matches_full_stft(n, big_n, L):
+    # estimate_wf fits |V| built a row at a time; the complex route gives the same bytes
+    g = make_grid(n, big_n, L)
+    u = sample_analytic(GaussianPacket((0.3,) * n, 0.9, (-0.5,) * n), g)
+    params = WavefrontParams(k_test=0.05)
+    for win in (gaussian_window(g), hann_window(g)):
+        got = estimate_wf(u, win, params)
+        want = estimate_wf_from_stft(stft(u, win), params)
+        assert got.k_hat.tobytes() == want.k_hat.tobytes()
+        assert got.value_at_rmax.tobytes() == want.value_at_rmax.tobytes()
+        assert (got.r_min, got.r_max) == (want.r_min, want.r_max)
 
 
 def test_default_threshold_from_calibration(grid128):
