@@ -22,7 +22,6 @@ from .calculus import (
     predicted_star_wf,
     wf_pullback,
 )
-from .calibration import default_k_test, recalibrate, star_product_constant
 from .catalog import Chirp, Delta, GaussianPacket, PlaneWave, exact_wf, sample_analytic
 from .matrices import AntisymmetricMatrix, ChirpMatrix
 from .cones import (
@@ -104,7 +103,6 @@ __all__ = [
     "check_fourier_symmetry",
     "conic_equal",
     "criterion_checks",
-    "default_k_test",
     "direction_grid",
     "empty_set",
     "estimate_wf",
@@ -132,12 +130,10 @@ __all__ = [
     "predicted_star_wf",
     "product_set",
     "ray_set",
-    "recalibrate",
     "run_suite",
     "sample_analytic",
     "set_from_json",
     "set_to_json",
-    "star_product_constant",
     "star_via_product",
     "stft",
     "subspace_set",

@@ -1,5 +1,5 @@
 """Command-line front end: field products, singularity estimation,
-exact cone checks, verification suites, and recalibration.
+exact cone checks, and verification suites.
 
 Every run writes a `*_run.json` record embedding the fully resolved
 configuration; data products themselves are timestamp-free so reruns
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -65,14 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ("star", "twisted convolution of two fields"),
         ("wf", "estimate phase space singular directions of a field"),
         ("cone", "exact conic-set checks and predictions"),
-        ("calibrate", "re-measure the stored calibration constants"),
     ):
         common(sub.add_parser(name, help=doc))
     vp = sub.add_parser("verify", help="run a verification suite")
     vp.add_argument("suite", help="products | wavefront | calculus | bridge | all")
     common(vp)
-    vp.add_argument("--threads", type=int, default=None,
-                    help="checks run at once (default: TWISTLAB_THREADS or min(8, cores))")
     return p
 
 
@@ -87,8 +83,6 @@ def _dispatch(args) -> int:
         return _cmd_cone(args, out)
     if args.command == "verify":
         return _cmd_verify(args, out)
-    if args.command == "calibrate":
-        return _cmd_calibrate(out)
     raise ConfigError(f"unknown command {args.command!r}")
 
 
@@ -432,12 +426,8 @@ def _witness_obj(w):
 def _cmd_verify(args, out: Path) -> int:
     from .suites import run_suite
 
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("TWISTLAB_THREADS")
-        threads = int(env) if env else None
     try:
-        report = run_suite(args.suite, threads=threads)
+        report = run_suite(args.suite)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -445,16 +435,6 @@ def _cmd_verify(args, out: Path) -> int:
     (out / f"verify_{args.suite}.json").write_text(report.to_json(timestamp=stamp) + "\n")
     print(report.summary())
     return 0 if report.passed else 1
-
-
-def _cmd_calibrate(out: Path) -> int:
-    from .calibration import recalibrate
-
-    table = recalibrate()
-    path = out / "calibration.json"
-    path.write_text(json.dumps(table, indent=2) + "\n")
-    print(f"wrote {path}")
-    return 0
 
 
 if __name__ == "__main__":

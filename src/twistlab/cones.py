@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -572,7 +573,9 @@ def wf_shear_inverse_matrix(neg_a: Mat, n: int) -> Mat:
 # ---------------------------------------------------------------------------
 # canonical forms and equality
 
+@lru_cache(maxsize=256)
 def _hull_is_subspace(gens: Mat) -> bool:
+    # pure in the exact generators; angular distances ask once per ray
     return all(cone_contains(gens, vneg(g)) for g in gens)
 
 

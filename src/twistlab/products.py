@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import star_product_constant
 from .grids import Grid, SampledField
 from .matrices import AntisymmetricMatrix
 from .spectral import fourier_forward, fourier_inverse
@@ -157,7 +156,7 @@ def star_via_product(
 ) -> SampledField:
     """The twisted convolution computed through the product route:
     transform both factors back, multiply with the twisted product, and
-    transform forward, times the calibrated constant c(n)."""
+    transform forward, times the route constant c(n) = (2 pi)^{n/2}."""
     if not f.grid.compatible(g.grid):
         raise ValueError("grids differ")
     n = f.grid.n
@@ -165,7 +164,7 @@ def star_via_product(
     gb = fourier_inverse(g)
     prod = twisted_convolution_product(fb, gb, theta)
     out = fourier_forward(prod)
-    return SampledField(out.grid, out.values * star_product_constant(n))
+    return SampledField(out.grid, out.values * (2.0 * np.pi) ** (n / 2.0))
 
 
 def _interior_mask(grid: Grid) -> np.ndarray:

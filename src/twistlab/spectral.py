@@ -13,9 +13,7 @@ unit Gaussian as a fixed point.
 
 from __future__ import annotations
 
-import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -134,18 +132,14 @@ class STFTData:
     """Windowed spectrogram over the full position-frequency lattice.
 
     `values[j, k]` (multi-indices j over positions, k over frequencies)
-    holds V(x_j, xi_k) including the overall constant recorded in
-    `normalization`; magnitude-only consumers can ignore the phase
-    bookkeeping entirely.
+    holds V(x_j, xi_k), the (2pi)^{-n/2} and 1/|window| factors included.
     """
 
     base_grid: Grid
     freq_grid: Grid
     values: np.ndarray
-    normalization: float
     window_sigma_x: float = 0.0
     window_sigma_xi: float = 0.0
-    phase_kernel: str = "exp(-i xi.y) in the integrand"
 
     def __post_init__(self):
         n = self.base_grid.n
@@ -159,36 +153,6 @@ class STFTData:
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
-
-    def to_csv(self) -> str:
-        g, d = self.base_grid, self.freq_grid
-        n = g.n
-        buf = io.StringIO()
-        cols = [f"x{i+1}" for i in range(n)] + [f"xi{i+1}" for i in range(n)] + ["abs"]
-        buf.write(",".join(cols) + "\n")
-        xs = g.points()
-        fs = d.points()
-        mag = self.magnitude().reshape(g.M, d.M)
-        for j in range(g.M):
-            xj = xs[j]
-            for k in range(d.M):
-                row = list(xj) + list(fs[k]) + [mag[j, k]]
-                buf.write(",".join(f"{v:.12g}" for v in row) + "\n")
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        flat = self.values.reshape(-1)
-        return json.dumps(
-            {
-                "kind": "stft",
-                "n": self.base_grid.n,
-                "N": self.base_grid.N,
-                "L": self.base_grid.L,
-                "normalization": self.normalization,
-                "re": [float(v) for v in flat.real],
-                "im": [float(v) for v in flat.imag],
-            }
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +217,6 @@ def stft(u: SampledField, window: WindowFunction) -> STFTData:
         base_grid=u.grid,
         freq_grid=u.grid.dual(),
         values=out,
-        normalization=(2.0 * np.pi) ** (-n / 2.0) / window.l2norm,
         window_sigma_x=window.sigma_x,
         window_sigma_xi=window.sigma_xi,
     )
@@ -271,6 +234,5 @@ def stft_magnitude(u: SampledField, window: WindowFunction) -> STFTMagnitude:
 
 def parseval_constant(g: Grid) -> float:
     """Exact lattice Parseval factor: spacing^{2n} sum |V|^2 equals this
-    times |u|_2^2 for a unit-norm window (see the derivation note in the
-    calibration record)."""
+    times |u|_2^2 for a unit-norm window."""
     return float((2.0 * g.L**2 / (np.pi * g.N)) ** g.n)

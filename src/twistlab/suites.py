@@ -1,18 +1,15 @@
 """Verification suites: every numeric claim the package makes, checked
 against an independent oracle or an exact symbolic computation.
 
-Checks are self-contained callables so a suite can run them in a thread
-pool; results are reported in declaration order regardless of
-completion order.  Anchor strings are stable check-family ids.
+Checks are self-contained callables, run and reported in declaration
+order.  Anchor strings are stable check-family ids.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -63,7 +60,7 @@ from .rational import (
     vneg,
 )
 from .reports import CheckResult, VerificationReport
-from .spectral import fourier_forward, gaussian_window, hann_window, stft
+from .spectral import fourier_forward, fourier_inverse, gaussian_window, hann_window, stft
 from .wavefront import (
     WavefrontParams,
     check_chirp_shear,
@@ -239,6 +236,24 @@ def check_star_route() -> CheckResult:
     direct = twisted_convolution(f, h, _SYMPLECTIC_2)
     routed = star_via_product(f, h, _SYMPLECTIC_2)
     return _tol("star-route-bridge-n2", "route-bridge", field_l2_distance(routed, direct), 1e-6)
+
+
+@_check("products")
+def check_star_constant_closed_form() -> CheckResult:
+    # least-squares fit of c(n) between the direct twisted convolution
+    # and the unscaled product route, against c(n) = (2 pi)^{n/2}
+    worst = 0.0
+    for n, theta in ((1, [[0.0]]), (2, _SYMPLECTIC_2)):
+        g = make_grid(n, 32 if n == 2 else 64, 6.0 if n == 2 else 8.0)
+        f = sample_analytic(GaussianPacket([0.3] * n, 1.0, [0.5] * n), g)
+        h = sample_analytic(GaussianPacket([-0.2] * n, 0.8, [0.0] * n), g)
+        direct = twisted_convolution(f, h, theta).values
+        raw = fourier_forward(twisted_convolution_product(
+            fourier_inverse(f), fourier_inverse(h), theta)).values
+        fit = np.vdot(raw, direct) / np.vdot(raw, raw)
+        closed = (2.0 * np.pi) ** (n / 2.0)
+        worst = max(worst, float(abs(fit - closed) / closed))
+    return _tol("star-constant-closed-form", "route-bridge", worst, 1e-9)
 
 
 @_check("products")
@@ -438,6 +453,31 @@ def check_conicity() -> CheckResult:
     # the flag boundary moves by up to ~2 grid steps when the radial
     # band doubles; gate at 5x resolution
     return _tol("wf-conicity-band-doubling", "wf-def", worst, 2.5)
+
+
+@_check("wavefront")
+def check_k_test_margin() -> CheckResult:
+    # the default threshold must lie strictly between the slowest decay
+    # on the true set (rays within the grid resolution) and the fastest
+    # decay more than 5 deg off it, across the catalog; measured is the
+    # larger of on/k_test and k_test/off, below 1 when both margins hold
+    k_test = WavefrontParams().k_test
+    on_max, off_min = 0.0, math.inf
+    for _, dist in _MEMBERS:
+        est = _catalog_estimate(dist, params=WavefrontParams(k_test=math.inf))
+        truth = exact_wf(dist)
+        for k_hat, ray in zip(est.k_hat, est.directions.directions):
+            if not math.isfinite(k_hat):
+                continue
+            deg = angular_distance_deg(truth, ray)
+            if deg <= est.directions.resolution_deg:
+                on_max = max(on_max, k_hat)
+            elif deg > 5.0:
+                off_min = min(off_min, k_hat)
+    worst = float(max(on_max / k_test, k_test / off_min))
+    r = _cond("wf-k-test-margin", "wf-def", on_max < k_test < off_min, measured=worst)
+    return replace(r, detail=f"on-set max {on_max:.3g}, k_test {k_test:g}, "
+                             f"off-set min {off_min:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -870,13 +910,5 @@ def criterion_checks(k: int) -> list:
     return [fn for _, c, fn in _REGISTRY if c == k]
 
 
-def run_suite(name: str, threads: int | None = None) -> VerificationReport:
-    checks = suite_checks(name)
-    workers = threads if threads else min(8, os.cpu_count() or 1)
-    if workers <= 1:
-        results = [_timed(fn) for fn in checks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_timed, fn) for fn in checks]
-            results = [f.result() for f in futures]
-    return VerificationReport(name, tuple(results), meta={"threads": workers})
+def run_suite(name: str) -> VerificationReport:
+    return VerificationReport(name, tuple(_timed(fn) for fn in suite_checks(name)))

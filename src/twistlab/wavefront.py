@@ -3,7 +3,7 @@ the windowed spectrogram.
 
 A direction on the unit sphere of R^{2n} is declared singular when the
 fitted polynomial decay order of |V(r w)| along the ray falls below a
-calibrated threshold.  The estimator is deliberately plain: log-spaced
+fixed threshold `k_test`.  The estimator is deliberately plain: log-spaced
 radii inside the trusted (truncation-free) band, multilinear
 interpolation of |V|, one least squares fit per direction.
 """
@@ -13,14 +13,13 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.stats import qmc
 
-from . import calibration
 from .cones import ConicSet, caps_set
 from .grids import SampledField
 from .spectral import (
@@ -115,9 +114,10 @@ def _direction_grid(dim: int, d: int, seed: int) -> DirectionGrid:
 
 @dataclass(frozen=True)
 class WavefrontParams:
-    """Estimator configuration; None fields pull calibrated defaults."""
+    """Estimator configuration; every field is checked on construction."""
 
-    k_test: float | None = None
+    # fitted on the n=1 analytic catalog (N=128, L=12, 360 directions); see wf-k-test-margin
+    k_test: float = 0.0073
     r_max_frac: float = 0.8
     r_min_frac: float = 0.2
     radii: int = 12
@@ -135,7 +135,7 @@ class WavefrontParams:
             return (integer(v) or isinstance(v, (float, np.floating))) and not math.isnan(v)
 
         checks = (
-            ("k_test", self.k_test is None or number(self.k_test), "a number or null"),
+            ("k_test", number(self.k_test), "a number"),
             ("r_max_frac", number(self.r_max_frac) and 0.0 < self.r_max_frac <= 1.0,
              "a number in (0, 1]"),
             ("r_min_frac", number(self.r_min_frac) and 0.0 < self.r_min_frac < 1.0,
@@ -152,16 +152,12 @@ class WavefrontParams:
             if not ok:
                 raise ValueError(f"{name}: expected {want}, got {getattr(self, name)!r}")
 
-    def resolved_k_test(self) -> float:
-        return calibration.default_k_test() if self.k_test is None else float(self.k_test)
-
 
 @dataclass(frozen=True, eq=False)
 class WavefrontEstimate:
     directions: DirectionGrid
     k_hat: np.ndarray
     residual: np.ndarray
-    trusted: np.ndarray
     value_at_rmax: np.ndarray
     k_test: float
     r_min: float
@@ -210,13 +206,12 @@ class WavefrontEstimate:
     def to_csv(self) -> str:
         buf = io.StringIO()
         d = self.directions.dim
-        cols = [f"w{i+1}" for i in range(d)] + ["k_hat", "residual", "flagged", "trusted"]
+        cols = [f"w{i+1}" for i in range(d)] + ["k_hat", "residual", "flagged"]
         buf.write(",".join(cols) + "\n")
         fl = self.flagged
         for i, w in enumerate(self.directions.directions):
             row = [f"{v:.12g}" for v in w]
-            row += [f"{self.k_hat[i]:.12g}", f"{self.residual[i]:.12g}",
-                    str(bool(fl[i])), str(bool(self.trusted[i]))]
+            row += [f"{self.k_hat[i]:.12g}", f"{self.residual[i]:.12g}", str(bool(fl[i]))]
             buf.write(",".join(row) + "\n")
         return buf.getvalue()
 
@@ -283,15 +278,10 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
     pts = radii[None, :, None] * dirs.directions[:, None, :]
     vals = interp(pts.reshape(-1, dim)).reshape(dirs.count, params.radii)
 
-    k_test = params.resolved_k_test()
+    k_test = float(params.k_test)
     flag_floor = math.inf if params.flag_floor is None else float(params.flag_floor)
     k_hat = np.empty(dirs.count)
     residual = np.zeros(dirs.count)
-    trusted = np.ones(dirs.count, dtype=bool)
-    # per-coordinate trust: any sample outside the clean band voids the ray
-    limits = np.array([tx] * n + [tf] * n)
-    outside = np.any(np.abs(pts) > limits[None, None, :], axis=(1, 2))
-    trusted[outside] = False
 
     dead = vals[:, -1] <= params.dead_floor
     k_hat[dead] = math.inf
@@ -306,7 +296,6 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
         directions=dirs,
         k_hat=k_hat,
         residual=residual,
-        trusted=trusted,
         value_at_rmax=vals[:, -1].copy(),
         k_test=k_test,
         r_min=float(r_min),

@@ -131,6 +131,7 @@ def test_wf_seed_flag_overrides_config_seed(tmp_path):
     ({"window": "hann"}, "window"),
     ({"window": {"kind": "hann", "half_width": "wide"}}, "window.half_width"),
     ({"window": {"kind": "hann", "half_width": None}}, "window.half_width"),
+    ({"params": {"k_test": None}}, "params.k_test"),
 ])
 def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
     # each case is a top-level config fragment: params, window, ...
@@ -240,8 +241,7 @@ def test_parser_reused_without_leaking_values(tmp_path, monkeypatch):
     assert seen == [
         {"command": "wf", "config": "a.json", "out": ".", "seed": 5},
         {"command": "cone", "config": "b.json", "out": str(tmp_path), "seed": None},
-        {"command": "verify", "suite": "calculus", "config": None, "out": ".", "seed": None,
-         "threads": None},
+        {"command": "verify", "suite": "calculus", "config": None, "out": ".", "seed": None},
     ]
 
 

@@ -12,6 +12,7 @@ from twistlab.products import (
     twisted_convolution,
     twisted_convolution_product,
 )
+from twistlab.spectral import fourier_forward, fourier_inverse
 from twistlab.suites import _oracle_convolution
 
 J = [[0.0, 1.0], [-1.0, 0.0]]
@@ -102,6 +103,17 @@ def test_star_route_matches_direct():
     direct = twisted_convolution(u, v, J)
     routed = star_via_product(u, v, J)
     assert field_l2_distance(routed, direct) < 1e-6
+
+
+@pytest.mark.parametrize("n, theta", [(1, [[0.0]]), (2, J)])
+def test_star_route_constant_is_closed_form(n, theta):
+    # the route constant c(n) = (2 pi)^{n/2} is one final multiply
+    g = make_grid(n, 32 if n == 2 else 64, 8.0)
+    u = sample_analytic(GaussianPacket((0.3,) * n, 1.0, (0.4,) * n), g)
+    v = sample_analytic(GaussianPacket((-0.2,) * n, 0.9), g)
+    raw = fourier_forward(twisted_convolution_product(fourier_inverse(u), fourier_inverse(v), theta))
+    want = raw.values * (2.0 * np.pi) ** (0.5 * n)
+    assert star_via_product(u, v, theta).values.tobytes() == want.tobytes()
 
 
 def test_wrap_and_pad_agree_for_interior_mass(grid64, rng):

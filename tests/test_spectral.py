@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -126,15 +124,6 @@ def test_parseval_constant(grid64):
     lhs = grid64.spacing ** 2 * np.sum(np.abs(v.values) ** 2)
     rhs = parseval_constant(grid64) * f.norm() ** 2
     assert lhs == pytest.approx(rhs, rel=1e-6)
-
-
-def test_stft_json_and_csv(grid128):
-    u = sample_analytic(Delta(0.0), grid128)
-    v = stft(u, gaussian_window(grid128))
-    doc = json.loads(v.to_json())
-    assert doc["n"] == 1
-    header = v.to_csv().splitlines()[0]
-    assert header.split(",")[:2] == ["x1", "xi1"]
 
 
 @given(st.sampled_from((1, 2)), st.sampled_from(tuple(range(4, 17, 2))),

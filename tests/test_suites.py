@@ -33,14 +33,13 @@ def test_run_suite_bridge_passes():
     assert len(rep.checks) == 3
     assert all(isinstance(c, CheckResult) for c in rep.checks)
     assert all(c.seconds >= 0.0 for c in rep.checks)
-    # declaration order is preserved regardless of thread scheduling
+    # checks run and are reported in declaration order
     assert rep.checks[0].name == "bridge-impulse-at-origin"
 
 
 def test_run_suite_wavefront_passes():
-    rep = run_suite("wavefront", threads=2)
+    rep = run_suite("wavefront")
     assert rep.passed
-    assert rep.meta.get("threads") == 2
 
 
 def test_crash_becomes_failed_check():

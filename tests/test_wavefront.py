@@ -178,6 +178,7 @@ def test_zero_field_rejected(grid128):
     ({"r_max_frac": 1.2}, "r_max_frac"),
     ({"radii": 7}, "radii"),
     ({"radii": "12"}, "radii"),
+    ({"k_test": None}, "k_test"),
 ])
 def test_params_rejected_by_name(kw, key):
     with pytest.raises(ValueError, match=f"^{key}:"):
@@ -226,11 +227,10 @@ def test_estimate_from_magnitude_matches_full_stft(n, big_n, L):
         assert (got.r_min, got.r_max) == (want.r_min, want.r_max)
 
 
-def test_default_threshold_from_calibration(grid128):
-    from twistlab.calibration import default_k_test
-
+def test_default_threshold(grid128):
+    assert WavefrontParams().k_test == 0.0073
     u = sample_analytic(Delta(0.0), grid128)
     est = estimate_wf(u)
-    assert est.k_test == default_k_test()
-    # calibrated threshold still finds the axis
+    assert est.k_test == 0.0073
+    # the default threshold still finds the axis
     assert est.flagged.sum() > 0
