@@ -41,8 +41,13 @@ from .cones import (
     GenCone,
     PolyhedralCone,
     SampledCaps,
+    _block,
+    _identity,
     _projector,
-    member,
+    _rational_inverse,
+    _zeros,
+    angular_distance_deg,
+    component_gencones,
     set_gencones,
     wf_fourier_rotate,
 )
@@ -80,10 +85,6 @@ def _hcat(*blocks: Mat) -> Mat:
     )
 
 
-def _zeros(rows: int, cols: int) -> Mat:
-    return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
-
-
 def _scale_mat(c: Fraction, a: Mat) -> Mat:
     return tuple(tuple(c * x for x in r) for r in a)
 
@@ -101,6 +102,17 @@ def _gen_matrix(gc: GenCone) -> Mat:
     return mat_t(gc.gens)
 
 
+def _flip(n: int) -> Mat:
+    """F: (x, xi) -> (x, -xi) on R^{2n}."""
+    return _projector(n, 0) + _scale_mat(-ONE, _projector(n, 1))
+
+
+def _half_dim(wfu: ConicSet, wfv: ConicSet) -> int:
+    if wfu.dim != wfv.dim or wfu.dim % 2 != 0:
+        raise ValueError("wavefront sets must share an even dimension")
+    return wfu.dim // 2
+
+
 def feasible_with_nonzero(a: Mat, ncols: int, selectors: list[Mat]) -> Vec | None:
     """A point of {w >= 0 : A w = 0} with S w != 0 for every selector, or None.
 
@@ -109,7 +121,6 @@ def feasible_with_nonzero(a: Mat, ncols: int, selectors: list[Mat]) -> Vec | Non
     vanishes on every extreme ray.
     """
     rays = extreme_rays(a, ncols)
-    rays = [r for r in rays if not is_zero_vec(r)]
     if not rays:
         return None
     for sel in selectors:
@@ -129,18 +140,38 @@ def feasible_with_nonzero(a: Mat, ncols: int, selectors: list[Mat]) -> Vec | Non
 
 def _lift_excludes(gc: GenCone, gmat: Mat, offset_cols: int, total_cols: int) -> list[Mat]:
     """Component selectors E v != 0 expressed on the stacked weight vector."""
-    out = []
-    k = len(gmat[0]) if gmat else 0
-    for e in gc.excludes:
-        eg = matmul(e, gmat)
-        rows = tuple(
-            tuple(ZERO for _ in range(offset_cols))
-            + r
-            + tuple(ZERO for _ in range(total_cols - offset_cols - k))
-            for r in eg
-        )
-        out.append(rows)
-    return out
+    rest = total_cols - offset_cols - len(gc.gens)
+    return [
+        _hcat(_zeros(len(e), offset_cols), matmul(e, gmat), _zeros(len(e), rest))
+        for e in gc.excludes
+    ]
+
+
+def _joint_witness(wfu: ConicSet, wfv: ConicSet, mu: Mat, mv: Mat,
+                   nonzero: Mat) -> tuple[Vec, Vec] | None:
+    """Primitive p in wfu and q in wfv with mu p + mv q = 0 and
+    nonzero p != 0, or None.
+
+    Both points also satisfy every exclude selector of their generator
+    cones.  This is the one search behind the exact yes/no verdicts: one
+    `feasible_with_nonzero` call per pair of generator cones, in set order.
+    """
+    cvs = set_gencones(wfv)
+    gvs = [_gen_matrix(cv) for cv in cvs]
+    mvgs = [matmul(mv, gv) for gv in gvs]
+    for cu in set_gencones(wfu):
+        gu = _gen_matrix(cu)
+        ku = len(cu.gens)
+        mug, sel = matmul(mu, gu), matmul(nonzero, gu)
+        for cv, gv, mvg in zip(cvs, gvs, mvgs):
+            kv = len(cv.gens)
+            selectors = [_hcat(sel, _zeros(len(sel), kv))]
+            selectors += _lift_excludes(cu, gu, 0, ku + kv)
+            selectors += _lift_excludes(cv, gv, ku, ku + kv)
+            w = feasible_with_nonzero(_hcat(mug, mvg), ku + kv, selectors)
+            if w is not None:
+                return primitive_ray(matvec(gu, w[:ku])), primitive_ray(matvec(gv, w[ku:]))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -164,44 +195,17 @@ def existence_condition(wfu: ConicSet, wfv: ConicSet, theta) -> ExistenceResult:
     otherwise holds=False together with the violating pair of phase
     space points ((x, xi), (x, -xi)).
     """
-    if wfu.dim != wfv.dim or wfu.dim % 2 != 0:
-        raise ValueError("wavefront sets must share an even dimension")
-    d = wfu.dim
-    n = d // 2
+    n = _half_dim(wfu, wfv)
     tm = as_rational_antisym(theta, n)
     if not (wfu.is_exact() and wfv.is_exact()):
         raise ExactnessError("existence condition needs exact (rational) sets")
     px, pxi = _projector(n, 0), _projector(n, 1)
-    half_theta = _scale_mat(Fraction(1, 2), tm)
-    # F flips the sign of the xi half
-    flip = tuple(
-        tuple((-ONE if i >= n and i == j else (ONE if i == j else ZERO)) for j in range(d))
-        for i in range(d)
-    )
-    for cu in set_gencones(wfu):
-        gu = _gen_matrix(cu)
-        ku = len(cu.gens)
-        if ku == 0:
-            continue
-        slice_rows = _mat_sub(matmul(px, gu), matmul(half_theta, matmul(pxi, gu)))
-        for cv in set_gencones(wfv):
-            gv = _gen_matrix(cv)
-            kv = len(cv.gens)
-            if kv == 0:
-                continue
-            ncols = ku + kv
-            a = _hcat(_scale_mat(-ONE, matmul(flip, gu)), gv) + _hcat(
-                slice_rows, _zeros(n, kv)
-            )
-            selectors = [_hcat(gu, _zeros(d, kv))]
-            selectors += _lift_excludes(cu, gu, 0, ncols)
-            selectors += _lift_excludes(cv, gv, ku, ncols)
-            w = feasible_with_nonzero(a, ncols, selectors)
-            if w is not None:
-                p = matvec(gu, w[:ku])
-                q = matvec(gv, w[ku:])
-                return ExistenceResult(False, (primitive_ray(p), primitive_ray(q)))
-    return ExistenceResult(True, None)
+    # q = F p, and p lies on the slice x = (1/2) theta xi
+    slice_rows = _mat_sub(px, matmul(_scale_mat(Fraction(1, 2), tm), pxi))
+    mu = _scale_mat(-ONE, _flip(n)) + slice_rows
+    mv = _identity(2 * n) + _zeros(n, 2 * n)
+    w = _joint_witness(wfu, wfv, mu, mv, _identity(2 * n))
+    return ExistenceResult(w is None, w)
 
 
 def existence_condition_theta_inv(wfu: ConicSet, wfv: ConicSet, theta) -> ExistenceResult:
@@ -212,53 +216,22 @@ def existence_condition_theta_inv(wfu: ConicSet, wfv: ConicSet, theta) -> Existe
     an independent elimination path used to cross-check
     `existence_condition`.
     """
-    if wfu.dim != wfv.dim or wfu.dim % 2 != 0:
-        raise ValueError("wavefront sets must share an even dimension")
-    d = wfu.dim
-    n = d // 2
-    tm = as_rational_antisym(theta, n)
-    from .cones import _rational_inverse
-
-    tinv = _rational_inverse(tm)
+    n = _half_dim(wfu, wfv)
+    tinv = _rational_inverse(as_rational_antisym(theta, n))
     if tinv is None:
         raise ValueError("theta is not invertible; use existence_condition")
-    ti2 = _scale_mat(Fraction(2), tinv)
     px, pxi = _projector(n, 0), _projector(n, 1)
-    for cu in set_gencones(wfu):
-        gu = _gen_matrix(cu)
-        ku = len(cu.gens)
-        if ku == 0:
-            continue
-        for cv in set_gencones(wfv):
-            gv = _gen_matrix(cv)
-            kv = len(cv.gens)
-            if kv == 0:
-                continue
-            ncols = ku + kv
-            # xi_u = 2 theta^{-1} x_u, x_v = x_u, xi_v = -2 theta^{-1} x_v
-            rows_u = _mat_sub(matmul(pxi, gu), matmul(ti2, matmul(px, gu)))
-            coupling = _hcat(_scale_mat(-ONE, matmul(px, gu)), matmul(px, gv))
-            rows_v = _mat_add(matmul(pxi, gv), matmul(ti2, matmul(px, gv)))
-            a = _hcat(rows_u, _zeros(n, kv)) + coupling + _hcat(
-                _zeros(n, ku), rows_v
-            )
-            selectors = [_hcat(matmul(px, gu), _zeros(n, kv))]
-            selectors += _lift_excludes(cu, gu, 0, ncols)
-            selectors += _lift_excludes(cv, gv, ku, ncols)
-            w = feasible_with_nonzero(a, ncols, selectors)
-            if w is not None:
-                p = matvec(gu, w[:ku])
-                q = matvec(gv, w[ku:])
-                return ExistenceResult(False, (primitive_ray(p), primitive_ray(q)), "theta-inverse")
-    return ExistenceResult(True, None, "theta-inverse")
+    ti2px = matmul(_scale_mat(Fraction(2), tinv), px)
+    zero = _zeros(n, 2 * n)
+    # xi_p = 2 theta^{-1} x_p, x_q = x_p, xi_q = -2 theta^{-1} x_q
+    mu = _mat_sub(pxi, ti2px) + _scale_mat(-ONE, px) + zero
+    mv = zero + px + _mat_add(pxi, ti2px)
+    w = _joint_witness(wfu, wfv, mu, mv, px)
+    return ExistenceResult(w is None, w, "theta-inverse")
 
 
 # ---------------------------------------------------------------------------
 # predicted wavefront sets of the two twisted operations
-
-def _collect_rays(a: Mat, ncols: int) -> list[Vec]:
-    return [r for r in extreme_rays(a, ncols) if not is_zero_vec(r)]
-
 
 def _dedup_gens(gens: list[Vec]) -> tuple[Vec, ...]:
     seen: dict[Vec, None] = {}
@@ -284,69 +257,40 @@ def predicted_product_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
     exclusion data does not map forward); the one-sided components keep
     their exact nonzero selectors.
     """
-    if wfu.dim != wfv.dim or wfu.dim % 2 != 0:
-        raise ValueError("wavefront sets must share an even dimension")
-    d = wfu.dim
-    n = d // 2
+    n = _half_dim(wfu, wfv)
     tm = as_rational_antisym(theta, n)
     if not (wfu.is_exact() and wfv.is_exact()):
         raise ExactnessError("predicted sets need exact (rational) inputs")
-    px, pxi = _projector(n, 0), _projector(n, 1)
-    half_theta = _scale_mat(Fraction(1, 2), tm)
-    plus = _mat_add(px, matmul(half_theta, pxi))
-    minus = _mat_sub(px, matmul(half_theta, pxi))
+    pxi = _projector(n, 1)
+    half_theta_xi = matmul(_scale_mat(Fraction(1, 2), tm), pxi)
+    plus = _mat_add(_projector(n, 0), half_theta_xi)
+    minus = _mat_sub(_projector(n, 0), half_theta_xi)
     # output map applied to the second factor: q -> ((1/2) theta xi_q, xi_q)
-    bv = tuple(
-        tuple(
-            (half_theta[i][j - n] if j >= n else ZERO)
-            for j in range(d)
-        )
-        for i in range(n)
-    ) + tuple(
-        tuple((ONE if j == n + i else ZERO) for j in range(d)) for i in range(n)
-    )
+    bv = half_theta_xi + pxi
+    cus, cvs = set_gencones(wfu), set_gencones(wfv)
     comps = []
-    cus = [c for c in set_gencones(wfu) if c.gens]
-    cvs = [c for c in set_gencones(wfv) if c.gens]
     for cu in cus:
         gu = _gen_matrix(cu)
         ku = len(cu.gens)
         for cv in cvs:
             gv = _gen_matrix(cv)
-            kv = len(cv.gens)
             a = _hcat(_scale_mat(-ONE, matmul(plus, gu)), matmul(minus, gv))
-            gens = []
-            for r in _collect_rays(a, ku + kv):
-                p = matvec(gu, r[:ku])
-                q = matvec(gv, r[ku:])
-                o = vadd(p, matvec(bv, q))
-                if not is_zero_vec(o):
-                    gens.append(o)
-            gens = _dedup_gens(gens)
+            bgv = matmul(bv, gv)
+            gens = _dedup_gens([
+                vadd(matvec(gu, r[:ku]), matvec(bgv, r[ku:]))
+                for r in extreme_rays(a, ku + len(cv.gens))
+            ])
             if gens:
                 comps.append(PolyhedralCone(gens))
-    for cu in cus:
-        gu = _gen_matrix(cu)
-        ku = len(cu.gens)
-        gens = []
-        for r in _collect_rays(matmul(plus, gu), ku):
-            p = matvec(gu, r)
-            if not is_zero_vec(p):
-                gens.append(p)
-        gens = _dedup_gens(gens)
-        if gens:
-            comps.append(PolyhedralCone(gens, cu.excludes))
-    for cv in cvs:
-        gv = _gen_matrix(cv)
-        kv = len(cv.gens)
-        gens = []
-        for r in _collect_rays(matmul(minus, gv), kv):
-            q = matvec(bv, matvec(gv, r))
-            if not is_zero_vec(q):
-                gens.append(q)
-        gens = _dedup_gens(gens)
-        if gens:
-            comps.append(PolyhedralCone(gens, cv.excludes))
+    # one-sided: wfu on its slice as is, wfv on its slice mapped by bv
+    for cs, slice_rows, out in ((cus, plus, _identity(2 * n)), (cvs, minus, bv)):
+        for c in cs:
+            g = _gen_matrix(c)
+            og = matmul(out, g)
+            rays = extreme_rays(matmul(slice_rows, g), len(c.gens))
+            gens = _dedup_gens([matvec(og, r) for r in rays])
+            if gens:
+                comps.append(PolyhedralCone(gens, c.excludes))
     # drop duplicate components (same generators and selectors)
     uniq = []
     seen = set()
@@ -355,7 +299,7 @@ def predicted_product_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
         if key not in seen:
             seen.add(key)
             uniq.append(c)
-    return ConicSet(d, tuple(uniq))
+    return ConicSet(2 * n, tuple(uniq))
 
 
 def predicted_star_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
@@ -404,56 +348,45 @@ class ShiftAlgebraReport:
         return "exact" if self.exact else "numerical"
 
 
-def _nonzero_gen_matrix(gc: GenCone) -> Mat:
-    gens = [g for g in gc.gens if not is_zero_vec(g)]
-    return mat_t(tuple(gens))
-
-
 def _check_additive_salient(gamma2: ConicSet) -> ConditionCheck:
     name = "additive-salient"
-    comps = [c for c in set_gencones(gamma2) if any(not is_zero_vec(g) for g in c.gens)]
+    comps = set_gencones(gamma2)
     if not comps:
         return ConditionCheck(name, True, True, note="empty cone")
     # salience within and across components: no two members sum to zero
     for i, ci in enumerate(comps):
-        gi = _nonzero_gen_matrix(ci)
-        ki = len(gi[0])
-        for j in range(i, len(comps)):
-            gj = _nonzero_gen_matrix(comps[j])
-            kj = len(gj[0])
-            if i == j:
-                rays = [r for r in extreme_rays(gi, ki) if not is_zero_vec(r)]
-                for nu in rays:
-                    i0 = next(t for t, x in enumerate(nu) if x != 0)
-                    col = tuple(gi[r][i0] for r in range(len(gi)))
-                    v1 = vscale(nu[i0], col)
-                    return ConditionCheck(
-                        name, False, True, (primitive_ray(v1), primitive_ray(vneg(v1))),
-                        "two members sum to zero",
-                    )
-            else:
-                a = _hcat(gi, gj)
-                sel = [_hcat(gi, _zeros(len(gi), kj))]
-                w = feasible_with_nonzero(a, ki + kj, sel)
-                if w is not None:
-                    v1 = matvec(gi, w[:ki])
-                    return ConditionCheck(
-                        name, False, True, (primitive_ray(v1), primitive_ray(vneg(v1))),
-                        "members of two components sum to zero",
-                    )
+        gi = _gen_matrix(ci)
+        ki = len(ci.gens)
+        rays = extreme_rays(gi, ki)
+        if rays:
+            nu = rays[0]
+            i0 = next(t for t, x in enumerate(nu) if x != 0)
+            v1 = vscale(nu[i0], ci.gens[i0])
+            return ConditionCheck(
+                name, False, True, (primitive_ray(v1), primitive_ray(vneg(v1))),
+                "two members sum to zero",
+            )
+        for cj in comps[i + 1:]:
+            gj = _gen_matrix(cj)
+            kj = len(cj.gens)
+            sel = [_hcat(gi, _zeros(len(gi), kj))]
+            w = feasible_with_nonzero(_hcat(gi, gj), ki + kj, sel)
+            if w is not None:
+                v1 = matvec(gi, w[:ki])
+                return ConditionCheck(
+                    name, False, True, (primitive_ray(v1), primitive_ray(vneg(v1))),
+                    "members of two components sum to zero",
+                )
     if len(comps) == 1:
         return ConditionCheck(name, True, True, note="convex component; closure automatic")
-    # union: additive closure checked on pairwise generator sums (necessary)
-    hulls = [tuple(tuple(g) for g in c.gens if not is_zero_vec(g)) for c in comps]
-    for i, ci in enumerate(comps):
-        for j in range(i, len(comps)):
-            if i == j:
-                continue
-            for ga in hulls[i]:
-                for gb in hulls[j]:
+    # union: additive closure checked on pairwise generator sums (necessary);
+    # salience holds, so no sum below is zero
+    hulls = [c.gens for c in comps]
+    for i, ha in enumerate(hulls):
+        for hb in hulls[i + 1:]:
+            for ga in ha:
+                for gb in hb:
                     ssum = vadd(ga, gb)
-                    if is_zero_vec(ssum):
-                        continue
                     if not any(cone_contains(h, ssum) for h in hulls):
                         return ConditionCheck(
                             name, False, True, (ga, gb, primitive_ray(ssum)),
@@ -474,17 +407,11 @@ def _anchor_point(gc: GenCone) -> Vec:
 
 def _check_shift_stability(gamma1: ConicSet, gamma2: ConicSet, half_theta: Mat) -> ConditionCheck:
     name = "shift-stability"
-    comps1 = [c for c in set_gencones(gamma1) if c.gens]
-    comps2 = [c for c in set_gencones(gamma2) if c.gens]
+    comps1, comps2 = set_gencones(gamma1), set_gencones(gamma2)
     if not comps2 or not comps1:
         return ConditionCheck(name, True, True, note="vacuous (empty cone)")
-    hulls1 = [tuple(g for g in c.gens if not is_zero_vec(g)) for c in comps1]
-    gens2 = [
-        primitive_ray(g)
-        for c in comps2
-        for g in c.gens
-        if not is_zero_vec(g)
-    ]
+    hulls1 = [c.gens for c in comps1]
+    gens2 = [primitive_ray(g) for c in comps2 for g in c.gens]
     if len(comps1) == 1:
         # convex target: stability is equivalent to every shifted
         # generator lying in the recession cone, i.e. the hull itself
@@ -539,7 +466,7 @@ def _float_directions(s: ConicSet) -> list[tuple[np.ndarray, float]]:
             for d in np.asarray(comp.directions, dtype=float):
                 out.append((d, float(comp.radius_deg)))
         else:
-            for gc in [g for g in set_gencones(ConicSet(s.dim, (comp,)))]:
+            for gc in component_gencones(comp):
                 for g in gc.gens:
                     v = np.array([float(x) for x in g])
                     nrm = np.linalg.norm(v)
@@ -549,8 +476,6 @@ def _float_directions(s: ConicSet) -> list[tuple[np.ndarray, float]]:
 
 
 def _shift_algebra_numeric(gamma1: ConicSet, gamma2: ConicSet, half_theta_f: np.ndarray) -> ShiftAlgebraReport:
-    from .cones import angular_distance_deg
-
     d2 = _float_directions(gamma2)
     sal_pass, sal_wit = True, None
     for i, (da, ra) in enumerate(d2):
@@ -628,30 +553,13 @@ def pair_condition(gamma: ConicSet) -> PairConditionResult:
     no (x, xi) in gamma with (x, -xi) also in gamma.  Exact."""
     if gamma.dim % 2 != 0:
         raise ValueError("phase space dimension must be even")
-    d = gamma.dim
-    n = d // 2
     if not gamma.is_exact():
         raise ExactnessError("pair condition needs exact (rational) sets")
-    flip = tuple(
-        tuple((-ONE if i >= n and i == j else (ONE if i == j else ZERO)) for j in range(d))
-        for i in range(d)
-    )
-    comps = [c for c in set_gencones(gamma) if c.gens]
-    for ci in comps:
-        gi = _gen_matrix(ci)
-        ki = len(ci.gens)
-        for cj in comps:
-            gj = _gen_matrix(cj)
-            kj = len(cj.gens)
-            a = _hcat(_scale_mat(-ONE, matmul(flip, gi)), gj)
-            selectors = [_hcat(gi, _zeros(d, kj))]
-            selectors += _lift_excludes(ci, gi, 0, ki + kj)
-            selectors += _lift_excludes(cj, gj, ki, ki + kj)
-            w = feasible_with_nonzero(a, ki + kj, selectors)
-            if w is not None:
-                p = primitive_ray(matvec(gi, w[:ki]))
-                return PairConditionResult(False, (p, matvec(flip, p)))
-    return PairConditionResult(True, None)
+    flip, eye = _flip(gamma.dim // 2), _identity(gamma.dim)
+    w = _joint_witness(gamma, gamma, _scale_mat(-ONE, flip), eye, eye)
+    if w is None:
+        return PairConditionResult(True, None)
+    return PairConditionResult(False, (w[0], matvec(flip, w[0])))
 
 
 @dataclass(frozen=True)
@@ -681,55 +589,33 @@ def wf_pullback(s: ConicSet, amap) -> PullbackResult:
     at = mat_t(am)
     defined = True
     witness = None
-    comps = [c for c in set_gencones(s) if c.gens]
+    comps = set_gencones(s)
     for gc in comps:
         g = _gen_matrix(gc)
-        k = len(gc.gens)
         a = matmul(px, g) + matmul(at, matmul(pxi, g))
         selectors = [matmul(pxi, g)]
         selectors += [matmul(e, g) for e in gc.excludes]
-        w = feasible_with_nonzero(a, k, selectors)
+        w = feasible_with_nonzero(a, len(gc.gens), selectors)
         if w is not None:
             defined = False
             witness = primitive_ray(matvec(g, w))
             break
     out_comps: list[PolyhedralCone] = []
-    a_inv_t = None
-    if m == n:
-        from .cones import _rational_inverse
-
-        inv = _rational_inverse(am)
-        if inv is not None:
-            a_inv_t = mat_t(inv)
+    # for invertible A, a selector E on (y, eta) reads E diag(A, A^{-T}) on (x, xi)
+    inv = _rational_inverse(am) if m == n else None
+    lift = _block(am, _zeros(n, n), _zeros(n, n), mat_t(inv)) if inv is not None else None
     for gc in comps:
         g = _gen_matrix(gc)
-        k = len(gc.gens)
-        pxg = matmul(px, g)
-        sys = _hcat(am, _scale_mat(-ONE, am), _scale_mat(-ONE, pxg))
-        gens = []
-        for r in _collect_rays(sys, 2 * n + k):
-            x = tuple(r[i] - r[n + i] for i in range(n))
-            eta = matvec(pxi, matvec(g, r[2 * n:]))
-            o = tuple(x) + tuple(matvec(at, eta))
-            if not is_zero_vec(o):
-                gens.append(o)
-        gens = _dedup_gens(gens)
+        sys = _hcat(am, _scale_mat(-ONE, am), _scale_mat(-ONE, matmul(px, g)))
+        at_eta = matmul(at, matmul(pxi, g))
+        gens = _dedup_gens([
+            tuple(r[i] - r[n + i] for i in range(n)) + matvec(at_eta, r[2 * n:])
+            for r in extreme_rays(sys, 2 * n + len(gc.gens))
+        ])
         if not gens:
             continue
-        if a_inv_t is not None:
-            lift = tuple(
-                tuple(
-                    (am[i][j] if i < m and j < n else ZERO)
-                    if i < m
-                    else ((a_inv_t[i - m][j - n]) if j >= n else ZERO)
-                    for j in range(2 * n)
-                )
-                for i in range(2 * m)
-            )
-            excl = tuple(matmul(e, lift) for e in gc.excludes)
-            out_comps.append(PolyhedralCone(gens, excl))
-        else:
-            out_comps.append(PolyhedralCone(gens))
+        excl = tuple(matmul(e, lift) for e in gc.excludes) if lift is not None else ()
+        out_comps.append(PolyhedralCone(gens, excl))
     kernel = nullspace(am, n)
     if kernel:
         kgens = []

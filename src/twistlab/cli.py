@@ -179,12 +179,13 @@ def _num_or_vec(x):
     return float(x)
 
 
-def _rational_entry(x) -> Fraction:
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    raise ConfigError(f"expected number or [num, den] pair, got {x!r}")
+def _rational_matrix(rows, key: str):
+    from .rational import frac
+
+    try:
+        return tuple(tuple(frac(x) for x in row) for row in rows)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _run_record(out: Path, name: str, cfg: dict, outputs: dict) -> None:
@@ -251,7 +252,7 @@ def _field_csv(f) -> str:
 
 
 def _cmd_wf(args, out: Path) -> int:
-    from .spectral import gaussian_window, hann_window
+    from .spectral import _HANN_HALF_WIDTH, gaussian_window, hann_window
     from .wavefront import WavefrontParams, direction_grid, estimate_wf
 
     cfg = _load_config(args)
@@ -266,7 +267,7 @@ def _cmd_wf(args, out: Path) -> int:
     if wkind == "gaussian":
         window = gaussian_window(grid)
     elif wkind == "hann":
-        half_width = wspec.get("half_width", 2.5)
+        half_width = wspec.get("half_width", _HANN_HALF_WIDTH)
         if not _is_number(half_width) or not 0.0 < half_width < float("inf"):
             raise ConfigError(f"window.half_width: expected a positive number, got {half_width!r}")
         window = hann_window(grid, float(half_width))
@@ -328,9 +329,7 @@ def _cmd_cone(args, out: Path) -> int:
 
     cfg = _load_config(args)
     op = _need(cfg, "op")
-    theta = None
-    if "theta" in cfg:
-        theta = tuple(tuple(_rational_entry(x) for x in row) for row in cfg["theta"])
+    theta = _rational_matrix(cfg["theta"], "theta") if "theta" in cfg else None
     doc: dict = {"schema_version": _SCHEMA, "kind": "cone_report", "op": op}
     try:
         failed = _cone_op(op, cfg, theta, doc)
@@ -393,7 +392,7 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
         doc["predicted"] = set_to_obj(got)
     elif op == "pullback":
         s = _cone_set(_need(cfg, "set"), "set")
-        amap = tuple(tuple(_rational_entry(x) for x in row) for row in _need(cfg, "map"))
+        amap = _rational_matrix(_need(cfg, "map"), "map")
         res = wf_pullback(s, amap)
         doc["defined"] = res.defined
         doc["wavefront"] = set_to_obj(res.wavefront) if res.defined else None

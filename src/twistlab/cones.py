@@ -21,7 +21,6 @@ The selector mechanism is what keeps product sets like
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +31,7 @@ from .rational import (
     Mat,
     Vec,
     cone_contains,
+    extreme_rays,
     frac,
     is_zero_vec,
     mat,
@@ -59,6 +59,19 @@ def _identity(d: int) -> Mat:
 
 def _basis_vec(d: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(d))
+
+
+def _zeros(rows: int, cols: int) -> Mat:
+    return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
+
+
+def _neg_mat(a: Mat) -> Mat:
+    return tuple(vneg(r) for r in a)
+
+
+def _block(a: Mat, b: Mat, c: Mat, e: Mat) -> Mat:
+    """The block matrix [[a, b], [c, e]]."""
+    return tuple(r + t for r, t in zip(a, b)) + tuple(r + t for r, t in zip(c, e))
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +322,11 @@ def component_gencones(comp: Component) -> list[GenCone]:
         px, pxi = _projector(half, 0), _projector(half, 1)
         for gx, gxi in sides:
             gens = _embed(gx.gens, half, 0) + _embed(gxi.gens, half, 1)
-            if not gens:
-                continue
-            excludes: list[Mat] = []
-            for e in gx.excludes:
-                excludes.append(matmul(e, px))
-            for e in gxi.excludes:
-                excludes.append(matmul(e, pxi))
-            if comp.x_part is not None and not comp.x_includes_zero and gx.gens:
+            excludes = [matmul(e, px) for e in gx.excludes]
+            excludes += [matmul(e, pxi) for e in gxi.excludes]
+            if comp.x_part is not None and not comp.x_includes_zero:
                 excludes.append(px)
-            if comp.xi_part is not None and not comp.xi_includes_zero and gxi.gens:
+            if comp.xi_part is not None and not comp.xi_includes_zero:
                 excludes.append(pxi)
             out.append(GenCone(tuple(gens), tuple(excludes)))
         return out
@@ -333,7 +341,7 @@ def set_gencones(s: ConicSet) -> list[GenCone]:
 
 
 def gencone_member(gc: GenCone, v: Vec) -> bool:
-    if is_zero_vec(v) or not gc.gens:
+    if is_zero_vec(v):
         return False
     if not cone_contains(gc.gens, v):
         return False
@@ -420,7 +428,8 @@ def _rational_inverse(a: Mat) -> Mat | None:
 
 
 def _negate_set(s: ConicSet) -> ConicSet:
-    return linear_image(s, tuple(tuple(-x for x in r) for r in _identity(s.dim)))
+    neg = _neg_mat(_identity(s.dim))
+    return linear_image(s, neg, neg)
 
 
 def linear_image(s: ConicSet, m: Mat, m_inv: Mat | None = None) -> ConicSet:
@@ -449,20 +458,6 @@ def linear_image(s: ConicSet, m: Mat, m_inv: Mat | None = None) -> ConicSet:
     return ConicSet(s.dim, tuple(comps))
 
 
-def _rotate_matrix(n: int, inverse: bool) -> Mat:
-    d = 2 * n
-    rows = []
-    for i in range(n):
-        r = [ZERO] * d
-        r[n + i] = ONE if not inverse else -ONE
-        rows.append(tuple(r))
-    for i in range(n):
-        r = [ZERO] * d
-        r[i] = -ONE if not inverse else ONE
-        rows.append(tuple(r))
-    return tuple(rows)
-
-
 def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
     """Image under (x, xi) -> (xi, -x); inverse=True applies (x, xi) -> (-xi, x).
 
@@ -472,7 +467,9 @@ def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
     if s.dim % 2 != 0:
         raise ValueError("phase-space rotation needs even dimension")
     n = s.dim // 2
-    rot = _rotate_matrix(n, inverse)
+    eye, zero = _identity(n), _zeros(n, n)
+    fwd, back = _block(zero, eye, _neg_mat(eye), zero), _block(zero, _neg_mat(eye), eye, zero)
+    rot, rot_inv = (back, fwd) if inverse else (fwd, back)
     comps: list[Component] = []
     for comp in s.components:
         if isinstance(comp, SampledCaps):
@@ -480,8 +477,6 @@ def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
             x, xi = dirs[:, :n], dirs[:, n:]
             new = np.hstack([xi, -x]) if not inverse else np.hstack([-xi, x])
             comps.append(SampledCaps(new, comp.radius_deg))
-        elif isinstance(comp, Ray):
-            comps.append(Ray(matvec(rot, comp.v), comp.both))
         elif isinstance(comp, ProductCone):
             if not inverse:
                 xp = comp.xi_part
@@ -494,20 +489,11 @@ def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
                 comps.append(
                     ProductCone(xp, comp.x_part, comp.xi_includes_zero, comp.x_includes_zero)
                 )
-        elif isinstance(comp, GraphCone):
-            inv = _rational_inverse(comp.A)
-            if inv is not None:
-                # both rotation senses send {(x, Ax)} to {(y, -A^{-1} y)}
-                new_a = tuple(tuple(-x for x in row) for row in inv)
-                comps.append(GraphCone(new_a))
-            else:
-                sub = linear_image(
-                    ConicSet(s.dim, (comp,)), _rotate_matrix(n, inverse)
-                )
-                comps.extend(sub.components)
+        elif isinstance(comp, GraphCone) and (inv := _rational_inverse(comp.A)) is not None:
+            # both rotation senses send {(x, Ax)} to {(y, -A^{-1} y)}
+            comps.append(GraphCone(_neg_mat(inv)))
         else:
-            sub = linear_image(ConicSet(s.dim, (comp,)), _rotate_matrix(n, inverse))
-            comps.extend(sub.components)
+            comps.extend(linear_image(ConicSet(s.dim, (comp,)), rot, rot_inv).components)
     return ConicSet(s.dim, tuple(comps))
 
 
@@ -519,16 +505,8 @@ def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
         raise ValueError("shear matrix dimension must be half the set dimension")
     if am != mat_t(am):
         raise ValueError("shear matrix must be symmetric")
-    d = 2 * n
-    m_rows = []
-    for i in range(n):
-        m_rows.append(_basis_vec(d, i))
-    for i in range(n):
-        r = list(am[i]) + [ZERO] * n
-        r[n + i] = ONE
-        m_rows.append(tuple(r))
-    m = tuple(m_rows)
-    neg = tuple(tuple(-x for x in row) for row in am)
+    eye, zero = _identity(n), _zeros(n, n)
+    m, m_inv = _block(eye, zero, am, eye), _block(eye, zero, _neg_mat(am), eye)
     comps: list[Component] = []
     for comp in s.components:
         if isinstance(comp, SampledCaps):
@@ -538,8 +516,6 @@ def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
             new = np.hstack([x, xi + x @ anp.T])
             new = new / np.linalg.norm(new, axis=1)[:, None]
             comps.append(SampledCaps(new, comp.radius_deg))
-        elif isinstance(comp, Ray):
-            comps.append(Ray(matvec(m, comp.v), comp.both))
         elif isinstance(comp, GraphCone):
             comps.append(GraphCone(tuple(tuple(p + q for p, q in zip(r1, r2))
                                          for r1, r2 in zip(comp.A, am))))
@@ -552,22 +528,8 @@ def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
                 excludes = tuple(matmul(e, _projector(n, 0)) for e in gc.excludes)
                 comps.append(PolyhedralCone(gens, excludes))
         else:
-            sub = linear_image(ConicSet(s.dim, (comp,)), m,
-                               wf_shear_inverse_matrix(neg, n))
-            comps.extend(sub.components)
+            comps.extend(linear_image(ConicSet(s.dim, (comp,)), m, m_inv).components)
     return ConicSet(s.dim, tuple(comps))
-
-
-def wf_shear_inverse_matrix(neg_a: Mat, n: int) -> Mat:
-    d = 2 * n
-    rows = []
-    for i in range(n):
-        rows.append(_basis_vec(d, i))
-    for i in range(n):
-        r = list(neg_a[i]) + [ZERO] * n
-        r[n + i] = ONE
-        rows.append(tuple(r))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -595,23 +557,17 @@ def _minimal_generators(gens: Mat) -> tuple[Vec, ...]:
 
 def _nontrivial_excludes(gc: GenCone) -> tuple[Mat, ...]:
     """Selectors whose kernel meets the hull away from the origin."""
-    from .rational import extreme_rays
-
+    g = mat_t(gc.gens)
     out = []
     for e in gc.excludes:
-        a = matmul(e, mat_t(gc.gens))
-        a_rows = tuple(a)
-        rays = extreme_rays(a_rows, len(gc.gens))
-        hits = [r for r in rays if not is_zero_vec(matvec(mat_t(gc.gens), r))]
-        if hits:
+        rays = extreme_rays(matmul(e, g), len(gc.gens))
+        if any(not is_zero_vec(matvec(g, r)) for r in rays):
             out.append(row_space_canonical(e))
     return tuple(sorted(out))
 
 
 def component_canonical(gc: GenCone):
     """Canonical form for equality tests; raises on shapes it cannot settle."""
-    if not gc.gens:
-        return ("empty",)
     excl = _nontrivial_excludes(gc)
     if _hull_is_subspace(gc.gens):
         return ("subspace", row_space_canonical(gc.gens), excl)
@@ -628,8 +584,6 @@ def _reduced_canonicals(s: ConicSet) -> dict:
     forms: dict[str, tuple] = {}
     carriers: dict[str, GenCone] = {}
     for gc in set_gencones(s):
-        if not gc.gens:
-            continue
         canon = component_canonical(gc)
         key = repr(canon)
         forms.setdefault(key, canon)
@@ -699,8 +653,6 @@ def angular_distance_deg(s: ConicSet, direction) -> float:
             best = min(best, max(0.0, float(ang)))
             continue
         for gc in component_gencones(comp):
-            if not gc.gens:
-                continue
             best = min(best, _gencone_angle_deg(gc, w))
     return best
 

@@ -34,10 +34,13 @@ def frac(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(x)  # exact binary expansion
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (tuple, list)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
+    try:
+        if isinstance(x, str):
+            return Fraction(x)
+        if isinstance(x, (tuple, list)) and len(x) == 2:
+            return Fraction(int(x[0]), int(x[1]))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as a rational scalar")
 
 
@@ -65,7 +68,8 @@ def vneg(a: Vec) -> Vec:
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    # the calculus multiplies by projector and selector matrices, mostly zeros
+    return sum((x * y for x, y in zip(a, b) if x and y), ZERO)
 
 
 def matvec(a: Mat, x: Vec) -> Vec:

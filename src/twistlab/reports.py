@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ def _fmt(x: float) -> str:
 class VerificationReport:
     suite: str
     checks: tuple[CheckResult, ...]
-    meta: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -86,7 +85,6 @@ class VerificationReport:
                 }
                 for c in self.checks
             ],
-            "meta": self.meta,
         }
         if timestamp is not None:
             doc["timestamp"] = timestamp

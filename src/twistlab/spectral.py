@@ -13,6 +13,8 @@ unit Gaussian as a fixed point.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -107,7 +109,11 @@ def gaussian_window(g: Grid) -> WindowFunction:
     return WindowFunction(g, vals)
 
 
-def hann_window(g: Grid, half_width: float = 2.5) -> WindowFunction:
+_HANN_HALF_WIDTH = 2.5
+"""Default half-width of `hann_window`, also the `twistlab wf` default."""
+
+
+def hann_window(g: Grid, half_width: float = _HANN_HALF_WIDTH) -> WindowFunction:
     """Compactly supported cos^2 bump, product over axes; an unrelated
     window family for cross-checking estimator invariance."""
     if half_width <= 0:
@@ -222,11 +228,23 @@ def stft(u: SampledField, window: WindowFunction) -> STFTData:
     )
 
 
+def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Float zeros in an anonymous mapping of their own, its pages faulted
+    in by one call.  Freed, the mapping goes straight back to the system,
+    where a malloc block this size can stay behind in the heap, so peak
+    memory over repeated estimates does not depend on heap layout."""
+    if not hasattr(mmap, "MAP_POPULATE"):  # not Linux
+        return np.zeros(shape)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE
+    buf = mmap.mmap(-1, np.dtype(float).itemsize * math.prod(shape), flags=flags)
+    return np.frombuffer(buf, dtype=float).reshape(shape)
+
+
 def stft_magnitude(u: SampledField, window: WindowFunction) -> STFTMagnitude:
     """|V| on the full lattice, equal to `abs(stft(u, window).values)`
     without ever holding the complex spectrogram: one row at a time."""
     n, N = u.grid.n, u.grid.N
-    mag = np.empty((N,) * n + (N,) * n)
+    mag = _mapped_zeros((N,) * (2 * n))
     for row, block in _stft_rows(u, window):
         np.abs(block, out=mag[row])
     return STFTMagnitude(u.grid, u.grid.dual(), mag, window.sigma_x, window.sigma_xi)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twistlab.calculus import (
     shift_algebra_check,
@@ -14,6 +16,7 @@ from twistlab.calculus import (
 )
 from twistlab.cones import (
     ConicSet,
+    PolyhedralCone,
     conic_equal,
     empty_set,
     full_space,
@@ -86,6 +89,71 @@ def test_phrasings_agree_on_small_cases():
         a = existence_condition(u, v, J)
         b = existence_condition_theta_inv(u, v, J)
         assert a.holds == b.holds
+
+
+X_NONZERO = ((F(1), F(0), F(0), F(0)), (F(0), F(1), F(0), F(0)))  # selector "x != 0"
+X1_PLUS_XI1 = ((F(1), F(0), F(1), F(0)),)  # "x1 + xi1 != 0": not flip-symmetric
+coords = st.integers(-2, 2).map(F)
+
+
+@st.composite
+def _component(draw, planted=None, excludes=None):
+    gens = draw(st.lists(st.tuples(*[coords] * 4).filter(any), min_size=1, max_size=3))
+    if planted is not None:
+        gens.append(planted)
+    if excludes is None:
+        excludes = draw(st.sampled_from([(), (X_NONZERO,), (X1_PLUS_XI1,)]))
+    return PolyhedralCone(tuple(gens), excludes)
+
+
+@st.composite
+def _pair_in_r4(draw):
+    """Two sets of polyhedral components in R^4 and a coupling theta in
+    {J, 2J, J/3}.  Most cases plant a pair (x, xi) in u, (x, -xi) in v on
+    the slice x = theta xi / 2; in a third of them v's planted component
+    carries X1_PLUS_XI1, which vanishes there (xi = (c, 2) gives
+    x1 - xi1 = 0), so only v's own selector keeps that pair out."""
+    c = draw(st.sampled_from([F(1), F(2), F(1, 3)]))
+    theta = tuple(tuple(c * t for t in row) for row in J)
+    comps_u = draw(st.lists(_component(), min_size=1, max_size=2))
+    comps_v = draw(st.lists(_component(), min_size=1, max_size=2))
+    plant = draw(st.sampled_from(["none", "free", "excluded"]))
+    if plant != "none":
+        xi = draw(st.tuples(coords, coords).filter(any)) if plant == "free" else (c, F(2))
+        x = matvec(tuple(tuple(t / 2 for t in row) for row in theta), xi)
+        v_excl = (X1_PLUS_XI1,) if plant == "excluded" else None
+        comps_u.append(draw(_component(planted=x + xi)))
+        comps_v.append(draw(_component(planted=x + (-xi[0], -xi[1]), excludes=v_excl)))
+    return ConicSet(4, tuple(comps_u)), ConicSet(4, tuple(comps_v)), theta
+
+
+def _on_slice(p, theta):
+    # x = (1/2) theta xi
+    return p[:2] == matvec(tuple(tuple(t / 2 for t in row) for row in theta), p[2:])
+
+
+def _flip(p):
+    return p[:2] + tuple(-t for t in p[2:])
+
+
+@given(_pair_in_r4())
+def test_yes_no_witnesses_solve_their_equations(case):
+    u, v, theta = case
+    a = existence_condition(u, v, theta)
+    b = existence_condition_theta_inv(u, v, theta)
+    assert a.holds == b.holds
+    for res in (a, b):
+        if not res.holds:
+            p, q = res.witness
+            assert member(u, p) and member(v, q)
+            assert _on_slice(p, theta) and primitive_ray(q) == primitive_ray(_flip(p))
+            if res.phrasing == "theta-inverse":
+                assert any(p[:2])
+    for gamma in (u, v):
+        pc = pair_condition(gamma)
+        if not pc.holds:
+            p, fp = pc.witness
+            assert member(gamma, p) and member(gamma, fp) and fp == _flip(p)
 
 
 def test_theta_inverse_requires_invertible():

@@ -194,6 +194,38 @@ def test_cone_rational_theta_pairs(tmp_path):
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+_RAY_2 = {"dim": 2, "components": [{"kind": "ray", "v": [1, 0]}]}
+
+
+@pytest.mark.parametrize("fragment, key, message", [
+    ({"theta": [[0, [1, 0]], [[-1, 1], 0]]}, "theta", "zero denominator"),
+    ({"theta": [[0, "x"], ["y", 0]]}, "theta", "'x'"),
+    ({"theta": [[0, True], [False, 0]]}, "theta", "bool"),
+    ({"theta": 5}, "theta", "not iterable"),
+    ({"u": {"dim": 2, "components": [{"kind": "ray", "v": [[1, 0], [0, 1]]}]}},
+     "u", "zero denominator"),
+    ({"op": "pullback", "set": _RAY_2, "map": [[[1, 0]]]}, "map", "zero denominator"),
+    ({"op": "pullback", "set": _RAY_2, "map": [["one"]]}, "map", "'one'"),
+])
+def test_cone_bad_rationals_exit_2(tmp_path, capsys, fragment, key, message):
+    cfg = _write(tmp_path / "cone.json", {
+        "schema_version": 1, "op": "existence", "theta": [[0]], "u": _RAY_2, "v": _RAY_2,
+        **fragment,
+    })
+    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: " in err and message in err and "Traceback" not in err
+
+
+def test_cone_theta_number_strings(tmp_path):
+    cfg = _write(tmp_path / "cone.json", {
+        "schema_version": 1, "op": "existence", "theta": [["0", "1/2"], ["-1/2", "0"]],
+        "u": {"dim": 4, "components": [{"kind": "ray", "v": [1, 0, 0, 0]}]},
+        "v": {"dim": 4, "components": [{"kind": "ray", "v": [0, 1, 0, 0]}]},
+    })
+    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_cone_past_enumeration_budget_exit_2(tmp_path, capsys):
     import random
 

@@ -35,6 +35,12 @@ def test_frac_exact_on_floats():
     assert frac(3) == 3
 
 
+@pytest.mark.parametrize("x", [[1, 0], (3, 0), [0, 0], "1/0", "-2/0"])
+def test_frac_zero_denominator_is_value_error(x):
+    with pytest.raises(ValueError, match="zero denominator"):
+        frac(x)
+
+
 def test_primitive_ray_scaling_and_sign():
     assert primitive_ray(vec([2, 4, -6])) == (1, 2, -3)
     assert primitive_ray(vec([Fraction(1, 2), Fraction(3, 2)])) == (1, 3)

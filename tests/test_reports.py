@@ -21,23 +21,24 @@ def test_check_result_status_validation():
 def test_report_passed_and_summary():
     ok = CheckResult("a", "pass", seconds=0.1)
     bad = CheckResult("b", "fail", detail="boom", seconds=0.2)
-    rep = VerificationReport("demo", (ok, bad), meta={})
+    rep = VerificationReport("demo", (ok, bad))
     assert not rep.passed
     assert rep.seconds == pytest.approx(0.3)
     s = rep.summary()
     assert "FAIL" in s and "demo" in s
-    good = VerificationReport("demo", (ok,), meta={})
+    good = VerificationReport("demo", (ok,))
     assert good.passed and "PASS" in good.summary()
 
 
 def test_report_json_schema():
     c = CheckResult("a", "pass", measured=float("inf"), tolerance=None,
                     anchor="anchor-1", seconds=0.0)
-    rep = VerificationReport("demo", (c,), meta={"threads": 2})
+    rep = VerificationReport("demo", (c,))
     doc = json.loads(rep.to_json(timestamp="2024-01-01T00:00:00Z"))
     assert doc["kind"] == "verification_report"
     assert doc["schema_version"] == 1
     assert doc["suite"] == "demo" and doc["passed"] is True
+    assert set(doc) == {"schema_version", "kind", "suite", "passed", "checks", "timestamp"}
     assert doc["timestamp"] == "2024-01-01T00:00:00Z"
     entry = doc["checks"][0]
     assert entry["name"] == "a" and entry["status"] == "pass"
