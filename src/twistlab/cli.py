@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 _SCHEMA = 1
-_DEFAULT_SEED = 20240817
 
 
 class ConfigError(Exception):
@@ -46,6 +45,8 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; each `parse_args`
     call starts from a fresh namespace, so no value carries over."""
+    from .wavefront import _SPHERE_SEED
+
     p = argparse.ArgumentParser(
         prog="twistlab",
         description="Twisted products, spectrogram singularity estimation, "
@@ -57,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON job configuration file")
         sp.add_argument("--out", default=".", help="output directory (default: cwd)")
         sp.add_argument("--seed", type=int, default=None,
-                        help=f"sphere-sampling seed (default {_DEFAULT_SEED})")
+                        help=f"sphere-sampling seed (default {_SPHERE_SEED})")
 
     for name, doc in (
         ("product", "frequency-side twisted product of two fields"),
@@ -253,7 +254,7 @@ def _field_csv(f) -> str:
 
 def _cmd_wf(args, out: Path) -> int:
     from .spectral import _HANN_HALF_WIDTH, gaussian_window, hann_window
-    from .wavefront import WavefrontParams, direction_grid, estimate_wf
+    from .wavefront import _SPHERE_SEED, WavefrontParams, direction_grid, estimate_wf
 
     cfg = _load_config(args)
     grid = _grid_from(cfg)
@@ -277,7 +278,7 @@ def _cmd_wf(args, out: Path) -> int:
     if not isinstance(pspec, dict):
         raise ConfigError(f"params: expected an object, got {pspec!r}")
     pspec = dict(pspec)
-    seed = pspec.pop("seed", _DEFAULT_SEED)
+    seed = pspec.pop("seed", _SPHERE_SEED)
     if args.seed is not None:
         seed = args.seed
     count = pspec.pop("direction_count", None)

@@ -14,7 +14,6 @@ unit Gaussian as a fixed point.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -157,39 +156,62 @@ class STFTData:
     def n(self) -> int:
         return self.base_grid.n
 
+    @property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """Coordinates of the 2n axes of `values`: the full lattice."""
+        return (self.base_grid.axis(),) * self.n + (self.freq_grid.axis(),) * self.n
+
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
 
 
 @dataclass(frozen=True, eq=False)
 class STFTMagnitude:
-    """|V| over the full position-frequency lattice, with the window
-    spreads the estimator's trusted radii are read from; what
-    `estimate_wf_from_stft` needs of an `STFTData`, at half its size."""
+    """|V| on the box of the position-frequency lattice that `axes`
+    spans, with the window spreads the estimator's trusted radii are
+    read from; what `estimate_wf_from_stft` needs of an `STFTData`."""
 
     base_grid: Grid
     freq_grid: Grid
     values: np.ndarray
     window_sigma_x: float
     window_sigma_xi: float
+    axes: tuple[np.ndarray, ...]
 
     def magnitude(self) -> np.ndarray:
         return self.values
 
 
-def _stft_rows(u: SampledField, window: WindowFunction):
-    """V(x, xi) one position row at a time (every position index but the
-    last fixed): yields (row index, array of shape (N,) + (N,) * n).
+def _box(g: Grid, reach: float) -> slice:
+    """Indices of the axis points within reach + one spacing of 0,
+    rounded out to whole steps: every corner that multilinear
+    interpolation reads for a coordinate in [-reach, reach]."""
+    if not math.isfinite(reach):
+        return slice(0, g.N)
+    k = math.ceil(reach / g.spacing) + 1
+    h = g.N // 2
+    return slice(max(h - k, 0), min(h + k + 1, g.N))
+
+
+def _stft_rows(u: SampledField, window: WindowFunction, reach: float = math.inf):
+    """V(x, xi) at the positions |x| <= reach + sqrt(n) spacing, cropped
+    to the box `_box(., reach)` in every position and frequency axis.
+
+    Yields (row, cols, block) one position row at a time: `row` indexes
+    the box's first n-1 position axes, the slice `cols` its last, and
+    `block` of shape (cols,) + (box,) * n holds V there.  Positions of
+    the box outside the reach are not yielded.
 
     The window is translated by whole grid steps with zero fill, so any
     sampled window works; the (2pi)^{-n/2} lives inside the transform.
-    One batched FFT transforms all window translates of the row,
+    One batched FFT transforms the row's window translates in reach,
     bit-identical to applying `fourier_forward` to each in turn.
     """
     g = u.grid
     if not g.compatible(window.grid):
         raise ValueError("field and window grids differ")
     n, N, h = g.n, g.N, g.N // 2
+    xs, fs = _box(g, reach), _box(g.dual(), reach)
     # (-1)^(j_1 + ... + j_n): fourier_forward's per-axis sign flips,
     # moved out of the transform (flipping a sign is exact)
     signs = np.ones((N,) * n)
@@ -201,15 +223,23 @@ def _stft_rows(u: SampledField, window: WindowFunction):
     # a strided view, nothing is copied
     translates = sliding_window_view(np.conj(pad), (N,) * n)[(slice(N + h, h, -1),) * n]
     signed = u.values * signs
-    post = signs * _fft_scale(g)
+    post = (signs * _fft_scale(g))[(fs,) * n]
     nrm = 1.0 / window.l2norm
-    for row in np.ndindex(*(N,) * (n - 1)):
-        block = signed * translates[row]
+    pos2 = g.axis()[xs] ** 2
+    limit2 = (reach + math.sqrt(n) * g.spacing) ** 2
+    for row in np.ndindex(*(pos2.size,) * (n - 1)):
+        inside = np.flatnonzero(sum(pos2[i] for i in row) + pos2 <= limit2)
+        if not inside.size:
+            continue
+        cols = slice(int(inside[0]), int(inside[-1]) + 1)
+        full_row = tuple(xs.start + i for i in row)
+        block = signed * translates[full_row][xs.start + cols.start:xs.start + cols.stop]
         for ax in range(-n, 0):  # axis order as in fourier_forward
-            block = np.fft.fft(block, axis=ax)
-        block *= post
+            # crop each transformed axis before the next one is transformed
+            block = np.fft.fft(block, axis=ax)[(Ellipsis, fs) + (slice(None),) * (-ax - 1)]
+        block = block * post
         block *= nrm
-        yield row, block
+        yield row, cols, block
 
 
 def stft(u: SampledField, window: WindowFunction) -> STFTData:
@@ -217,8 +247,8 @@ def stft(u: SampledField, window: WindowFunction) -> STFTData:
     y -> u(y) conj(window(y - x)) and divide by the window norm."""
     n, N = u.grid.n, u.grid.N
     out = np.empty((N,) * n + (N,) * n, dtype=complex)
-    for row, block in _stft_rows(u, window):
-        out[row] = block
+    for row, cols, block in _stft_rows(u, window):
+        out[row][cols] = block
     return STFTData(
         base_grid=u.grid,
         freq_grid=u.grid.dual(),
@@ -228,26 +258,25 @@ def stft(u: SampledField, window: WindowFunction) -> STFTData:
     )
 
 
-def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """Float zeros in an anonymous mapping of their own, its pages faulted
-    in by one call.  Freed, the mapping goes straight back to the system,
-    where a malloc block this size can stay behind in the heap, so peak
-    memory over repeated estimates does not depend on heap layout."""
-    if not hasattr(mmap, "MAP_POPULATE"):  # not Linux
-        return np.zeros(shape)
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE
-    buf = mmap.mmap(-1, np.dtype(float).itemsize * math.prod(shape), flags=flags)
-    return np.frombuffer(buf, dtype=float).reshape(shape)
+def stft_magnitude(u: SampledField, window: WindowFunction,
+                   reach: float = math.inf) -> STFTMagnitude:
+    """|V| where multilinear interpolation at points of norm <= reach
+    reads it, equal there to `abs(stft(u, window).values)` at the same
+    lattice points, without ever holding the complex spectrogram.
 
-
-def stft_magnitude(u: SampledField, window: WindowFunction) -> STFTMagnitude:
-    """|V| on the full lattice, equal to `abs(stft(u, window).values)`
-    without ever holding the complex spectrogram: one row at a time."""
-    n, N = u.grid.n, u.grid.N
-    mag = _mapped_zeros((N,) * (2 * n))
-    for row, block in _stft_rows(u, window):
-        np.abs(block, out=mag[row])
-    return STFTMagnitude(u.grid, u.grid.dual(), mag, window.sigma_x, window.sigma_xi)
+    The array covers the box `_box(., reach)` of every position and
+    frequency axis; its cells at positions |x| > reach + sqrt(n) spacing
+    are never transformed and hold 0.  So `estimate_wf_from_stft` reads
+    it right only when its r_max is at most `reach`."""
+    g = u.grid
+    d = g.dual()
+    xs, fs = _box(g, reach), _box(d, reach)
+    px, pf = g.axis()[xs], d.axis()[fs]
+    mag = np.zeros(px.shape * g.n + pf.shape * g.n)
+    for row, cols, block in _stft_rows(u, window, reach):
+        np.abs(block, out=mag[row][cols])
+    return STFTMagnitude(g, d, mag, window.sigma_x, window.sigma_xi,
+                         (px,) * g.n + (pf,) * g.n)
 
 
 def parseval_constant(g: Grid) -> float:

@@ -29,7 +29,9 @@ from .calculus import (
 from .catalog import Chirp, Delta, GaussianPacket, PlaneWave, exact_wf, sample_analytic
 from .cones import (
     ConicSet,
+    PolyhedralCone,
     Ray,
+    _projector,
     angular_distance_deg,
     conic_equal,
     empty_set,
@@ -66,6 +68,7 @@ from .wavefront import (
     check_chirp_shear,
     check_fourier_symmetry,
     estimate_wf,
+    estimate_wf_from_stft,
     hausdorff_deg,
 )
 
@@ -480,6 +483,32 @@ def check_k_test_margin() -> CheckResult:
                              f"off-set min {off_min:.3g}")
 
 
+@_check("wavefront")
+def check_reach_vs_full_lattice() -> CheckResult:
+    # estimate_wf transforms and stores |V| only within reach of the ray
+    # samples; every value the fit reads is the full lattice's, so any
+    # difference at all is a defect
+    chirp2 = Chirp(0.5 * np.eye(2))
+    cases = ((make_grid(1, 128, 12.0), [dist for _, dist in _MEMBERS]),
+             (make_grid(2, 20, 7.0), [Delta((0.0, 0.0)), PlaneWave((0.1, -0.1)),
+                                      GaussianPacket((0.0, 0.0)), chirp2]))
+    params = WavefrontParams(k_test=0.05)
+    worst = 0.0
+    for g, dists in cases:
+        for dist in dists:
+            u = sample_analytic(dist, g)
+            for win in (gaussian_window(g), hann_window(g)):
+                got = estimate_wf(u, win, params)
+                want = estimate_wf_from_stft(stft(u, win), params)
+                for a, b in ((got.k_hat, want.k_hat), (got.value_at_rmax, want.value_at_rmax)):
+                    with np.errstate(invalid="ignore"):   # inf - inf where both are inf
+                        diff = np.where(a == b, 0.0, np.abs(a - b))
+                    worst = max(worst, float(np.max(np.nan_to_num(diff, nan=math.inf))))
+    return _tol("wf-reach-vs-full-lattice", "wf-def", worst, 0.0,
+                "max |delta k_hat|, |delta value_at_rmax| over the catalog at n=1 (N=128) "
+                "and n=2 (N=20), Gaussian and Hann windows")
+
+
 # ---------------------------------------------------------------------------
 # calculus suite
 
@@ -531,6 +560,8 @@ def check_existence_delta_pair() -> CheckResult:
 
 
 def _random_polyhedral(rng: random.Random, dim: int) -> ConicSet:
+    """One or two random polyhedral components, each carrying the
+    selector "x != 0" with probability one half."""
     comps = []
     for _ in range(rng.randint(1, 2)):
         gens = []
@@ -539,7 +570,10 @@ def _random_polyhedral(rng: random.Random, dim: int) -> ConicSet:
             if any(x != 0 for x in v):
                 gens.append(v)
         if gens:
-            comps.append(polyhedral(gens).components[0])
+            comp = polyhedral(gens).components[0]
+            if rng.random() < 0.5:
+                comp = PolyhedralCone(comp.generators, (_projector(dim // 2, 0),))
+            comps.append(comp)
     return ConicSet(dim, tuple(comps)) if comps else empty_set(dim)
 
 

@@ -21,7 +21,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.stats import qmc
 
 from .cones import ConicSet, caps_set
-from .grids import SampledField
+from .grids import Grid, SampledField
 from .spectral import (
     STFTData,
     STFTMagnitude,
@@ -216,13 +216,20 @@ class WavefrontEstimate:
         return buf.getvalue()
 
 
-def trusted_radii(v: STFTData | STFTMagnitude) -> tuple[float, float]:
-    """Largest |x| and |xi| not contaminated by box truncation: the box
-    half-width minus twice the window spread on each side."""
-    g, d = v.base_grid, v.freq_grid
-    tx = g.L - 2.0 * v.window_sigma_x
-    tf = d.L - 2.0 * v.window_sigma_xi
-    return tx, tf
+def _radius_band(g: Grid, window_sigma_x: float, window_sigma_xi: float,
+                 params: WavefrontParams) -> tuple[float, float]:
+    """The fit's radii [r_min, r_max]: fractions of the largest |x| and
+    |xi| not contaminated by box truncation, the box half-width minus
+    twice the window spread on each side."""
+    tx = g.L - 2.0 * window_sigma_x
+    tf = g.dual().L - 2.0 * window_sigma_xi
+    if tx <= 0.0 or tf <= 0.0:
+        raise ValueError(
+            "trusted region is empty: the grid box is too small for the window "
+            f"(spatial margin {tx:.3g}, frequency margin {tf:.3g})"
+        )
+    r_max = params.r_max_frac * min(tx, tf)
+    return params.r_min_frac * r_max, r_max
 
 
 def estimate_wf(
@@ -244,8 +251,11 @@ def estimate_wf(
         raise ValueError("cannot estimate singularities of the zero field")
     if window is None:
         window = gaussian_window(u.grid)
-    # only |V| is read, so the complex spectrogram is never built
-    return estimate_wf_from_stft(stft_magnitude(u, window), params)
+    _, r_max = _radius_band(u.grid, window.sigma_x, window.sigma_xi, params)
+    # only |V| within reach of the ray samples is read, so nothing else
+    # is transformed or stored; the slack covers the rounding of |w| = 1
+    # in the samples r w, which DirectionGrid admits up to 1e-12
+    return estimate_wf_from_stft(stft_magnitude(u, window, r_max * (1.0 + 1e-9)), params)
 
 
 def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
@@ -254,22 +264,13 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
         params = WavefrontParams()
     n = v.base_grid.n
     dim = 2 * n
-    tx, tf = trusted_radii(v)
-    if tx <= 0.0 or tf <= 0.0:
-        raise ValueError(
-            "trusted region is empty: the grid box is too small for the window "
-            f"(spatial margin {tx:.3g}, frequency margin {tf:.3g})"
-        )
-    r_trust = min(tx, tf)
-    r_max = params.r_max_frac * r_trust
-    r_min = params.r_min_frac * r_max
+    r_min, r_max = _radius_band(v.base_grid, v.window_sigma_x, v.window_sigma_xi, params)
     dirs = params.directions if params.directions is not None else direction_grid(dim)
     if dirs.dim != dim:
         raise ValueError(f"direction grid dimension {dirs.dim} != phase space dimension {dim}")
 
-    axes = [v.base_grid.axis()] * n + [v.freq_grid.axis()] * n
     interp = RegularGridInterpolator(
-        axes, v.magnitude(), method="linear", bounds_error=False, fill_value=0.0
+        v.axes, v.magnitude(), method="linear", bounds_error=False, fill_value=0.0
     )
     radii = np.geomspace(r_min, r_max, params.radii)
     t = np.log1p(radii**2)

@@ -143,3 +143,20 @@ def test_stft_matches_loop_oracle(n, big_n, kind, seed):
     want = _oracle_stft(u, win)
     assert stft(u, win).values.tobytes() == want.tobytes()
     assert stft_magnitude(u, win).values.tobytes() == np.abs(want).tobytes()
+    # within a finite reach, |V| is computed at every position with
+    # |x| <= reach + sqrt(n) spacing of a box covering [-reach - spacing,
+    # reach + spacing] on each axis, and equals the full lattice's there
+    reach = float(rng.uniform(0.0, g.L))
+    mag = stft_magnitude(u, win, reach)
+    box = []
+    for axis, lattice in zip(mag.axes, stft(u, win).axes):
+        lo = int(np.searchsorted(lattice, axis[0]))
+        np.testing.assert_array_equal(axis, lattice[lo:lo + axis.size])
+        assert axis[0] <= max(-reach - lattice[1] + lattice[0], lattice[0])
+        assert axis[-1] >= min(reach + lattice[1] - lattice[0], lattice[-1])
+        box.append(slice(lo, lo + axis.size))
+    pos = np.meshgrid(*mag.axes[:n], indexing="ij")
+    computed = np.sqrt(sum(p**2 for p in pos)) <= reach + np.sqrt(n) * g.spacing
+    expect = np.abs(want[tuple(box)])
+    assert mag.values[computed].tobytes() == expect[computed].tobytes()
+    assert not np.any(mag.values[~computed])

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from twistlab import spectral
 from twistlab.catalog import Chirp, Delta, GaussianPacket, PlaneWave, sample_analytic
 from twistlab.grids import SampledField, make_grid
-from twistlab.spectral import gaussian_window, hann_window, stft
+from twistlab.spectral import WindowFunction, gaussian_window, hann_window, stft
 from twistlab.wavefront import (
     DirectionGrid,
     WavefrontParams,
@@ -185,12 +188,18 @@ def test_params_rejected_by_name(kw, key):
         WavefrontParams(**kw)
 
 
-def test_trust_region_must_be_nonempty():
-    # a unit window overflows a half-width-1 box: no trusted radii
-    g = make_grid(1, 16, 1.0)
-    u = sample_analytic(GaussianPacket(), g)
-    with pytest.raises(ValueError, match="trust"):
-        estimate_wf(u)
+def test_trust_region_must_be_nonempty(monkeypatch):
+    # a unit window overflows a half-width-1 box: no trusted radii, and
+    # the estimator says so before it transforms anything
+    def no_stft(*args, **kwargs):
+        raise AssertionError("spectrogram computed for an empty trusted region")
+
+    monkeypatch.setattr(spectral, "_stft_rows", no_stft)
+    for n in (1, 2):
+        g = make_grid(n, 16, 1.0)
+        u = sample_analytic(GaussianPacket((0.0,) * n), g)
+        with pytest.raises(ValueError, match="^trusted region is empty: the grid box is too small"):
+            estimate_wf(u)
 
 
 def test_estimate_serialization(delta_estimate):
@@ -225,6 +234,44 @@ def test_estimate_from_magnitude_matches_full_stft(n, big_n, L):
         assert got.k_hat.tobytes() == want.k_hat.tobytes()
         assert got.value_at_rmax.tobytes() == want.value_at_rmax.tobytes()
         assert (got.r_min, got.r_max) == (want.r_min, want.r_max)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "hann", "random"])
+@pytest.mark.parametrize("n", [1, 2])
+@given(data=st.data())
+def test_estimate_reach_matches_full_lattice(n, kind, data):
+    # estimate_wf transforms and stores |V| only within reach of its ray
+    # samples; the fit must read the bytes the full spectrogram holds
+    big_n = data.draw(st.sampled_from(range(12, 25, 2) if n == 2 else range(32, 129, 2)))
+    g = make_grid(n, big_n, data.draw(st.floats(2.5, 8.0)))
+    count = data.draw(st.sampled_from(range(4, 361, 2)) if n == 1
+                      else st.sampled_from([2**k for k in range(3, 10)]))
+    params = WavefrontParams(k_test=0.05, r_max_frac=data.draw(st.floats(0.1, 1.0)),
+                             r_min_frac=data.draw(st.floats(0.05, 0.9)),
+                             directions=direction_grid(2 * n, count))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    shape = (big_n,) * n
+    u = SampledField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if kind == "gaussian":
+        win = gaussian_window(g)
+    elif kind == "hann":
+        win = hann_window(g, float(rng.uniform(0.5, 3.0)))
+    else:   # random complex sum of Gaussian bumps: irregular, yet localized in x and xi
+        win = WindowFunction(g, sum(
+            complex(*rng.standard_normal(2)) * sample_analytic(GaussianPacket(
+                rng.uniform(-1.0, 1.0, n), rng.uniform(0.6, 1.4), rng.uniform(-1.0, 1.0, n)),
+                g).values
+            for _ in range(3)))
+
+    def outcome(route):
+        try:
+            e = route()
+        except ValueError as exc:
+            return str(exc)
+        return e.k_hat.tobytes(), e.residual.tobytes(), e.value_at_rmax.tobytes()
+
+    got = outcome(lambda: estimate_wf(u, win, params))
+    assert got == outcome(lambda: estimate_wf_from_stft(stft(u, win), params))
 
 
 def test_default_threshold(grid128):
