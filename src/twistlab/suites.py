@@ -55,6 +55,7 @@ from .rational import (
     ZERO,
     extreme_rays,
     mat_t,
+    matmul,
     nonneg_solve,
     nullspace,
     primitive_ray,
@@ -559,12 +560,13 @@ def check_existence_delta_pair() -> CheckResult:
     return _cond("existence-delta-pair-fails", "wf-product-existence", ok, detail)
 
 
-def _random_polyhedral(rng: random.Random, dim: int) -> ConicSet:
+def _random_polyhedral(rng: random.Random, dim: int, planted: tuple | None = None) -> ConicSet:
     """One or two random polyhedral components, each carrying the
-    selector "x != 0" with probability one half."""
+    selector "x != 0" with probability one half; a `planted` vector
+    joins the first component's generators."""
     comps = []
-    for _ in range(rng.randint(1, 2)):
-        gens = []
+    for k in range(rng.randint(1, 2)):
+        gens = [planted] if planted is not None and k == 0 else []
         for _ in range(rng.randint(2, 3)):
             v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim))
             if any(x != 0 for x in v):
@@ -577,6 +579,21 @@ def _random_polyhedral(rng: random.Random, dim: int) -> ConicSet:
     return ConicSet(dim, tuple(comps)) if comps else empty_set(dim)
 
 
+def _random_pair(rng: random.Random, theta) -> tuple[ConicSet, ConicSet]:
+    """Two random sets in R^4.  About a third of the draws plant a
+    violating pair, (x, xi) in the first set and (x, -xi) in the second
+    on the slice x = theta xi / 2; at theta = 0 the selector "x != 0"
+    of a planted component removes it again."""
+    planted = (None, None)
+    if rng.random() < 1 / 3:
+        xi = (0, 0)
+        while not any(xi):
+            xi = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2))
+        x = tuple(sum(t * c for t, c in zip(row, xi)) / 2 for row in theta)
+        planted = (x + xi, x + tuple(-c for c in xi))
+    return _random_polyhedral(rng, 4, planted[0]), _random_polyhedral(rng, 4, planted[1])
+
+
 _THETA_FAMILY = (
     _j_theta(2),
     _j_theta(2, Fraction(2)),
@@ -587,56 +604,52 @@ _THETA_FAMILY = (
 @_check("calculus", 7)
 def check_phrasings_agree() -> CheckResult:
     rng = random.Random(11)
-    mismatches = 0
+    mismatches = violating = 0
     for i in range(100):
-        wfu = _random_polyhedral(rng, 4)
-        wfv = _random_polyhedral(rng, 4)
         th = _THETA_FAMILY[i % len(_THETA_FAMILY)]
+        wfu, wfv = _random_pair(rng, th)
         a = bool(existence_condition(wfu, wfv, th))
         b = bool(existence_condition_theta_inv(wfu, wfv, th))
-        if a != b:
-            mismatches += 1
-    return _cond("existence-phrasings-agree-100", "existence-theta-inverse",
-                 mismatches == 0, f"{mismatches} mismatches",
-                 measured=float(mismatches))
+        mismatches += a != b
+        violating += not a
+    r = _cond("existence-phrasings-agree-100", "existence-theta-inverse",
+              mismatches == 0, measured=float(mismatches))
+    return replace(r, detail=f"{mismatches} mismatches; {violating} of 100 pairs violate")
 
 
 @_check("calculus")
 def check_theta0_cross() -> CheckResult:
     rng = random.Random(23)
     zero2 = _zero_theta(2)
-    bad = 0
+    bad = violating = 0
     for _ in range(100):
-        wfu = _random_polyhedral(rng, 4)
-        wfv = _random_polyhedral(rng, 4)
+        wfu, wfv = _random_pair(rng, zero2)
         a = bool(existence_condition(wfu, wfv, zero2))
-        b = _pointwise_theta0(wfu, wfv)
-        if a != (not b):
-            bad += 1
-    return _cond("existence-theta0-crosscheck-100", "wf-product-existence",
-                 bad == 0, f"{bad} mismatches", measured=float(bad))
+        bad += a == _pointwise_theta0(wfu, wfv)
+        violating += not a
+    r = _cond("existence-theta0-crosscheck-100", "wf-product-existence",
+              bad == 0, measured=float(bad))
+    return replace(r, detail=f"{bad} mismatches; {violating} of 100 pairs violate")
 
 
 def _pointwise_theta0(wfu: ConicSet, wfv: ConicSet) -> bool:
     """True iff a violating frequency pair exists: (0, xi) in WFu with
-    (0, -xi) in WFv.  Assembled directly from the projector rows."""
-    from .calculus import _gen_matrix, _lift_excludes
-
-    dim = wfu.dim
-    n = dim // 2
+    (0, -xi) in WFv.  Assembled directly from the projector rows, with
+    each exclude selector E lifted to E G on its own weight columns."""
+    n = wfu.dim // 2
     for gu in set_gencones(wfu):
         for gv in set_gencones(wfv):
-            mu, mv = _gen_matrix(gu), _gen_matrix(gv)
+            mu, mv = mat_t(gu.gens), mat_t(gv.gens)
             cu, cv = len(mu[0]), len(mv[0])
             rows = []
             for i in range(n):                       # x parts vanish
-                rows.append(tuple(mu[i]) + (Fraction(0),) * cv)
-                rows.append((Fraction(0),) * cu + tuple(mv[i]))
+                rows.append(tuple(mu[i]) + (ZERO,) * cv)
+                rows.append((ZERO,) * cu + tuple(mv[i]))
             for i in range(n):                       # xi_u + xi_v = 0
                 rows.append(tuple(mu[n + i]) + tuple(mv[n + i]))
-            selectors = [tuple(tuple(mu[n + i]) + (Fraction(0),) * cv for i in range(n))]
-            selectors += _lift_excludes(gu, mu, 0, cu + cv)
-            selectors += _lift_excludes(gv, mv, cu, cu + cv)
+            selectors = [tuple(tuple(mu[n + i]) + (ZERO,) * cv for i in range(n))]
+            selectors += [tuple(r + (ZERO,) * cv for r in matmul(e, mu)) for e in gu.excludes]
+            selectors += [tuple((ZERO,) * cu + r for r in matmul(e, mv)) for e in gv.excludes]
             if feasible_with_nonzero(tuple(rows), cu + cv, selectors) is not None:
                 return True
     return False

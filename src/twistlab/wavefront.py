@@ -11,14 +11,13 @@ interpolation of |V|, one least squares fit per direction.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.stats import qmc
 
 from .cones import ConicSet, caps_set
 from .grids import Grid, SampledField
@@ -66,7 +65,9 @@ _PROBES, _PROBE_BLOCK = 4096, 512
 
 def direction_grid(dim: int, count: int | None = None, seed: int = _SPHERE_SEED) -> DirectionGrid:
     """Standard sphere samplings: uniform angles on S^1, a scrambled
-    low-discrepancy net mapped to S^3; both closed under negation.
+    Sobol net mapped to S^3; both closed under negation.  On S^3 the
+    count is twice a power of two, the sizes at which Sobol points keep
+    their balance.
 
     Grids are pure in (dim, count, seed) and memoised per process, so
     repeated calls return the same read-only object."""
@@ -83,9 +84,12 @@ def _direction_grid(dim: int, d: int, seed: int) -> DirectionGrid:
         dirs = np.column_stack([np.cos(ang), np.sin(ang)])
         return DirectionGrid(dirs, resolution_deg=180.0 / d)
     if dim == 4:
-        if d < 8 or d % 2:
-            raise ValueError("need an even count of at least 8")
         half = d // 2
+        if d < 8 or d % 2 or half & (half - 1):
+            raise ValueError(f"count must be twice a power of two, at least 8, got {d}")
+        # imported here so that importing the package loads no scipy
+        from scipy.stats import qmc
+
         u = qmc.Sobol(3, scramble=True, seed=seed).random(half)
         s1 = np.sqrt(1.0 - u[:, 0])
         s2 = np.sqrt(u[:, 0])
@@ -269,15 +273,13 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
     if dirs.dim != dim:
         raise ValueError(f"direction grid dimension {dirs.dim} != phase space dimension {dim}")
 
-    interp = RegularGridInterpolator(
-        v.axes, v.magnitude(), method="linear", bounds_error=False, fill_value=0.0
-    )
     radii = np.geomspace(r_min, r_max, params.radii)
     t = np.log1p(radii**2)
     design = np.column_stack([t, np.ones_like(t)])
 
     pts = radii[None, :, None] * dirs.directions[:, None, :]
-    vals = interp(pts.reshape(-1, dim)).reshape(dirs.count, params.radii)
+    vals = _multilinear(v.axes, v.magnitude(), pts.reshape(-1, dim))
+    vals = vals.reshape(dirs.count, params.radii)
 
     k_test = float(params.k_test)
     flag_floor = math.inf if params.flag_floor is None else float(params.flag_floor)
@@ -304,6 +306,53 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
         radii=params.radii,
         flag_floor=flag_floor,
     )
+
+
+def _multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of `values` on the equispaced `axes` at
+    the rows of `pts`, zero outside the box.
+
+    The cell along each axis is floor((x - a0)/step), moved by at most
+    one node each way so that it equals searchsorted(ax, x, "right") - 1
+    clipped to [0, m - 2].  The corners are visited in itertools.product
+    order with weights ((w0*w1)*w2)*..., and the sum is accumulated in
+    that order, so every in-box value comes from the floating-point
+    operations of scipy's generic RegularGridInterpolator linear path.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    flat = values.ravel()
+    strides = [s // values.itemsize for s in values.strides]
+    base = np.zeros(len(pts), dtype=np.intp)
+    outside = np.zeros(len(pts), dtype=bool)
+    weights = []
+    for k, ax in enumerate(axes):
+        ax = np.asarray(ax, dtype=float)
+        x = np.ascontiguousarray(pts[:, k], dtype=float)
+        top = len(ax) - 2
+        i = np.floor((x - ax[0]) / (ax[1] - ax[0])).astype(np.intp)
+        np.clip(i, 0, top, out=i)
+        i -= (x < ax[i]) & (i > 0)
+        i += (x >= ax[i + 1]) & (i < top)
+        y = (x - ax[i]) / (ax[i + 1] - ax[i])
+        weights.append((1 - y, y))
+        base += i * strides[k]
+        outside |= (x < ax[0]) | (x > ax[-1])
+    # weight prefixes over all axes but the last; the last factor is
+    # applied per corner so that only one corner weight is held at a time
+    prefixes = [1.0]
+    for w in weights[:-1]:
+        prefixes = [p * wk for p in prefixes for wk in w]
+    offsets = (int(np.dot(c, strides)) for c in itertools.product((0, 1), repeat=len(axes)))
+    out = np.zeros(len(pts))
+    term, w = np.empty(len(pts)), np.empty(len(pts))
+    for off, (p, wk) in zip(offsets, itertools.product(prefixes, weights[-1])):
+        # every index is in range; "clip" only spares take a bounds check
+        np.take(flat[off:], base, out=term, mode="clip")
+        np.multiply(p, wk, out=w)
+        term *= w
+        out += term
+    out[outside] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

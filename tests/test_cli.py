@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twistlab
 from twistlab.cli import main
 from twistlab.grids import SampledField
 
@@ -132,6 +138,8 @@ def test_wf_seed_flag_overrides_config_seed(tmp_path):
     ({"window": {"kind": "hann", "half_width": "wide"}}, "window.half_width"),
     ({"window": {"kind": "hann", "half_width": None}}, "window.half_width"),
     ({"params": {"k_test": None}}, "params.k_test"),
+    ({"grid": {"n": 2, "N": 16, "L": 7.0}, "field": {"kind": "delta", "a": [0.0, 0.0]},
+      "params": {"direction_count": 100}}, "params.direction_count"),
 ])
 def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
     # each case is a top-level config fragment: params, window, ...
@@ -141,8 +149,38 @@ def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
         "field": {"kind": "delta", "a": 0.0},
         **params,
     })
-    assert main(["wf", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["wf", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+
+
+def test_cone_and_product_jobs_load_no_scipy(tmp_path, product_config):
+    # scipy serves the 4-D Sobol grid and nnls only: importing the package
+    # and running a cone job and an n=1 product job must not load it
+    from twistlab.cones import full_space, product_set, set_to_obj
+
+    cone_cfg = _write(tmp_path / "cone.json", {
+        "schema_version": 1,
+        "op": "predict_product",
+        "theta": [[0]],
+        "u": set_to_obj(product_set(None, full_space(1))),
+        "v": set_to_obj(product_set(full_space(1), None)),
+    })
+    jobs = [["cone", "--config", cone_cfg, "--out", str(tmp_path / "c")],
+            ["product", "--config", product_config, "--out", str(tmp_path / "p")]]
+    script = (
+        "import json, sys\n"
+        "import twistlab, twistlab.cli\n"
+        f"codes = [twistlab.cli.main(job) for job in {jobs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+    )
+    path = [str(Path(twistlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [[0, 0], []]
 
 
 def test_cone_existence_failure_exit_1(tmp_path):

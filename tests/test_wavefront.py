@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from twistlab import spectral
 from twistlab.catalog import Chirp, Delta, GaussianPacket, PlaneWave, sample_analytic
@@ -12,6 +14,7 @@ from twistlab.spectral import WindowFunction, gaussian_window, hann_window, stft
 from twistlab.wavefront import (
     DirectionGrid,
     WavefrontParams,
+    _multilinear,
     check_chirp_shear,
     check_fourier_symmetry,
     direction_grid,
@@ -58,6 +61,13 @@ def test_direction_grid_sphere_seeded():
     half = a.count // 2
     np.testing.assert_allclose(a.directions[half:], -a.directions[:half], rtol=1e-15)
     assert 0.0 < a.resolution_deg < 45.0
+    # Sobol nets are balanced only at powers of two; other halves are
+    # refused by name instead of warned about on every run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for count in (6, 12, 100, 2050):
+            with pytest.raises(ValueError, match="^count must be twice a power of two"):
+                direction_grid(4, count)
 
 
 def test_direction_grid_memoised_read_only():
@@ -71,6 +81,36 @@ def test_direction_grid_memoised_read_only():
     raw = np.eye(2)
     DirectionGrid(raw, resolution_deg=45.0)
     raw[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@given(data=st.data())
+def test_multilinear_matches_scipy(d, data):
+    # the estimator's kernel against scipy's linear RegularGridInterpolator
+    # on equispaced axes, at points inside, on nodes and one ulp either
+    # side of them, on both edges of the box and outside it
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    axes = [data.draw(st.floats(-5.0, 5.0)) + data.draw(st.floats(0.01, 2.0)) * np.arange(m)
+            for m in data.draw(st.tuples(*[st.integers(2, 9)] * d))]
+    values = rng.random(tuple(len(ax) for ax in axes))
+    lo, hi = np.array([ax[0] for ax in axes]), np.array([ax[-1] for ax in axes])
+    nodes = np.column_stack([rng.choice(ax, 50) for ax in axes])
+    pts = np.concatenate([
+        rng.uniform(lo, hi, (200, d)),
+        nodes,
+        np.nextafter(nodes, -np.inf),
+        np.nextafter(nodes, np.inf),
+        np.where(rng.random((50, d)) < 0.5, lo, hi),
+        rng.uniform(lo - (hi - lo) / 2, hi + (hi - lo) / 2, (200, d)),
+    ])
+    want = RegularGridInterpolator(axes, values, method="linear", bounds_error=False,
+                                   fill_value=0.0)(pts)
+    got = _multilinear(axes, values, pts)
+    if d == 4:      # scipy's generic path: same operations in the same order
+        assert got.tobytes() == want.tobytes()
+    else:           # scipy's 2-D path multiplies in another order
+        np.testing.assert_array_equal(got == 0, want == 0)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_delta_flags_frequency_axis(delta_estimate):
