@@ -4,8 +4,8 @@ that predicts which directions survive a product.
 
 The numerical layer (grids, products, spectral, wavefront) works on
 `SampledField` values; the exact layer (rational, matrices, cones,
-calculus) works on `Fraction` matrices and `ConicSet` values and never
-touches floating point.  `suites` ties the two together with named
+calculus) works on `Fraction` matrices and `ConicSet` values, and its
+verdicts use no floating point.  `suites` ties the two together with named
 verification checks, runnable from the `twistlab` command line.
 """
 
@@ -28,7 +28,6 @@ from .cones import (
     ConicSet,
     angular_containment,
     angular_distance_deg,
-    caps_set,
     conic_equal,
     empty_set,
     full_space,
@@ -98,7 +97,6 @@ __all__ = [
     "shift_algebra_check",
     "angular_containment",
     "angular_distance_deg",
-    "caps_set",
     "check_chirp_shear",
     "check_fourier_symmetry",
     "conic_equal",

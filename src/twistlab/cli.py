@@ -326,17 +326,14 @@ def _cone_set(spec, key: str):
 
 
 def _cmd_cone(args, out: Path) -> int:
-    from .cones import ExactnessError
-
     cfg = _load_config(args)
     op = _need(cfg, "op")
     theta = _rational_matrix(cfg["theta"], "theta") if "theta" in cfg else None
     doc: dict = {"schema_version": _SCHEMA, "kind": "cone_report", "op": op}
     try:
         failed = _cone_op(op, cfg, theta, doc)
-    except (ValueError, ExactnessError) as exc:
-        # bad set data, a sampled set where exact data is needed, or a
-        # cone past the enumeration budget
+    except ValueError as exc:
+        # bad set data or a cone past the enumeration budget
         raise ConfigError(f"op {op}: {exc}") from exc
     (out / "cone_report.json").write_text(json.dumps(doc, indent=2) + "\n")
     _run_record(out, "cone", cfg, {"report": "cone_report.json"})

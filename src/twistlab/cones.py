@@ -1,27 +1,23 @@
 """Exact finite representations of closed conic subsets of R^d \\ {0}.
 
-A ConicSet is a finite union of components.  Rational components
-(polyhedral cones, rays, graphs {(x, Ax)}, products of two lower
-dimensional sets) support exact membership and exact linear transforms
-over Fraction arithmetic.  SampledCaps components carry estimator
-output (float directions with an angular radius) and only support
-tolerance-based queries; operations that need exactness raise
-ExactnessError on them instead of silently degrading.
-
-Internally every rational component reduces to one or more generator
+A ConicSet is a finite union of components: polyhedral cones, rays,
+graphs {(x, Ax)} and products of two lower dimensional sets, all over
+Fraction arithmetic.  Every component reduces to one or more generator
 cones: a tuple of generators plus "exclude" selectors, where the
 represented set is
 
     {v in cone(generators) : v != 0 and  E v != 0 for every selector E}.
 
 The selector mechanism is what keeps product sets like
-{0} x (R^n \\ 0) exact under the calculus in `calculus`.
+{0} x (R^n \\ 0) exact under the calculus in `calculus`.  Membership,
+linear images and every verdict work on this one decomposition; floats
+enter only in the angular distances measured against estimator output.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,7 +46,7 @@ ONE = Fraction(1)
 
 
 class ExactnessError(Exception):
-    """Raised when an exact operation meets a component that cannot support it."""
+    """Raised when set equality meets a cone shape it cannot canonicalise."""
 
 
 def _identity(d: int) -> Mat:
@@ -165,26 +161,7 @@ class ProductCone:
         return 2 * self.half_dim
 
 
-@dataclass(frozen=True, eq=False)
-class SampledCaps:
-    """Union of angular caps around float unit directions (estimator output)."""
-
-    directions: np.ndarray = dc_field(repr=False)
-    radius_deg: float = 0.0
-
-    def __post_init__(self):
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.any(norms < 1e-12):
-            raise ValueError("cap directions must be nonzero")
-        object.__setattr__(self, "directions", dirs / norms[:, None])
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
-
-
-Component = PolyhedralCone | Ray | GraphCone | ProductCone | SampledCaps
+Component = PolyhedralCone | Ray | GraphCone | ProductCone
 
 
 @dataclass(frozen=True)
@@ -202,9 +179,6 @@ class ConicSet:
     @property
     def is_empty(self) -> bool:
         return not self.components
-
-    def is_exact(self) -> bool:
-        return all(not isinstance(c, SampledCaps) for c in self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +225,8 @@ def empty_set(d: int) -> ConicSet:
     return ConicSet(d, ())
 
 
-def caps_set(directions, radius_deg: float) -> ConicSet:
-    c = SampledCaps(np.asarray(directions, dtype=float), float(radius_deg))
-    return ConicSet(c.dim, (c,))
-
-
 # ---------------------------------------------------------------------------
-# generator-cone view (exact components only)
+# generator-cone view
 
 @dataclass(frozen=True)
 class GenCone:
@@ -306,31 +275,34 @@ def component_gencones(comp: Component) -> list[GenCone]:
             gens.append(_basis_vec(n, i) + col)
             gens.append(vneg(_basis_vec(n, i) + col))
         return [GenCone(tuple(gens))]
-    if isinstance(comp, ProductCone):
-        half = comp.half_dim
-        if comp.x_part is None:
-            sides = [(GenCone((), ()), gc) for gc in set_gencones(comp.xi_part)]
-        elif comp.xi_part is None:
-            sides = [(gc, GenCone((), ())) for gc in set_gencones(comp.x_part)]
-        else:
-            sides = [
-                (gx, gxi)
-                for gx in set_gencones(comp.x_part)
-                for gxi in set_gencones(comp.xi_part)
-            ]
-        out = []
-        px, pxi = _projector(half, 0), _projector(half, 1)
-        for gx, gxi in sides:
+    # a ProductCone: one generator cone per pair of part cones
+    half = comp.half_dim
+    gxs = _part_gencones(comp.x_part, comp.x_includes_zero)
+    gxis = _part_gencones(comp.xi_part, comp.xi_includes_zero)
+    if gxs is None and gxis is None:
+        return []
+    origin = [GenCone(())]
+    out = []
+    px, pxi = _projector(half, 0), _projector(half, 1)
+    for gx in gxs if gxs is not None else origin:
+        for gxi in gxis if gxis is not None else origin:
             gens = _embed(gx.gens, half, 0) + _embed(gxi.gens, half, 1)
             excludes = [matmul(e, px) for e in gx.excludes]
             excludes += [matmul(e, pxi) for e in gxi.excludes]
-            if comp.x_part is not None and not comp.x_includes_zero:
+            if gxs is not None and not comp.x_includes_zero:
                 excludes.append(px)
-            if comp.xi_part is not None and not comp.xi_includes_zero:
+            if gxis is not None and not comp.xi_includes_zero:
                 excludes.append(pxi)
             out.append(GenCone(tuple(gens), tuple(excludes)))
-        return out
-    raise ExactnessError("sampled-caps component has no exact generator form")
+    return out
+
+
+def _part_gencones(part: ConicSet | None, includes_zero: bool) -> list[GenCone] | None:
+    """Generator cones of a product part; None when the part is {0},
+    written as None or as an empty set that admits 0."""
+    if part is None or (part.is_empty and includes_zero):
+        return None
+    return set_gencones(part)
 
 
 def set_gencones(s: ConicSet) -> list[GenCone]:
@@ -355,7 +327,7 @@ def gencone_member(gc: GenCone, v: Vec) -> bool:
 # membership
 
 def member(s: ConicSet, v) -> bool:
-    """Exact membership for rational components, angular for caps.
+    """Exact membership, through the generator-cone decomposition.
 
     The zero vector is rejected: conic sets exclude the origin by
     definition, so membership of 0 is not a meaningful query.
@@ -365,54 +337,7 @@ def member(s: ConicSet, v) -> bool:
         raise ValueError(f"vector dimension {len(w)} != set dimension {s.dim}")
     if is_zero_vec(w):
         raise ValueError("membership of the zero vector is undefined for conic sets")
-    for comp in s.components:
-        if isinstance(comp, SampledCaps):
-            fv = np.array([float(x) for x in w])
-            fv = fv / np.linalg.norm(fv)
-            cosines = np.clip(comp.directions @ fv, -1.0, 1.0)
-            if np.degrees(np.arccos(cosines.max())) <= comp.radius_deg + 1e-9:
-                return True
-            continue
-        if isinstance(comp, Ray):
-            if _ray_member(comp, w):
-                return True
-            continue
-        if isinstance(comp, GraphCone):
-            n = comp.n
-            x, xi = w[:n], w[n:]
-            if not is_zero_vec(x) and xi == matvec(comp.A, x):
-                return True
-            continue
-        if isinstance(comp, ProductCone):
-            if _product_member(comp, w):
-                return True
-            continue
-        if any(gencone_member(gc, w) for gc in component_gencones(comp)):
-            return True
-    return False
-
-
-def _ray_member(r: Ray, w: Vec) -> bool:
-    i0 = next(i for i, x in enumerate(r.v) if x != 0)
-    t = w[i0] / r.v[i0]
-    if t == 0 or (t < 0 and not r.both):
-        return False
-    return all(w[i] == t * r.v[i] for i in range(len(w)))
-
-
-def _part_member(part: ConicSet | None, includes_zero: bool, half_v: Vec) -> bool:
-    if is_zero_vec(half_v):
-        return part is None or includes_zero
-    if part is None:
-        return False
-    return member(part, half_v)
-
-
-def _product_member(comp: ProductCone, w: Vec) -> bool:
-    half = comp.half_dim
-    return _part_member(comp.x_part, comp.x_includes_zero, w[:half]) and _part_member(
-        comp.xi_part, comp.xi_includes_zero, w[half:]
-    )
+    return any(gencone_member(gc, w) for gc in set_gencones(s))
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +358,10 @@ def _negate_set(s: ConicSet) -> ConicSet:
 
 
 def linear_image(s: ConicSet, m: Mat, m_inv: Mat | None = None) -> ConicSet:
-    """Exact image of an exact conic set under an invertible linear map.
+    """Exact image of a conic set under an invertible linear map.
 
     Generators transform by m; exclude selectors need the inverse, which
-    is computed when not supplied.  Caps components transform only when
-    the map is orthogonal-like; they are handled by the callers that know
-    the geometry, so here they raise.
+    is computed when not supplied.
     """
     if m_inv is None:
         m_inv = _rational_inverse(m)
@@ -446,8 +369,6 @@ def linear_image(s: ConicSet, m: Mat, m_inv: Mat | None = None) -> ConicSet:
             raise ValueError("linear_image requires an invertible map")
     comps: list[Component] = []
     for comp in s.components:
-        if isinstance(comp, SampledCaps):
-            raise ExactnessError("cannot exactly transform a sampled-caps component")
         if isinstance(comp, Ray):
             comps.append(Ray(matvec(m, comp.v), comp.both))
             continue
@@ -472,12 +393,7 @@ def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
     rot, rot_inv = (back, fwd) if inverse else (fwd, back)
     comps: list[Component] = []
     for comp in s.components:
-        if isinstance(comp, SampledCaps):
-            dirs = comp.directions
-            x, xi = dirs[:, :n], dirs[:, n:]
-            new = np.hstack([xi, -x]) if not inverse else np.hstack([-xi, x])
-            comps.append(SampledCaps(new, comp.radius_deg))
-        elif isinstance(comp, ProductCone):
+        if isinstance(comp, ProductCone):
             if not inverse:
                 xp = comp.xi_part
                 xip = _negate_set(comp.x_part) if comp.x_part is not None else None
@@ -509,14 +425,7 @@ def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
     m, m_inv = _block(eye, zero, am, eye), _block(eye, zero, _neg_mat(am), eye)
     comps: list[Component] = []
     for comp in s.components:
-        if isinstance(comp, SampledCaps):
-            dirs = comp.directions
-            anp = np.array([[float(x) for x in row] for row in am])
-            x, xi = dirs[:, :n], dirs[:, n:]
-            new = np.hstack([x, xi + x @ anp.T])
-            new = new / np.linalg.norm(new, axis=1)[:, None]
-            comps.append(SampledCaps(new, comp.radius_deg))
-        elif isinstance(comp, GraphCone):
+        if isinstance(comp, GraphCone):
             comps.append(GraphCone(tuple(tuple(p + q for p, q in zip(r1, r2))
                                          for r1, r2 in zip(comp.A, am))))
         elif isinstance(comp, ProductCone) and comp.x_part is None:
@@ -603,7 +512,7 @@ def conic_equal(s: ConicSet, t: ConicSet) -> bool:
     """Exact set equality via canonical component forms.
 
     Supports sets whose components canonicalize to subspaces or pointed
-    cones; raises ExactnessError otherwise (notably on caps components).
+    cones; raises ExactnessError otherwise.
     Duplicate and absorbed components collapse first; unions that match
     the other side only through a genuinely different decomposition are
     out of scope and compare unequal.
@@ -643,18 +552,7 @@ def angular_distance_deg(s: ConicSet, direction) -> float:
     """
     w = np.asarray(direction, dtype=float)
     w = w / np.linalg.norm(w)
-    if s.is_empty:
-        return 180.0
-    best = 180.0
-    for comp in s.components:
-        if isinstance(comp, SampledCaps):
-            cosines = np.clip(comp.directions @ w, -1.0, 1.0)
-            ang = np.degrees(np.arccos(cosines.max())) - comp.radius_deg
-            best = min(best, max(0.0, float(ang)))
-            continue
-        for gc in component_gencones(comp):
-            best = min(best, _gencone_angle_deg(gc, w))
-    return best
+    return min((_gencone_angle_deg(gc, w) for gc in set_gencones(s)), default=180.0)
 
 
 def _gencone_angle_deg(gc: GenCone, w: np.ndarray) -> float:
@@ -748,12 +646,6 @@ def component_to_obj(c: Component) -> dict:
             "x": part(c.x_part, c.x_includes_zero),
             "xi": part(c.xi_part, c.xi_includes_zero),
         }
-    if isinstance(c, SampledCaps):
-        return {
-            "kind": "caps",
-            "directions": c.directions.tolist(),
-            "radius_deg": c.radius_deg,
-        }
     raise TypeError(f"unknown component {c!r}")
 
 
@@ -778,8 +670,6 @@ def component_from_obj(obj: dict) -> Component:
         xp, xz = part(obj["x"])
         xip, xiz = part(obj["xi"])
         return ProductCone(xp, xip, xz, xiz)
-    if kind == "caps":
-        return SampledCaps(np.asarray(obj["directions"], dtype=float), float(obj["radius_deg"]))
     raise ValueError(f"unknown component kind {kind!r}")
 
 

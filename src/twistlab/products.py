@@ -45,24 +45,6 @@ def _theta_matrix(theta, n: int) -> np.ndarray:
     return theta.matrix
 
 
-def chirp_field(s, grid: Grid) -> SampledField:
-    """Unit-modulus quadratic phase exp(-(i/2) K.(S K)) on a grid."""
-    m = np.atleast_2d(np.asarray(s, dtype=float))
-    d = grid.n
-    if m.shape != (d, d):
-        raise ValueError(f"matrix must be {d}x{d} for this grid")
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix must be symmetric")
-    peak = np.abs(m).sum(axis=1).max() * grid.L
-    if peak > grid.nyquist:
-        raise ValueError(
-            f"corner frequency {peak:.6g} exceeds the grid band {grid.nyquist:.6g}"
-        )
-    pts = grid.points()
-    phase = np.einsum("ki,ij,kj->k", pts, m, pts)
-    return SampledField(grid, np.exp(-0.5j * phase).reshape((grid.N,) * d))
-
-
 def pointwise_product(u: SampledField, v: SampledField) -> SampledField:
     if not u.grid.compatible(v.grid):
         raise ValueError("grids differ")

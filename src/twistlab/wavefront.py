@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cones import ConicSet, caps_set
 from .grids import Grid, SampledField
 from .spectral import (
     STFTData,
@@ -31,6 +30,8 @@ from .spectral import (
 )
 
 _SPHERE_SEED = 20240817
+# |V| at r_max at or below this counts as infinitely fast decay
+_DEAD_FLOOR = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +126,6 @@ class WavefrontParams:
     r_max_frac: float = 0.8
     r_min_frac: float = 0.2
     radii: int = 12
-    flag_floor: float | None = None
-    dead_floor: float = 1e-13
     directions: DirectionGrid | None = None
 
     def __post_init__(self):
@@ -146,9 +145,6 @@ class WavefrontParams:
              "a number in (0, 1)"),
             ("radii", integer(self.radii) and self.radii >= 8,
              "an integer of at least 8 for a stable fit"),
-            ("flag_floor", self.flag_floor is None or number(self.flag_floor), "a number or null"),
-            ("dead_floor", number(self.dead_floor) and self.dead_floor >= 0.0,
-             "a nonnegative number"),
             ("directions", self.directions is None or isinstance(self.directions, DirectionGrid),
              "a direction grid or null"),
         )
@@ -167,28 +163,14 @@ class WavefrontEstimate:
     r_min: float
     r_max: float
     radii: int
-    flag_floor: float
 
     @property
     def flagged(self) -> np.ndarray:
-        """Boolean mask: decay order below threshold, or magnitude still
-        above the absolute floor at the outer radius."""
-        mask = self.k_hat < self.k_test
-        if math.isfinite(self.flag_floor):
-            mask = mask | (self.value_at_rmax > self.flag_floor)
-        return mask
+        """Boolean mask: decay order below threshold."""
+        return self.k_hat < self.k_test
 
     def flagged_directions(self) -> np.ndarray:
         return self.directions.directions[self.flagged]
-
-    def to_caps(self, radius_deg: float | None = None) -> ConicSet:
-        dirs = self.flagged_directions()
-        r = self.directions.resolution_deg if radius_deg is None else radius_deg
-        if len(dirs) == 0:
-            from .cones import empty_set
-
-            return empty_set(self.directions.dim)
-        return caps_set(dirs, r)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -201,7 +183,6 @@ class WavefrontEstimate:
                     "r_min": self.r_min,
                     "r_max": self.r_max,
                     "radii": self.radii,
-                    "flag_floor": None if not math.isfinite(self.flag_floor) else self.flag_floor,
                     "resolution_deg": self.directions.resolution_deg,
                 },
             }
@@ -282,11 +263,10 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
     vals = vals.reshape(dirs.count, params.radii)
 
     k_test = float(params.k_test)
-    flag_floor = math.inf if params.flag_floor is None else float(params.flag_floor)
     k_hat = np.empty(dirs.count)
     residual = np.zeros(dirs.count)
 
-    dead = vals[:, -1] <= params.dead_floor
+    dead = vals[:, -1] <= _DEAD_FLOOR
     k_hat[dead] = math.inf
     live = ~dead
     if np.any(live):
@@ -304,7 +284,6 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
         r_min=float(r_min),
         r_max=float(r_max),
         radii=params.radii,
-        flag_floor=flag_floor,
     )
 
 
@@ -379,10 +358,6 @@ class TransformCheckReport:
     estimate_u: WavefrontEstimate
     estimate_v: WavefrontEstimate
     mapped_directions: np.ndarray
-
-    @property
-    def passed_within(self) -> float:
-        return self.hausdorff_deg
 
 
 def _rotate90_dirs(dirs: np.ndarray, n: int) -> np.ndarray:

@@ -195,6 +195,17 @@ def test_shift_algebra_light_cone_passes():
     assert [c.passed for c in rep.conditions] == [True, True, True]
 
 
+def test_shift_algebra_union_pass_is_one_sided():
+    # two wedges whose union is a cone: closure is checked on generator
+    # sums only, so the pass is one-sided, not exact
+    wedges = ConicSet(2, polyhedral([(1, 0), (1, 1)]).components
+                      + polyhedral([(1, 1), (0, 1)]).components)
+    rep = shift_algebra_check(LEFT_HALF, wedges, THETA_SHIFT)
+    assert rep.passed and not rep.exact
+    assert not rep.additive_salient.exact and rep.shift_stability.exact
+    assert rep.verdict == "one-sided"
+
+
 def test_shift_algebra_double_cone_fails_with_witness():
     double = ConicSet(2, polyhedral([(1, 1), (-1, 1)]).components
                       + polyhedral([(1, -1), (-1, -1)]).components)
@@ -218,6 +229,22 @@ def test_pair_condition_verdicts():
     assert q == (p[0], -p[1])
     with pytest.raises(ValueError):
         pair_condition(ConicSet(3, polyhedral([(1, 0, 0)]).components))
+
+
+def test_empty_part_admitting_zero_is_the_origin():
+    # an empty part that admits 0 is {0}: the same set as a None part
+    a = product_set(empty_set(1), full_space(1), x_includes_zero=True)
+    b = product_set(None, full_space(1))
+    assert member(a, (0, 1)) and not member(a, (1, 1))
+    assert conic_equal(a, b)
+    assert existence_condition(a, a, [[0]]).holds is existence_condition(b, b, [[0]]).holds
+    assert not existence_condition(a, a, [[0]]).holds
+    assert pair_condition(a).holds is pair_condition(b).holds
+    assert not pair_condition(a).holds
+    # {0} x {0} is empty however it is written
+    c = product_set(empty_set(1), None, x_includes_zero=True)
+    assert not member(c, (0, 1)) and not member(c, (1, 0))
+    assert existence_condition(c, b, [[0]]).holds
 
 
 def test_pullback_identity():

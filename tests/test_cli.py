@@ -285,18 +285,20 @@ def test_cone_past_enumeration_budget_exit_2(tmp_path, capsys):
 
 
 def test_cone_sampled_set_exit_2(tmp_path, capsys):
-    from twistlab.cones import caps_set, full_space, product_set, set_to_obj
+    # the exact layer has no sampled-caps kind: such a set is bad input
+    from twistlab.cones import full_space, product_set, set_to_obj
 
     cfg = _write(tmp_path / "cone.json", {
         "schema_version": 1,
         "op": "existence",
         "theta": [[0]],
-        "u": set_to_obj(caps_set(np.array([[1.0, 0.0]]), 5.0)),
+        "u": {"dim": 2, "components": [
+            {"kind": "caps", "directions": [[1.0, 0.0]], "radius_deg": 5.0}]},
         "v": set_to_obj(product_set(None, full_space(1))),
     })
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "op existence" in err and "exact" in err and "Traceback" not in err
+    assert "u:" in err and "'caps'" in err and "Traceback" not in err
 
 
 def test_parser_reused_without_leaking_values(tmp_path, monkeypatch):

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab.cones import (
     ConicSet,
+    GraphCone,
+    ProductCone,
+    Ray,
     angular_containment,
     angular_distance_deg,
-    caps_set,
     conic_equal,
     empty_set,
     full_space,
@@ -25,6 +27,7 @@ from twistlab.cones import (
     wf_chirp_shear,
     wf_fourier_rotate,
 )
+from twistlab.rational import vec
 
 F = Fraction
 
@@ -145,13 +148,6 @@ def test_angular_containment_report():
     assert none.passed and none.fraction == 1.0
 
 
-def test_caps_set_membership():
-    caps = caps_set(np.array([[1.0, 0.0]]), radius_deg=5.0)
-    assert member(caps, (1.0, 0.0))
-    assert member(caps, (np.cos(np.radians(4.0)), np.sin(np.radians(4.0))))
-    assert not member(caps, (np.cos(np.radians(6.0)), np.sin(np.radians(6.0))))
-
-
 def test_json_roundtrip():
     for s in (
         empty_set(4),
@@ -161,14 +157,10 @@ def test_json_roundtrip():
         polyhedral([(1, 0), (1, 1)]),
         product_set(full_space(2), None),
         graph_set([[F(1), F(0)], [F(0), F(2)]]),
-        caps_set(np.array([[0.0, 1.0]]), radius_deg=2.0),
     ):
         t = set_from_json(set_to_json(s))
         assert t.dim == s.dim
-        if s.is_exact():
-            assert conic_equal(s, t)
-        else:
-            assert set_to_json(t) == set_to_json(s)
+        assert conic_equal(s, t)
 
 
 def test_linear_image_of_ray():
@@ -177,3 +169,117 @@ def test_linear_image_of_ray():
     t = linear_image(s, m)
     assert member(t, (0, 1))
     assert not member(t, (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# membership against closed-form definitions
+
+_ENTRY = st.integers(min_value=-2, max_value=2)
+
+
+def _vector(n):
+    return st.lists(_ENTRY, min_size=n, max_size=n).map(tuple)
+
+
+def _nonzero(n):
+    return _vector(n).filter(any)
+
+
+def _on_ray(v, w, both):
+    """w = t v with t > 0, or t != 0 when both."""
+    n = len(v)
+    parallel = all(w[i] * v[j] == w[j] * v[i] for i in range(n) for j in range(n))
+    dot = sum(a * b for a, b in zip(v, w))
+    return parallel and (dot > 0 or (both and dot < 0))
+
+
+# polyhedral parts by their closed forms: (generators, predicate)
+_CONES = {
+    1: [([(1,)], lambda h: h[0] > 0),
+        ([(-2,)], lambda h: h[0] < 0)],
+    2: [([(1, 0), (0, 1)], lambda h: h[0] >= 0 and h[1] >= 0),
+        ([(1, 0), (-1, 0), (0, 1)], lambda h: h[1] >= 0),
+        ([(1, 1), (-1, 1)], lambda h: h[1] >= abs(h[0]))],
+}
+
+
+@st.composite
+def _part(draw, n):
+    """A product part in R^n: (set or None, zero flag, predicate on
+    nonzero half vectors, a direction on it or None)."""
+    kind = draw(st.sampled_from(["none", "empty", "ray", "cone", "full"]))
+    zero = draw(st.booleans())
+    if kind == "none":
+        return None, zero, lambda h: False, None
+    if kind == "empty":
+        return empty_set(n), zero, lambda h: False, None
+    if kind == "ray":
+        v, both = draw(_nonzero(n)), draw(st.booleans())
+        return ray_set(v, both), zero, lambda h: _on_ray(v, h, both), v
+    if kind == "cone":
+        gens, pred = draw(st.sampled_from(_CONES[n]))
+        return polyhedral(gens), zero, pred, gens[0]
+    return full_space(n), zero, lambda h: True, None
+
+
+def _part_holds(part, zero, pred, h):
+    if not any(h):
+        return part is None or zero
+    return part is not None and pred(h)
+
+
+@st.composite
+def _component(draw, n):
+    """A component of R^{2n}, its closed-form membership predicate, and
+    directions worth probing."""
+    kind = draw(st.sampled_from(["ray", "graph", "product"]))
+    if kind == "ray":
+        v, both = draw(_nonzero(2 * n)), draw(st.booleans())
+        return Ray(vec(v), both), (lambda w: _on_ray(v, w, both)), [v]
+    if kind == "graph":
+        a = [draw(_vector(n)) for _ in range(n)]
+
+        def on_graph(w):
+            x, xi = w[:n], w[n:]
+            return any(x) and all(xi[i] == sum(a[i][j] * x[j] for j in range(n))
+                                  for i in range(n))
+
+        x = draw(_nonzero(n))
+        return GraphCone(tuple(vec(r) for r in a)), on_graph, \
+            [x + tuple(sum(a[i][j] * x[j] for j in range(n)) for i in range(n))]
+    xs, xis = draw(_part(n)), draw(_part(n))
+    if xs[0] is None and xis[0] is None:       # ProductCone refuses {0} x {0}
+        xis = full_space(n), False, lambda h: True, None
+
+    def in_product(w):
+        return _part_holds(*xs[:3], w[:n]) and _part_holds(*xis[:3], w[n:])
+
+    zero = (0,) * n
+    hints = [(xs[3] or zero) + (xis[3] or zero)]
+    hints += [(xs[3] or zero) + zero, zero + (xis[3] or zero)]
+    return ProductCone(xs[0], xis[0], xs[1], xis[1]), in_product, hints
+
+
+@st.composite
+def _member_case(draw):
+    n = draw(st.sampled_from([1, 2]))
+    comp, pred, hints = draw(_component(n))
+    zero = (0,) * n
+    points = [
+        zero + draw(_vector(n)),                       # x = 0 slice
+        draw(_vector(n)) + zero,                       # xi = 0 slice
+        draw(_vector(2 * n)),
+    ]
+    for h in hints:
+        t = draw(st.sampled_from([-2, -1, 1, 2]))
+        points.append(tuple(t * x for x in h))         # on the ray, or its reflection
+    return comp, pred, [p for p in points if any(p)]
+
+
+@settings(max_examples=200)
+@given(_member_case())
+def test_member_matches_closed_forms(case):
+    comp, pred, points = case
+    s = ConicSet(comp.dim, (comp,))
+    for w in points:
+        assert member(s, w) == pred(w), (comp, w)
