@@ -277,32 +277,38 @@ def component_gencones(comp: Component) -> list[GenCone]:
         return [GenCone(tuple(gens))]
     # a ProductCone: one generator cone per pair of part cones
     half = comp.half_dim
-    gxs = _part_gencones(comp.x_part, comp.x_includes_zero)
-    gxis = _part_gencones(comp.xi_part, comp.xi_includes_zero)
-    if gxs is None and gxis is None:
-        return []
-    origin = [GenCone(())]
+    gxs, x_zero = _part_gencones(comp.x_part, comp.x_includes_zero)
+    gxis, xi_zero = _part_gencones(comp.xi_part, comp.xi_includes_zero)
     out = []
     px, pxi = _projector(half, 0), _projector(half, 1)
-    for gx in gxs if gxs is not None else origin:
-        for gxi in gxis if gxis is not None else origin:
+    for gx in gxs:
+        for gxi in gxis:
             gens = _embed(gx.gens, half, 0) + _embed(gxi.gens, half, 1)
+            if not gens:                       # {0} x {0} holds no point
+                continue
             excludes = [matmul(e, px) for e in gx.excludes]
             excludes += [matmul(e, pxi) for e in gxi.excludes]
-            if gxs is not None and not comp.x_includes_zero:
+            if not x_zero:
                 excludes.append(px)
-            if gxis is not None and not comp.xi_includes_zero:
+            if not xi_zero:
                 excludes.append(pxi)
             out.append(GenCone(tuple(gens), tuple(excludes)))
     return out
 
 
-def _part_gencones(part: ConicSet | None, includes_zero: bool) -> list[GenCone] | None:
-    """Generator cones of a product part; None when the part is {0},
-    written as None or as an empty set that admits 0."""
-    if part is None or (part.is_empty and includes_zero):
-        return None
-    return set_gencones(part)
+def _part_gencones(part: ConicSet | None, includes_zero: bool) -> tuple[list[GenCone], bool]:
+    """Generator cones whose union is one side of a product (the part, with
+    0 where it admits 0), and whether 0 is in that union.
+
+    A cone without selectors holds 0; any selector removes it (E 0 = 0).
+    So a part that admits 0 gains the origin cone when every one of its
+    cones carries a selector, which covers empty parts; None is {0}."""
+    if part is None:
+        return [GenCone(())], True
+    cones = set_gencones(part)
+    if includes_zero and all(gc.excludes for gc in cones):
+        cones.append(GenCone(()))
+    return cones, includes_zero
 
 
 def set_gencones(s: ConicSet) -> list[GenCone]:

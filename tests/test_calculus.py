@@ -247,6 +247,24 @@ def test_empty_part_admitting_zero_is_the_origin():
     assert existence_condition(c, b, [[0]]).holds
 
 
+def test_part_with_selectors_admitting_zero():
+    # p = {0} x (R \ 0) carries the selector x1 != 0; with 0 admitted it
+    # is the line x1 = 0, so s and t are one set written two ways
+    p = product_set(None, full_space(1))
+    s = product_set(p, full_space(2), x_includes_zero=True)
+    t = product_set(subspace_set([[0, 1]]), full_space(2), x_includes_zero=True)
+    for w in [(0, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0), (0, 1, 0, 0)]:
+        assert member(s, w) is member(t, w)
+    assert member(s, (0, 0, 1, 0))
+    u = polyhedral([(1, 0, 0, 1), (0, 1, 1, 0)])
+    for theta in ([[0, 0], [0, 0]], [[0, 1], [-1, 0]], [[0, 2], [-2, 0]]):
+        assert existence_condition(s, s, theta).holds is existence_condition(t, t, theta).holds
+        assert existence_condition(s, u, theta).holds is existence_condition(t, u, theta).holds
+        assert existence_condition(u, s, theta).holds is existence_condition(u, t, theta).holds
+    assert not existence_condition(s, s, [[0, 0], [0, 0]]).holds
+    assert pair_condition(s).holds is pair_condition(t).holds
+
+
 def test_pullback_identity():
     s = polyhedral([(1, 0, 0, 1)])
     ident = ((F(1), F(0)), (F(0), F(1)))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from twistlab.cones import (
     ConicSet,
     GraphCone,
+    PolyhedralCone,
     ProductCone,
     Ray,
     angular_containment,
@@ -27,7 +28,7 @@ from twistlab.cones import (
     wf_chirp_shear,
     wf_fourier_rotate,
 )
-from twistlab.rational import vec
+from twistlab.rational import mat, vec
 
 F = Fraction
 
@@ -203,12 +204,29 @@ _CONES = {
 }
 
 
+# polyhedral parts with exclude selectors: (generators, selectors, predicate)
+_CUT_CONES = {
+    1: [([(1,), (-1,)], [[(1,)]], lambda h: True)],
+    2: [([(1, 0), (-1, 0), (0, 1), (0, -1)], [[(0, 1)]], lambda h: h[1] != 0),
+        ([(1, 0), (-1, 0), (0, 1)], [[(1, 0)]], lambda h: h[1] >= 0 and h[0] != 0)],
+}
+
+
 @st.composite
 def _part(draw, n):
     """A product part in R^n: (set or None, zero flag, predicate on
-    nonzero half vectors, a direction on it or None)."""
-    kind = draw(st.sampled_from(["none", "empty", "ray", "cone", "full"]))
+    nonzero half vectors, a direction on it or None).  "cut" and, in
+    R^2, "nested" parts carry exclude selectors."""
+    kinds = ["none", "empty", "ray", "cone", "full", "cut"]
+    kind = draw(st.sampled_from(kinds + (["nested"] if n == 2 else [])))
     zero = draw(st.booleans())
+    if kind == "cut":
+        gens, excludes, pred = draw(st.sampled_from(_CUT_CONES[n]))
+        cone = PolyhedralCone(mat(gens), tuple(mat(e) for e in excludes))
+        return ConicSet(n, (cone,)), zero, pred, gens[0]
+    if kind == "nested":
+        comp, pred, hints = draw(_component(1))
+        return ConicSet(2, (comp,)), zero, pred, next((h for h in hints if any(h)), None)
     if kind == "none":
         return None, zero, lambda h: False, None
     if kind == "empty":
