@@ -23,7 +23,7 @@ from .calculus import (
     wf_pullback,
 )
 from .catalog import Chirp, Delta, GaussianPacket, PlaneWave, exact_wf, sample_analytic
-from .matrices import AntisymmetricMatrix, ChirpMatrix
+from .matrices import AntisymmetricMatrix
 from .cones import (
     ConicSet,
     angular_containment,
@@ -78,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AntisymmetricMatrix",
     "Chirp",
-    "ChirpMatrix",
     "CheckResult",
     "ConicSet",
     "Delta",

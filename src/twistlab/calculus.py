@@ -34,7 +34,6 @@ from .rational import (
 )
 from .cones import (
     ConicSet,
-    GenCone,
     PolyhedralCone,
     _block,
     _identity,
@@ -90,9 +89,9 @@ def _mat_add(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _gen_matrix(gc: GenCone) -> Mat:
+def _gen_matrix(gc: PolyhedralCone) -> Mat:
     """Generators as columns (d x k)."""
-    return mat_t(gc.gens)
+    return mat_t(gc.generators)
 
 
 def _flip(n: int) -> Mat:
@@ -131,9 +130,9 @@ def feasible_with_nonzero(a: Mat, ncols: int, selectors: list[Mat]) -> Vec | Non
     raise RuntimeError("generic witness search failed; selector degrees exceeded bound")
 
 
-def _lift_excludes(gc: GenCone, gmat: Mat, offset_cols: int, total_cols: int) -> list[Mat]:
+def _lift_excludes(gc: PolyhedralCone, gmat: Mat, offset_cols: int, total_cols: int) -> list[Mat]:
     """Component selectors E v != 0 expressed on the stacked weight vector."""
-    rest = total_cols - offset_cols - len(gc.gens)
+    rest = total_cols - offset_cols - len(gc.generators)
     return [
         _hcat(_zeros(len(e), offset_cols), matmul(e, gmat), _zeros(len(e), rest))
         for e in gc.excludes
@@ -154,10 +153,10 @@ def _joint_witness(wfu: ConicSet, wfv: ConicSet, mu: Mat, mv: Mat,
     mvgs = [matmul(mv, gv) for gv in gvs]
     for cu in set_gencones(wfu):
         gu = _gen_matrix(cu)
-        ku = len(cu.gens)
+        ku = len(cu.generators)
         mug, sel = matmul(mu, gu), matmul(nonzero, gu)
         for cv, gv, mvg in zip(cvs, gvs, mvgs):
-            kv = len(cv.gens)
+            kv = len(cv.generators)
             selectors = [_hcat(sel, _zeros(len(sel), kv))]
             selectors += _lift_excludes(cu, gu, 0, ku + kv)
             selectors += _lift_excludes(cv, gv, ku, ku + kv)
@@ -260,14 +259,14 @@ def predicted_product_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
     comps = []
     for cu in cus:
         gu = _gen_matrix(cu)
-        ku = len(cu.gens)
+        ku = len(cu.generators)
         for cv in cvs:
             gv = _gen_matrix(cv)
             a = _hcat(_scale_mat(-ONE, matmul(plus, gu)), matmul(minus, gv))
             bgv = matmul(bv, gv)
             gens = _dedup_gens([
                 vadd(matvec(gu, r[:ku]), matvec(bgv, r[ku:]))
-                for r in extreme_rays(a, ku + len(cv.gens))
+                for r in extreme_rays(a, ku + len(cv.generators))
             ])
             if gens:
                 comps.append(PolyhedralCone(gens))
@@ -276,7 +275,7 @@ def predicted_product_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
         for c in cs:
             g = _gen_matrix(c)
             og = matmul(out, g)
-            rays = extreme_rays(matmul(slice_rows, g), len(c.gens))
+            rays = extreme_rays(matmul(slice_rows, g), len(c.generators))
             gens = _dedup_gens([matvec(og, r) for r in rays])
             if gens:
                 comps.append(PolyhedralCone(gens, c.excludes))
@@ -345,19 +344,19 @@ def _check_additive_salient(gamma2: ConicSet) -> ConditionCheck:
     # salience within and across components: no two members sum to zero
     for i, ci in enumerate(comps):
         gi = _gen_matrix(ci)
-        ki = len(ci.gens)
+        ki = len(ci.generators)
         rays = extreme_rays(gi, ki)
         if rays:
             nu = rays[0]
             i0 = next(t for t, x in enumerate(nu) if x != 0)
-            v1 = vscale(nu[i0], ci.gens[i0])
+            v1 = vscale(nu[i0], ci.generators[i0])
             return ConditionCheck(
                 name, False, True, (primitive_ray(v1), primitive_ray(vneg(v1))),
                 "two members sum to zero",
             )
         for cj in comps[i + 1:]:
             gj = _gen_matrix(cj)
-            kj = len(cj.gens)
+            kj = len(cj.generators)
             sel = [_hcat(gi, _zeros(len(gi), kj))]
             w = feasible_with_nonzero(_hcat(gi, gj), ki + kj, sel)
             if w is not None:
@@ -370,7 +369,7 @@ def _check_additive_salient(gamma2: ConicSet) -> ConditionCheck:
         return ConditionCheck(name, True, True, note="convex component; closure automatic")
     # union: additive closure checked on pairwise generator sums (necessary);
     # salience holds, so no sum below is zero
-    hulls = [c.gens for c in comps]
+    hulls = [c.generators for c in comps]
     for i, ha in enumerate(hulls):
         for hb in hulls[i + 1:]:
             for ga in ha:
@@ -387,9 +386,9 @@ def _check_additive_salient(gamma2: ConicSet) -> ConditionCheck:
     )
 
 
-def _anchor_point(gc: GenCone) -> Vec:
-    total = tuple(ZERO for _ in range(len(gc.gens[0])))
-    for g in gc.gens:
+def _anchor_point(gc: PolyhedralCone) -> Vec:
+    total = tuple(ZERO for _ in range(len(gc.generators[0])))
+    for g in gc.generators:
         total = vadd(total, g)
     return total
 
@@ -399,8 +398,8 @@ def _check_shift_stability(gamma1: ConicSet, gamma2: ConicSet, half_theta: Mat) 
     comps1, comps2 = set_gencones(gamma1), set_gencones(gamma2)
     if not comps2 or not comps1:
         return ConditionCheck(name, True, True, note="vacuous (empty cone)")
-    hulls1 = [c.gens for c in comps1]
-    gens2 = [primitive_ray(g) for c in comps2 for g in c.gens]
+    hulls1 = [c.generators for c in comps1]
+    gens2 = [primitive_ray(g) for c in comps2 for g in c.generators]
     if len(comps1) == 1:
         # convex target: stability is equivalent to every shifted
         # generator lying in the recession cone, i.e. the hull itself
@@ -526,7 +525,7 @@ def wf_pullback(s: ConicSet, amap) -> PullbackResult:
         a = matmul(px, g) + matmul(at, matmul(pxi, g))
         selectors = [matmul(pxi, g)]
         selectors += [matmul(e, g) for e in gc.excludes]
-        w = feasible_with_nonzero(a, len(gc.gens), selectors)
+        w = feasible_with_nonzero(a, len(gc.generators), selectors)
         if w is not None:
             defined = False
             witness = primitive_ray(matvec(g, w))
@@ -541,7 +540,7 @@ def wf_pullback(s: ConicSet, amap) -> PullbackResult:
         at_eta = matmul(at, matmul(pxi, g))
         gens = _dedup_gens([
             tuple(r[i] - r[n + i] for i in range(n)) + matvec(at_eta, r[2 * n:])
-            for r in extreme_rays(sys, 2 * n + len(gc.gens))
+            for r in extreme_rays(sys, 2 * n + len(gc.generators))
         ])
         if not gens:
             continue

@@ -1,17 +1,18 @@
 """Exact finite representations of closed conic subsets of R^d \\ {0}.
 
-A ConicSet is a finite union of components: polyhedral cones, rays,
-graphs {(x, Ax)} and products of two lower dimensional sets, all over
-Fraction arithmetic.  Every component reduces to one or more generator
-cones: a tuple of generators plus "exclude" selectors, where the
-represented set is
+A ConicSet is a finite union of generator cones, over Fraction
+arithmetic.  A generator cone (`PolyhedralCone`) is a tuple of
+generators plus "exclude" selectors, and represents
 
     {v in cone(generators) : v != 0 and  E v != 0 for every selector E}.
 
-The selector mechanism is what keeps product sets like
-{0} x (R^n \\ 0) exact under the calculus in `calculus`.  Membership,
-linear images and every verdict work on this one decomposition; floats
-enter only in the angular distances measured against estimator output.
+Polyhedral cones, rays, subspaces, graphs {(x, Ax)} and products of two
+lower dimensional sets are input forms: their constructors, and the
+matching JSON kinds, build the generator cones once.  The selector
+mechanism is what keeps product sets like {0} x (R^n \\ 0) exact under
+the calculus in `calculus`.  Membership, linear images, equality and
+every verdict work on this one form; floats enter only in the angular
+distances measured against estimator output.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _block(a: Mat, b: Mat, c: Mat, e: Mat) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# components
+# the cone type and the set
 
 @dataclass(frozen=True)
 class PolyhedralCone:
@@ -96,80 +97,11 @@ class PolyhedralCone:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """A single ray {t v : t > 0}, or the antipodal pair when both=True."""
-
-    v: Vec
-    both: bool = False
-
-    def __post_init__(self):
-        if is_zero_vec(self.v):
-            raise ValueError("ray direction must be nonzero")
-
-    @property
-    def dim(self) -> int:
-        return len(self.v)
-
-
-@dataclass(frozen=True)
-class GraphCone:
-    """The graph {(x, A x) : x != 0} of a square rational matrix A."""
-
-    A: Mat
-
-    def __post_init__(self):
-        if not self.A or any(len(r) != len(self.A) for r in self.A):
-            raise ValueError("graph matrix must be square")
-
-    @property
-    def n(self) -> int:
-        return len(self.A)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
-
-@dataclass(frozen=True)
-class ProductCone:
-    """A product set {(x, xi) != 0 : x in X, xi in Xi} in R^{2n}.
-
-    Each part is a ConicSet in R^n or None, where None stands for {0}.
-    The flags admit 0 into a non-None part, so e.g. a half space
-    containing the origin is (part, includes_zero=True).
-    """
-
-    x_part: "ConicSet | None"
-    xi_part: "ConicSet | None"
-    x_includes_zero: bool = False
-    xi_includes_zero: bool = False
-
-    def __post_init__(self):
-        if self.x_part is None and self.xi_part is None:
-            raise ValueError("product of {0} with {0} is empty")
-        nx = self.x_part.dim if self.x_part is not None else self.xi_part.dim
-        nxi = self.xi_part.dim if self.xi_part is not None else nx
-        if nx != nxi:
-            raise ValueError("product parts must share the same dimension")
-
-    @property
-    def half_dim(self) -> int:
-        return self.x_part.dim if self.x_part is not None else self.xi_part.dim
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.half_dim
-
-
-Component = PolyhedralCone | Ray | GraphCone | ProductCone
-
-
-@dataclass(frozen=True)
 class ConicSet:
-    """Finite union of conic components in R^dim \\ {0}; may be empty."""
+    """Finite union of generator cones in R^dim \\ {0}; may be empty."""
 
     dim: int
-    components: tuple[Component, ...] = ()
+    components: tuple[PolyhedralCone, ...] = ()
 
     def __post_init__(self):
         for c in self.components:
@@ -181,8 +113,13 @@ class ConicSet:
         return not self.components
 
 
+def set_gencones(s: ConicSet) -> list[PolyhedralCone]:
+    """The generator cones whose union is s."""
+    return list(s.components)
+
+
 # ---------------------------------------------------------------------------
-# constructors
+# constructors: each builds its generator cones once
 
 def polyhedral(gens) -> ConicSet:
     g = mat(gens)
@@ -190,8 +127,12 @@ def polyhedral(gens) -> ConicSet:
 
 
 def ray_set(v, both: bool = False) -> ConicSet:
+    """The ray {t v : t > 0}, or the antipodal pair when both=True."""
     w = vec(v)
-    return ConicSet(len(w), (Ray(w, both),))
+    if is_zero_vec(w):
+        raise ValueError("ray direction must be nonzero")
+    rays = (w, vneg(w)) if both else (w,)
+    return ConicSet(len(w), tuple(PolyhedralCone((r,)) for r in rays))
 
 
 def subspace_set(basis) -> ConicSet:
@@ -207,8 +148,16 @@ def full_space(d: int) -> ConicSet:
 
 
 def graph_set(a) -> ConicSet:
-    g = GraphCone(mat(a))
-    return ConicSet(g.dim, (g,))
+    """The graph {(x, A x) : x != 0} of a square rational matrix A."""
+    am = mat(a)
+    if not am or any(len(r) != len(am) for r in am):
+        raise ValueError("graph matrix must be square")
+    n = len(am)
+    gens = []
+    for i, col in enumerate(mat_t(am)):
+        gens.append(_basis_vec(n, i) + col)
+        gens.append(vneg(_basis_vec(n, i) + col))
+    return ConicSet(2 * n, (PolyhedralCone(tuple(gens)),))
 
 
 def product_set(
@@ -217,27 +166,39 @@ def product_set(
     x_includes_zero: bool = False,
     xi_includes_zero: bool = False,
 ) -> ConicSet:
-    c = ProductCone(x_part, xi_part, x_includes_zero, xi_includes_zero)
-    return ConicSet(c.dim, (c,))
+    """The product {(x, xi) != 0 : x in X, xi in Xi} in R^{2n}.
+
+    Each part is a ConicSet in R^n or None, where None stands for {0}.
+    The flags admit 0 into a non-None part, so e.g. a half space
+    containing the origin is (part, includes_zero=True).  There is one
+    generator cone per pair of part cones.
+    """
+    if x_part is None and xi_part is None:
+        raise ValueError("product of {0} with {0} is empty")
+    half = x_part.dim if x_part is not None else xi_part.dim
+    if xi_part is not None and xi_part.dim != half:
+        raise ValueError("product parts must share the same dimension")
+    gxs, x_zero = _part_cones(x_part, x_includes_zero)
+    gxis, xi_zero = _part_cones(xi_part, xi_includes_zero)
+    px, pxi = _projector(half, 0), _projector(half, 1)
+    cones = []
+    for x_gens, x_excl in gxs:
+        for xi_gens, xi_excl in gxis:
+            gens = _embed(x_gens, half, 0) + _embed(xi_gens, half, 1)
+            if not gens:                       # {0} x {0} holds no point
+                continue
+            excludes = [matmul(e, px) for e in x_excl]
+            excludes += [matmul(e, pxi) for e in xi_excl]
+            if not x_zero:
+                excludes.append(px)
+            if not xi_zero:
+                excludes.append(pxi)
+            cones.append(PolyhedralCone(gens, tuple(excludes)))
+    return ConicSet(2 * half, tuple(cones))
 
 
 def empty_set(d: int) -> ConicSet:
     return ConicSet(d, ())
-
-
-# ---------------------------------------------------------------------------
-# generator-cone view
-
-@dataclass(frozen=True)
-class GenCone:
-    """gens + exclude selectors; the working form for exact calculus."""
-
-    gens: Mat
-    excludes: tuple[Mat, ...] = ()
-
-    @property
-    def dim(self) -> int:
-        return len(self.gens[0])
 
 
 def _embed(gens: Mat, half: int, side: int) -> Mat:
@@ -257,71 +218,37 @@ def _projector(half: int, side: int) -> Mat:
     return tuple(rows)
 
 
-def component_gencones(comp: Component) -> list[GenCone]:
-    """Exact generator-cone decomposition of one component."""
-    if isinstance(comp, PolyhedralCone):
-        return [GenCone(comp.generators, comp.excludes)]
-    if isinstance(comp, Ray):
-        cones = [GenCone((comp.v,))]
-        if comp.both:
-            cones.append(GenCone((vneg(comp.v),)))
-        return cones
-    if isinstance(comp, GraphCone):
-        n = comp.n
-        at = mat_t(comp.A)
-        gens = []
-        for i in range(n):
-            col = tuple(at[i])
-            gens.append(_basis_vec(n, i) + col)
-            gens.append(vneg(_basis_vec(n, i) + col))
-        return [GenCone(tuple(gens))]
-    # a ProductCone: one generator cone per pair of part cones
-    half = comp.half_dim
-    gxs, x_zero = _part_gencones(comp.x_part, comp.x_includes_zero)
-    gxis, xi_zero = _part_gencones(comp.xi_part, comp.xi_includes_zero)
-    out = []
-    px, pxi = _projector(half, 0), _projector(half, 1)
-    for gx in gxs:
-        for gxi in gxis:
-            gens = _embed(gx.gens, half, 0) + _embed(gxi.gens, half, 1)
-            if not gens:                       # {0} x {0} holds no point
-                continue
-            excludes = [matmul(e, px) for e in gx.excludes]
-            excludes += [matmul(e, pxi) for e in gxi.excludes]
-            if not x_zero:
-                excludes.append(px)
-            if not xi_zero:
-                excludes.append(pxi)
-            out.append(GenCone(tuple(gens), tuple(excludes)))
-    return out
-
-
-def _part_gencones(part: ConicSet | None, includes_zero: bool) -> tuple[list[GenCone], bool]:
-    """Generator cones whose union is one side of a product (the part, with
-    0 where it admits 0), and whether 0 is in that union.
+def _part_cones(part: ConicSet | None, includes_zero: bool) -> tuple[list, bool]:
+    """(generators, excludes) pairs whose union is one side of a product
+    (the part, with 0 where it admits 0), and whether 0 is in that union.
 
     A cone without selectors holds 0; any selector removes it (E 0 = 0).
-    So a part that admits 0 gains the origin cone when every one of its
-    cones carries a selector, which covers empty parts; None is {0}."""
+    So where the part admits 0, selectors that only remove the origin are
+    dropped, and the origin cone is added when every cone still carries a
+    selector, which covers empty parts; None is {0}."""
     if part is None:
-        return [GenCone(())], True
-    cones = set_gencones(part)
-    if includes_zero and all(gc.excludes for gc in cones):
-        cones.append(GenCone(()))
+        return [((), ())], True
+    cones = [(c.generators, c.excludes) for c in part.components]
+    if includes_zero:
+        cones = [(g, tuple(e for e in excl if _selector_cuts(e, g))) for g, excl in cones]
+        if all(excl for _, excl in cones):
+            cones.append(((), ()))
     return cones, includes_zero
 
 
-def set_gencones(s: ConicSet) -> list[GenCone]:
-    out = []
-    for comp in s.components:
-        out.extend(component_gencones(comp))
-    return out
+def _selector_cuts(e: Mat, gens: Mat) -> bool:
+    """Whether the kernel of selector e meets cone(gens) away from the origin."""
+    g = mat_t(gens)
+    return any(not is_zero_vec(matvec(g, r)) for r in extreme_rays(matmul(e, g), len(gens)))
 
 
-def gencone_member(gc: GenCone, v: Vec) -> bool:
+# ---------------------------------------------------------------------------
+# membership
+
+def gencone_member(gc: PolyhedralCone, v: Vec) -> bool:
     if is_zero_vec(v):
         return False
-    if not cone_contains(gc.gens, v):
+    if not cone_contains(gc.generators, v):
         return False
     for e in gc.excludes:
         if is_zero_vec(matvec(e, v)):
@@ -329,11 +256,8 @@ def gencone_member(gc: GenCone, v: Vec) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# membership
-
 def member(s: ConicSet, v) -> bool:
-    """Exact membership, through the generator-cone decomposition.
+    """Exact membership in one of the generator cones of s.
 
     The zero vector is rejected: conic sets exclude the origin by
     definition, so membership of 0 is not a meaningful query.
@@ -358,11 +282,6 @@ def _rational_inverse(a: Mat) -> Mat | None:
     return tuple(r[n:] for r in red)
 
 
-def _negate_set(s: ConicSet) -> ConicSet:
-    neg = _neg_mat(_identity(s.dim))
-    return linear_image(s, neg, neg)
-
-
 def linear_image(s: ConicSet, m: Mat, m_inv: Mat | None = None) -> ConicSet:
     """Exact image of a conic set under an invertible linear map.
 
@@ -373,50 +292,21 @@ def linear_image(s: ConicSet, m: Mat, m_inv: Mat | None = None) -> ConicSet:
         m_inv = _rational_inverse(m)
         if m_inv is None:
             raise ValueError("linear_image requires an invertible map")
-    comps: list[Component] = []
-    for comp in s.components:
-        if isinstance(comp, Ray):
-            comps.append(Ray(matvec(m, comp.v), comp.both))
-            continue
-        for gc in component_gencones(comp):
-            gens = tuple(matvec(m, g) for g in gc.gens)
-            excludes = tuple(matmul(e, m_inv) for e in gc.excludes)
-            comps.append(PolyhedralCone(gens, excludes))
-    return ConicSet(s.dim, tuple(comps))
+    return ConicSet(s.dim, tuple(
+        PolyhedralCone(tuple(matvec(m, g) for g in c.generators),
+                       tuple(matmul(e, m_inv) for e in c.excludes))
+        for c in s.components
+    ))
 
 
 def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
-    """Image under (x, xi) -> (xi, -x); inverse=True applies (x, xi) -> (-xi, x).
-
-    Component kinds are preserved where the image has the same shape:
-    products swap their parts, graphs of invertible matrices stay graphs.
-    """
+    """Image under (x, xi) -> (xi, -x); inverse=True applies (x, xi) -> (-xi, x)."""
     if s.dim % 2 != 0:
         raise ValueError("phase-space rotation needs even dimension")
     n = s.dim // 2
     eye, zero = _identity(n), _zeros(n, n)
     fwd, back = _block(zero, eye, _neg_mat(eye), zero), _block(zero, _neg_mat(eye), eye, zero)
-    rot, rot_inv = (back, fwd) if inverse else (fwd, back)
-    comps: list[Component] = []
-    for comp in s.components:
-        if isinstance(comp, ProductCone):
-            if not inverse:
-                xp = comp.xi_part
-                xip = _negate_set(comp.x_part) if comp.x_part is not None else None
-                comps.append(
-                    ProductCone(xp, xip, comp.xi_includes_zero, comp.x_includes_zero)
-                )
-            else:
-                xp = _negate_set(comp.xi_part) if comp.xi_part is not None else None
-                comps.append(
-                    ProductCone(xp, comp.x_part, comp.xi_includes_zero, comp.x_includes_zero)
-                )
-        elif isinstance(comp, GraphCone) and (inv := _rational_inverse(comp.A)) is not None:
-            # both rotation senses send {(x, Ax)} to {(y, -A^{-1} y)}
-            comps.append(GraphCone(_neg_mat(inv)))
-        else:
-            comps.extend(linear_image(ConicSet(s.dim, (comp,)), rot, rot_inv).components)
-    return ConicSet(s.dim, tuple(comps))
+    return linear_image(s, back, fwd) if inverse else linear_image(s, fwd, back)
 
 
 def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
@@ -428,23 +318,7 @@ def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
     if am != mat_t(am):
         raise ValueError("shear matrix must be symmetric")
     eye, zero = _identity(n), _zeros(n, n)
-    m, m_inv = _block(eye, zero, am, eye), _block(eye, zero, _neg_mat(am), eye)
-    comps: list[Component] = []
-    for comp in s.components:
-        if isinstance(comp, GraphCone):
-            comps.append(GraphCone(tuple(tuple(p + q for p, q in zip(r1, r2))
-                                         for r1, r2 in zip(comp.A, am))))
-        elif isinstance(comp, ProductCone) and comp.x_part is None:
-            comps.append(comp)  # x = 0 rays are fixed by the shear
-        elif isinstance(comp, ProductCone) and comp.xi_part is None and not comp.x_includes_zero:
-            # {(x, 0)} shears onto the graph over the x part
-            for gc in set_gencones(comp.x_part):
-                gens = tuple(g + matvec(am, g) for g in gc.gens)
-                excludes = tuple(matmul(e, _projector(n, 0)) for e in gc.excludes)
-                comps.append(PolyhedralCone(gens, excludes))
-        else:
-            comps.extend(linear_image(ConicSet(s.dim, (comp,)), m, m_inv).components)
-    return ConicSet(s.dim, tuple(comps))
+    return linear_image(s, _block(eye, zero, am, eye), _block(eye, zero, _neg_mat(am), eye))
 
 
 # ---------------------------------------------------------------------------
@@ -470,23 +344,19 @@ def _minimal_generators(gens: Mat) -> tuple[Vec, ...]:
     return tuple(sorted(keep))
 
 
-def _nontrivial_excludes(gc: GenCone) -> tuple[Mat, ...]:
+def _nontrivial_excludes(gc: PolyhedralCone) -> tuple[Mat, ...]:
     """Selectors whose kernel meets the hull away from the origin."""
-    g = mat_t(gc.gens)
-    out = []
-    for e in gc.excludes:
-        rays = extreme_rays(matmul(e, g), len(gc.gens))
-        if any(not is_zero_vec(matvec(g, r)) for r in rays):
-            out.append(row_space_canonical(e))
-    return tuple(sorted(out))
+    return tuple(sorted(
+        row_space_canonical(e) for e in gc.excludes if _selector_cuts(e, gc.generators)
+    ))
 
 
-def component_canonical(gc: GenCone):
+def component_canonical(gc: PolyhedralCone):
     """Canonical form for equality tests; raises on shapes it cannot settle."""
     excl = _nontrivial_excludes(gc)
-    if _hull_is_subspace(gc.gens):
-        return ("subspace", row_space_canonical(gc.gens), excl)
-    gens = _minimal_generators(gc.gens)
+    if _hull_is_subspace(gc.generators):
+        return ("subspace", row_space_canonical(gc.generators), excl)
+    gens = _minimal_generators(gc.generators)
     if any(cone_contains(gens, vneg(g)) for g in gens):
         raise ExactnessError("cone with partial lineality has no canonical form here")
     return ("pointed", gens, excl)
@@ -497,7 +367,7 @@ def _reduced_canonicals(s: ConicSet) -> dict:
     collapsed and components absorbed into exclude-free hulls that
     contain them."""
     forms: dict[str, tuple] = {}
-    carriers: dict[str, GenCone] = {}
+    carriers: dict[str, PolyhedralCone] = {}
     for gc in set_gencones(s):
         canon = component_canonical(gc)
         key = repr(canon)
@@ -538,15 +408,15 @@ def conic_equal(s: ConicSet, t: ConicSet) -> bool:
     return False
 
 
-def _gens_inside(a: GenCone, b: GenCone) -> bool:
-    return all(cone_contains(b.gens, g) for g in a.gens)
+def _gens_inside(a: PolyhedralCone, b: PolyhedralCone) -> bool:
+    return all(cone_contains(b.generators, g) for g in a.generators)
 
 
 # ---------------------------------------------------------------------------
 # angular distance and containment reports
 
-def _float_gens(gc: GenCone) -> np.ndarray:
-    return np.array([[float(x) for x in g] for g in gc.gens], dtype=float)
+def _float_gens(gc: PolyhedralCone) -> np.ndarray:
+    return np.array([[float(x) for x in g] for g in gc.generators], dtype=float)
 
 
 def angular_distance_deg(s: ConicSet, direction) -> float:
@@ -561,9 +431,9 @@ def angular_distance_deg(s: ConicSet, direction) -> float:
     return min((_gencone_angle_deg(gc, w) for gc in set_gencones(s)), default=180.0)
 
 
-def _gencone_angle_deg(gc: GenCone, w: np.ndarray) -> float:
+def _gencone_angle_deg(gc: PolyhedralCone, w: np.ndarray) -> float:
     gens = _float_gens(gc)
-    if _hull_is_subspace(gc.gens):
+    if _hull_is_subspace(gc.generators):
         # orthogonal projection onto span, basis via SVD (QR column order
         # is not rank-revealing without pivoting)
         u, sv, _ = np.linalg.svd(gens.T, full_matrices=False)
@@ -631,61 +501,53 @@ def _mat_obj(m: Mat) -> list[list[list[int]]]:
     return [_vec_obj(r) for r in m]
 
 
-def component_to_obj(c: Component) -> dict:
-    if isinstance(c, PolyhedralCone):
+def set_to_obj(s: ConicSet) -> dict:
+    comps = []
+    for c in s.components:
         obj = {"kind": "polyhedral", "generators": _mat_obj(c.generators)}
         if c.excludes:
             obj["excludes"] = [_mat_obj(e) for e in c.excludes]
-        return obj
-    if isinstance(c, Ray):
-        return {"kind": "ray", "v": _vec_obj(c.v), "both": c.both}
-    if isinstance(c, GraphCone):
-        return {"kind": "graph", "A": _mat_obj(c.A)}
-    if isinstance(c, ProductCone):
-        def part(p, z):
-            if p is None:
-                return None
-            return {"set": set_to_obj(p), "zero": z}
-
-        return {
-            "kind": "product",
-            "x": part(c.x_part, c.x_includes_zero),
-            "xi": part(c.xi_part, c.xi_includes_zero),
-        }
-    raise TypeError(f"unknown component {c!r}")
+        comps.append(obj)
+    return {"dim": s.dim, "components": comps}
 
 
-def component_from_obj(obj: dict) -> Component:
+def _rational_mat(rows) -> Mat:
+    return mat([[frac(p) for p in row] for row in rows])
+
+
+def _component_from_obj(obj: dict) -> ConicSet:
+    """One JSON component, of any input kind, as the set it denotes."""
     kind = obj["kind"]
     if kind == "polyhedral":
-        gens = mat([[frac(p) for p in row] for row in obj["generators"]])
-        excludes = tuple(
-            mat([[frac(p) for p in row] for row in e]) for e in obj.get("excludes", [])
-        )
-        return PolyhedralCone(gens, excludes)
+        excludes = tuple(_rational_mat(e) for e in obj.get("excludes", []))
+        cone = PolyhedralCone(_rational_mat(obj["generators"]), excludes)
+        return ConicSet(cone.dim, (cone,))
     if kind == "ray":
-        return Ray(vec([frac(p) for p in obj["v"]]), bool(obj.get("both", False)))
+        return ray_set([frac(p) for p in obj["v"]], bool(obj.get("both", False)))
     if kind == "graph":
-        return GraphCone(mat([[frac(p) for p in row] for row in obj["A"]]))
+        return graph_set(_rational_mat(obj["A"]))
     if kind == "product":
         def part(p):
             if p is None:
                 return None, False
             return set_from_obj(p["set"]), bool(p.get("zero", False))
 
-        xp, xz = part(obj["x"])
-        xip, xiz = part(obj["xi"])
-        return ProductCone(xp, xip, xz, xiz)
+        (xp, xz), (xip, xiz) = part(obj["x"]), part(obj["xi"])
+        return product_set(xp, xip, xz, xiz)
     raise ValueError(f"unknown component kind {kind!r}")
 
 
-def set_to_obj(s: ConicSet) -> dict:
-    return {"dim": s.dim, "components": [component_to_obj(c) for c in s.components]}
-
-
 def set_from_obj(obj: dict) -> ConicSet:
-    comps = tuple(component_from_obj(c) for c in obj["components"])
-    return ConicSet(int(obj["dim"]), comps)
+    """Read a set written by `set_to_obj`, or given as a union of
+    `polyhedral`, `ray`, `graph` and `product` components."""
+    dim = int(obj["dim"])
+    comps = []
+    for c in obj["components"]:
+        part = _component_from_obj(c)
+        if part.dim != dim:
+            raise ValueError(f"component dimension {part.dim} != set dimension {dim}")
+        comps.extend(part.components)
+    return ConicSet(dim, tuple(comps))
 
 
 def set_to_json(s: ConicSet) -> str:

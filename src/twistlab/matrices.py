@@ -1,4 +1,4 @@
-"""Antisymmetric deformation matrices and the doubled chirp matrix.
+"""Antisymmetric deformation matrices.
 
 Antisymmetry is enforced by construction: only the strict upper triangle
 of the input is kept and the matrix is rebuilt as U - U^T, so
@@ -37,51 +37,6 @@ class AntisymmetricMatrix:
             raise ValueError("matrix is not antisymmetric")
         return cls(a.shape[0], a)
 
-    @classmethod
-    def zero(cls, n: int) -> "AntisymmetricMatrix":
-        return cls(n, np.zeros((n, n)))
-
-    @classmethod
-    def symplectic(cls, n: int) -> "AntisymmetricMatrix":
-        """The canonical block matrix [[0, I], [-I, 0]] on R^n, n = 2m."""
-        if n % 2 != 0:
-            raise ValueError("symplectic form needs even dimension")
-        m = n // 2
-        a = np.zeros((n, n))
-        a[:m, m:] = np.eye(m)
-        a[m:, :m] = -np.eye(m)
-        return cls(n, a)
-
     @property
     def matrix(self) -> np.ndarray:
         return self.entries
-
-    def is_invertible(self) -> bool:
-        return abs(np.linalg.det(self.entries)) > 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class ChirpMatrix:
-    """The deformation matrix theta together with its symmetric double.
-
-    The doubled matrix acts on stacked pairs K = (k, p) in R^{2n} and
-    satisfies K^T (Theta K) = k^T theta p; symmetry Theta^T = Theta is
-    exact by construction.
-    """
-
-    theta: AntisymmetricMatrix
-    Theta: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        n = self.theta.n
-        th = self.theta.matrix
-        big = np.zeros((2 * n, 2 * n))
-        big[:n, n:] = 0.5 * th
-        big[n:, :n] = -0.5 * th
-        # -(1/2) theta^T = +(1/2) theta, so the lower-left block equals
-        # the transpose of the upper-right one and Theta is symmetric.
-        object.__setattr__(self, "Theta", big)
-
-    @property
-    def n(self) -> int:
-        return self.theta.n

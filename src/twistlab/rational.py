@@ -149,21 +149,6 @@ def nullspace(a: Mat, ncols: int | None = None) -> list[Vec]:
     return basis
 
 
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One exact solution of A x = b, or None when inconsistent."""
-    if not a:
-        return None
-    ncols = len(a[0])
-    aug = tuple(row + (bv,) for row, bv in zip(a, b))
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for ri, pc in enumerate(pivots):
-        x[pc] = red[ri][ncols]
-    return tuple(x)
-
-
 def row_space_canonical(rows: Sequence[Vec]) -> Mat:
     """Canonical (rref, primitive-scaled) basis of the row space."""
     # an rref row leads with a 1, so its primitive ray is sign-normalised

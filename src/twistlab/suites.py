@@ -30,7 +30,6 @@ from .catalog import Chirp, Delta, GaussianPacket, PlaneWave, exact_wf, sample_a
 from .cones import (
     ConicSet,
     PolyhedralCone,
-    Ray,
     _projector,
     angular_distance_deg,
     conic_equal,
@@ -40,7 +39,6 @@ from .cones import (
     product_set,
     ray_set,
     set_gencones,
-    vec,
 )
 from .grids import SampledField, field_l2_distance, make_grid
 from .products import (
@@ -639,7 +637,7 @@ def _pointwise_theta0(wfu: ConicSet, wfv: ConicSet) -> bool:
     n = wfu.dim // 2
     for gu in set_gencones(wfu):
         for gv in set_gencones(wfv):
-            mu, mv = mat_t(gu.gens), mat_t(gv.gens)
+            mu, mv = mat_t(gu.generators), mat_t(gv.generators)
             cu, cv = len(mu[0]), len(mv[0])
             rows = []
             for i in range(n):                       # x parts vanish
@@ -769,13 +767,13 @@ def check_schwartz_factor_slice() -> CheckResult:
     th = _j_theta(2)
     r_keep = (Fraction(0), Fraction(1), Fraction(2), Fraction(0))   # x = -theta xi / 2
     r_drop = (Fraction(1), Fraction(0), Fraction(1), Fraction(0))
-    wfu = ConicSet(4, (Ray(vec(r_keep)), Ray(vec(r_drop))))
+    wfu = ConicSet(4, ray_set(r_keep).components + ray_set(r_drop).components)
     got = predicted_product_wf(wfu, empty_set(4), th)
     ok = conic_equal(got, ray_set(r_keep))
     # and symmetrically for the other factor
     got2 = predicted_product_wf(empty_set(4), wfu, th)
     sym_keep = (Fraction(0), Fraction(-1), Fraction(2), Fraction(0))  # x = +theta xi / 2
-    wfv = ConicSet(4, (Ray(vec(sym_keep)), Ray(vec(r_drop))))
+    wfv = ConicSet(4, ray_set(sym_keep).components + ray_set(r_drop).components)
     got2 = predicted_product_wf(empty_set(4), wfv, th)
     ok = ok and conic_equal(got2, ray_set(sym_keep))
     return _cond("schwartz-factor-slice", "product-wf-bound", ok)

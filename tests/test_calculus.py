@@ -263,6 +263,7 @@ def test_part_with_selectors_admitting_zero():
         assert existence_condition(u, s, theta).holds is existence_condition(u, t, theta).holds
     assert not existence_condition(s, s, [[0, 0], [0, 0]]).holds
     assert pair_condition(s).holds is pair_condition(t).holds
+    assert conic_equal(s, t)
 
 
 def test_pullback_identity():

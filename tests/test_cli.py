@@ -232,6 +232,7 @@ def test_cone_rational_theta_pairs(tmp_path):
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+_RAY_1 = {"dim": 1, "components": [{"kind": "ray", "v": [1]}]}
 _RAY_2 = {"dim": 2, "components": [{"kind": "ray", "v": [1, 0]}]}
 
 
@@ -244,6 +245,21 @@ _RAY_2 = {"dim": 2, "components": [{"kind": "ray", "v": [1, 0]}]}
      "u", "zero denominator"),
     ({"op": "pullback", "set": _RAY_2, "map": [[[1, 0]]]}, "map", "zero denominator"),
     ({"op": "pullback", "set": _RAY_2, "map": [["one"]]}, "map", "'one'"),
+    # sets the constructors refuse
+    ({"v": {"dim": 2, "components": [{"kind": "ray", "v": [0, 0]}]}},
+     "v", "ray direction must be nonzero"),
+    ({"u": {"dim": 2, "components": [{"kind": "graph", "A": [[1, 0]]}]}},
+     "u", "graph matrix must be square"),
+    ({"u": {"dim": 2, "components": [{"kind": "product", "x": None, "xi": None}]}},
+     "u", "product of {0} with {0} is empty"),
+    ({"v": {"dim": 2, "components": [{"kind": "product", "x": {"set": _RAY_2}, "xi": None}]}},
+     "v", "component dimension 4 != set dimension 2"),
+    ({"u": {"dim": 2, "components": [{"kind": "product", "x": None,
+                                      "xi": {"set": {"dim": 2, "components": []}}}]}},
+     "u", "component dimension 4 != set dimension 2"),
+    ({"v": {"dim": 4, "components": [{"kind": "product", "x": {"set": _RAY_2},
+                                      "xi": {"set": _RAY_1}}]}},
+     "v", "product parts must share the same dimension"),
 ])
 def test_cone_bad_rationals_exit_2(tmp_path, capsys, fragment, key, message):
     cfg = _write(tmp_path / "cone.json", {

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,7 @@ from hypothesis import strategies as st
 
 from twistlab.cones import (
     ConicSet,
-    GraphCone,
     PolyhedralCone,
-    ProductCone,
-    Ray,
     angular_containment,
     angular_distance_deg,
     conic_equal,
@@ -23,12 +21,13 @@ from twistlab.cones import (
     product_set,
     ray_set,
     set_from_json,
+    set_from_obj,
     set_to_json,
     subspace_set,
     wf_chirp_shear,
     wf_fourier_rotate,
 )
-from twistlab.rational import mat, vec
+from twistlab.rational import mat
 
 F = Fraction
 
@@ -159,7 +158,9 @@ def test_json_roundtrip():
         product_set(full_space(2), None),
         graph_set([[F(1), F(0)], [F(0), F(2)]]),
     ):
-        t = set_from_json(set_to_json(s))
+        text = set_to_json(s)
+        assert all(c["kind"] == "polyhedral" for c in json.loads(text)["components"])
+        t = set_from_json(text)
         assert t.dim == s.dim
         assert conic_equal(s, t)
 
@@ -212,32 +213,50 @@ _CUT_CONES = {
 }
 
 
+def _set_obj(n, *components):
+    return {"dim": n, "components": list(components)}
+
+
+def _cone_obj(gens, excludes=()):
+    obj = {"kind": "polyhedral", "generators": [list(g) for g in gens]}
+    if excludes:
+        obj["excludes"] = [[list(r) for r in e] for e in excludes]
+    return obj
+
+
+def _full_obj(n):
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    return _set_obj(n, _cone_obj(eye + [[-x for x in r] for r in eye]))
+
+
 @st.composite
 def _part(draw, n):
-    """A product part in R^n: (set or None, zero flag, predicate on
-    nonzero half vectors, a direction on it or None).  "cut" and, in
-    R^2, "nested" parts carry exclude selectors."""
+    """A product part in R^n: (set or None, its JSON input object or
+    None, zero flag, predicate on nonzero half vectors, a direction on it
+    or None).  "cut" and, in R^2, "nested" parts carry exclude selectors."""
     kinds = ["none", "empty", "ray", "cone", "full", "cut"]
     kind = draw(st.sampled_from(kinds + (["nested"] if n == 2 else [])))
     zero = draw(st.booleans())
     if kind == "cut":
         gens, excludes, pred = draw(st.sampled_from(_CUT_CONES[n]))
         cone = PolyhedralCone(mat(gens), tuple(mat(e) for e in excludes))
-        return ConicSet(n, (cone,)), zero, pred, gens[0]
+        return ConicSet(n, (cone,)), _set_obj(n, _cone_obj(gens, excludes)), zero, pred, gens[0]
     if kind == "nested":
-        comp, pred, hints = draw(_component(1))
-        return ConicSet(2, (comp,)), zero, pred, next((h for h in hints if any(h)), None)
+        s, obj, pred, hints = draw(_component(1))
+        hint = next((h for h in hints if any(h)), None)
+        return s, _set_obj(2, obj), zero, pred, hint
     if kind == "none":
-        return None, zero, lambda h: False, None
+        return None, None, zero, lambda h: False, None
     if kind == "empty":
-        return empty_set(n), zero, lambda h: False, None
+        return empty_set(n), _set_obj(n), zero, lambda h: False, None
     if kind == "ray":
         v, both = draw(_nonzero(n)), draw(st.booleans())
-        return ray_set(v, both), zero, lambda h: _on_ray(v, h, both), v
+        obj = _set_obj(n, {"kind": "ray", "v": list(v), "both": both})
+        return ray_set(v, both), obj, zero, lambda h: _on_ray(v, h, both), v
     if kind == "cone":
         gens, pred = draw(st.sampled_from(_CONES[n]))
-        return polyhedral(gens), zero, pred, gens[0]
-    return full_space(n), zero, lambda h: True, None
+        return polyhedral(gens), _set_obj(n, _cone_obj(gens)), zero, pred, gens[0]
+    return full_space(n), _full_obj(n), zero, lambda h: True, None
 
 
 def _part_holds(part, zero, pred, h):
@@ -248,12 +267,14 @@ def _part_holds(part, zero, pred, h):
 
 @st.composite
 def _component(draw, n):
-    """A component of R^{2n}, its closed-form membership predicate, and
-    directions worth probing."""
+    """One ray, graph or product of R^{2n} as a set, its JSON input
+    object, its closed-form membership predicate, and directions worth
+    probing."""
     kind = draw(st.sampled_from(["ray", "graph", "product"]))
     if kind == "ray":
         v, both = draw(_nonzero(2 * n)), draw(st.booleans())
-        return Ray(vec(v), both), (lambda w: _on_ray(v, w, both)), [v]
+        obj = {"kind": "ray", "v": list(v), "both": both}
+        return ray_set(v, both), obj, (lambda w: _on_ray(v, w, both)), [v]
     if kind == "graph":
         a = [draw(_vector(n)) for _ in range(n)]
 
@@ -263,25 +284,30 @@ def _component(draw, n):
                                   for i in range(n))
 
         x = draw(_nonzero(n))
-        return GraphCone(tuple(vec(r) for r in a)), on_graph, \
+        obj = {"kind": "graph", "A": [list(r) for r in a]}
+        return graph_set(a), obj, on_graph, \
             [x + tuple(sum(a[i][j] * x[j] for j in range(n)) for i in range(n))]
     xs, xis = draw(_part(n)), draw(_part(n))
-    if xs[0] is None and xis[0] is None:       # ProductCone refuses {0} x {0}
-        xis = full_space(n), False, lambda h: True, None
+    if xs[0] is None and xis[0] is None:       # product_set refuses {0} x {0}
+        xis = full_space(n), _full_obj(n), False, lambda h: True, None
 
     def in_product(w):
-        return _part_holds(*xs[:3], w[:n]) and _part_holds(*xis[:3], w[n:])
+        return _part_holds(xs[0], *xs[2:4], w[:n]) and _part_holds(xis[0], *xis[2:4], w[n:])
 
+    def part_obj(p):
+        return None if p[0] is None else {"set": p[1], "zero": p[2]}
+
+    obj = {"kind": "product", "x": part_obj(xs), "xi": part_obj(xis)}
     zero = (0,) * n
-    hints = [(xs[3] or zero) + (xis[3] or zero)]
-    hints += [(xs[3] or zero) + zero, zero + (xis[3] or zero)]
-    return ProductCone(xs[0], xis[0], xs[1], xis[1]), in_product, hints
+    hints = [(xs[4] or zero) + (xis[4] or zero)]
+    hints += [(xs[4] or zero) + zero, zero + (xis[4] or zero)]
+    return product_set(xs[0], xis[0], xs[2], xis[2]), obj, in_product, hints
 
 
 @st.composite
 def _member_case(draw):
     n = draw(st.sampled_from([1, 2]))
-    comp, pred, hints = draw(_component(n))
+    s, obj, pred, hints = draw(_component(n))
     zero = (0,) * n
     points = [
         zero + draw(_vector(n)),                       # x = 0 slice
@@ -291,13 +317,14 @@ def _member_case(draw):
     for h in hints:
         t = draw(st.sampled_from([-2, -1, 1, 2]))
         points.append(tuple(t * x for x in h))         # on the ray, or its reflection
-    return comp, pred, [p for p in points if any(p)]
+    return s, obj, pred, [p for p in points if any(p)]
 
 
 @settings(max_examples=200)
 @given(_member_case())
 def test_member_matches_closed_forms(case):
-    comp, pred, points = case
-    s = ConicSet(comp.dim, (comp,))
+    s, obj, pred, points = case
+    read = set_from_obj(_set_obj(s.dim, obj))
     for w in points:
-        assert member(s, w) == pred(w), (comp, w)
+        assert member(s, w) == pred(w), (obj, w)
+        assert member(read, w) == pred(w), (obj, w)

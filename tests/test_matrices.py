@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistlab.matrices import AntisymmetricMatrix, ChirpMatrix
+from twistlab.matrices import AntisymmetricMatrix
 
 
 def test_entries_exactly_antisymmetric():
@@ -30,23 +30,3 @@ def test_shape_and_finiteness():
         AntisymmetricMatrix(3, [[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError):
         AntisymmetricMatrix(2, [[0.0, np.inf], [0.0, 0.0]])
-
-
-def test_symplectic_form():
-    s = AntisymmetricMatrix.symplectic(4)
-    np.testing.assert_array_equal(s.matrix[:2, 2:], np.eye(2))
-    np.testing.assert_array_equal(s.matrix[2:, :2], -np.eye(2))
-    assert s.is_invertible()
-    assert not AntisymmetricMatrix.zero(3).is_invertible()
-    with pytest.raises(ValueError):
-        AntisymmetricMatrix.symplectic(3)
-
-
-def test_doubled_matrix_pairing(rng):
-    theta = AntisymmetricMatrix(3, rng.standard_normal((3, 3)))
-    big = ChirpMatrix(theta)
-    np.testing.assert_array_equal(big.Theta, big.Theta.T)
-    for _ in range(5):
-        k, p = rng.standard_normal(3), rng.standard_normal(3)
-        K = np.concatenate([k, p])
-        assert K @ (big.Theta @ K) == pytest.approx(k @ (theta.matrix @ p), rel=1e-12, abs=1e-12)

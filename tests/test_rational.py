@@ -13,14 +13,12 @@ from twistlab.rational import (
     frac,
     is_zero_vec,
     mat,
-    matvec,
     nonneg_solve,
     nullspace,
     primitive_ray,
     rank,
     row_space_canonical,
     rref,
-    solve,
     vec,
 )
 from twistlab.suites import _oracle_extreme_rays, _oracle_nonneg_solve
@@ -67,15 +65,6 @@ def test_nullspace_orthogonality():
         assert dot(row, basis[0]) == 0
 
 
-def test_solve_roundtrip():
-    a = mat([[2, 1], [1, 3]])
-    b = vec([5, 10])
-    x = solve(a, b)
-    assert x is not None
-    assert matvec(a, x) == b
-    assert solve(mat([[1, 1], [1, 1]]), vec([0, 1])) is None
-
-
 def test_extreme_rays_standard_form():
     # cone {w >= 0 : a w = 0}
     assert extreme_rays(mat([[1, 0], [0, 1]]), 2) == []          # only the origin
@@ -107,15 +96,6 @@ def test_primitive_ray_idempotent(v):
     # integer entries with content 1
     denoms = [Fraction(x).denominator for x in p]
     assert set(denoms) == {1}
-
-
-@given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
-def test_solve_verifies_when_consistent(a11, a12, a21, a22):
-    a = mat([[a11, a12], [a21, a22]])
-    b = vec([a11 + a12, a21 + a22])  # consistent by construction: x = (1, 1)
-    x = solve(a, b)
-    assert x is not None
-    assert matvec(a, x) == b
 
 
 entries = st.fractions(-3, 3, max_denominator=3)
