@@ -35,8 +35,9 @@ def _part(s, zero=False):
     return {"set": s, "zero": zero}
 
 
-# catalog sets: impulse {0} x R^n, plane wave R^n x {0}, chirp graphs,
-# plus single rays, a half plane admitting x = 0, and a product whose x part is itself a product
+# catalog sets: impulse {0} x R^n, plane wave R^n x {0}, chirp graphs;
+# plus rays, a half plane admitting x = 0, and a product whose x part is
+# itself a product
 SETS = {
     "delta1": _product(None, _part(_full(1)), 2),
     "plane1": _product(_part(_full(1)), None, 2),
@@ -107,10 +108,8 @@ def test_goldens_cover_the_cases():
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_name)
-def test_cone_report_matches_golden(tmp_path, capsys, case):
-    got = _report(case, tmp_path)
-    capsys.readouterr()
-    assert got == (GOLDEN_DIR / f"{_case_name(case)}.json").read_bytes()
+def test_cone_report_matches_golden(tmp_path, case):
+    assert _report(case, tmp_path) == (GOLDEN_DIR / f"{_case_name(case)}.json").read_bytes()
 
 
 if __name__ == "__main__":
