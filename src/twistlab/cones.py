@@ -29,7 +29,6 @@ from .rational import (
     Vec,
     cone_contains,
     extreme_rays,
-    frac,
     is_zero_vec,
     mat,
     mat_t,
@@ -511,21 +510,17 @@ def set_to_obj(s: ConicSet) -> dict:
     return {"dim": s.dim, "components": comps}
 
 
-def _rational_mat(rows) -> Mat:
-    return mat([[frac(p) for p in row] for row in rows])
-
-
 def _component_from_obj(obj: dict) -> ConicSet:
     """One JSON component, of any input kind, as the set it denotes."""
     kind = obj["kind"]
     if kind == "polyhedral":
-        excludes = tuple(_rational_mat(e) for e in obj.get("excludes", []))
-        cone = PolyhedralCone(_rational_mat(obj["generators"]), excludes)
+        excludes = tuple(mat(e) for e in obj.get("excludes", []))
+        cone = PolyhedralCone(mat(obj["generators"]), excludes)
         return ConicSet(cone.dim, (cone,))
     if kind == "ray":
-        return ray_set([frac(p) for p in obj["v"]], bool(obj.get("both", False)))
+        return ray_set(obj["v"], bool(obj.get("both", False)))
     if kind == "graph":
-        return graph_set(_rational_mat(obj["A"]))
+        return graph_set(obj["A"])
     if kind == "product":
         def part(p):
             if p is None:
