@@ -36,7 +36,8 @@ def _part(s, zero=False):
 
 
 # catalog sets: impulse {0} x R^n, plane wave R^n x {0}, chirp graphs;
-# plus rays, a half plane admitting x = 0, and a product whose x part is
+# plus rays, a half plane admitting x = 0, the open half plane xi > 0, a
+# wedge with its axis xi = 0 removed, and a product whose x part is
 # itself a product
 SETS = {
     "delta1": _product(None, _part(_full(1)), 2),
@@ -45,6 +46,10 @@ SETS = {
     "ray1": {"dim": 2, "components": [{"kind": "ray", "v": [1, 1], "both": True}]},
     "half1": _product(_part({"dim": 1, "components": [{"kind": "ray", "v": [1]}]}, True),
                       _part(_full(1)), 2),
+    "upper1": _product(_part(_full(1), True),
+                       _part({"dim": 1, "components": [{"kind": "ray", "v": [1]}]}), 2),
+    "slit1": {"dim": 2, "components": [{"kind": "polyhedral", "generators": [[1, 1], [1, -1]],
+                                        "excludes": [[[0, 1]]]}]},
     "delta2": _product(None, _part(_full(2)), 4),
     "plane2": _product(_part(_full(2)), None, 4),
     "chirp2": {"dim": 4, "components": [{"kind": "graph", "A": [[1, 0], [0, -1]]}]},
@@ -54,7 +59,8 @@ SETS = {
 
 THETA = {1: [[0]], 2: [[0, 1], [-1, 0]]}
 
-# (op, u, v or pullback map, theta dimension or None)
+# (op, u, v or pullback map or None, theta dimension or None); for
+# shift_algebra u and v are gamma1 and gamma2, for pair_condition u is gamma
 CASES = [
     ("existence", "delta1", "delta1", 1),
     ("existence", "chirp1", "ray1", 1),
@@ -79,18 +85,35 @@ CASES = [
     ("pullback", "nested2", [[2, 0], [0, 1]], None),
     ("pullback", "chirp1", [[3]], None),
     ("pullback", "half1", [[-2]], None),
+    ("pair_condition", "delta1", None, None),
+    ("pair_condition", "half1", None, None),
+    ("pair_condition", "upper1", None, None),
+    ("pair_condition", "chirp2", None, None),
+    ("pair_condition", "nested2", None, None),
+    ("shift_algebra", "half1", "half1", 2),
+    ("shift_algebra", "plane1", "upper1", 2),
+    ("shift_algebra", "half1", "slit1", 2),
+    ("shift_algebra", "upper1", "ray1", 2),
+    ("shift_algebra", "delta1", "chirp1", 2),
 ]
 
 
 def _case_name(case) -> str:
     op, u, v, n = case
-    return f"{op}-{u}-{v}" if n else f"{op}-{u}-{len(v)}x{len(v[0])}"
+    if op == "pullback":
+        return f"{op}-{u}-{len(v)}x{len(v[0])}"
+    return f"{op}-{u}-{v}" if v else f"{op}-{u}"
 
 
 def _config(case) -> dict:
     op, u, v, n = case
     if op == "pullback":
         return {"schema_version": 1, "op": op, "set": SETS[u], "map": v}
+    if op == "pair_condition":
+        return {"schema_version": 1, "op": op, "gamma": SETS[u]}
+    if op == "shift_algebra":
+        return {"schema_version": 1, "op": op, "theta": THETA[n],
+                "gamma1": SETS[u], "gamma2": SETS[v]}
     return {"schema_version": 1, "op": op, "theta": THETA[n], "u": SETS[u], "v": SETS[v]}
 
 
