@@ -1,19 +1,22 @@
 """Exact conic calculus: product existence, predicted wavefront sets,
 cone algebra conditions, and the pullback transform.
 
-All verdicts here are exact over rational arithmetic.  The workhorse is
-nonnegative feasibility with "nonzero" side conditions: a pointed cone
-C = {w >= 0 : A w = 0} admits a point with S_j w != 0 for every selector
-S_j if and only if each selector individually is nonzero somewhere on C
-(a convex cone is never covered by finitely many proper subspace
-slices), and an explicit witness is a positive combination sum t^i r_i
-of the extreme rays r_i for all but finitely many t > 0.
+All verdicts here are exact over rational arithmetic.  Every yes/no
+verdict is one witness search (`_witness`) over tuples of generator
+cones.  Its workhorse is nonnegative feasibility with "nonzero" side
+conditions: a pointed cone C = {w >= 0 : A w = 0} admits a point with
+S_j w != 0 for every selector S_j if and only if each selector
+individually is nonzero somewhere on C (a convex cone is never covered
+by finitely many proper subspace slices), and an explicit witness is a
+positive combination sum t^i r_i of the extreme rays r_i for all but
+finitely many t > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, product
 
 from .matrices import AntisymmetricMatrix
 from .rational import (
@@ -40,6 +43,7 @@ from .cones import (
     _projector,
     _rational_inverse,
     _zeros,
+    member,
     set_gencones,
     wf_fourier_rotate,
 )
@@ -130,39 +134,32 @@ def feasible_with_nonzero(a: Mat, ncols: int, selectors: list[Mat]) -> Vec | Non
     raise RuntimeError("generic witness search failed; selector degrees exceeded bound")
 
 
-def _lift_excludes(gc: PolyhedralCone, gmat: Mat, offset_cols: int, total_cols: int) -> list[Mat]:
-    """Component selectors E v != 0 expressed on the stacked weight vector."""
-    rest = total_cols - offset_cols - len(gc.generators)
-    return [
-        _hcat(_zeros(len(e), offset_cols), matmul(e, gmat), _zeros(len(e), rest))
-        for e in gc.excludes
-    ]
+def _witness(sets: tuple[ConicSet, ...], rows: Mat, nonzero: Mat) -> tuple[Vec, ...] | None:
+    """Points p_i in sets[i] whose stack p = (p_1, ..., p_m) has rows p = 0
+    and nonzero p != 0, or None.
 
-
-def _joint_witness(wfu: ConicSet, wfv: ConicSet, mu: Mat, mv: Mat,
-                   nonzero: Mat) -> tuple[Vec, Vec] | None:
-    """Primitive p in wfu and q in wfv with mu p + mv q = 0 and
-    nonzero p != 0, or None.
-
-    Both points also satisfy every exclude selector of their generator
-    cones.  This is the one search behind the exact yes/no verdicts: one
-    `feasible_with_nonzero` call per pair of generator cones, in set order.
+    Every point also satisfies the exclude selectors of its generator
+    cone.  This is the one search behind every exact yes/no verdict: one
+    `feasible_with_nonzero` call per tuple of generator cones, one from
+    each set, in `itertools.product` order.  The stacked point is scaled
+    to a primitive ray as a whole, so the points keep their relation.
     """
-    cvs = set_gencones(wfv)
-    gvs = [_gen_matrix(cv) for cv in cvs]
-    mvgs = [matmul(mv, gv) for gv in gvs]
-    for cu in set_gencones(wfu):
-        gu = _gen_matrix(cu)
-        ku = len(cu.generators)
-        mug, sel = matmul(mu, gu), matmul(nonzero, gu)
-        for cv, gv, mvg in zip(cvs, gvs, mvgs):
-            kv = len(cv.generators)
-            selectors = [_hcat(sel, _zeros(len(sel), kv))]
-            selectors += _lift_excludes(cu, gu, 0, ku + kv)
-            selectors += _lift_excludes(cv, gv, ku, ku + kv)
-            w = feasible_with_nonzero(_hcat(mug, mvg), ku + kv, selectors)
-            if w is not None:
-                return primitive_ray(matvec(gu, w[:ku])), primitive_ray(matvec(gv, w[ku:]))
+    ends = tuple(accumulate(s.dim for s in sets))
+    pads = [(e - s.dim, ends[-1] - e) for s, e in zip(sets, ends)]
+
+    def lift(v: Vec, i: int) -> Vec:
+        return (ZERO,) * pads[i][0] + v + (ZERO,) * pads[i][1]
+
+    for cones in product(*(set_gencones(s) for s in sets)):
+        g = mat_t([lift(v, i) for i, c in enumerate(cones) for v in c.generators])
+        selectors = [matmul(nonzero, g)] + [
+            matmul(tuple(lift(r, i) for r in e), g)
+            for i, c in enumerate(cones) for e in c.excludes
+        ]
+        w = feasible_with_nonzero(matmul(rows, g), len(g[0]), selectors)
+        if w is not None:
+            point = primitive_ray(matvec(g, w))
+            return tuple(point[e - s.dim:e] for s, e in zip(sets, ends))
     return None
 
 
@@ -194,7 +191,7 @@ def existence_condition(wfu: ConicSet, wfv: ConicSet, theta) -> ExistenceResult:
     slice_rows = _mat_sub(px, matmul(_scale_mat(Fraction(1, 2), tm), pxi))
     mu = _scale_mat(-ONE, _flip(n)) + slice_rows
     mv = _identity(2 * n) + _zeros(n, 2 * n)
-    w = _joint_witness(wfu, wfv, mu, mv, _identity(2 * n))
+    w = _witness((wfu, wfv), _hcat(mu, mv), _hcat(_identity(2 * n), _zeros(2 * n, 2 * n)))
     return ExistenceResult(w is None, w)
 
 
@@ -216,7 +213,7 @@ def existence_condition_theta_inv(wfu: ConicSet, wfv: ConicSet, theta) -> Existe
     # xi_p = 2 theta^{-1} x_p, x_q = x_p, xi_q = -2 theta^{-1} x_q
     mu = _mat_sub(pxi, ti2px) + _scale_mat(-ONE, px) + zero
     mv = zero + px + _mat_add(pxi, ti2px)
-    w = _joint_witness(wfu, wfv, mu, mv, px)
+    w = _witness((wfu, wfv), _hcat(mu, mv), _hcat(px, _zeros(n, 2 * n)))
     return ExistenceResult(w is None, w, "theta-inverse")
 
 
@@ -341,41 +338,33 @@ def _check_additive_salient(gamma2: ConicSet) -> ConditionCheck:
     comps = set_gencones(gamma2)
     if not comps:
         return ConditionCheck(name, True, True, note="empty cone")
-    # salience within and across components: no two members sum to zero
-    for i, ci in enumerate(comps):
-        gi = _gen_matrix(ci)
-        ki = len(ci.generators)
-        rays = extreme_rays(gi, ki)
-        if rays:
-            nu = rays[0]
-            i0 = next(t for t, x in enumerate(nu) if x != 0)
-            v1 = vscale(nu[i0], ci.generators[i0])
-            return ConditionCheck(
-                name, False, True, (primitive_ray(v1), primitive_ray(vneg(v1))),
-                "two members sum to zero",
-            )
-        for cj in comps[i + 1:]:
-            gj = _gen_matrix(cj)
-            kj = len(cj.generators)
-            sel = [_hcat(gi, _zeros(len(gi), kj))]
-            w = feasible_with_nonzero(_hcat(gi, gj), ki + kj, sel)
-            if w is not None:
-                v1 = matvec(gi, w[:ki])
-                return ConditionCheck(
-                    name, False, True, (primitive_ray(v1), primitive_ray(vneg(v1))),
-                    "members of two components sum to zero",
-                )
+    d = gamma2.dim
+    p_nonzero = _hcat(_identity(d), _zeros(d, d))
+    # salience, within one cone and across two: no members p, q with p + q = 0
+    w = _witness((gamma2, gamma2), _hcat(_identity(d), _identity(d)), p_nonzero)
+    if w is not None:
+        return ConditionCheck(name, False, True, w, "two members sum to zero")
     if len(comps) == 1:
-        return ConditionCheck(name, True, True, note="convex component; closure automatic")
-    # union: additive closure checked on pairwise generator sums (necessary);
+        # p + q != 0 lies in the hull, so it leaves the cone iff a selector
+        # E removes it: E (p + q) = 0
+        for e in comps[0].excludes:
+            w = _witness((gamma2, gamma2), _hcat(e, e), p_nonzero)
+            if w is not None:
+                p, q = w
+                return ConditionCheck(name, False, True, (p, q, primitive_ray(vadd(p, q))),
+                                      "sum of two members leaves the cone")
+        note = ("no sum of two members meets an excluded slice" if comps[0].excludes
+                else "closure automatic")
+        return ConditionCheck(name, True, True, note=f"convex component; {note}")
+    # union: additive closure checked on sums of member generators (necessary);
     # salience holds, so no sum below is zero
-    hulls = [c.generators for c in comps]
-    for i, ha in enumerate(hulls):
-        for hb in hulls[i + 1:]:
+    gens = [[g for g in c.generators if member(gamma2, g)] for c in comps]
+    for i, ha in enumerate(gens):
+        for hb in gens[i + 1:]:
             for ga in ha:
                 for gb in hb:
                     ssum = vadd(ga, gb)
-                    if not any(cone_contains(h, ssum) for h in hulls):
+                    if not member(gamma2, ssum):
                         return ConditionCheck(
                             name, False, True, (ga, gb, primitive_ray(ssum)),
                             "generator sum escapes the union",
@@ -488,10 +477,9 @@ def pair_condition(gamma: ConicSet) -> PairConditionResult:
     if gamma.dim % 2 != 0:
         raise ValueError("phase space dimension must be even")
     flip, eye = _flip(gamma.dim // 2), _identity(gamma.dim)
-    w = _joint_witness(gamma, gamma, _scale_mat(-ONE, flip), eye, eye)
-    if w is None:
-        return PairConditionResult(True, None)
-    return PairConditionResult(False, (w[0], matvec(flip, w[0])))
+    w = _witness((gamma, gamma), _hcat(_scale_mat(-ONE, flip), eye),
+                 _hcat(eye, _zeros(gamma.dim, gamma.dim)))
+    return PairConditionResult(w is None, w)
 
 
 @dataclass(frozen=True)
@@ -517,24 +505,13 @@ def wf_pullback(s: ConicSet, amap) -> PullbackResult:
         raise ValueError(f"set dimension {s.dim} does not match map rows {m}")
     px, pxi = _projector(m, 0), _projector(m, 1)
     at = mat_t(am)
-    defined = True
-    witness = None
-    comps = set_gencones(s)
-    for gc in comps:
-        g = _gen_matrix(gc)
-        a = matmul(px, g) + matmul(at, matmul(pxi, g))
-        selectors = [matmul(pxi, g)]
-        selectors += [matmul(e, g) for e in gc.excludes]
-        w = feasible_with_nonzero(a, len(gc.generators), selectors)
-        if w is not None:
-            defined = False
-            witness = primitive_ray(matvec(g, w))
-            break
+    # s meets the conormal set: (y, eta) in s with y = 0, A^T eta = 0, eta != 0
+    w = _witness((s,), px + matmul(at, pxi), pxi)
     out_comps: list[PolyhedralCone] = []
     # for invertible A, a selector E on (y, eta) reads E diag(A, A^{-T}) on (x, xi)
     inv = _rational_inverse(am) if m == n else None
     lift = _block(am, _zeros(n, n), _zeros(n, n), mat_t(inv)) if inv is not None else None
-    for gc in comps:
+    for gc in set_gencones(s):
         g = _gen_matrix(gc)
         sys = _hcat(am, _scale_mat(-ONE, am), _scale_mat(-ONE, matmul(px, g)))
         at_eta = matmul(at, matmul(pxi, g))
@@ -554,4 +531,5 @@ def wf_pullback(s: ConicSet, amap) -> PullbackResult:
             kgens.append(primitive_ray(v))
             kgens.append(primitive_ray(vneg(v)))
         out_comps.append(PolyhedralCone(tuple(kgens)))
-    return PullbackResult(defined, ConicSet(2 * n, tuple(out_comps)), witness)
+    return PullbackResult(w is None, ConicSet(2 * n, tuple(out_comps)),
+                          None if w is None else w[0])

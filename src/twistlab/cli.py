@@ -16,7 +16,6 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 
 _SCHEMA = 1
 
@@ -215,7 +214,8 @@ def _cmd_product(args, out: Path) -> int:
     op = cfg.get("op", "star" if args.command == "star" else "product")
     if op not in ("star", "product", "pointwise"):
         raise ConfigError(f"op: expected star|product|pointwise, got {op!r}")
-    theta = cfg.get("theta", [[0.0] * grid.n for _ in range(grid.n)])
+    theta = [[float(x) for x in row]
+             for row in _rational_matrix(cfg.get("theta", [[0] * grid.n] * grid.n), "theta")]
     left = _field_from(_need(cfg, "left"), grid, "left")
     right = _field_from(_need(cfg, "right"), grid, "right")
     if op == "star":
@@ -232,7 +232,7 @@ def _cmd_product(args, out: Path) -> int:
         csv_path.write_text(_field_csv(result))
         outputs["csv"] = csv_path.name
     resolved = dict(cfg)
-    resolved.update({"op": op, "theta": np.asarray(theta, dtype=float).tolist()})
+    resolved.update({"op": op, "theta": theta})
     _run_record(out, args.command, resolved, outputs)
     return 0
 
@@ -352,7 +352,7 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
         predicted_star_wf,
         wf_pullback,
     )
-    from .cones import set_to_obj
+    from .cones import _vec_obj, set_to_obj
 
     failed = False
     if op in ("existence", "existence_theta_inv"):
@@ -361,7 +361,7 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
         fn = existence_condition if op == "existence" else existence_condition_theta_inv
         res = fn(u, v, theta if theta is not None else _zero_theta_frac(u.dim // 2))
         doc["holds"] = bool(res)
-        doc["witness"] = _witness_obj(res.witness)
+        doc["witness"] = None if res.holds else [_vec_obj(p) for p in res.witness]
         failed = not bool(res)
     elif op == "shift_algebra":
         g1 = _cone_set(_need(cfg, "gamma1"), "gamma1")
@@ -372,7 +372,8 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
         doc["verdict"] = rep.verdict
         doc["conditions"] = [
             {"name": c.name, "passed": c.passed, "exact": c.exact,
-             "witness": _witness_obj(c.witness), "note": c.note}
+             "witness": None if c.witness is None else [_vec_obj(p) for p in c.witness],
+             "note": c.note}
             for c in rep.conditions
         ]
         failed = not rep.passed
@@ -380,7 +381,7 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
         g = _cone_set(_need(cfg, "gamma"), "gamma")
         res = pair_condition(g)
         doc["holds"] = bool(res)
-        doc["witness"] = _witness_obj(res.witness)
+        doc["witness"] = None if res.holds else [_vec_obj(p) for p in res.witness]
         failed = not bool(res)
     elif op in ("predict_product", "predict_star"):
         u = _cone_set(_need(cfg, "u"), "u")
@@ -394,7 +395,7 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
         res = wf_pullback(s, amap)
         doc["defined"] = res.defined
         doc["wavefront"] = set_to_obj(res.wavefront) if res.defined else None
-        doc["witness"] = _witness_obj(res.undefined_witness)
+        doc["witness"] = None if res.defined else _vec_obj(res.undefined_witness)
         failed = not res.defined
     else:
         raise ConfigError(f"op: unknown cone operation {op!r}")
@@ -403,21 +404,6 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
 
 def _zero_theta_frac(n: int):
     return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-
-
-def _witness_obj(w):
-    if w is None:
-        return None
-
-    def enc(v):
-        return [[x.numerator, x.denominator] for x in v]
-
-    if isinstance(w, tuple) and w and isinstance(w[0], tuple) \
-            and w[0] and isinstance(w[0][0], Fraction):
-        return [enc(v) for v in w]
-    if isinstance(w, tuple) and w and isinstance(w[0], Fraction):
-        return enc(w)
-    return repr(w)
 
 
 def _cmd_verify(args, out: Path) -> int:

@@ -45,10 +45,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class ExactnessError(Exception):
-    """Raised when set equality meets a cone shape it cannot canonicalise."""
-
-
 def _identity(d: int) -> Mat:
     return tuple(tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d))
 
@@ -324,9 +320,20 @@ def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
 # canonical forms and equality
 
 @lru_cache(maxsize=256)
-def _hull_is_subspace(gens: Mat) -> bool:
-    # pure in the exact generators; angular distances ask once per ray
-    return all(cone_contains(gens, vneg(g)) for g in gens)
+def _lineality_split(gens: Mat) -> tuple[Mat, tuple[Vec, ...]]:
+    """The `row_space_canonical` basis of the lineality space of
+    cone(gens), which the generators g with -g in the hull span, and the
+    minimal generators of the cone's projection onto the orthogonal
+    complement of that space.  The projection is pointed, so both parts
+    are canonical.  Pure in the exact generators; angular distances ask
+    once per cone."""
+    lin = row_space_canonical([g for g in gens if cone_contains(gens, vneg(g))])
+    if lin:
+        # g minus its orthogonal projection lin^T (lin lin^T)^{-1} lin g
+        gram_inv, lin_t = _rational_inverse(matmul(lin, mat_t(lin))), mat_t(lin)
+        gens = [tuple(x - y for x, y in zip(g, matvec(lin_t, matvec(gram_inv, matvec(lin, g)))))
+                for g in gens]
+    return lin, _minimal_generators([g for g in gens if not is_zero_vec(g)])
 
 
 def _minimal_generators(gens: Mat) -> tuple[Vec, ...]:
@@ -351,14 +358,10 @@ def _nontrivial_excludes(gc: PolyhedralCone) -> tuple[Mat, ...]:
 
 
 def component_canonical(gc: PolyhedralCone):
-    """Canonical form for equality tests; raises on shapes it cannot settle."""
-    excl = _nontrivial_excludes(gc)
-    if _hull_is_subspace(gc.generators):
-        return ("subspace", row_space_canonical(gc.generators), excl)
-    gens = _minimal_generators(gc.generators)
-    if any(cone_contains(gens, vneg(g)) for g in gens):
-        raise ExactnessError("cone with partial lineality has no canonical form here")
-    return ("pointed", gens, excl)
+    """Canonical form for equality tests: the lineality basis, the pointed
+    generators of the rest (`_lineality_split`) and the selectors that cut
+    the hull."""
+    return _lineality_split(gc.generators) + (_nontrivial_excludes(gc),)
 
 
 def _reduced_canonicals(s: ConicSet) -> dict:
@@ -386,8 +389,6 @@ def _reduced_canonicals(s: ConicSet) -> dict:
 def conic_equal(s: ConicSet, t: ConicSet) -> bool:
     """Exact set equality via canonical component forms.
 
-    Supports sets whose components canonicalize to subspaces or pointed
-    cones; raises ExactnessError otherwise.
     Duplicate and absorbed components collapse first; unions that match
     the other side only through a genuinely different decomposition are
     out of scope and compare unequal.
@@ -432,7 +433,7 @@ def angular_distance_deg(s: ConicSet, direction) -> float:
 
 def _gencone_angle_deg(gc: PolyhedralCone, w: np.ndarray) -> float:
     gens = _float_gens(gc)
-    if _hull_is_subspace(gc.generators):
+    if not _lineality_split(gc.generators)[1]:
         # orthogonal projection onto span, basis via SVD (QR column order
         # is not rank-revealing without pivoting)
         u, sv, _ = np.linalg.svd(gens.T, full_matrices=False)

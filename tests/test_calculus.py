@@ -154,6 +154,27 @@ def test_yes_no_witnesses_solve_their_equations(case):
         if not pc.holds:
             p, fp = pc.witness
             assert member(gamma, p) and member(gamma, fp) and fp == _flip(p)
+        _assert_salience_witness(gamma)
+        # y = A x with A = (1, 1)^T: the conormal set is (0, eta), eta1 + eta2 = 0
+        pb = wf_pullback(gamma, ((F(1),), (F(1),)))
+        if not pb.defined:
+            w = pb.undefined_witness
+            assert member(gamma, w) and w[:2] == (0, 0) and w[2] + w[3] == 0
+
+
+def _assert_salience_witness(gamma):
+    """A failing additive-salient witness holds members only and solves
+    its relation: (v, -v), or (a, b, a + b) with a + b not a member."""
+    c = shift_algebra_check(gamma, gamma, [[0] * gamma.dim] * gamma.dim).additive_salient
+    if c.passed:
+        return
+    a, b, *rest = c.witness
+    assert member(gamma, a) and member(gamma, b)
+    if rest:
+        assert primitive_ray(tuple(x + y for x, y in zip(a, b))) == rest[0]
+        assert not member(gamma, rest[0])
+    else:
+        assert b == tuple(-x for x in a)
 
 
 def test_theta_inverse_requires_invertible():
@@ -217,6 +238,28 @@ def test_shift_algebra_double_cone_fails_with_witness():
     a, b = c.witness[0], c.witness[1]
     assert tuple(x + y for x, y in zip(a, b)) == (0, 0)
     assert member(double, a) and member(double, b)
+
+
+def test_salience_ignores_points_outside_the_set():
+    # the open half plane xi > 0: (1, 0) and (-1, 0) sum to zero but are
+    # not members, so the set is additively salient and closed
+    upper = product_set(full_space(1), ray_set((1,)), x_includes_zero=True)
+    c = shift_algebra_check(upper, upper, ZERO2).additive_salient
+    assert c.passed and c.exact and c.witness is None
+    _assert_salience_witness(upper)
+
+
+def test_closure_sees_excluded_slices():
+    # the wedge |xi| <= x without its axis xi = 0: (1, 1) + (1, -1) = (2, 0)
+    # lies on the removed slice, so the cone is not closed under addition
+    slit = ConicSet(2, (PolyhedralCone(((F(1), F(1)), (F(1), F(-1))), (((F(0), F(1)),),)),))
+    c = shift_algebra_check(slit, slit, ZERO2).additive_salient
+    assert not c.passed and c.exact
+    assert c.witness[2] == (1, 0)
+    _assert_salience_witness(slit)
+    # without the selector the closed wedge is closed under addition
+    wedge = polyhedral([(1, 1), (1, -1)])
+    assert shift_algebra_check(wedge, wedge, ZERO2).additive_salient.note.endswith("automatic")
 
 
 def test_pair_condition_verdicts():

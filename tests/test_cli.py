@@ -91,6 +91,41 @@ def test_non_antisymmetric_theta_exit_2(tmp_path):
     assert main(["star", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", ["product", "star"])
+def test_product_theta_rationals_match_floats(tmp_path, command):
+    # theta entries read as in `cone`: [num, den] pairs and "p/q" strings
+    # give the bytes of the equal floats
+    def run(theta, name):
+        cfg = _write(tmp_path / f"{name}.json", {
+            "schema_version": 1,
+            "grid": {"n": 2, "N": 8, "L": 4.0},
+            "theta": theta,
+            "left": {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": 1.0},
+            "right": {"kind": "gaussian", "mu": [0.5, 0.0], "sigma": 1.2},
+        })
+        out = tmp_path / name
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        return (out / f"{command}_field.json").read_bytes()
+
+    floats = run([[0.0, 0.5], [-0.5, 0.0]], "floats")
+    assert run([[[0, 1], [1, 2]], [[-1, 2], [0, 1]]], "pairs") == floats
+    assert run([["0", "1/2"], ["-1/2", "0"]], "strings") == floats
+
+
+@pytest.mark.parametrize("theta", [[[0, [1, 0]], [[-1, 1], 0]], [[0, "x"], ["y", 0]], 5])
+def test_product_bad_theta_entry_exit_2(tmp_path, capsys, theta):
+    cfg = _write(tmp_path / "job.json", {
+        "schema_version": 1,
+        "grid": {"n": 2, "N": 8, "L": 4.0},
+        "theta": theta,
+        "left": {"kind": "delta", "a": [0.0, 0.0]},
+        "right": {"kind": "delta", "a": [0.0, 0.0]},
+    })
+    assert main(["product", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "theta: " in err and "Traceback" not in err
+
+
 def test_unknown_schema_version(tmp_path):
     cfg = _write(tmp_path / "job.json", {"schema_version": 99, "grid": {"n": 1, "N": 8, "L": 1.0}})
     assert main(["product", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -297,6 +332,28 @@ def test_cone_past_enumeration_budget_exit_2(tmp_path, capsys):
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "op existence" in err and "candidate supports" in err
+    assert "Traceback" not in err
+
+
+def test_cone_shift_algebra_past_salience_budget_exit_2(tmp_path, capsys):
+    # salience searches pairs of a cone's generators, 2k columns: in R^4
+    # eleven generators are past rational.MAX_SUPPORTS
+    import random
+
+    from twistlab.cones import polyhedral, set_to_obj
+
+    rng = random.Random(5)
+    gens = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(11)]
+    cfg = _write(tmp_path / "cone.json", {
+        "schema_version": 1,
+        "op": "shift_algebra",
+        "theta": [[0] * 4 for _ in range(4)],
+        "gamma1": set_to_obj(polyhedral([[1, 0, 0, 0]])),
+        "gamma2": set_to_obj(polyhedral(gens)),
+    })
+    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "op shift_algebra" in err and "candidate supports" in err
     assert "Traceback" not in err
 
 

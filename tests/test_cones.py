@@ -125,6 +125,15 @@ def test_conic_equal_reduction():
     assert not conic_equal(ray_set((1, 0)), ray_set((0, 1)))
 
 
+def test_conic_equal_partial_lineality():
+    # a closed half plane: lineality xi-axis, pointed part x >= 0
+    h = polyhedral([(1, 0), (0, 1), (0, -1)])
+    assert conic_equal(h, h)
+    assert conic_equal(h, polyhedral([(1, 1), (0, 1), (0, -1)]))
+    assert not conic_equal(h, polyhedral([(1, 0), (0, 1)]))
+    assert not conic_equal(h, full_space(2))
+
+
 def test_angular_distance_known_values():
     axis = ray_set((1, 0))
     assert angular_distance_deg(axis, (1, 0)) == pytest.approx(0.0, abs=1e-12)
