@@ -24,25 +24,28 @@ from .rational import (
     Vec,
     cone_contains,
     extreme_rays,
+    hcat,
+    identity,
+    inverse,
     is_zero_vec,
+    madd,
     mat,
     mat_t,
     matmul,
     matvec,
+    mscale,
     nullspace,
     primitive_ray,
     vadd,
     vneg,
     vscale,
+    zeros,
 )
 from .cones import (
     ConicSet,
     PolyhedralCone,
-    _block,
-    _identity,
     _projector,
-    _rational_inverse,
-    _zeros,
+    full_space,
     member,
     set_gencones,
     wf_fourier_rotate,
@@ -73,34 +76,9 @@ def as_rational_antisym(theta, n: int) -> Mat:
     return tm
 
 
-def _hcat(*blocks: Mat) -> Mat:
-    blocks = tuple(b for b in blocks if b)
-    rows = len(blocks[0])
-    return tuple(
-        tuple(x for b in blocks for x in b[i]) for i in range(rows)
-    )
-
-
-def _scale_mat(c: Fraction, a: Mat) -> Mat:
-    return tuple(tuple(c * x for x in r) for r in a)
-
-
-def _mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _gen_matrix(gc: PolyhedralCone) -> Mat:
-    """Generators as columns (d x k)."""
-    return mat_t(gc.generators)
-
-
 def _flip(n: int) -> Mat:
     """F: (x, xi) -> (x, -xi) on R^{2n}."""
-    return _projector(n, 0) + _scale_mat(-ONE, _projector(n, 1))
+    return _projector(n, 0) + mscale(-ONE, _projector(n, 1))
 
 
 def _half_dim(wfu: ConicSet, wfv: ConicSet) -> int:
@@ -134,16 +112,12 @@ def feasible_with_nonzero(a: Mat, ncols: int, selectors: list[Mat]) -> Vec | Non
     raise RuntimeError("generic witness search failed; selector degrees exceeded bound")
 
 
-def _witness(sets: tuple[ConicSet, ...], rows: Mat, nonzero: Mat) -> tuple[Vec, ...] | None:
-    """Points p_i in sets[i] whose stack p = (p_1, ..., p_m) has rows p = 0
-    and nonzero p != 0, or None.
-
-    Every point also satisfies the exclude selectors of its generator
-    cone.  This is the one search behind every exact yes/no verdict: one
-    `feasible_with_nonzero` call per tuple of generator cones, one from
-    each set, in `itertools.product` order.  The stacked point is scaled
-    to a primitive ray as a whole, so the points keep their relation.
-    """
+def _stacked(sets: tuple[ConicSet, ...]):
+    """For each tuple of generator cones, one from each set, in
+    `itertools.product` order: the matrix G whose columns are the cones'
+    generators stacked block-diagonally, so that G w = (p_1, ..., p_m)
+    with p_i in the hull of the i-th cone for every w >= 0, and the cones'
+    exclude selectors as selectors on that stacked point."""
     ends = tuple(accumulate(s.dim for s in sets))
     pads = [(e - s.dim, ends[-1] - e) for s, e in zip(sets, ends)]
 
@@ -152,15 +126,53 @@ def _witness(sets: tuple[ConicSet, ...], rows: Mat, nonzero: Mat) -> tuple[Vec, 
 
     for cones in product(*(set_gencones(s) for s in sets)):
         g = mat_t([lift(v, i) for i, c in enumerate(cones) for v in c.generators])
-        selectors = [matmul(nonzero, g)] + [
-            matmul(tuple(lift(r, i) for r in e), g)
-            for i, c in enumerate(cones) for e in c.excludes
-        ]
+        yield g, [tuple(lift(r, i) for r in e) for i, c in enumerate(cones) for e in c.excludes]
+
+
+def _witness(sets: tuple[ConicSet, ...], rows: Mat, nonzero: Mat) -> tuple[Vec, ...] | None:
+    """Points p_i in sets[i] whose stack p = (p_1, ..., p_m) has rows p = 0
+    and nonzero p != 0, or None.
+
+    Every point also satisfies the exclude selectors of its generator
+    cone.  This is the one search behind every exact yes/no verdict: one
+    `feasible_with_nonzero` call per tuple of `_stacked` generator cones.
+    The stacked point is scaled to a primitive ray as a whole, so the
+    points keep their relation.
+    """
+    ends = tuple(accumulate(s.dim for s in sets))
+    for g, excludes in _stacked(sets):
+        selectors = [matmul(e, g) for e in (nonzero, *excludes)]
         w = feasible_with_nonzero(matmul(rows, g), len(g[0]), selectors)
         if w is not None:
             point = primitive_ray(matvec(g, w))
             return tuple(point[e - s.dim:e] for s, e in zip(sets, ends))
     return None
+
+
+def _image(sets: tuple[ConicSet, ...], rows: Mat, out: Mat):
+    """For each tuple of `_stacked` generator cones whose image is not
+    {0}: the cone out G {w >= 0 : rows G w = 0}, generated by the
+    primitive, deduplicated, nonzero images of that cone's extreme rays.
+    This is the one ray enumeration behind the predicted sets.
+
+    Where out, or out with rows beneath it, is invertible, the stacked
+    point is a linear function of its image, p = L out p with L the
+    leading columns of the inverse; a selector E of the tuple's cones
+    then carries over exactly, as E L.  Otherwise the image components
+    are closed hulls.
+    """
+    inv = inverse(out) or inverse(out + rows)
+    lift = None if inv is None else tuple(r[:len(out)] for r in inv)
+    for g, excludes in _stacked(sets):
+        og = matmul(out, g)
+        gens: dict[Vec, None] = {}
+        for r in extreme_rays(matmul(rows, g), len(g[0])):
+            v = matvec(og, r)
+            if not is_zero_vec(v):
+                gens.setdefault(primitive_ray(v), None)
+        if gens:
+            yield PolyhedralCone(tuple(gens), () if lift is None else
+                                 tuple(matmul(e, lift) for e in excludes))
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +200,10 @@ def existence_condition(wfu: ConicSet, wfv: ConicSet, theta) -> ExistenceResult:
     tm = as_rational_antisym(theta, n)
     px, pxi = _projector(n, 0), _projector(n, 1)
     # q = F p, and p lies on the slice x = (1/2) theta xi
-    slice_rows = _mat_sub(px, matmul(_scale_mat(Fraction(1, 2), tm), pxi))
-    mu = _scale_mat(-ONE, _flip(n)) + slice_rows
-    mv = _identity(2 * n) + _zeros(n, 2 * n)
-    w = _witness((wfu, wfv), _hcat(mu, mv), _hcat(_identity(2 * n), _zeros(2 * n, 2 * n)))
+    slice_rows = madd(px, matmul(mscale(Fraction(-1, 2), tm), pxi))
+    mu = mscale(-ONE, _flip(n)) + slice_rows
+    mv = identity(2 * n) + zeros(n, 2 * n)
+    w = _witness((wfu, wfv), hcat(mu, mv), hcat(identity(2 * n), zeros(2 * n, 2 * n)))
     return ExistenceResult(w is None, w)
 
 
@@ -204,29 +216,21 @@ def existence_condition_theta_inv(wfu: ConicSet, wfv: ConicSet, theta) -> Existe
     `existence_condition`.
     """
     n = _half_dim(wfu, wfv)
-    tinv = _rational_inverse(as_rational_antisym(theta, n))
+    tinv = inverse(as_rational_antisym(theta, n))
     if tinv is None:
         raise ValueError("theta is not invertible; use existence_condition")
     px, pxi = _projector(n, 0), _projector(n, 1)
-    ti2px = matmul(_scale_mat(Fraction(2), tinv), px)
-    zero = _zeros(n, 2 * n)
+    ti2px = matmul(mscale(Fraction(2), tinv), px)
+    zero = zeros(n, 2 * n)
     # xi_p = 2 theta^{-1} x_p, x_q = x_p, xi_q = -2 theta^{-1} x_q
-    mu = _mat_sub(pxi, ti2px) + _scale_mat(-ONE, px) + zero
-    mv = zero + px + _mat_add(pxi, ti2px)
-    w = _witness((wfu, wfv), _hcat(mu, mv), _hcat(px, _zeros(n, 2 * n)))
+    mu = madd(pxi, mscale(-ONE, ti2px)) + mscale(-ONE, px) + zero
+    mv = zero + px + madd(pxi, ti2px)
+    w = _witness((wfu, wfv), hcat(mu, mv), hcat(px, zero))
     return ExistenceResult(w is None, w, "theta-inverse")
 
 
 # ---------------------------------------------------------------------------
 # predicted wavefront sets of the two twisted operations
-
-def _dedup_gens(gens: list[Vec]) -> tuple[Vec, ...]:
-    seen: dict[Vec, None] = {}
-    for g in gens:
-        if not is_zero_vec(g):
-            seen.setdefault(primitive_ray(g), None)
-    return tuple(seen.keys())
-
 
 def predicted_product_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
     """Conic superset of the wavefront set of the twisted product.
@@ -242,49 +246,24 @@ def predicted_product_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
 
     The interaction components are returned as closed hulls (their
     exclusion data does not map forward); the one-sided components keep
-    their exact nonzero selectors.
+    their exact nonzero selectors.  On its slice a point q of wfv already
+    reads ((1/2) theta xi_q, xi_q), so both one-sided families are the
+    factor's own points there.
     """
     n = _half_dim(wfu, wfv)
     tm = as_rational_antisym(theta, n)
-    pxi = _projector(n, 1)
-    half_theta_xi = matmul(_scale_mat(Fraction(1, 2), tm), pxi)
-    plus = _mat_add(_projector(n, 0), half_theta_xi)
-    minus = _mat_sub(_projector(n, 0), half_theta_xi)
-    # output map applied to the second factor: q -> ((1/2) theta xi_q, xi_q)
-    bv = half_theta_xi + pxi
-    cus, cvs = set_gencones(wfu), set_gencones(wfv)
-    comps = []
-    for cu in cus:
-        gu = _gen_matrix(cu)
-        ku = len(cu.generators)
-        for cv in cvs:
-            gv = _gen_matrix(cv)
-            a = _hcat(_scale_mat(-ONE, matmul(plus, gu)), matmul(minus, gv))
-            bgv = matmul(bv, gv)
-            gens = _dedup_gens([
-                vadd(matvec(gu, r[:ku]), matvec(bgv, r[ku:]))
-                for r in extreme_rays(a, ku + len(cv.generators))
-            ])
-            if gens:
-                comps.append(PolyhedralCone(gens))
-    # one-sided: wfu on its slice as is, wfv on its slice mapped by bv
-    for cs, slice_rows, out in ((cus, plus, _identity(2 * n)), (cvs, minus, bv)):
-        for c in cs:
-            g = _gen_matrix(c)
-            og = matmul(out, g)
-            rays = extreme_rays(matmul(slice_rows, g), len(c.generators))
-            gens = _dedup_gens([matvec(og, r) for r in rays])
-            if gens:
-                comps.append(PolyhedralCone(gens, c.excludes))
+    px, pxi = _projector(n, 0), _projector(n, 1)
+    half_theta_xi = matmul(mscale(Fraction(1, 2), tm), pxi)
+    plus, minus = madd(px, half_theta_xi), madd(px, mscale(-ONE, half_theta_xi))
+    eye = identity(2 * n)
+    # p + ((1/2) theta xi_q, xi_q) over pairs with -plus p + minus q = 0
+    comps = [*_image((wfu, wfv), hcat(mscale(-ONE, plus), minus), hcat(eye, half_theta_xi + pxi)),
+             *_image((wfu,), plus, eye), *_image((wfv,), minus, eye)]
     # drop duplicate components (same generators and selectors)
-    uniq = []
-    seen = set()
+    uniq: dict[tuple, PolyhedralCone] = {}
     for c in comps:
-        key = (tuple(sorted(c.generators)), c.excludes)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(c)
-    return ConicSet(2 * n, tuple(uniq))
+        uniq.setdefault((tuple(sorted(c.generators)), c.excludes), c)
+    return ConicSet(2 * n, tuple(uniq.values()))
 
 
 def predicted_star_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
@@ -338,17 +317,17 @@ def _check_additive_salient(gamma2: ConicSet) -> ConditionCheck:
     comps = set_gencones(gamma2)
     if not comps:
         return ConditionCheck(name, True, True, note="empty cone")
-    d = gamma2.dim
-    p_nonzero = _hcat(_identity(d), _zeros(d, d))
+    eye = identity(gamma2.dim)
+    p_nonzero = hcat(eye, zeros(gamma2.dim, gamma2.dim))
     # salience, within one cone and across two: no members p, q with p + q = 0
-    w = _witness((gamma2, gamma2), _hcat(_identity(d), _identity(d)), p_nonzero)
+    w = _witness((gamma2, gamma2), hcat(eye, eye), p_nonzero)
     if w is not None:
         return ConditionCheck(name, False, True, w, "two members sum to zero")
     if len(comps) == 1:
         # p + q != 0 lies in the hull, so it leaves the cone iff a selector
         # E removes it: E (p + q) = 0
         for e in comps[0].excludes:
-            w = _witness((gamma2, gamma2), _hcat(e, e), p_nonzero)
+            w = _witness((gamma2, gamma2), hcat(e, e), p_nonzero)
             if w is not None:
                 p, q = w
                 return ConditionCheck(name, False, True, (p, q, primitive_ray(vadd(p, q))),
@@ -375,11 +354,10 @@ def _check_additive_salient(gamma2: ConicSet) -> ConditionCheck:
     )
 
 
-def _anchor_point(gc: PolyhedralCone) -> Vec:
-    total = tuple(ZERO for _ in range(len(gc.generators[0])))
-    for g in gc.generators:
-        total = vadd(total, g)
-    return total
+def _member_point(gc: PolyhedralCone) -> Vec | None:
+    """A member of the generator cone gc, or None when it has none."""
+    w = _witness((ConicSet(gc.dim, (gc,)),), (), identity(gc.dim))
+    return None if w is None else w[0]
 
 
 def _check_shift_stability(gamma1: ConicSet, gamma2: ConicSet, half_theta: Mat) -> ConditionCheck:
@@ -388,52 +366,67 @@ def _check_shift_stability(gamma1: ConicSet, gamma2: ConicSet, half_theta: Mat) 
     if not comps2 or not comps1:
         return ConditionCheck(name, True, True, note="vacuous (empty cone)")
     hulls1 = [c.generators for c in comps1]
-    gens2 = [primitive_ray(g) for c in comps2 for g in c.generators]
-    if len(comps1) == 1:
-        # convex target: stability is equivalent to every shifted
-        # generator lying in the recession cone, i.e. the hull itself
-        hull = hulls1[0]
-        for g in gens2:
-            v = matvec(half_theta, g)
-            if is_zero_vec(v):
-                continue
-            if not cone_contains(hull, v):
-                x0 = _anchor_point(comps1[0])
-                t = ONE
-                for _ in range(64):
-                    pt = vadd(x0, vscale(t, v))
-                    if not cone_contains(hull, pt):
-                        return ConditionCheck(
-                            name, False, True, (primitive_ray(x0), g, primitive_ray(pt)),
-                            "shifted point leaves the cone",
-                        )
-                    t *= 2
-                raise RuntimeError("recession witness search failed")
+    # convex target: stability is equivalent to every shifted generator
+    # lying in the recession cone, i.e. the hull itself; a union target is
+    # spot-checked from one member of each component (one-sided)
+    convex = len(comps1) == 1
+    anchors = [x0 for c in comps1 if (x0 := _member_point(c)) is not None]
+    if not anchors:
+        return ConditionCheck(name, True, True, note="vacuous (gamma1 has no member)")
+
+    def leave(x0: Vec, v: Vec) -> Vec | None:
+        """Primitive x0 + t v, t > 0, outside every hull of gamma1, or None."""
+        if convex and cone_contains(hulls1[0], v):
+            return None
+        ts = (ONE * 2 ** k for k in range(64)) if convex else (Fraction(1, 2), ONE, 2, 8, 64)
+        for t in ts:
+            pt = vadd(x0, vscale(t, v))
+            if not is_zero_vec(pt) and not any(cone_contains(h, pt) for h in hulls1):
+                return primitive_ray(pt)
+        if convex:
+            raise RuntimeError("recession witness search failed")
+        return None
+
+    def escape(x0: Vec, c2: PolyhedralCone, g: Vec) -> tuple[Vec, Vec] | None:
+        """A member xi of c2 along the generator g, and the point where
+        x0 shifted along (1/2) theta xi leaves gamma1, or None.  xi is g
+        when g is a member, else m + t g with m a member of c2, for the
+        first t in 1, 2, 4, ... that is a member and still leaves.  Both
+        lie in c2's hull, so only zero and the selectors can exclude them."""
+        def kept(xi: Vec) -> bool:
+            return not is_zero_vec(xi) and all(not is_zero_vec(matvec(e, xi)) for e in c2.excludes)
+
+        v = matvec(half_theta, g)
+        if is_zero_vec(v) or (pt := leave(x0, v)) is None:
+            return None
+        if kept(g):
+            return g, pt
+        m = _member_point(c2)
+        if m is None:
+            return None
+        t = ONE
+        for _ in range(64):
+            xi = vadd(m, vscale(t, g))
+            if kept(xi) and (pt := leave(x0, vscale(1 / t, matvec(half_theta, xi)))):
+                return primitive_ray(xi), pt
+            t *= 2
+        raise RuntimeError("member witness search failed")
+
+    for x0 in anchors:
+        for c2 in comps2:
+            for g in c2.generators:
+                found = escape(x0, c2, primitive_ray(g))
+                if found is not None:
+                    return ConditionCheck(name, False, True, (x0, *found),
+                                          f"shifted point leaves the {'cone' if convex else 'union'}")
+    if convex:
         return ConditionCheck(
             name, True, True, None,
             "every shifted generator lies in the recession cone "
             "(membership taken on the closed hull)",
         )
-    # union target: spot check along each component anchor (one-sided)
-    for ci, hull_all in zip(comps1, hulls1):
-        x0 = _anchor_point(ci)
-        for g in gens2:
-            v = matvec(half_theta, g)
-            if is_zero_vec(v):
-                continue
-            for t in (Fraction(1, 2), ONE, Fraction(2), Fraction(8), Fraction(64)):
-                pt = vadd(x0, vscale(t, v))
-                if is_zero_vec(pt):
-                    continue
-                if not any(cone_contains(h, pt) for h in hulls1):
-                    return ConditionCheck(
-                        name, False, True, (primitive_ray(x0), g, primitive_ray(pt)),
-                        "shifted point leaves the union",
-                    )
-    return ConditionCheck(
-        name, True, False, None,
-        "union target: verified along anchor rays only",
-    )
+    return ConditionCheck(name, True, False, None,
+                          "union target: verified from one member of each component only")
 
 
 def shift_algebra_check(gamma1: ConicSet, gamma2: ConicSet, theta) -> ShiftAlgebraReport:
@@ -442,15 +435,18 @@ def shift_algebra_check(gamma1: ConicSet, gamma2: ConicSet, theta) -> ShiftAlgeb
     origin excluded, and gamma1 stable under x -> x + (1/2) theta xi for
     xi in gamma2.
 
-    Every witness is exact.  A convex gamma2 or gamma1 settles its
-    condition exactly; on a union, additive closure is checked on
-    generator sums and shift stability along anchor rays, so a pass
-    there is one-sided (necessary conditions only) and the report's
-    verdict reads "one-sided".
+    Every witness is exact and made of members: a shift-stability
+    witness (x0, xi, pt) has x0 in gamma1, xi in gamma2 and pt outside
+    gamma1 on the ray of x0 + t (1/2) theta xi, t > 0.  A convex gamma2
+    or gamma1 settles its condition exactly; on a union, additive
+    closure is checked on generator sums and shift stability from one
+    member of each gamma1 component, so a pass there is one-sided
+    (necessary conditions only) and the report's verdict reads
+    "one-sided".
     """
     if gamma1.dim != gamma2.dim:
         raise ValueError("cones must live in the same dimension")
-    half_theta = _scale_mat(Fraction(1, 2), as_rational_antisym(theta, gamma1.dim))
+    half_theta = mscale(Fraction(1, 2), as_rational_antisym(theta, gamma1.dim))
     origin = ConditionCheck(
         "origin-excluded", True, True, None,
         "conic sets exclude the origin by representation",
@@ -476,9 +472,9 @@ def pair_condition(gamma: ConicSet) -> PairConditionResult:
     no (x, xi) in gamma with (x, -xi) also in gamma.  Exact."""
     if gamma.dim % 2 != 0:
         raise ValueError("phase space dimension must be even")
-    flip, eye = _flip(gamma.dim // 2), _identity(gamma.dim)
-    w = _witness((gamma, gamma), _hcat(_scale_mat(-ONE, flip), eye),
-                 _hcat(eye, _zeros(gamma.dim, gamma.dim)))
+    flip, eye = _flip(gamma.dim // 2), identity(gamma.dim)
+    w = _witness((gamma, gamma), hcat(mscale(-ONE, flip), eye),
+                 hcat(eye, zeros(gamma.dim, gamma.dim)))
     return PairConditionResult(w is None, w)
 
 
@@ -507,22 +503,11 @@ def wf_pullback(s: ConicSet, amap) -> PullbackResult:
     at = mat_t(am)
     # s meets the conormal set: (y, eta) in s with y = 0, A^T eta = 0, eta != 0
     w = _witness((s,), px + matmul(at, pxi), pxi)
-    out_comps: list[PolyhedralCone] = []
-    # for invertible A, a selector E on (y, eta) reads E diag(A, A^{-T}) on (x, xi)
-    inv = _rational_inverse(am) if m == n else None
-    lift = _block(am, _zeros(n, n), _zeros(n, n), mat_t(inv)) if inv is not None else None
-    for gc in set_gencones(s):
-        g = _gen_matrix(gc)
-        sys = _hcat(am, _scale_mat(-ONE, am), _scale_mat(-ONE, matmul(px, g)))
-        at_eta = matmul(at, matmul(pxi, g))
-        gens = _dedup_gens([
-            tuple(r[i] - r[n + i] for i in range(n)) + matvec(at_eta, r[2 * n:])
-            for r in extreme_rays(sys, 2 * n + len(gc.generators))
-        ])
-        if not gens:
-            continue
-        excl = tuple(matmul(e, lift) for e in gc.excludes) if lift is not None else ()
-        out_comps.append(PolyhedralCone(gens, excl))
+    # (x, A^T eta) over x in R^n and (y, eta) in s with A x = y; for
+    # invertible A a selector E on (y, eta) reads E diag(A, A^{-T}) on (x, xi)
+    out_comps = list(_image((full_space(n), s), hcat(am, mscale(-ONE, px)),
+                            hcat(identity(n), zeros(n, 2 * m))
+                            + hcat(zeros(n, n), matmul(at, pxi))))
     kernel = nullspace(am, n)
     if kernel:
         kgens = []

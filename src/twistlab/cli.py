@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 
 
@@ -353,13 +352,14 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
         wf_pullback,
     )
     from .cones import _vec_obj, set_to_obj
+    from .rational import zeros
 
     failed = False
     if op in ("existence", "existence_theta_inv"):
         u = _cone_set(_need(cfg, "u"), "u")
         v = _cone_set(_need(cfg, "v"), "v")
         fn = existence_condition if op == "existence" else existence_condition_theta_inv
-        res = fn(u, v, theta if theta is not None else _zero_theta_frac(u.dim // 2))
+        res = fn(u, v, theta if theta is not None else zeros(u.dim // 2, u.dim // 2))
         doc["holds"] = bool(res)
         doc["witness"] = None if res.holds else [_vec_obj(p) for p in res.witness]
         failed = not bool(res)
@@ -367,7 +367,7 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
         g1 = _cone_set(_need(cfg, "gamma1"), "gamma1")
         g2 = _cone_set(_need(cfg, "gamma2"), "gamma2")
         rep = shift_algebra_check(g1, g2, theta if theta is not None
-                                   else _zero_theta_frac(g1.dim))
+                                   else zeros(g1.dim, g1.dim))
         doc["passed"] = rep.passed
         doc["verdict"] = rep.verdict
         doc["conditions"] = [
@@ -387,7 +387,7 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
         u = _cone_set(_need(cfg, "u"), "u")
         v = _cone_set(_need(cfg, "v"), "v")
         fn = predicted_product_wf if op == "predict_product" else predicted_star_wf
-        got = fn(u, v, theta if theta is not None else _zero_theta_frac(u.dim // 2))
+        got = fn(u, v, theta if theta is not None else zeros(u.dim // 2, u.dim // 2))
         doc["predicted"] = set_to_obj(got)
     elif op == "pullback":
         s = _cone_set(_need(cfg, "set"), "set")
@@ -400,10 +400,6 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
     else:
         raise ConfigError(f"op: unknown cone operation {op!r}")
     return failed
-
-
-def _zero_theta_frac(n: int):
-    return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
 
 
 def _cmd_verify(args, out: Path) -> int:

@@ -29,41 +29,24 @@ from .rational import (
     Vec,
     cone_contains,
     extreme_rays,
+    hcat,
+    identity,
+    inverse,
     is_zero_vec,
     mat,
     mat_t,
     matmul,
     matvec,
+    mscale,
     primitive_ray,
-    rref,
     row_space_canonical,
     vec,
     vneg,
+    zeros,
 )
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _identity(d: int) -> Mat:
-    return tuple(tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d))
-
-
-def _basis_vec(d: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(d))
-
-
-def _zeros(rows: int, cols: int) -> Mat:
-    return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
-
-
-def _neg_mat(a: Mat) -> Mat:
-    return tuple(vneg(r) for r in a)
-
-
-def _block(a: Mat, b: Mat, c: Mat, e: Mat) -> Mat:
-    """The block matrix [[a, b], [c, e]]."""
-    return tuple(r + t for r, t in zip(a, b)) + tuple(r + t for r, t in zip(c, e))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +122,7 @@ def subspace_set(basis) -> ConicSet:
 
 def full_space(d: int) -> ConicSet:
     """R^d minus the origin."""
-    return subspace_set(_identity(d))
+    return subspace_set(identity(d))
 
 
 def graph_set(a) -> ConicSet:
@@ -149,9 +132,9 @@ def graph_set(a) -> ConicSet:
         raise ValueError("graph matrix must be square")
     n = len(am)
     gens = []
-    for i, col in enumerate(mat_t(am)):
-        gens.append(_basis_vec(n, i) + col)
-        gens.append(vneg(_basis_vec(n, i) + col))
+    for e, col in zip(identity(n), mat_t(am)):
+        gens.append(e + col)
+        gens.append(vneg(e + col))
     return ConicSet(2 * n, (PolyhedralCone(tuple(gens)),))
 
 
@@ -205,12 +188,9 @@ def _embed(gens: Mat, half: int, side: int) -> Mat:
 
 
 def _projector(half: int, side: int) -> Mat:
-    rows = []
-    for i in range(half):
-        r = [ZERO] * (2 * half)
-        r[i + side * half] = ONE
-        rows.append(tuple(r))
-    return tuple(rows)
+    """The rows picking x (side 0) or xi (side 1) out of (x, xi) in R^{2*half}."""
+    eye, zero = identity(half), zeros(half, half)
+    return hcat(zero, eye) if side else hcat(eye, zero)
 
 
 def _part_cones(part: ConicSet | None, includes_zero: bool) -> tuple[list, bool]:
@@ -268,15 +248,6 @@ def member(s: ConicSet, v) -> bool:
 # ---------------------------------------------------------------------------
 # linear transforms
 
-def _rational_inverse(a: Mat) -> Mat | None:
-    n = len(a)
-    aug = tuple(row + _basis_vec(n, i) for i, row in enumerate(a))
-    red, pivots = rref(aug)
-    if tuple(pivots) != tuple(range(n)):
-        return None
-    return tuple(r[n:] for r in red)
-
-
 def linear_image(s: ConicSet, m: Mat, m_inv: Mat | None = None) -> ConicSet:
     """Exact image of a conic set under an invertible linear map.
 
@@ -284,7 +255,7 @@ def linear_image(s: ConicSet, m: Mat, m_inv: Mat | None = None) -> ConicSet:
     is computed when not supplied.
     """
     if m_inv is None:
-        m_inv = _rational_inverse(m)
+        m_inv = inverse(m)
         if m_inv is None:
             raise ValueError("linear_image requires an invertible map")
     return ConicSet(s.dim, tuple(
@@ -299,8 +270,9 @@ def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
     if s.dim % 2 != 0:
         raise ValueError("phase-space rotation needs even dimension")
     n = s.dim // 2
-    eye, zero = _identity(n), _zeros(n, n)
-    fwd, back = _block(zero, eye, _neg_mat(eye), zero), _block(zero, _neg_mat(eye), eye, zero)
+    eye, zero = identity(n), zeros(n, n)
+    fwd = hcat(zero, eye) + hcat(mscale(-ONE, eye), zero)
+    back = hcat(zero, mscale(-ONE, eye)) + hcat(eye, zero)
     return linear_image(s, back, fwd) if inverse else linear_image(s, fwd, back)
 
 
@@ -312,8 +284,9 @@ def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
         raise ValueError("shear matrix dimension must be half the set dimension")
     if am != mat_t(am):
         raise ValueError("shear matrix must be symmetric")
-    eye, zero = _identity(n), _zeros(n, n)
-    return linear_image(s, _block(eye, zero, am, eye), _block(eye, zero, _neg_mat(am), eye))
+    eye, zero = identity(n), zeros(n, n)
+    return linear_image(s, hcat(eye, zero) + hcat(am, eye),
+                        hcat(eye, zero) + hcat(mscale(-ONE, am), eye))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +303,7 @@ def _lineality_split(gens: Mat) -> tuple[Mat, tuple[Vec, ...]]:
     lin = row_space_canonical([g for g in gens if cone_contains(gens, vneg(g))])
     if lin:
         # g minus its orthogonal projection lin^T (lin lin^T)^{-1} lin g
-        gram_inv, lin_t = _rational_inverse(matmul(lin, mat_t(lin))), mat_t(lin)
+        gram_inv, lin_t = inverse(matmul(lin, mat_t(lin))), mat_t(lin)
         gens = [tuple(x - y for x, y in zip(g, matvec(lin_t, matvec(gram_inv, matvec(lin, g)))))
                 for g in gens]
     return lin, _minimal_generators([g for g in gens if not is_zero_vec(g)])
@@ -364,48 +337,29 @@ def component_canonical(gc: PolyhedralCone):
     return _lineality_split(gc.generators) + (_nontrivial_excludes(gc),)
 
 
-def _reduced_canonicals(s: ConicSet) -> dict:
-    """Canonical forms keyed by repr, with duplicate components
-    collapsed and components absorbed into exclude-free hulls that
-    contain them."""
-    forms: dict[str, tuple] = {}
-    carriers: dict[str, PolyhedralCone] = {}
+def _reduced_canonicals(s: ConicSet) -> set[str]:
+    """The reprs of the canonical forms of s's components, with duplicate
+    components collapsed and components absorbed into exclude-free hulls
+    that contain them dropped."""
+    carriers: dict[str, tuple] = {}
     for gc in set_gencones(s):
         canon = component_canonical(gc)
-        key = repr(canon)
-        forms.setdefault(key, canon)
-        carriers.setdefault(key, gc)
-    closed_keys = [k for k, canon in forms.items() if not canon[-1]]
-    kept = {}
-    for key, gc in carriers.items():
-        absorbed = any(
-            hk != key and _gens_inside(gc, carriers[hk]) for hk in closed_keys
-        )
-        if not absorbed:
-            kept[key] = gc
-    return kept
+        carriers.setdefault(repr(canon), (gc, not canon[-1]))
+    closed = [(k, gc) for k, (gc, exclude_free) in carriers.items() if exclude_free]
+    return {key for key, (gc, _) in carriers.items()
+            if not any(hk != key and _gens_inside(gc, h) for hk, h in closed)}
 
 
 def conic_equal(s: ConicSet, t: ConicSet) -> bool:
     """Exact set equality via canonical component forms.
 
-    Duplicate and absorbed components collapse first; unions that match
-    the other side only through a genuinely different decomposition are
-    out of scope and compare unequal.
+    Each hull has one canonical form, so two single components are equal
+    exactly when their forms are.  Duplicate and absorbed components
+    collapse first; unions that match the other side only through a
+    genuinely different decomposition are out of scope and compare
+    unequal.
     """
-    if s.dim != t.dim:
-        return False
-    cs = _reduced_canonicals(s)
-    ct = _reduced_canonicals(t)
-    if set(cs) == set(ct):
-        return True
-    if len(cs) == 1 and len(ct) == 1:
-        # both sides convex: generator-wise mutual containment decides
-        # equality of the hulls, provided neither side carves more out
-        a, b = next(iter(cs.values())), next(iter(ct.values()))
-        if component_canonical(a)[-1] == component_canonical(b)[-1]:
-            return _gens_inside(a, b) and _gens_inside(b, a)
-    return False
+    return s.dim == t.dim and _reduced_canonicals(s) == _reduced_canonicals(t)
 
 
 def _gens_inside(a: PolyhedralCone, b: PolyhedralCone) -> bool:

@@ -85,6 +85,27 @@ def matmul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
 
 
+def identity(d: int) -> Mat:
+    return tuple(tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d))
+
+
+def zeros(rows: int, cols: int) -> Mat:
+    return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
+
+
+def hcat(*blocks: Mat) -> Mat:
+    """Blocks of equal row count side by side; blocks without rows are skipped."""
+    return tuple(sum(rows, ()) for rows in zip(*(b for b in blocks if b)))
+
+
+def mscale(c: Fraction, a: Mat) -> Mat:
+    return tuple(vscale(c, r) for r in a)
+
+
+def madd(a: Mat, b: Mat) -> Mat:
+    return tuple(vadd(ra, rb) for ra, rb in zip(a, b))
+
+
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
@@ -112,12 +133,14 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        # the calculus's block matrices are mostly 0 and 1: skip no-op products
+        if rows[r][c] != 1:
+            inv = ONE / rows[r][c]
+            rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -130,12 +153,23 @@ def rank(a: Mat) -> int:
     return len(rref(a)[1])
 
 
+def inverse(a: Mat) -> Mat | None:
+    """Inverse of a square matrix, or None when a is singular or not square."""
+    n = len(a)
+    if any(len(r) != n for r in a):
+        return None
+    red, pivots = rref(hcat(a, identity(n)))
+    if tuple(pivots) != tuple(range(n)):
+        return None
+    return tuple(r[n:] for r in red)
+
+
 def nullspace(a: Mat, ncols: int | None = None) -> list[Vec]:
     """Basis of {x : A x = 0}; pass ncols when A may be empty."""
     if not a:
         if ncols is None:
             raise ValueError("need ncols for an empty matrix")
-        return [tuple(ONE if j == i else ZERO for j in range(ncols)) for i in range(ncols)]
+        return list(identity(ncols))
     ncols = len(a[0])
     red, pivots = rref(a)
     free = [c for c in range(ncols) if c not in pivots]
@@ -232,7 +266,7 @@ def _ray_stream(a: Mat, ncols: int) -> Iterator[Vec]:
         return iter(())
     if not a:
         # free nonnegative orthant: extreme rays are the unit vectors
-        return iter([tuple(ONE if j == i else ZERO for j in range(ncols)) for i in range(ncols)])
+        return iter(identity(ncols))
     rows = _integer_rows(a)
     r = len(_eliminate([row[:] for row in rows])[0])
     max_support = min(ncols, r + 1)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,15 @@ from twistlab.cones import (
     conic_equal,
     empty_set,
     full_space,
+    linear_image,
     member,
     polyhedral,
     product_set,
     ray_set,
     subspace_set,
 )
-from twistlab.rational import matvec, primitive_ray, vec
+from twistlab.rational import hcat, inverse, mat_t, matvec, primitive_ray, vec, zeros
+from twistlab.suites import _random_polyhedral
 
 F = Fraction
 J = ((F(0), F(1)), (F(-1), F(0)))
@@ -155,6 +158,7 @@ def test_yes_no_witnesses_solve_their_equations(case):
             p, fp = pc.witness
             assert member(gamma, p) and member(gamma, fp) and fp == _flip(p)
         _assert_salience_witness(gamma)
+        _assert_shift_witness(gamma, u if gamma is v else v, hcat(theta, ZERO2) + hcat(ZERO2, theta))
         # y = A x with A = (1, 1)^T: the conormal set is (0, eta), eta1 + eta2 = 0
         pb = wf_pullback(gamma, ((F(1),), (F(1),)))
         if not pb.defined:
@@ -175,6 +179,61 @@ def _assert_salience_witness(gamma):
         assert not member(gamma, rest[0])
     else:
         assert b == tuple(-x for x in a)
+
+
+def _assert_shift_witness(gamma1, gamma2, theta):
+    """A failing shift-stability witness (x0, xi, pt) holds x0 in gamma1,
+    xi in gamma2 and pt outside gamma1, with pt = c (x0 + t h) for some
+    c, t > 0, where h = (1/2) theta xi."""
+    c = shift_algebra_check(gamma1, gamma2, theta).shift_stability
+    if c.passed:
+        return
+    x0, xi, pt = c.witness
+    assert member(gamma1, x0) and member(gamma2, xi) and not member(gamma1, pt)
+    h = matvec(tuple(tuple(F(t) / 2 for t in row) for row in theta), xi)
+    # pt parallel to x0 + t h: every 2x2 minor of (pt, x0 + t h) vanishes,
+    # each linear in t; a nonzero t coefficient fixes t
+    pairs = [(i, j) for i in range(len(pt)) for j in range(i + 1, len(pt))]
+    coef = [(pt[i] * h[j] - pt[j] * h[i], pt[j] * x0[i] - pt[i] * x0[j]) for i, j in pairs]
+    t = next((b / a for a, b in coef if a), F(1))
+    assert t > 0 and all(a * t == b for a, b in coef)
+    assert sum(p * (x + t * y) for p, x, y in zip(pt, x0, h)) > 0
+
+
+def test_shift_witness_plane_upper_regression():
+    # R x {0} shifted along the open upper half plane: the generator
+    # (1, 0) of gamma2 is not a member (xi = 0 is excluded) and the sum
+    # of gamma1's generators is the origin, so the witness takes member
+    # points for both
+    plane = product_set(full_space(1), None)
+    upper = product_set(full_space(1), ray_set((1,)), x_includes_zero=True)
+    c = shift_algebra_check(plane, upper, J).shift_stability
+    assert not c.passed and c.exact
+    assert c.witness == ((-1, 0), (1, 1), (-1, -1))
+    _assert_shift_witness(plane, upper, J)
+    # a convex gamma1 without members passes vacuously
+    hollow = ConicSet(2, (PolyhedralCone(((F(0), F(1)),), (((F(1), F(0)),),)),))
+    c = shift_algebra_check(hollow, upper, J).shift_stability
+    assert c.passed and c.exact and c.note.startswith("vacuous")
+
+
+def test_pullback_matches_linear_image():
+    # for invertible A the pullback is the image under (y, eta) ->
+    # (A^{-1} y, A^T eta), selectors included
+    rng = random.Random(5)
+    checked = 0
+    while checked < 40:
+        s = _random_polyhedral(rng, 4)
+        a = tuple(tuple(F(rng.randint(-2, 2)) for _ in range(2)) for _ in range(2))
+        a_inv = inverse(a)
+        if a_inv is None:
+            continue
+        res = wf_pullback(s, a)
+        assert res.defined
+        fwd = hcat(a_inv, zeros(2, 2)) + hcat(zeros(2, 2), mat_t(a))
+        back = hcat(a, zeros(2, 2)) + hcat(zeros(2, 2), mat_t(a_inv))
+        assert conic_equal(res.wavefront, linear_image(s, fwd, back))
+        checked += 1
 
 
 def test_theta_inverse_requires_invertible():

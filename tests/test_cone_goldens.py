@@ -7,6 +7,8 @@ The inputs are written in the JSON input kinds (`product`, `graph`,
 installed or PYTHONPATH twistlab, run
 
     python tests/test_cone_goldens.py
+
+which prints the names of the goldens whose bytes changed.
 """
 
 import json
@@ -72,6 +74,8 @@ CASES = [
     ("predict_product", "chirp2", "delta2", 2),
     ("predict_product", "nested2", "ray2", 2),
     ("predict_product", "plane2", "chirp2", 2),
+    ("predict_product", "half1", "upper1", 1),
+    ("predict_product", "slit1", "delta1", 1),
     ("predict_star", "delta1", "plane1", 1),
     ("predict_star", "chirp1", "ray1", 1),
     ("predict_star", "half1", "delta1", 1),
@@ -85,6 +89,8 @@ CASES = [
     ("pullback", "nested2", [[2, 0], [0, 1]], None),
     ("pullback", "chirp1", [[3]], None),
     ("pullback", "half1", [[-2]], None),
+    ("pullback", "slit1", [[2]], None),
+    ("pullback", "upper1", [[1, -1]], None),
     ("pair_condition", "delta1", None, None),
     ("pair_condition", "half1", None, None),
     ("pair_condition", "upper1", None, None),
@@ -137,8 +143,14 @@ def test_cone_report_matches_golden(tmp_path, case):
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    changed = []
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             report = _report(case, Path(tmp))
-        (GOLDEN_DIR / f"{_case_name(case)}.json").write_bytes(report)
-    print(f"wrote {len(CASES)} goldens to {GOLDEN_DIR}", file=sys.stderr)
+        path = GOLDEN_DIR / f"{_case_name(case)}.json"
+        if not path.exists() or path.read_bytes() != report:
+            changed.append(path.stem)
+        path.write_bytes(report)
+    print(f"wrote {len(CASES)} goldens to {GOLDEN_DIR}; {len(changed)} changed", file=sys.stderr)
+    for name in changed:
+        print(f"  {name}", file=sys.stderr)

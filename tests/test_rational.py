@@ -11,8 +11,14 @@ from twistlab.rational import (
     dot,
     extreme_rays,
     frac,
+    hcat,
+    identity,
+    inverse,
     is_zero_vec,
+    madd,
     mat,
+    matmul,
+    mscale,
     nonneg_solve,
     nullspace,
     primitive_ray,
@@ -20,6 +26,7 @@ from twistlab.rational import (
     row_space_canonical,
     rref,
     vec,
+    zeros,
 )
 from twistlab.suites import _oracle_extreme_rays, _oracle_nonneg_solve
 
@@ -55,6 +62,16 @@ def test_rref_pivots():
     r, piv = rref(mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
     assert piv == (0, 2)
     assert rank(mat([[1, 2], [2, 4]])) == 1
+
+
+def test_matrix_helpers():
+    a = mat([[1, 2], [3, 4]])
+    assert hcat(a, identity(2), zeros(2, 0), ()) == mat([[1, 2, 1, 0], [3, 4, 0, 1]])
+    assert madd(a, mscale(Fraction(-1), a)) == zeros(2, 2)
+    assert matmul(a, inverse(a)) == identity(2)
+    assert inverse(mat([[1, 2], [2, 4]])) is None              # singular
+    assert inverse(mat([[0], [1]])) is None                    # not square
+    assert inverse(mat([[1, 0, 0], [0, 1, 0]])) is None
 
 
 def test_nullspace_orthogonality():
