@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .matrices import AntisymmetricMatrix
 from .rational import (
@@ -44,7 +44,9 @@ from .rational import (
 from .cones import (
     ConicSet,
     PolyhedralCone,
+    _image,
     _projector,
+    _stacked,
     full_space,
     member,
     set_gencones,
@@ -112,23 +114,6 @@ def feasible_with_nonzero(a: Mat, ncols: int, selectors: list[Mat]) -> Vec | Non
     raise RuntimeError("generic witness search failed; selector degrees exceeded bound")
 
 
-def _stacked(sets: tuple[ConicSet, ...]):
-    """For each tuple of generator cones, one from each set, in
-    `itertools.product` order: the matrix G whose columns are the cones'
-    generators stacked block-diagonally, so that G w = (p_1, ..., p_m)
-    with p_i in the hull of the i-th cone for every w >= 0, and the cones'
-    exclude selectors as selectors on that stacked point."""
-    ends = tuple(accumulate(s.dim for s in sets))
-    pads = [(e - s.dim, ends[-1] - e) for s, e in zip(sets, ends)]
-
-    def lift(v: Vec, i: int) -> Vec:
-        return (ZERO,) * pads[i][0] + v + (ZERO,) * pads[i][1]
-
-    for cones in product(*(set_gencones(s) for s in sets)):
-        g = mat_t([lift(v, i) for i, c in enumerate(cones) for v in c.generators])
-        yield g, [tuple(lift(r, i) for r in e) for i, c in enumerate(cones) for e in c.excludes]
-
-
 def _witness(sets: tuple[ConicSet, ...], rows: Mat, nonzero: Mat) -> tuple[Vec, ...] | None:
     """Points p_i in sets[i] whose stack p = (p_1, ..., p_m) has rows p = 0
     and nonzero p != 0, or None.
@@ -147,32 +132,6 @@ def _witness(sets: tuple[ConicSet, ...], rows: Mat, nonzero: Mat) -> tuple[Vec, 
             point = primitive_ray(matvec(g, w))
             return tuple(point[e - s.dim:e] for s, e in zip(sets, ends))
     return None
-
-
-def _image(sets: tuple[ConicSet, ...], rows: Mat, out: Mat):
-    """For each tuple of `_stacked` generator cones whose image is not
-    {0}: the cone out G {w >= 0 : rows G w = 0}, generated by the
-    primitive, deduplicated, nonzero images of that cone's extreme rays.
-    This is the one ray enumeration behind the predicted sets.
-
-    Where out, or out with rows beneath it, is invertible, the stacked
-    point is a linear function of its image, p = L out p with L the
-    leading columns of the inverse; a selector E of the tuple's cones
-    then carries over exactly, as E L.  Otherwise the image components
-    are closed hulls.
-    """
-    inv = inverse(out) or inverse(out + rows)
-    lift = None if inv is None else tuple(r[:len(out)] for r in inv)
-    for g, excludes in _stacked(sets):
-        og = matmul(out, g)
-        gens: dict[Vec, None] = {}
-        for r in extreme_rays(matmul(rows, g), len(g[0])):
-            v = matvec(og, r)
-            if not is_zero_vec(v):
-                gens.setdefault(primitive_ray(v), None)
-        if gens:
-            yield PolyhedralCone(tuple(gens), () if lift is None else
-                                 tuple(matmul(e, lift) for e in excludes))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +203,12 @@ def predicted_product_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
       * symmetrically for wfv on x - (1/2) theta xi = 0, contributing
         ((1/2) theta xi_q, xi_q).
 
-    The interaction components are returned as closed hulls (their
-    exclusion data does not map forward); the one-sided components keep
-    their exact nonzero selectors.  On its slice a point q of wfv already
-    reads ((1/2) theta xi_q, xi_q), so both one-sided families are the
-    factor's own points there.
+    Every component keeps the selectors that `cones._image` can carry
+    forward: a one-sided component all of its factor's selectors, an
+    interaction component those that are a function of its image point;
+    it is closed where a selector is dropped.  On its slice a point q of
+    wfv already reads ((1/2) theta xi_q, xi_q), so both one-sided families
+    are the factor's own points there.
     """
     n = _half_dim(wfu, wfv)
     tm = as_rational_antisym(theta, n)
@@ -495,6 +455,8 @@ def wf_pullback(s: ConicSet, amap) -> PullbackResult:
     ker(A) x {0} directions contributed by the loss of injectivity.
     """
     am = mat([list(r) for r in (amap.tolist() if hasattr(amap, "tolist") else amap)])
+    if not am or not am[0]:
+        raise ValueError("pullback map must have at least one row and one column")
     m = len(am)
     n = len(am[0])
     if s.dim != 2 * m:
@@ -503,8 +465,9 @@ def wf_pullback(s: ConicSet, amap) -> PullbackResult:
     at = mat_t(am)
     # s meets the conormal set: (y, eta) in s with y = 0, A^T eta = 0, eta != 0
     w = _witness((s,), px + matmul(at, pxi), pxi)
-    # (x, A^T eta) over x in R^n and (y, eta) in s with A x = y; for
-    # invertible A a selector E on (y, eta) reads E diag(A, A^{-T}) on (x, xi)
+    # (x, A^T eta) over x in R^n and (y, eta) in s with A x = y; a selector
+    # (E_y, E_eta) on (y, eta) carries as (E_y A, F) on (x, xi) when
+    # E_eta = F A^T, which holds for every selector when A is invertible
     out_comps = list(_image((full_space(n), s), hcat(am, mscale(-ONE, px)),
                             hcat(identity(n), zeros(n, 2 * m))
                             + hcat(zeros(n, n), matmul(at, pxi))))

@@ -167,11 +167,4 @@ def exact_wf(d: AnalyticDistribution) -> ConicSet:
         return empty_set(2 * n)
     if np.allclose(d.matrix, 0.0):
         return product_set(full_space(n), None)
-    return graph_set([[_as_fraction(x) for x in row] for row in d.a])
-
-
-def _as_fraction(x: float):
-    # exact binary expansion; the float is the data
-    from fractions import Fraction
-
-    return Fraction(x)
+    return graph_set(d.a)

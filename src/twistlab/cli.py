@@ -179,12 +179,15 @@ def _num_or_vec(x):
 
 
 def _rational_matrix(rows, key: str):
-    from .rational import frac
+    from .rational import mat
 
     try:
-        return tuple(tuple(frac(x) for x in row) for row in rows)
+        m = mat(rows)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+    if not m or not m[0]:
+        raise ConfigError(f"{key}: expected a matrix with at least one row and one column")
+    return m
 
 
 def _run_record(out: Path, name: str, cfg: dict, outputs: dict) -> None:

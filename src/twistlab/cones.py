@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .rational import (
     identity,
     inverse,
     is_zero_vec,
+    left_solve,
     mat,
     mat_t,
     matmul,
@@ -248,21 +250,62 @@ def member(s: ConicSet, v) -> bool:
 # ---------------------------------------------------------------------------
 # linear transforms
 
-def linear_image(s: ConicSet, m: Mat, m_inv: Mat | None = None) -> ConicSet:
-    """Exact image of a conic set under an invertible linear map.
+def _stacked(sets: tuple[ConicSet, ...]):
+    """For each tuple of generator cones, one from each set, in
+    `itertools.product` order: the matrix G whose columns are the cones'
+    generators stacked block-diagonally, so that G w = (p_1, ..., p_m)
+    with p_i in the hull of the i-th cone for every w >= 0, and the cones'
+    exclude selectors as selectors on that stacked point."""
+    ends = tuple(accumulate(s.dim for s in sets))
+    pads = [(e - s.dim, ends[-1] - e) for s, e in zip(sets, ends)]
 
-    Generators transform by m; exclude selectors need the inverse, which
-    is computed when not supplied.
+    def lift(v: Vec, i: int) -> Vec:
+        return (ZERO,) * pads[i][0] + v + (ZERO,) * pads[i][1]
+
+    for cones in product(*(set_gencones(s) for s in sets)):
+        g = mat_t([lift(v, i) for i, c in enumerate(cones) for v in c.generators])
+        yield g, [tuple(lift(r, i) for r in e) for i, c in enumerate(cones) for e in c.excludes]
+
+
+def _image(sets: tuple[ConicSet, ...], rows: Mat, out: Mat):
+    """For each tuple of `_stacked` generator cones whose image is not
+    {0}: the cone out G {w >= 0 : rows G w = 0}, generated by the
+    primitive, deduplicated, nonzero images of that cone's extreme rays.
+    This is the one ray enumeration behind every image of a conic set.
+
+    A selector E of the tuple's cones carries over as F_o exactly when
+    E = F_o out + F_r rows: on the image y = out p we have rows p = 0, so
+    E p = F_o y.  Otherwise E is dropped and the image is closed there.
     """
-    if m_inv is None:
-        m_inv = inverse(m)
-        if m_inv is None:
-            raise ValueError("linear_image requires an invertible map")
-    return ConicSet(s.dim, tuple(
-        PolyhedralCone(tuple(matvec(m, g) for g in c.generators),
-                       tuple(matmul(e, m_inv) for e in c.excludes))
-        for c in s.components
-    ))
+    stack = out + rows
+    carried: dict[Mat, Mat | None] = {}
+
+    def carry(e: Mat) -> Mat | None:
+        if e not in carried:
+            f = left_solve(e, stack)
+            carried[e] = None if f is None else tuple(r[:len(out)] for r in f)
+        return carried[e]
+
+    for g, excludes in _stacked(sets):
+        og = matmul(out, g)
+        gens: dict[Vec, None] = {}
+        for r in extreme_rays(matmul(rows, g), len(g[0])):
+            v = matvec(og, r)
+            if not is_zero_vec(v):
+                gens.setdefault(primitive_ray(v), None)
+        if gens:
+            sels = dict.fromkeys(f for e in excludes if (f := carry(e)) is not None)
+            yield PolyhedralCone(tuple(gens), tuple(sels))
+
+
+def linear_image(s: ConicSet, m: Mat) -> ConicSet:
+    """Image of a conic set under a linear map m with s.dim columns: one
+    `_image` call.  Exact where every selector carries, as for invertible
+    m; closed where one is dropped."""
+    cols = len(m[0]) if m else 0
+    if cols != s.dim or any(len(r) != cols for r in m):
+        raise ValueError(f"linear map has {cols} columns, set dimension is {s.dim}")
+    return ConicSet(len(m), tuple(_image((s,), (), m)))
 
 
 def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
@@ -272,8 +315,7 @@ def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
     n = s.dim // 2
     eye, zero = identity(n), zeros(n, n)
     fwd = hcat(zero, eye) + hcat(mscale(-ONE, eye), zero)
-    back = hcat(zero, mscale(-ONE, eye)) + hcat(eye, zero)
-    return linear_image(s, back, fwd) if inverse else linear_image(s, fwd, back)
+    return linear_image(s, mscale(-ONE, fwd) if inverse else fwd)
 
 
 def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
@@ -285,8 +327,7 @@ def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
     if am != mat_t(am):
         raise ValueError("shear matrix must be symmetric")
     eye, zero = identity(n), zeros(n, n)
-    return linear_image(s, hcat(eye, zero) + hcat(am, eye),
-                        hcat(eye, zero) + hcat(mscale(-ONE, am), eye))
+    return linear_image(s, hcat(eye, zero) + hcat(am, eye))
 
 
 # ---------------------------------------------------------------------------

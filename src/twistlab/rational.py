@@ -115,7 +115,7 @@ def primitive_ray(a: Vec) -> Vec:
     if is_zero_vec(a):
         return a
     den = lcm(*(x.denominator for x in a))
-    ints = [int(x * den) for x in a]
+    ints = [x.numerator * (den // x.denominator) for x in a]
     g = gcd(*ints)
     return tuple(Fraction(v // g) for v in ints)
 
@@ -153,15 +153,29 @@ def rank(a: Mat) -> int:
     return len(rref(a)[1])
 
 
+def left_solve(e: Mat, m: Mat) -> Mat | None:
+    """A matrix F with F m = e, or None when a row of e leaves the row
+    space of m.
+
+    One rref of [m^T | e^T]; the entries of F at free columns are 0, so
+    F is the unique solution when m has independent rows.
+    """
+    k = len(m)
+    red, pivots = rref(hcat(mat_t(m), mat_t(e)))
+    if pivots and pivots[-1] >= k:
+        return None
+    ft = [(ZERO,) * len(e)] * k
+    for row, c in zip(red, pivots):
+        ft[c] = row[k:]
+    return tuple(zip(*ft)) if ft else tuple(() for _ in e)
+
+
 def inverse(a: Mat) -> Mat | None:
     """Inverse of a square matrix, or None when a is singular or not square."""
     n = len(a)
     if any(len(r) != n for r in a):
         return None
-    red, pivots = rref(hcat(a, identity(n)))
-    if tuple(pivots) != tuple(range(n)):
-        return None
-    return tuple(r[n:] for r in red)
+    return left_solve(identity(n), a)
 
 
 def nullspace(a: Mat, ncols: int | None = None) -> list[Vec]:

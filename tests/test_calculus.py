@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab.calculus import (
+    _witness,
     shift_algebra_check,
     as_rational_antisym,
     existence_condition,
@@ -28,7 +30,19 @@ from twistlab.cones import (
     ray_set,
     subspace_set,
 )
-from twistlab.rational import hcat, inverse, mat_t, matvec, primitive_ray, vec, zeros
+from twistlab.rational import (
+    hcat,
+    identity,
+    inverse,
+    madd,
+    mat_t,
+    matmul,
+    matvec,
+    mscale,
+    primitive_ray,
+    vec,
+    zeros,
+)
 from twistlab.suites import _random_polyhedral
 
 F = Fraction
@@ -100,8 +114,8 @@ coords = st.integers(-2, 2).map(F)
 
 
 @st.composite
-def _component(draw, planted=None, excludes=None):
-    gens = draw(st.lists(st.tuples(*[coords] * 4).filter(any), min_size=1, max_size=3))
+def _component(draw, planted=None, excludes=None, max_gens=3):
+    gens = draw(st.lists(st.tuples(*[coords] * 4).filter(any), min_size=1, max_size=max_gens))
     if planted is not None:
         gens.append(planted)
     if excludes is None:
@@ -231,9 +245,116 @@ def test_pullback_matches_linear_image():
         res = wf_pullback(s, a)
         assert res.defined
         fwd = hcat(a_inv, zeros(2, 2)) + hcat(zeros(2, 2), mat_t(a))
-        back = hcat(a, zeros(2, 2)) + hcat(zeros(2, 2), mat_t(a_inv))
-        assert conic_equal(res.wavefront, linear_image(s, fwd, back))
+        assert conic_equal(res.wavefront, linear_image(s, fwd))
         checked += 1
+
+
+def _in_image(sets, rows, out, y) -> bool:
+    """Whether y = out p for a stacked point p of `sets` with rows p = 0:
+    one witness search for (p, t y), t > 0, with rows p = 0 and
+    out p = t y.  Uses neither `_image` nor `left_solve`."""
+    d, k = len(out), sum(s.dim for s in sets)
+    search = hcat(rows, zeros(len(rows), d)) + hcat(out, mscale(F(-1), identity(d)))
+    return _witness((*sets, ray_set(y)), search, hcat(zeros(d, k), identity(d))) is not None
+
+
+def _probes(d, s=None):
+    """{-1, 0, 1}^d minus 0, then the generators of s's cones and their
+    pairwise sums, where selectors of the definition may vanish."""
+    probes = dict.fromkeys(vec(p) for p in product((-1, 0, 1), repeat=d) if any(p))
+    for c in () if s is None else s.components:
+        for g in c.generators:
+            for h in c.generators:
+                if any(w := tuple(x + y for x, y in zip(g, h))):
+                    probes.setdefault(primitive_ray(w), None)
+    return list(probes)
+
+
+def _product_defining(u, v, theta, y) -> bool:
+    """y in one of the three families `predicted_product_wf` describes:
+    p + ((1/2) theta xi_q, xi_q) over interaction pairs, or a point of u
+    (of v) on its slice x = -(1/2) theta xi (x = (1/2) theta xi)."""
+    px, pxi = hcat(identity(2), zeros(2, 2)), hcat(zeros(2, 2), identity(2))
+    half_theta_xi = matmul(mscale(F(1, 2), theta), pxi)
+    plus, minus = madd(px, half_theta_xi), madd(px, mscale(F(-1), half_theta_xi))
+    return ((member(u, y) and not any(matvec(plus, y)))
+            or (member(v, y) and not any(matvec(minus, y)))
+            or _in_image((u, v), hcat(mscale(F(-1), plus), minus),
+                         hcat(identity(4), half_theta_xi + pxi), y))
+
+
+def _pullback_defining(s, a, y) -> bool:
+    """y = (x, xi) in ker(A) x {0}, or with (t A x, eta) in s and
+    A^T eta = t xi for some t > 0."""
+    m, n = len(a), len(a[0])
+    if not any(y[n:]) and not any(matvec(a, y[:n])):
+        return True
+    # stacked point (y', eta, t x, t xi): y' = A t x and A^T eta = t xi
+    rows = (hcat(identity(m), zeros(m, m), mscale(F(-1), a), zeros(m, n))
+            + hcat(zeros(n, m), mat_t(a), zeros(n, n), mscale(F(-1), identity(n))))
+    return _witness((s, ray_set(y)), rows, hcat(zeros(2 * n, 2 * m), identity(2 * n))) is not None
+
+
+@st.composite
+def _image_case(draw):
+    """Two sets of R^4 components with and without selectors, a coupling
+    c J, a pullback map R^1 or R^2 -> R^2, and a linear map of R^4 with
+    one to four rows."""
+    u = draw(st.lists(_component(max_gens=2), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        # a frequency-only generator, which the selector x != 0 removes
+        u.append(draw(_component(planted=(F(0), F(0)) + draw(st.tuples(coords, coords).filter(any)),
+                                 max_gens=1)))
+    u = ConicSet(4, tuple(u))
+    v = ConicSet(4, tuple(draw(st.lists(_component(max_gens=2), min_size=1, max_size=2))))
+    c = draw(st.sampled_from([F(0), F(1), F(1, 3)]))
+    theta = tuple(tuple(c * t for t in row) for row in J)
+    cols = draw(st.integers(1, 2))
+    a = tuple(draw(st.lists(st.tuples(*[coords] * cols), min_size=2, max_size=2)))
+    m = tuple(draw(st.lists(st.tuples(*[coords] * 4), min_size=1, max_size=4)))
+    return u, v, theta, a, m
+
+
+@settings(max_examples=8)
+@given(_image_case())
+def test_predicted_product_holds_its_defining_points(case):
+    # the interaction oracle searches three stacked sets per probe, so
+    # this runs fewer draws than the profile's default
+    u, v, theta, _, _ = case
+    got = predicted_product_wf(u, v, theta)
+    for y in _probes(4):
+        assert member(got, y) or not _product_defining(u, v, theta, y)
+
+
+@given(_image_case())
+def test_pullback_and_linear_image_match_their_definitions(case):
+    # every image holds every point of the set it is defined as; where
+    # the map is invertible no selector is dropped and the two agree
+    u, _, _, a, m = case
+    for got, exact, defining in (
+            (wf_pullback(u, a).wavefront, inverse(a) is not None,
+             lambda y: _pullback_defining(u, a, y)),
+            (linear_image(u, m), inverse(m) is not None,
+             lambda y: _in_image((u,), (), m, y))):
+        for y in _probes(got.dim, got):
+            if exact:
+                assert member(got, y) == defining(y)
+            else:
+                assert member(got, y) or not defining(y)
+
+
+def test_pullback_keeps_selectors_of_a_non_square_map():
+    # the open upper half plane xi > 0 through A = (1, -1): the pullback
+    # is (x, (eta, -eta)) with eta > 0, plus ker(A) x {0}, and holds no
+    # other point (x, 0)
+    upper = product_set(full_space(1), ray_set((1,)), x_includes_zero=True)
+    a = ((F(1), F(-1)),)
+    wf = wf_pullback(upper, a).wavefront
+    assert not member(wf, (1, 0, 0, 0))
+    assert member(wf, (1, 1, 0, 0)) and member(wf, (1, 0, 1, -1))
+    assert not member(wf, (1, 0, -1, 1))
+    for y in _probes(4):
+        assert member(wf, y) == _pullback_defining(upper, a, y)
 
 
 def test_theta_inverse_requires_invertible():

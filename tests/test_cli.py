@@ -295,6 +295,11 @@ _RAY_2 = {"dim": 2, "components": [{"kind": "ray", "v": [1, 0]}]}
     ({"v": {"dim": 4, "components": [{"kind": "product", "x": {"set": _RAY_2},
                                       "xi": {"set": _RAY_1}}]}},
      "v", "product parts must share the same dimension"),
+    # empty, zero-width and ragged matrices
+    ({"op": "pullback", "set": _RAY_2, "map": []}, "map", "at least one row and one column"),
+    ({"op": "pullback", "set": _RAY_2, "map": [[]]}, "map", "at least one row and one column"),
+    ({"op": "pullback", "set": _RAY_2, "map": [[1], [1, 0]]}, "map", "ragged matrix"),
+    ({"theta": [[0, 1], [-1]]}, "theta", "ragged matrix"),
 ])
 def test_cone_bad_rationals_exit_2(tmp_path, capsys, fragment, key, message):
     cfg = _write(tmp_path / "cone.json", {

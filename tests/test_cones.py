@@ -182,6 +182,15 @@ def test_linear_image_of_ray():
     assert not member(t, (1, 0))
 
 
+def test_linear_image_checks_map_columns():
+    s = ray_set((1, 0))
+    for m in (((F(1), F(0), F(0)),), ((F(1),),), ()):
+        with pytest.raises(ValueError, match=r"linear map has \d+ columns, set dimension is 2"):
+            linear_image(s, m)
+    # any map of the right width, also a singular or non-square one
+    assert member(linear_image(s, ((F(1), F(1)),)), (3,))
+
+
 # ---------------------------------------------------------------------------
 # membership against closed-form definitions
 

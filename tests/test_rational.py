@@ -15,6 +15,7 @@ from twistlab.rational import (
     identity,
     inverse,
     is_zero_vec,
+    left_solve,
     madd,
     mat,
     matmul,
@@ -72,6 +73,17 @@ def test_matrix_helpers():
     assert inverse(mat([[1, 2], [2, 4]])) is None              # singular
     assert inverse(mat([[0], [1]])) is None                    # not square
     assert inverse(mat([[1, 0, 0], [0, 1, 0]])) is None
+
+
+def test_left_solve():
+    m = mat([[1, 0, 1], [0, 1, 1], [1, 1, 2]])             # third row = first + second
+    e = mat([[2, 3, 5], [0, 0, 0]])
+    f = left_solve(e, m)
+    assert matmul(f, m) == e
+    assert f[0][2] == 0                                    # free entry set to 0
+    assert left_solve(mat([[0, 0, 1]]), m) is None         # outside the row space
+    assert left_solve(mat([[1, 2]]), ()) is None           # m without rows
+    assert left_solve((), m) == ()
 
 
 def test_nullspace_orthogonality():
