@@ -3,31 +3,32 @@ cone algebra conditions, and the pullback transform.
 
 All verdicts here are exact over rational arithmetic.  Every yes/no
 verdict is one witness search (`_witness`) over tuples of generator
-cones.  Its workhorse is nonnegative feasibility with "nonzero" side
-conditions: a pointed cone C = {w >= 0 : A w = 0} admits a point with
-S_j w != 0 for every selector S_j if and only if each selector
-individually is nonzero somewhere on C (a convex cone is never covered
-by finitely many proper subspace slices), and an explicit witness is a
-positive combination sum t^i r_i of the extreme rays r_i for all but
-finitely many t > 0.
+cones, or a few, chosen by the complement search `_escape`.  Its
+workhorse is nonnegative feasibility with "nonzero" side conditions: a
+pointed cone C = {w >= 0 : A w = 0} admits a point with S_j w != 0 for
+every selector S_j if and only if each selector individually is nonzero
+somewhere on C (a convex cone is never covered by finitely many proper
+subspace slices), and an explicit witness is a positive combination
+sum t^i r_i of the extreme rays r_i for all but finitely many t > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
+from operator import mul
 
 from .matrices import AntisymmetricMatrix
 from .rational import (
     Mat,
     Vec,
-    cone_contains,
+    dot,
     extreme_rays,
     hcat,
     identity,
+    integer_ray,
     inverse,
-    is_zero_vec,
     madd,
     mat,
     mat_t,
@@ -36,21 +37,22 @@ from .rational import (
     mscale,
     nullspace,
     primitive_ray,
-    vadd,
     vneg,
-    vscale,
     zeros,
 )
 from .cones import (
     ConicSet,
     PolyhedralCone,
+    _fourier_rotation,
+    _hform,
     _image,
+    _kernel_slice,
     _projector,
     _stacked,
     full_space,
-    member,
+    gencone_member,
+    polyhedral,
     set_gencones,
-    wf_fourier_rotate,
 )
 
 ZERO = Fraction(0)
@@ -97,26 +99,19 @@ def feasible_with_nonzero(a: Mat, ncols: int, selectors: list[Mat]) -> Vec | Non
     vanishes on every extreme ray.
     """
     rays = extreme_rays(a, ncols)
-    if not rays:
+    if not rays or not all(any(any(dot(row, r) for row in sel) for r in rays) for sel in selectors):
         return None
-    for sel in selectors:
-        if all(is_zero_vec(matvec(sel, r)) for r in rays):
-            return None
     # deterministic generic combination: w(t) = sum t^i r_i
     for t in range(1, 1 + max(4, len(rays) * (len(selectors) + 1) * 4)):
-        w = tuple(ZERO for _ in range(ncols))
-        power = ONE
-        for r in rays:
-            w = vadd(w, vscale(power, r))
-            power *= t
-        if all(not is_zero_vec(matvec(sel, w)) for sel in selectors):
+        w = tuple(sum((t ** i * x for i, x in enumerate(col)), ZERO) for col in zip(*rays))
+        if all(any(dot(row, w) for row in sel) for sel in selectors):
             return w
     raise RuntimeError("generic witness search failed; selector degrees exceeded bound")
 
 
-def _witness(sets: tuple[ConicSet, ...], rows: Mat, nonzero: Mat) -> tuple[Vec, ...] | None:
+def _witness(sets: tuple[ConicSet, ...], rows: Mat, *nonzero: Mat) -> tuple[Vec, ...] | None:
     """Points p_i in sets[i] whose stack p = (p_1, ..., p_m) has rows p = 0
-    and nonzero p != 0, or None.
+    and S p != 0 for every S in nonzero, or None.
 
     Every point also satisfies the exclude selectors of its generator
     cone.  This is the one search behind every exact yes/no verdict: one
@@ -126,11 +121,94 @@ def _witness(sets: tuple[ConicSet, ...], rows: Mat, nonzero: Mat) -> tuple[Vec, 
     """
     ends = tuple(accumulate(s.dim for s in sets))
     for g, excludes in _stacked(sets):
-        selectors = [matmul(e, g) for e in (nonzero, *excludes)]
+        selectors = [matmul(e, g) for e in (*nonzero, *excludes)]
         w = feasible_with_nonzero(matmul(rows, g), len(g[0]), selectors)
         if w is not None:
             point = primitive_ray(matvec(g, w))
             return tuple(point[e - s.dim:e] for s, e in zip(sets, ends))
+    return None
+
+
+MAX_PIECE_SEARCHES = 1 << 9
+"""Most `_piece_witness` searches of one `_escape` call; past it,
+ValueError."""
+
+
+def _complement(gc: PolyhedralCone, ycols: list[tuple[int, ...]]):
+    """The pieces of the complement of the target cone gc that may hold a
+    point of cone(ycols), each {y : A y = 0, B y >= 0} as (A, B, strict),
+    strict meaning B y > 0 for B's one row: the open half-spaces c y < 0
+    for c = +-a, a an equality of `_hform`, and c = h, a facet, unless
+    every column has c y >= 0; and hull(gc) intersect ker E, in its own
+    H-form, for each selector E that cuts the hull."""
+    eqs, facets = _hform(gc.generators)
+    for c in (*eqs, *map(vneg, eqs), *facets):
+        if any(sum(map(mul, c, y)) < 0 for y in ycols):
+            yield (), (vneg(c),), True
+    for e in gc.excludes:
+        if (kept := _kernel_slice(e, gc.generators)):
+            yield *_hform(kept), False
+
+
+def _piece_witness(parts: tuple[ConicSet, ...], ymap: Mat, pieces: tuple) -> tuple[Vec, ...] | None:
+    """Nonzero members p_i of parts[i] whose image y = ymap p is nonzero
+    and lies in every piece, as (p_1, ..., p_m, primitive y), or None.
+    One `_witness` call, with a slack s >= 0 per inequality row b of the
+    pieces, b y - s = 0, and s != 0 for a strict piece."""
+    eqs, ineqs = (sum((piece[i] for piece in pieces), ()) for i in (0, 1))
+    width, k = len(ymap[0]), len(ineqs)
+
+    def coords(lo: int, n: int) -> Mat:
+        """The rows picking n coordinates from lo of the point (p, s)."""
+        return hcat(zeros(n, lo), identity(n), zeros(n, width + k - lo - n))
+
+    rows = hcat(matmul(eqs + ineqs, ymap), zeros(len(eqs), k) + mscale(-ONE, identity(k)))
+    starts = accumulate((len(piece[1]) for piece in pieces), initial=width)
+    # a strict piece keeps y != 0, and a selector of p_i's cone keeps p_i != 0
+    nonzero = [coords(lo, 1) for lo, piece in zip(starts, pieces) if piece[2]]
+    nonzero = nonzero or [hcat(ymap, zeros(len(ymap), k))]
+    nonzero += [coords(lo, s.dim) for lo, s in zip(accumulate((s.dim for s in parts), initial=0), parts)
+                if not s.components[0].excludes]
+    orthant = (polyhedral(identity(k)),) if k else ()
+    w = _witness((*parts, *orthant), rows, *nonzero)
+    return w and (*w[:len(parts)], primitive_ray(matvec(ymap, sum(w[:len(parts)], ()))))
+
+
+def _escape(sets: tuple[ConicSet, ...], ymap: Mat, target: ConicSet) -> tuple[Vec, ...] | None:
+    """Nonzero members p_i of sets[i] whose image y = ymap (p_1, ..., p_m)
+    is nonzero and outside target, as (p_1, ..., p_m, primitive y), or
+    None.
+
+    Per tuple of the sets' generator cones.  A target cone whose hull
+    holds every image column and whose selectors do not cut it holds the
+    tuple's image, with no search.  Otherwise a depth-first search starts
+    from any image point and, while its witness lies in a target cone,
+    branches over the complement pieces of that cone (`_complement`);
+    each conjunction of pieces is one `_piece_witness` search.  A point
+    outside target lies in one piece of every target cone, so the search
+    finds one if there is one, within MAX_PIECE_SEARCHES searches.
+    """
+    tcones = set_gencones(target)
+    budget = MAX_PIECE_SEARCHES
+
+    def search(parts, ycols, chosen=()):
+        nonlocal budget
+        if (budget := budget - 1) < 0:
+            raise ValueError(f"complement search past its budget of {MAX_PIECE_SEARCHES} "
+                             f"piece choices over {len(tcones)} target cones")
+        w = _piece_witness(parts, ymap, chosen)
+        held = w and next((gc for gc in tcones if gencone_member(gc, w[-1])), None)
+        if not held:
+            return w
+        return next(filter(None, (search(parts, ycols, chosen + (piece,))
+                                  for piece in _complement(held, ycols))), None)
+
+    for cones in product(*(set_gencones(s) for s in sets)):
+        parts = tuple(ConicSet(s.dim, (c,)) for s, c in zip(sets, cones))
+        ycols = [integer_ray(y) for y in mat_t(matmul(ymap, next(_stacked(parts))[0]))]
+        if all(next(_complement(gc, ycols), None) for gc in tcones):
+            if (w := search(parts, ycols)) is not None:
+                return w
     return None
 
 
@@ -204,34 +282,45 @@ def predicted_product_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
         ((1/2) theta xi_q, xi_q).
 
     Every component keeps the selectors that `cones._image` can carry
-    forward: a one-sided component all of its factor's selectors, an
+    forward: a single-factor component all of its factor's selectors, an
     interaction component those that are a function of its image point;
     it is closed where a selector is dropped.  On its slice a point q of
-    wfv already reads ((1/2) theta xi_q, xi_q), so both one-sided families
-    are the factor's own points there.
+    wfv already reads ((1/2) theta xi_q, xi_q), so both single-factor
+    families are the factor's own points there.
     """
+    return _predicted(wfu, wfv, theta)
+
+
+def predicted_star_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
+    """Conic superset for the twisted convolution, via the frequency
+    side: the product prediction conjugated by the Fourier rotation R,
+    that is, of R^-1 wfu and R^-1 wfv, mapped by R."""
+    return _predicted(wfu, wfv, theta, _fourier_rotation(_half_dim(wfu, wfv)))
+
+
+def _predicted(wfu: ConicSet, wfv: ConicSet, theta, rot: Mat | None = None) -> ConicSet:
+    """`predicted_product_wf` of rot^-1 wfu and rot^-1 wfv, mapped by rot
+    (the identity when None): one `_image` call per family, whose rows and
+    output map act on the factors' own points through rot^-1."""
     n = _half_dim(wfu, wfv)
     tm = as_rational_antisym(theta, n)
     px, pxi = _projector(n, 0), _projector(n, 1)
     half_theta_xi = matmul(mscale(Fraction(1, 2), tm), pxi)
     plus, minus = madd(px, half_theta_xi), madd(px, mscale(-ONE, half_theta_xi))
     eye = identity(2 * n)
-    # p + ((1/2) theta xi_q, xi_q) over pairs with -plus p + minus q = 0
-    comps = [*_image((wfu, wfv), hcat(mscale(-ONE, plus), minus), hcat(eye, half_theta_xi + pxi)),
-             *_image((wfu,), plus, eye), *_image((wfv,), minus, eye)]
+    # (sets, rows, out) with one block per set
+    families = [((wfu, wfv), (mscale(-ONE, plus), minus), (eye, half_theta_xi + pxi)),
+                ((wfu,), (plus,), (eye,)), ((wfv,), (minus,), (eye,))]
+    if rot is not None:
+        back = inverse(rot)
+        families = [(sets, [matmul(b, back) for b in rows], [matmul(rot, matmul(b, back)) for b in out])
+                    for sets, rows, out in families]
+    comps = [c for sets, rows, out in families for c in _image(sets, hcat(*rows), hcat(*out))]
     # drop duplicate components (same generators and selectors)
     uniq: dict[tuple, PolyhedralCone] = {}
     for c in comps:
         uniq.setdefault((tuple(sorted(c.generators)), c.excludes), c)
     return ConicSet(2 * n, tuple(uniq.values()))
-
-
-def predicted_star_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
-    """Conic superset for the twisted convolution, via the frequency
-    side: conjugate the product prediction by the Fourier rotation."""
-    ru = wf_fourier_rotate(wfu, inverse=True)
-    rv = wf_fourier_rotate(wfv, inverse=True)
-    return wf_fourier_rotate(predicted_product_wf(ru, rv, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +330,9 @@ def predicted_star_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
 class ConditionCheck:
     name: str
     passed: bool
-    exact: bool
     witness: tuple | None = None
     note: str = ""
+    exact = True  # every condition is settled exactly, not a field
 
 
 @dataclass(frozen=True)
@@ -263,130 +352,7 @@ class ShiftAlgebraReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.conditions)
 
-    @property
-    def exact(self) -> bool:
-        return all(c.exact for c in self.conditions)
-
-    @property
-    def verdict(self) -> str:
-        return "exact" if self.exact else "one-sided"
-
-
-def _check_additive_salient(gamma2: ConicSet) -> ConditionCheck:
-    name = "additive-salient"
-    comps = set_gencones(gamma2)
-    if not comps:
-        return ConditionCheck(name, True, True, note="empty cone")
-    eye = identity(gamma2.dim)
-    p_nonzero = hcat(eye, zeros(gamma2.dim, gamma2.dim))
-    # salience, within one cone and across two: no members p, q with p + q = 0
-    w = _witness((gamma2, gamma2), hcat(eye, eye), p_nonzero)
-    if w is not None:
-        return ConditionCheck(name, False, True, w, "two members sum to zero")
-    if len(comps) == 1:
-        # p + q != 0 lies in the hull, so it leaves the cone iff a selector
-        # E removes it: E (p + q) = 0
-        for e in comps[0].excludes:
-            w = _witness((gamma2, gamma2), hcat(e, e), p_nonzero)
-            if w is not None:
-                p, q = w
-                return ConditionCheck(name, False, True, (p, q, primitive_ray(vadd(p, q))),
-                                      "sum of two members leaves the cone")
-        note = ("no sum of two members meets an excluded slice" if comps[0].excludes
-                else "closure automatic")
-        return ConditionCheck(name, True, True, note=f"convex component; {note}")
-    # union: additive closure checked on sums of member generators (necessary);
-    # salience holds, so no sum below is zero
-    gens = [[g for g in c.generators if member(gamma2, g)] for c in comps]
-    for i, ha in enumerate(gens):
-        for hb in gens[i + 1:]:
-            for ga in ha:
-                for gb in hb:
-                    ssum = vadd(ga, gb)
-                    if not member(gamma2, ssum):
-                        return ConditionCheck(
-                            name, False, True, (ga, gb, primitive_ray(ssum)),
-                            "generator sum escapes the union",
-                        )
-    return ConditionCheck(
-        name, True, False, None,
-        "union: salience exact; closure verified on generator sums only",
-    )
-
-
-def _member_point(gc: PolyhedralCone) -> Vec | None:
-    """A member of the generator cone gc, or None when it has none."""
-    w = _witness((ConicSet(gc.dim, (gc,)),), (), identity(gc.dim))
-    return None if w is None else w[0]
-
-
-def _check_shift_stability(gamma1: ConicSet, gamma2: ConicSet, half_theta: Mat) -> ConditionCheck:
-    name = "shift-stability"
-    comps1, comps2 = set_gencones(gamma1), set_gencones(gamma2)
-    if not comps2 or not comps1:
-        return ConditionCheck(name, True, True, note="vacuous (empty cone)")
-    hulls1 = [c.generators for c in comps1]
-    # convex target: stability is equivalent to every shifted generator
-    # lying in the recession cone, i.e. the hull itself; a union target is
-    # spot-checked from one member of each component (one-sided)
-    convex = len(comps1) == 1
-    anchors = [x0 for c in comps1 if (x0 := _member_point(c)) is not None]
-    if not anchors:
-        return ConditionCheck(name, True, True, note="vacuous (gamma1 has no member)")
-
-    def leave(x0: Vec, v: Vec) -> Vec | None:
-        """Primitive x0 + t v, t > 0, outside every hull of gamma1, or None."""
-        if convex and cone_contains(hulls1[0], v):
-            return None
-        ts = (ONE * 2 ** k for k in range(64)) if convex else (Fraction(1, 2), ONE, 2, 8, 64)
-        for t in ts:
-            pt = vadd(x0, vscale(t, v))
-            if not is_zero_vec(pt) and not any(cone_contains(h, pt) for h in hulls1):
-                return primitive_ray(pt)
-        if convex:
-            raise RuntimeError("recession witness search failed")
-        return None
-
-    def escape(x0: Vec, c2: PolyhedralCone, g: Vec) -> tuple[Vec, Vec] | None:
-        """A member xi of c2 along the generator g, and the point where
-        x0 shifted along (1/2) theta xi leaves gamma1, or None.  xi is g
-        when g is a member, else m + t g with m a member of c2, for the
-        first t in 1, 2, 4, ... that is a member and still leaves.  Both
-        lie in c2's hull, so only zero and the selectors can exclude them."""
-        def kept(xi: Vec) -> bool:
-            return not is_zero_vec(xi) and all(not is_zero_vec(matvec(e, xi)) for e in c2.excludes)
-
-        v = matvec(half_theta, g)
-        if is_zero_vec(v) or (pt := leave(x0, v)) is None:
-            return None
-        if kept(g):
-            return g, pt
-        m = _member_point(c2)
-        if m is None:
-            return None
-        t = ONE
-        for _ in range(64):
-            xi = vadd(m, vscale(t, g))
-            if kept(xi) and (pt := leave(x0, vscale(1 / t, matvec(half_theta, xi)))):
-                return primitive_ray(xi), pt
-            t *= 2
-        raise RuntimeError("member witness search failed")
-
-    for x0 in anchors:
-        for c2 in comps2:
-            for g in c2.generators:
-                found = escape(x0, c2, primitive_ray(g))
-                if found is not None:
-                    return ConditionCheck(name, False, True, (x0, *found),
-                                          f"shifted point leaves the {'cone' if convex else 'union'}")
-    if convex:
-        return ConditionCheck(
-            name, True, True, None,
-            "every shifted generator lies in the recession cone "
-            "(membership taken on the closed hull)",
-        )
-    return ConditionCheck(name, True, False, None,
-                          "union target: verified from one member of each component only")
+    exact, verdict = True, "exact"
 
 
 def shift_algebra_check(gamma1: ConicSet, gamma2: ConicSet, theta) -> ShiftAlgebraReport:
@@ -395,24 +361,31 @@ def shift_algebra_check(gamma1: ConicSet, gamma2: ConicSet, theta) -> ShiftAlgeb
     origin excluded, and gamma1 stable under x -> x + (1/2) theta xi for
     xi in gamma2.
 
-    Every witness is exact and made of members: a shift-stability
-    witness (x0, xi, pt) has x0 in gamma1, xi in gamma2 and pt outside
-    gamma1 on the ray of x0 + t (1/2) theta xi, t > 0.  A convex gamma2
-    or gamma1 settles its condition exactly; on a union, additive
-    closure is checked on generator sums and shift stability from one
-    member of each gamma1 component, so a pass there is one-sided
-    (necessary conditions only) and the report's verdict reads
-    "one-sided".
+    Every verdict is exact, and every witness is made of members: an
+    additive-salient witness is (p, -p), or (p, q, primitive(p + q)) with
+    p + q outside gamma2; a shift-stability witness (x0, xi, pt) has x0
+    in gamma1, xi in gamma2 and pt = primitive(x0 + (1/2) theta xi)
+    outside gamma1.  Closure and shift stability are `_escape` searches;
+    scaling xi absorbs the t > 0 of x0 + t (1/2) theta xi.
     """
     if gamma1.dim != gamma2.dim:
         raise ValueError("cones must live in the same dimension")
+    eye, zero = identity(gamma1.dim), zeros(gamma1.dim, gamma1.dim)
     half_theta = mscale(Fraction(1, 2), as_rational_antisym(theta, gamma1.dim))
-    origin = ConditionCheck(
-        "origin-excluded", True, True, None,
-        "conic sets exclude the origin by representation",
-    )
-    return ShiftAlgebraReport(_check_additive_salient(gamma2), origin,
-                              _check_shift_stability(gamma1, gamma2, half_theta))
+    # salience, within one cone and across two: no members p, q with p + q = 0
+    if (w := _witness((gamma2, gamma2), hcat(eye, eye), hcat(eye, zero))) is not None:
+        salient = ConditionCheck("additive-salient", False, w, "two members sum to zero")
+    elif (w := _escape((gamma2, gamma2), hcat(eye, eye), gamma2)) is not None:
+        salient = ConditionCheck("additive-salient", False, w, "sum of two members leaves the set")
+    else:
+        salient = ConditionCheck("additive-salient", True,
+                                 note="no two members sum to zero or leave the set")
+    origin = ConditionCheck("origin-excluded", True,
+                            note="conic sets exclude the origin by representation")
+    w = _escape((gamma1, gamma2), hcat(eye, half_theta), gamma1)
+    stable = ConditionCheck("shift-stability", w is None, w, "shifted point leaves gamma1" if w
+                            else "no member of gamma1 shifted along gamma2 leaves it")
+    return ShiftAlgebraReport(salient, origin, stable)
 
 
 # ---------------------------------------------------------------------------

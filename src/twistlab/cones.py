@@ -21,18 +21,21 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
+from math import comb
+from operator import mul
 
 import numpy as np
 
 from .rational import (
+    MAX_SUPPORTS,
     Mat,
     Vec,
-    cone_contains,
+    dot,
     extreme_rays,
     hcat,
     identity,
-    inverse,
+    integer_ray,
     is_zero_vec,
     left_solve,
     mat,
@@ -40,6 +43,7 @@ from .rational import (
     matmul,
     matvec,
     mscale,
+    nullspace,
     primitive_ray,
     row_space_canonical,
     vec,
@@ -207,30 +211,54 @@ def _part_cones(part: ConicSet | None, includes_zero: bool) -> tuple[list, bool]
         return [((), ())], True
     cones = [(c.generators, c.excludes) for c in part.components]
     if includes_zero:
-        cones = [(g, tuple(e for e in excl if _selector_cuts(e, g))) for g, excl in cones]
+        cones = [(g, tuple(e for e in excl if _kernel_slice(e, g))) for g, excl in cones]
         if all(excl for _, excl in cones):
             cones.append(((), ()))
     return cones, includes_zero
 
 
-def _selector_cuts(e: Mat, gens: Mat) -> bool:
-    """Whether the kernel of selector e meets cone(gens) away from the origin."""
-    g = mat_t(gens)
-    return any(not is_zero_vec(matvec(g, r)) for r in extreme_rays(matmul(e, g), len(gens)))
+@lru_cache(maxsize=1024)
+def _kernel_slice(e: Mat, gens: Mat) -> Mat:
+    """The generators `_image` gives cone(gens) intersect ker(e); empty
+    when the kernel of selector e meets the cone only at the origin."""
+    hull = polyhedral(gens)
+    return next((c.generators for c in _image((hull,), e, identity(hull.dim))), ())
 
 
 # ---------------------------------------------------------------------------
 # membership
 
+@lru_cache(maxsize=1024)
+def _hform(gens: Mat) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The H-form of cone(gens) as coprime integer rows: equalities a, a
+    basis of span(gens)^perp, and facet normals h, with cone(gens) = {v :
+    a v = 0, h v >= 0} (Minkowski-Weyl).  A facet is spanned by r - 1
+    independent generators, r the rank, so each (r - 1)-subset gives one
+    candidate, its normal inside the span, kept when it has one sign on
+    the generators; ValueError past MAX_SUPPORTS subsets.  Cached per cone."""
+    d = len(gens[0])
+    eqs = tuple(integer_ray(a) for a in nullspace(gens))
+    r = d - len(eqs)
+    if (count := comb(len(gens), r - 1)) > MAX_SUPPORTS:
+        raise ValueError(f"cone too large for its facets: {len(gens)} generators of rank {r} give "
+                         f"{count} candidate subsets, above the budget of {MAX_SUPPORTS}")
+    facets: dict[tuple[int, ...], None] = {}
+    for sub in combinations(gens, r - 1):
+        if len(normal := nullspace(sub + eqs, d)) == 1:
+            h = normal[0] if any(dot(normal[0], g) > 0 for g in gens) else vneg(normal[0])
+            if all(dot(h, g) >= 0 for g in gens):
+                facets.setdefault(integer_ray(h), None)
+    return eqs, tuple(facets)
+
+
 def gencone_member(gc: PolyhedralCone, v: Vec) -> bool:
     if is_zero_vec(v):
         return False
-    if not cone_contains(gc.generators, v):
-        return False
-    for e in gc.excludes:
-        if is_zero_vec(matvec(e, v)):
-            return False
-    return True
+    eqs, facets = _hform(gc.generators)
+    w = integer_ray(v)
+    return (all(sum(map(mul, a, w)) == 0 for a in eqs)
+            and all(sum(map(mul, h, w)) >= 0 for h in facets)
+            and all(not is_zero_vec(matvec(e, v)) for e in gc.excludes))
 
 
 def member(s: ConicSet, v) -> bool:
@@ -276,15 +304,16 @@ def _image(sets: tuple[ConicSet, ...], rows: Mat, out: Mat):
     A selector E of the tuple's cones carries over as F_o exactly when
     E = F_o out + F_r rows: on the image y = out p we have rows p = 0, so
     E p = F_o y.  Otherwise E is dropped and the image is closed there.
+    Carried selectors are written as `row_space_canonical(F_o)`, once per
+    kernel, and a cone inside the kernel of one of them (F_o g = 0 for
+    every generator g) holds no point and is not yielded.
     """
     stack = out + rows
-    carried: dict[Mat, Mat | None] = {}
 
+    @lru_cache(maxsize=None)
     def carry(e: Mat) -> Mat | None:
-        if e not in carried:
-            f = left_solve(e, stack)
-            carried[e] = None if f is None else tuple(r[:len(out)] for r in f)
-        return carried[e]
+        f = left_solve(e, stack)
+        return None if f is None else row_space_canonical([r[:len(out)] for r in f])
 
     for g, excludes in _stacked(sets):
         og = matmul(out, g)
@@ -293,8 +322,9 @@ def _image(sets: tuple[ConicSet, ...], rows: Mat, out: Mat):
             v = matvec(og, r)
             if not is_zero_vec(v):
                 gens.setdefault(primitive_ray(v), None)
-        if gens:
-            sels = dict.fromkeys(f for e in excludes if (f := carry(e)) is not None)
+        sels = dict.fromkeys(f for e in excludes if (f := carry(e)) is not None)
+        # a selector that vanishes on every generator removes every point
+        if gens and not any(all(is_zero_vec(matvec(f, v)) for v in gens) for f in sels):
             yield PolyhedralCone(tuple(gens), tuple(sels))
 
 
@@ -308,13 +338,17 @@ def linear_image(s: ConicSet, m: Mat) -> ConicSet:
     return ConicSet(len(m), tuple(_image((s,), (), m)))
 
 
+def _fourier_rotation(n: int) -> Mat:
+    """The map (x, xi) -> (xi, -x) on R^{2n}; its inverse is its negative."""
+    eye, zero = identity(n), zeros(n, n)
+    return hcat(zero, eye) + hcat(mscale(-ONE, eye), zero)
+
+
 def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
     """Image under (x, xi) -> (xi, -x); inverse=True applies (x, xi) -> (-xi, x)."""
     if s.dim % 2 != 0:
         raise ValueError("phase-space rotation needs even dimension")
-    n = s.dim // 2
-    eye, zero = identity(n), zeros(n, n)
-    fwd = hcat(zero, eye) + hcat(mscale(-ONE, eye), zero)
+    fwd = _fourier_rotation(s.dim // 2)
     return linear_image(s, mscale(-ONE, fwd) if inverse else fwd)
 
 
@@ -331,80 +365,13 @@ def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
 
 
 # ---------------------------------------------------------------------------
-# canonical forms and equality
-
-@lru_cache(maxsize=256)
-def _lineality_split(gens: Mat) -> tuple[Mat, tuple[Vec, ...]]:
-    """The `row_space_canonical` basis of the lineality space of
-    cone(gens), which the generators g with -g in the hull span, and the
-    minimal generators of the cone's projection onto the orthogonal
-    complement of that space.  The projection is pointed, so both parts
-    are canonical.  Pure in the exact generators; angular distances ask
-    once per cone."""
-    lin = row_space_canonical([g for g in gens if cone_contains(gens, vneg(g))])
-    if lin:
-        # g minus its orthogonal projection lin^T (lin lin^T)^{-1} lin g
-        gram_inv, lin_t = inverse(matmul(lin, mat_t(lin))), mat_t(lin)
-        gens = [tuple(x - y for x, y in zip(g, matvec(lin_t, matvec(gram_inv, matvec(lin, g)))))
-                for g in gens]
-    return lin, _minimal_generators([g for g in gens if not is_zero_vec(g)])
-
-
-def _minimal_generators(gens: Mat) -> tuple[Vec, ...]:
-    prims = []
-    for g in gens:
-        p = primitive_ray(g)
-        if p not in prims:
-            prims.append(p)
-    keep = []
-    for i, g in enumerate(prims):
-        others = [h for j, h in enumerate(prims) if j != i]
-        if not others or not cone_contains(others, g):
-            keep.append(g)
-    return tuple(sorted(keep))
-
-
-def _nontrivial_excludes(gc: PolyhedralCone) -> tuple[Mat, ...]:
-    """Selectors whose kernel meets the hull away from the origin."""
-    return tuple(sorted(
-        row_space_canonical(e) for e in gc.excludes if _selector_cuts(e, gc.generators)
-    ))
-
-
-def component_canonical(gc: PolyhedralCone):
-    """Canonical form for equality tests: the lineality basis, the pointed
-    generators of the rest (`_lineality_split`) and the selectors that cut
-    the hull."""
-    return _lineality_split(gc.generators) + (_nontrivial_excludes(gc),)
-
-
-def _reduced_canonicals(s: ConicSet) -> set[str]:
-    """The reprs of the canonical forms of s's components, with duplicate
-    components collapsed and components absorbed into exclude-free hulls
-    that contain them dropped."""
-    carriers: dict[str, tuple] = {}
-    for gc in set_gencones(s):
-        canon = component_canonical(gc)
-        carriers.setdefault(repr(canon), (gc, not canon[-1]))
-    closed = [(k, gc) for k, (gc, exclude_free) in carriers.items() if exclude_free]
-    return {key for key, (gc, _) in carriers.items()
-            if not any(hk != key and _gens_inside(gc, h) for hk, h in closed)}
-
+# equality
 
 def conic_equal(s: ConicSet, t: ConicSet) -> bool:
-    """Exact set equality via canonical component forms.
-
-    Each hull has one canonical form, so two single components are equal
-    exactly when their forms are.  Duplicate and absorbed components
-    collapse first; unions that match the other side only through a
-    genuinely different decomposition are out of scope and compare
-    unequal.
-    """
-    return s.dim == t.dim and _reduced_canonicals(s) == _reduced_canonicals(t)
-
-
-def _gens_inside(a: PolyhedralCone, b: PolyhedralCone) -> bool:
-    return all(cone_contains(b.generators, g) for g in a.generators)
+    """Exact set equality: inclusion both ways, each one
+    `calculus._escape` search for a member of one set outside the other."""
+    from .calculus import _escape  # calculus imports this module
+    return s.dim == t.dim and all(_escape((a,), identity(s.dim), b) is None for a, b in ((s, t), (t, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +395,9 @@ def angular_distance_deg(s: ConicSet, direction) -> float:
 
 def _gencone_angle_deg(gc: PolyhedralCone, w: np.ndarray) -> float:
     gens = _float_gens(gc)
-    if not _lineality_split(gc.generators)[1]:
-        # orthogonal projection onto span, basis via SVD (QR column order
-        # is not rank-revealing without pivoting)
+    if not _hform(gc.generators)[1]:
+        # no facets: a subspace; orthogonal projection onto span, basis via
+        # SVD (QR column order is not rank-revealing without pivoting)
         u, sv, _ = np.linalg.svd(gens.T, full_matrices=False)
         basis = u[:, sv > 1e-10 * max(sv[0], 1.0)]
         proj = basis @ (basis.T @ w)

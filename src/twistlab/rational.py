@@ -82,7 +82,9 @@ def mat_t(a: Mat) -> Mat:
 
 def matmul(a: Mat, b: Mat) -> Mat:
     bt = mat_t(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+    # rows of the calculus's block and selector matrices are mostly zero
+    nonzero = ([(j, x) for j, x in enumerate(ra) if x] for ra in a)
+    return tuple(tuple(sum((x * cb[j] for j, x in nz if cb[j]), ZERO) for cb in bt) for nz in nonzero)
 
 
 def identity(d: int) -> Mat:
@@ -110,14 +112,18 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def primitive_ray(a: Vec) -> Vec:
-    """Scale by a positive rational to coprime integers, keeping direction."""
-    if is_zero_vec(a):
-        return a
+def integer_ray(a: Sequence) -> tuple[int, ...]:
+    """a scaled by a positive rational to coprime Python ints; all zero
+    for a = 0.  Signs of linear functionals on a are kept."""
     den = lcm(*(x.denominator for x in a))
     ints = [x.numerator * (den // x.denominator) for x in a]
-    g = gcd(*ints)
-    return tuple(Fraction(v // g) for v in ints)
+    g = gcd(*ints) or 1
+    return tuple(v // g for v in ints)
+
+
+def primitive_ray(a: Vec) -> Vec:
+    """Scale by a positive rational to coprime integers, keeping direction."""
+    return tuple(map(Fraction, integer_ray(a)))
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:

@@ -12,11 +12,12 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from .calculus import (
+    _escape,
     shift_algebra_check,
     existence_condition,
     existence_condition_theta_inv,
@@ -51,13 +52,17 @@ from .products import (
 from .rational import (
     ONE,
     ZERO,
+    cone_contains,
     extreme_rays,
+    identity,
     mat_t,
     matmul,
+    matvec,
     nonneg_solve,
     nullspace,
     primitive_ray,
     rank,
+    vadd,
     vneg,
 )
 from .reports import CheckResult, VerificationReport
@@ -709,6 +714,53 @@ def check_shift_algebra_zero_coupling() -> CheckResult:
     return _cond("shift-algebra-zero-coupling", "twisted-shift-algebra",
                  rep.passed and rep.shift_stability.passed,
                  rep.shift_stability.note)
+
+
+@_check("calculus")
+def check_shift_algebra_vs_lattice() -> CheckResult:
+    """`shift_algebra_check` and `conic_equal` on 100 seeded R^2 pairs
+    (theta = J) against lattice points of {-3..3}^2, whose membership
+    `rational.cone_contains` and the selectors decide, not `cones.member`.
+    Failing witnesses are re-checked; a shift-stability pass is probed at
+    x0 + (1/2) theta xi for all lattice members x0 of gamma1 and xi of
+    gamma2; conic_equal(gamma1, gamma1 u gamma2) must read True only when
+    every lattice member of gamma2 is in gamma1, and when it reads False
+    the `_escape` witness of gamma2 leaving gamma1 is re-checked.  The
+    measured value is the number of mismatches."""
+    rng, half_theta = random.Random(1), ((ZERO, Fraction(1, 2)), (Fraction(-1, 2), ZERO))
+    lattice = [tuple(map(Fraction, v)) for v in product(range(-3, 4), repeat=2) if any(v)]
+    bad = failed = 0
+    for _ in range(100):
+        g1, g2 = _random_polyhedral(rng, 2), _random_polyhedral(rng, 2)
+        memo: dict = {}
+
+        def inside(s, v):
+            if (key := (id(s), primitive_ray(v))) not in memo:
+                memo[key] = any(cone_contains(c.generators, key[1]) and all(
+                    any(matvec(e, key[1])) for e in c.excludes) for c in set_gencones(s))
+            return memo[key]
+
+        sal, _, shift = shift_algebra_check(g1, g2, _j_theta(2)).conditions
+        if not sal.passed:
+            p, q, *rest = sal.witness
+            bad += not (inside(g2, p) and inside(g2, q)) or (
+                rest[0] != primitive_ray(vadd(p, q)) or inside(g2, rest[0]) if rest else q != vneg(p))
+        if not shift.passed:
+            x0, xi, pt = shift.witness
+            bad += not (inside(g1, x0) and inside(g2, xi)) or inside(g1, pt) \
+                or pt != primitive_ray(vadd(x0, matvec(half_theta, xi)))
+        else:
+            m1, m2 = ([v for v in lattice if inside(g, v)] for g in (g1, g2))
+            shifts = [matvec(half_theta, xi) for xi in m2]
+            bad += any(any(pt) and not inside(g1, pt) for pt in {vadd(x0, h) for x0 in m1 for h in shifts})
+        failed += not (sal.passed and shift.passed)
+        if conic_equal(g1, ConicSet(2, g1.components + g2.components)):
+            bad += any(inside(g2, v) and not inside(g1, v) for v in lattice)
+        else:
+            w = _escape((g2,), identity(2), g1)
+            bad += w is None or not inside(g2, w[0]) or inside(g1, w[0])
+    r = _tol("shift-algebra-vs-lattice", "twisted-shift-algebra", bad, 0.0)
+    return replace(r, detail=f"{bad} mismatches; {failed} of 100 pairs fail a condition")
 
 
 @_check("calculus", 7)

@@ -223,12 +223,36 @@ def test_shift_witness_plane_upper_regression():
     upper = product_set(full_space(1), ray_set((1,)), x_includes_zero=True)
     c = shift_algebra_check(plane, upper, J).shift_stability
     assert not c.passed and c.exact
-    assert c.witness == ((-1, 0), (1, 1), (-1, -1))
+    assert c.witness == ((-1, 0), (-4, 16), (7, 2))
     _assert_shift_witness(plane, upper, J)
-    # a convex gamma1 without members passes vacuously
+    # a convex gamma1 without members passes
     hollow = ConicSet(2, (PolyhedralCone(((F(0), F(1)),), (((F(1), F(0)),),)),))
     c = shift_algebra_check(hollow, upper, J).shift_stability
-    assert c.passed and c.exact and c.note.startswith("vacuous")
+    assert c.passed and c.exact and c.witness is None
+
+
+def test_shift_stability_sees_excluded_slices_of_gamma1():
+    # a convex gamma1 with the selector x != 0: x0 + (1/2) J xi can land on
+    # the removed axis x = 0 although it stays in the hull
+    gamma1 = ConicSet(2, (PolyhedralCone(((F(-3, 2), F(-1)), (F(2), F(1)), (F(-3, 2), F(3))),
+                                         (((F(1), F(0)),),)),))
+    gamma2 = polyhedral([(-2, 1), (1, 0)])
+    c = shift_algebra_check(gamma1, gamma2, J).shift_stability
+    assert not c.passed and c.exact
+    assert c.witness[2] == (0, 1)
+    _assert_shift_witness(gamma1, gamma2, J)
+
+
+def test_shift_stability_of_a_union_needs_one_piece_per_cone():
+    # the shifted point (1, -3) leaves both cones of gamma1, in one piece
+    # of each cone's complement: found only by choosing a piece of the
+    # second cone's complement after one of the first's
+    gamma1 = ConicSet(2, polyhedral([(-1, F(1, 2)), (F(1, 2), F(3, 2)), (3, 1)]).components
+                      + polyhedral([(-1, -2), (F(-1, 2), F(3, 2))]).components)
+    gamma2 = polyhedral([(-1, -2), (3, F(-3, 2)), (0, -2)])
+    c = shift_algebra_check(gamma1, gamma2, J).shift_stability
+    assert not c.passed and c.witness[2] == (1, -3)
+    _assert_shift_witness(gamma1, gamma2, J)
 
 
 def test_pullback_matches_linear_image():
@@ -396,15 +420,15 @@ def test_shift_algebra_light_cone_passes():
     assert [c.passed for c in rep.conditions] == [True, True, True]
 
 
-def test_shift_algebra_union_pass_is_one_sided():
-    # two wedges whose union is a cone: closure is checked on generator
-    # sums only, so the pass is one-sided, not exact
+def test_shift_algebra_union_pass_is_exact():
+    # two adjacent wedges whose union is the quadrant: closure and shift
+    # stability are settled exactly on the union
     wedges = ConicSet(2, polyhedral([(1, 0), (1, 1)]).components
                       + polyhedral([(1, 1), (0, 1)]).components)
     rep = shift_algebra_check(LEFT_HALF, wedges, THETA_SHIFT)
-    assert rep.passed and not rep.exact
-    assert not rep.additive_salient.exact and rep.shift_stability.exact
-    assert rep.verdict == "one-sided"
+    assert rep.passed and rep.exact and rep.verdict == "exact"
+    assert conic_equal(wedges, polyhedral([(1, 0), (0, 1)]))
+    assert not conic_equal(wedges, polyhedral([(1, 0), (1, 1)]))
 
 
 def test_shift_algebra_double_cone_fails_with_witness():
@@ -439,7 +463,8 @@ def test_closure_sees_excluded_slices():
     _assert_salience_witness(slit)
     # without the selector the closed wedge is closed under addition
     wedge = polyhedral([(1, 1), (1, -1)])
-    assert shift_algebra_check(wedge, wedge, ZERO2).additive_salient.note.endswith("automatic")
+    c = shift_algebra_check(wedge, wedge, ZERO2).additive_salient
+    assert c.passed and c.witness is None
 
 
 def test_pair_condition_verdicts():

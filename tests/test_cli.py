@@ -40,10 +40,20 @@ def test_product_roundtrip(tmp_path, product_config):
 
 
 def test_reruns_are_byte_identical(tmp_path, product_config):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["product", "--config", product_config, "--out", str(a)]) == 0
-    assert main(["product", "--config", product_config, "--out", str(b)]) == 0
-    assert (a / "product_field.json").read_bytes() == (b / "product_field.json").read_bytes()
+    wf_config = _write(tmp_path / "wf.json", {
+        "schema_version": 1,
+        "grid": {"n": 1, "N": 64, "L": 8.0},
+        "field": {"kind": "chirp", "matrix": [[0.5]]},
+        "params": {"direction_count": 180},
+    })
+    for cmd, cfg, files in (("product", product_config, ["product_field.json"]),
+                            ("star", product_config, ["star_field.json"]),
+                            ("wf", wf_config, ["wf_estimate.json", "wf_directions.csv"])):
+        a, b = tmp_path / cmd / "a", tmp_path / cmd / "b"
+        assert main([cmd, "--config", cfg, "--out", str(a)]) == 0
+        assert main([cmd, "--config", cfg, "--out", str(b)]) == 0
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (cmd, name)
 
 
 def test_star_subcommand_sets_op(tmp_path, product_config):
@@ -359,6 +369,47 @@ def test_cone_shift_algebra_past_salience_budget_exit_2(tmp_path, capsys):
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "op shift_algebra" in err and "candidate supports" in err
+    assert "Traceback" not in err
+
+
+def test_cone_shift_algebra_past_facet_budget_exit_2(tmp_path, capsys):
+    # the facets of gamma1 are tried over (r - 1)-subsets of its
+    # generators: 60 generators of rank 4 give C(60, 3) = 34,220 subsets,
+    # past rational.MAX_SUPPORTS
+    import random
+
+    from twistlab.cones import polyhedral, set_to_obj
+
+    rng = random.Random(7)
+    gens = [[rng.randint(-3, 3) for _ in range(3)] + [1] for _ in range(60)]
+    cfg = _write(tmp_path / "cone.json", {
+        "schema_version": 1,
+        "op": "shift_algebra",
+        "theta": [[0] * 4 for _ in range(4)],
+        "gamma1": set_to_obj(polyhedral(gens)),
+        "gamma2": set_to_obj(polyhedral([[1, 0, 0, 0]])),
+    })
+    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "op shift_algebra" in err and "facets" in err
+    assert "Traceback" not in err
+
+
+def test_cone_shift_algebra_past_union_search_budget_exit_2(tmp_path, capsys, monkeypatch):
+    # closure of two adjacent wedges needs the depth-first search over one
+    # complement piece per wedge; with a budget of one choice it is refused
+    from twistlab import calculus
+
+    monkeypatch.setattr(calculus, "MAX_PIECE_SEARCHES", 1)
+    wedges = {"dim": 2, "components": [{"kind": "polyhedral", "generators": [[1, 0], [1, 1]]},
+                                       {"kind": "polyhedral", "generators": [[1, 1], [0, 1]]}]}
+    cfg = _write(tmp_path / "cone.json", {
+        "schema_version": 1, "op": "shift_algebra", "theta": [[0, 1], [-1, 0]],
+        "gamma1": wedges, "gamma2": wedges,
+    })
+    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "op shift_algebra" in err and "complement search past its budget" in err
     assert "Traceback" not in err
 
 

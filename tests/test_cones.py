@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from twistlab.cones import (
     PolyhedralCone,
     angular_containment,
     angular_distance_deg,
+    _hform,
     conic_equal,
     empty_set,
     full_space,
+    gencone_member,
     graph_set,
     linear_image,
     member,
@@ -27,7 +30,7 @@ from twistlab.cones import (
     wf_chirp_shear,
     wf_fourier_rotate,
 )
-from twistlab.rational import mat
+from twistlab.rational import cone_contains, mat, matvec, rank
 
 F = Fraction
 
@@ -132,6 +135,17 @@ def test_conic_equal_partial_lineality():
     assert conic_equal(h, polyhedral([(1, 1), (0, 1), (0, -1)]))
     assert not conic_equal(h, polyhedral([(1, 0), (0, 1)]))
     assert not conic_equal(h, full_space(2))
+
+
+def test_conic_equal_tilings():
+    # eight wedges around the origin are the plane minus the origin; with
+    # one wedge missing they are not, which takes one complement piece of
+    # several wedges at once
+    dirs = [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (1, -1)]
+    wedges = [polyhedral([a, b]).components[0] for a, b in zip(dirs, dirs[1:] + dirs[:1])]
+    assert conic_equal(ConicSet(2, tuple(wedges)), full_space(2))
+    for i in range(len(wedges)):
+        assert not conic_equal(ConicSet(2, tuple(wedges[:i] + wedges[i + 1:])), full_space(2))
 
 
 def test_angular_distance_known_values():
@@ -346,3 +360,83 @@ def test_member_matches_closed_forms(case):
     for w in points:
         assert member(s, w) == pred(w), (obj, w)
         assert member(read, w) == pred(w), (obj, w)
+
+
+# ---------------------------------------------------------------------------
+# facets against the LP, equality against the lattice
+
+_SELECTORS = {2: [(), (((1, 0),),)],
+              4: [(), (((1, 0, 0, 0), (0, 1, 0, 0)),), (((1, 0, 1, 0),),)]}
+
+
+@st.composite
+def _gen_cone(draw, d=None):
+    """A generator cone in R^2 or R^4: random generators, optionally
+    flattened to a lower dimension, with a line of lineality, a redundant
+    generator (the sum of two) and exclude selectors."""
+    d = d or draw(st.sampled_from([2, 4]))
+    gens = draw(st.lists(_nonzero(d), min_size=1, max_size=3))
+    if draw(st.booleans()):                    # lower dimension: last coordinate 0
+        gens = [g[:-1] + (0,) for g in gens if any(g[:-1])] or [(1,) + (0,) * (d - 1)]
+    if draw(st.booleans()):                    # lineality
+        gens.append(tuple(-x for x in gens[-1]))
+    if len(gens) > 1 and draw(st.booleans()):  # redundant
+        gens.append(tuple(a + b for a, b in zip(gens[0], gens[1])))
+    gens = [g for g in gens if any(g)] or [(1,) + (0,) * (d - 1)]
+    excludes = draw(st.sampled_from(_SELECTORS[d]))
+    return PolyhedralCone(mat(gens), tuple(mat(e) for e in excludes))
+
+
+def _lattice(d, r):
+    return [mat([v])[0] for v in product(range(-r, r + 1), repeat=d) if any(v)]
+
+
+@given(_gen_cone(), st.data())
+def test_gencone_member_matches_lp(cone, data):
+    d = cone.dim
+    gens = cone.generators
+    probes = list(gens) + [tuple(-x for x in g) for g in gens]
+    probes += [tuple(a + b for a, b in zip(g, h)) for g in gens for h in gens]
+    probes += data.draw(st.lists(_nonzero(d).map(lambda v: mat([v])[0]), min_size=8, max_size=8))
+    for v in filter(any, probes):
+        want = cone_contains(gens, v) and all(any(matvec(e, v)) for e in cone.excludes)
+        assert gencone_member(cone, v) == want, (cone, v)
+
+
+@given(_gen_cone())
+def test_facets_support_the_cone(cone):
+    gens = cone.generators
+    eqs, facets = _hform(gens)
+    r = rank(gens)
+    assert len(eqs) == cone.dim - r
+    assert all(sum(a * g for a, g in zip(row, v)) == 0 for row in eqs for v in gens)
+    for h in facets:
+        on = [g for g in gens if sum(a * b for a, b in zip(h, g)) == 0]
+        assert all(sum(a * b for a, b in zip(h, g)) >= 0 for g in gens)
+        assert rank(on) == r - 1 if on else r == 1
+    # no facets exactly when the cone is a subspace
+    assert (not facets) == all(cone_contains(gens, tuple(-x for x in g)) for g in gens)
+
+
+@given(st.data())
+def test_conic_equal_matches_lattice(data):
+    d = data.draw(st.sampled_from([2, 4]))
+    cones = data.draw(st.lists(_gen_cone(d), min_size=1, max_size=2))
+    s = ConicSet(d, tuple(cones))
+    lattice = _lattice(d, 2)
+    # s with one more ray: equal exactly when the ray's lattice point is in s
+    v = data.draw(st.sampled_from(lattice))
+    t = ConicSet(d, s.components + ray_set(v).components)
+    same = all(member(s, w) == member(t, w) for w in lattice)
+    assert conic_equal(s, t) == conic_equal(t, s) == same == member(s, v)
+    # a cone split along a + b into two cones is the same set
+    c = cones[0]
+    if len(c.generators) > 1:
+        a, b, *rest = c.generators
+        m = tuple(x + y for x, y in zip(a, b))
+        if any(m):
+            halves = tuple(PolyhedralCone((a, m, *rest), c.excludes) if i == 0
+                           else PolyhedralCone((m, b, *rest), c.excludes) for i in range(2))
+            split = ConicSet(d, halves + s.components[1:])
+            assert conic_equal(s, split)
+            assert all(member(s, w) == member(split, w) for w in lattice)
