@@ -403,17 +403,42 @@ def _gencone_angle_deg(gc: PolyhedralCone, w: np.ndarray) -> float:
         proj = basis @ (basis.T @ w)
         c = np.clip(np.linalg.norm(proj), 0.0, 1.0)
         return float(np.degrees(np.arccos(c)))
-    from scipy.optimize import nnls
-
     cols = gens.T / np.linalg.norm(gens, axis=1)
-    z, _ = nnls(cols, w)
-    p = cols @ z
+    p = cols @ _nnls(cols, w)
     nrm = np.linalg.norm(p)
     if nrm < 1e-12:
         return 90.0
-    # nearest point of a convex cone: cos(angle) = |projection|
-    c = np.clip(nrm, 0.0, 1.0)
-    return float(np.degrees(np.arccos(c)))
+    # p is the nearest point of a convex cone, so w - p is orthogonal to p;
+    # atan2 keeps the digits near 0 that arccos |p| would lose
+    return float(np.degrees(np.arctan2(np.linalg.norm(w - p), nrm)))
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |a z - b| over z >= 0 by the Lawson-Hanson active-set
+    method (Lawson & Hanson, Solving Least Squares Problems, 1974,
+    ch. 23): move the column of largest positive gradient into the
+    passive set, solve least squares there, and step back to the
+    boundary while a passive coefficient is not positive."""
+    n = a.shape[1]
+    tol = 10.0 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * max(a.shape)
+    z = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        grad = a.T @ (b - a @ z)
+        if passive.all() or grad[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, grad))] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if s[passive].min() > 0.0:
+                break
+            neg = passive & (s <= 0.0)
+            z += (z[neg] / (z[neg] - s[neg])).min() * (s - z)
+            passive &= z > tol
+            z[~passive] = 0.0
+        z = s
+    return z
 
 
 @dataclass(frozen=True)

@@ -823,7 +823,6 @@ def check_schwartz_factor_slice() -> CheckResult:
     got = predicted_product_wf(wfu, empty_set(4), th)
     ok = conic_equal(got, ray_set(r_keep))
     # and symmetrically for the other factor
-    got2 = predicted_product_wf(empty_set(4), wfu, th)
     sym_keep = (Fraction(0), Fraction(-1), Fraction(2), Fraction(0))  # x = +theta xi / 2
     wfv = ConicSet(4, ray_set(sym_keep).components + ray_set(r_drop).components)
     got2 = predicted_product_wf(empty_set(4), wfv, th)

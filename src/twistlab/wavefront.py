@@ -88,10 +88,7 @@ def _direction_grid(dim: int, d: int, seed: int) -> DirectionGrid:
         half = d // 2
         if d < 8 or d % 2 or half & (half - 1):
             raise ValueError(f"count must be twice a power of two, at least 8, got {d}")
-        # imported here so that importing the package loads no scipy
-        from scipy.stats import qmc
-
-        u = qmc.Sobol(3, scramble=True, seed=seed).random(half)
+        u = _sobol3(half, seed)
         s1 = np.sqrt(1.0 - u[:, 0])
         s2 = np.sqrt(u[:, 0])
         q = np.column_stack(
@@ -115,6 +112,39 @@ def _direction_grid(dim: int, d: int, seed: int) -> DirectionGrid:
             worst = max(worst, float(np.max(np.arccos(np.clip(cosmax, -1.0, 1.0)))))
         return DirectionGrid(dirs, resolution_deg=float(np.degrees(worst)))
     raise ValueError("direction grids are provided for phase space dimensions 2 and 4")
+
+
+def _sobol3(count: int, seed) -> np.ndarray:
+    """The first `count` points of the 3-D Sobol sequence with Joe & Kuo
+    direction numbers (SIAM J. Sci. Comput. 30, 2008), Matousek's linear
+    matrix scramble and a digital shift, on 30 bits: the same float64
+    bytes as scipy's `qmc.Sobol(3, scramble=True, seed=seed).random(count)`,
+    whose random draws it repeats in order."""
+    bits = 30
+    top = bits - 1 - np.arange(bits, dtype=np.uint32)
+    # dimension 0: all ones; 1: polynomial x + 1, m = (1); 2: x^2 + x + 1,
+    # m = (1, 3); then m_j = 2 m_{j-1} ^ m_{j-1} and 4 m_{j-2} ^ 2 m_{j-1} ^ m_{j-2}
+    v = np.ones((3, bits), dtype=np.uint32)
+    v[2, 1] = 3
+    for j in range(1, bits):
+        v[1, j] = v[1, j - 1] ^ (v[1, j - 1] << 1)
+        if j >= 2:
+            v[2, j] = v[2, j - 2] ^ (v[2, j - 1] << 1) ^ (v[2, j - 2] << 2)
+    v <<= top
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(3, bits), dtype=np.uint32) @ (2 ** np.arange(bits, dtype=np.uint32))
+    ltm = np.tril(rng.integers(2, size=(3, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # over GF(2): row p of a matrix gives output bit 29 - p, column q reads input bit 29 - q
+    scrambled = np.einsum("dpq,djq->djp", ltm, (v[:, :, None] >> top) & 1) & 1
+    sv = (scrambled << top).sum(axis=2, dtype=np.uint32)
+    # point i = shift ^ XOR of sv[:, b] over the bits b of gray(i)
+    i = np.arange(count, dtype=np.uint32)
+    gray = i ^ (i >> 1)
+    pts = np.broadcast_to(shift, (count, 3)).copy()
+    for b in range(max(count - 1, 0).bit_length()):
+        pts ^= ((gray >> b) & 1)[:, None] * sv[:, b]
+    return pts * 2.0 ** -bits
 
 
 @dataclass(frozen=True)

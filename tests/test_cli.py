@@ -201,9 +201,10 @@ def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
     assert [str(w.message) for w in caught] == []
 
 
-def test_cone_and_product_jobs_load_no_scipy(tmp_path, product_config):
-    # scipy serves the 4-D Sobol grid and nnls only: importing the package
-    # and running a cone job and an n=1 product job must not load it
+def test_jobs_and_angles_load_no_scipy(tmp_path, product_config):
+    # scipy is a test dependency only: importing the package, a cone job,
+    # an n=1 product job, an n=2 wf job (the 4-D Sobol grid) and an angle
+    # to a cone with facets (nnls) must not load it
     from twistlab.cones import full_space, product_set, set_to_obj
 
     cone_cfg = _write(tmp_path / "cone.json", {
@@ -213,19 +214,28 @@ def test_cone_and_product_jobs_load_no_scipy(tmp_path, product_config):
         "u": set_to_obj(product_set(None, full_space(1))),
         "v": set_to_obj(product_set(full_space(1), None)),
     })
+    wf_cfg = _write(tmp_path / "wf.json", {
+        "schema_version": 1,
+        "grid": {"n": 2, "N": 16, "L": 5.0},
+        "field": {"kind": "delta", "a": [0.0, 0.0]},
+    })
     jobs = [["cone", "--config", cone_cfg, "--out", str(tmp_path / "c")],
-            ["product", "--config", product_config, "--out", str(tmp_path / "p")]]
+            ["product", "--config", product_config, "--out", str(tmp_path / "p")],
+            ["wf", "--config", wf_cfg, "--out", str(tmp_path / "w")]]
     script = (
         "import json, sys\n"
         "import twistlab, twistlab.cli\n"
         f"codes = [twistlab.cli.main(job) for job in {jobs!r}]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+        "angle = twistlab.angular_distance_deg(twistlab.cones.polyhedral([(1, 0), (1, 1)]), (0, 1))\n"
+        "print(json.dumps([codes, angle, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
     )
     path = [str(Path(twistlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True)
-    assert json.loads(run.stdout.splitlines()[-1]) == [[0, 0], []]
+    codes, angle, scipy_modules = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0] and scipy_modules == []
+    assert angle == pytest.approx(45.0, rel=1e-12)
 
 
 def test_cone_existence_failure_exit_1(tmp_path):

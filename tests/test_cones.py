@@ -4,15 +4,18 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from twistlab.cones import (
     ConicSet,
     PolyhedralCone,
     angular_containment,
     angular_distance_deg,
+    _gencone_angle_deg,
     _hform,
+    _nnls,
     conic_equal,
     empty_set,
     full_space,
@@ -157,6 +160,55 @@ def test_angular_distance_known_values():
     diag = ray_set((1, 1))
     assert angular_distance_deg(diag, (1, 0)) == pytest.approx(45.0, rel=1e-10)
     assert angular_distance_deg(empty_set(2), (1, 0)) == 180.0
+
+
+@st.composite
+def _cone_and_direction(draw):
+    """Integer generators in R^2 or R^4 and a unit direction: free, along
+    a generator, or opposite one."""
+    d = draw(st.sampled_from([2, 4]))
+    gens = draw(st.lists(_nonzero(d), min_size=1, max_size=8, unique=True))
+    pick = draw(st.sampled_from(["free", "generator", "opposite"]))
+    if pick == "free":
+        w = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+                 .filter(lambda v: np.linalg.norm(v) > 1e-3))
+    else:
+        w = draw(st.sampled_from(gens))
+        w = w if pick == "generator" else [-x for x in w]
+    w = np.asarray(w, dtype=float)
+    return gens, w / np.linalg.norm(w)
+
+
+# scipy's nnls returns a point with residual 1.95 here, worse than z = 0
+_SCIPY_SHORT = ([(1, 0, -2, 0), (-2, -1, -1, 1), (2, -2, 1, 2), (-1, 0, -1, 0), (-1, -1, -3, 1)],
+                np.array([-0.447213595499958, 0.0, 0.894427190999916, 0.0]))
+
+
+def _kkt_gap(cols, w, z):
+    """Zero at an optimum: no ascent direction, zero gradient where z > 0."""
+    grad = cols.T @ (w - cols @ z)
+    return max(grad.max(), np.abs(grad[z > 0]).max(initial=0.0))
+
+
+@settings(max_examples=100)
+@given(_cone_and_direction())
+@example(_SCIPY_SHORT)
+def test_nnls_matches_scipy(case):
+    gens, w = case
+    g = np.array(gens, dtype=float)
+    cols = g.T / np.linalg.norm(g, axis=1)
+    z, (zs, _) = _nnls(cols, w), nnls(cols, w)
+    p, ps = cols @ z, cols @ zs
+    assert z.min() >= 0.0 and _kkt_gap(cols, w, z) <= 1e-12
+    if _kkt_gap(cols, w, zs) > 1e-10:       # scipy is not optimal: be no worse
+        assert np.linalg.norm(w - p) <= np.linalg.norm(w - ps) + 1e-12
+        return
+    np.testing.assert_allclose(p, ps, rtol=0.0, atol=1e-12)
+    cone = PolyhedralCone(mat(gens), ())
+    if _hform(cone.generators)[1]:      # not a subspace: the angle is nnls's
+        nrm = np.linalg.norm(ps)
+        want = 90.0 if nrm < 1e-12 else np.degrees(np.arctan2(np.linalg.norm(w - ps), nrm))
+        assert _gencone_angle_deg(cone, w) == pytest.approx(want, rel=0.0, abs=1e-9)
 
 
 def test_angular_containment_report():

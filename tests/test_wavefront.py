@@ -3,18 +3,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
+from scipy.stats import qmc
 
-from twistlab import spectral
+from twistlab import spectral, wavefront
 from twistlab.catalog import Chirp, Delta, GaussianPacket, PlaneWave, sample_analytic
 from twistlab.grids import SampledField, make_grid
 from twistlab.spectral import WindowFunction, gaussian_window, hann_window, stft
 from twistlab.wavefront import (
     DirectionGrid,
     WavefrontParams,
+    _SPHERE_SEED,
     _multilinear,
+    _sobol3,
     check_chirp_shear,
     check_fourier_symmetry,
     direction_grid,
@@ -68,6 +71,27 @@ def test_direction_grid_sphere_seeded():
         for count in (6, 12, 100, 2050):
             with pytest.raises(ValueError, match="^count must be twice a power of two"):
                 direction_grid(4, count)
+
+
+def _scipy_sobol3(count, seed):
+    return qmc.Sobol(3, scramble=True, seed=seed).random(count)
+
+
+@settings(max_examples=10)
+@given(st.integers(min_value=0, max_value=2**63))
+def test_sobol3_is_scipys_scrambled_sobol(seed):
+    for s in (_SPHERE_SEED, seed):
+        for h in (2**k for k in range(2, 13)):
+            assert _sobol3(h, s).tobytes() == _scipy_sobol3(h, s).tobytes(), (s, h)
+
+
+def test_sphere_grid_as_built_on_scipy(monkeypatch):
+    new = {c: wavefront._direction_grid.__wrapped__(4, c, _SPHERE_SEED) for c in (8, 512, 2048, 8192)}
+    monkeypatch.setattr(wavefront, "_sobol3", _scipy_sobol3)
+    for c, grid in new.items():
+        old = wavefront._direction_grid.__wrapped__(4, c, _SPHERE_SEED)
+        assert grid.directions.tobytes() == old.directions.tobytes()
+        assert grid.resolution_deg == old.resolution_deg
 
 
 def test_direction_grid_memoised_read_only():
