@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 from scipy.stats import qmc
@@ -79,10 +79,10 @@ def _scipy_sobol3(count, seed):
 
 @settings(max_examples=10)
 @given(st.integers(min_value=0, max_value=2**63))
+@example(_SPHERE_SEED)
 def test_sobol3_is_scipys_scrambled_sobol(seed):
-    for s in (_SPHERE_SEED, seed):
-        for h in (2**k for k in range(2, 13)):
-            assert _sobol3(h, s).tobytes() == _scipy_sobol3(h, s).tobytes(), (s, h)
+    for h in (2**k for k in range(2, 13)):
+        assert _sobol3(h, seed).tobytes() == _scipy_sobol3(h, seed).tobytes(), h
 
 
 def test_sphere_grid_as_built_on_scipy(monkeypatch):

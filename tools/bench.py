@@ -118,7 +118,7 @@ def oneshot_wf(tree: Path, workdir: Path) -> dict:
 
 
 def summary(values: list[float]) -> dict:
-    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "min": min(values), "max": max(values)}
 
