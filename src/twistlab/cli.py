@@ -240,18 +240,17 @@ def _cmd_product(args, out: Path) -> int:
 
 
 def _field_csv(f) -> str:
-    import io
+    import numpy as np
 
-    buf = io.StringIO()
     n = f.grid.n
-    buf.write(",".join([f"x{i+1}" for i in range(n)] + ["re", "im", "abs"]) + "\n")
-    pts = f.grid.points()
     flat = f.values.reshape(-1)
-    for row in range(len(flat)):
-        coords = ",".join(f"{c:.12g}" for c in pts[row])
-        v = flat[row]
-        buf.write(f"{coords},{v.real:.12g},{v.imag:.12g},{abs(v):.12g}\n")
-    return buf.getvalue()
+    head = ",".join([f"x{i+1}" for i in range(n)] + ["re", "im", "abs"])
+    row = ",".join(["%.12g"] * (n + 3)) + "\n"
+    # np.hypot rounds as abs() of each complex value does; np.abs on a
+    # complex array does not always
+    rows = zip(f.grid.points().tolist(), flat.real.tolist(), flat.imag.tolist(),
+               np.hypot(flat.real, flat.imag).tolist())
+    return head + "\n" + "".join(row % (*x, re, im, a) for x, re, im, a in rows)
 
 
 def _cmd_wf(args, out: Path) -> int:
@@ -337,9 +336,10 @@ def _cmd_cone(args, out: Path) -> int:
     except ValueError as exc:
         # bad set data or a cone past the enumeration budget
         raise ConfigError(f"op {op}: {exc}") from exc
-    (out / "cone_report.json").write_text(json.dumps(doc, indent=2) + "\n")
+    report = json.dumps(doc, indent=2)
+    (out / "cone_report.json").write_text(report + "\n")
     _run_record(out, "cone", cfg, {"report": "cone_report.json"})
-    print(json.dumps(doc, indent=2))
+    print(report)
     return 1 if failed else 0
 
 

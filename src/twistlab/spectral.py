@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,14 +98,19 @@ def _spread(g: Grid, values: np.ndarray) -> float:
     return float(np.sqrt(worst))
 
 
+@lru_cache(maxsize=8)
 def gaussian_window(g: Grid) -> WindowFunction:
-    """pi^{-n/4} exp(-|x|^2/2); unit mass in L2 up to grid truncation."""
+    """pi^{-n/4} exp(-|x|^2/2); unit mass in L2 up to grid truncation.
+
+    Memoised per grid with read-only values, so its spreads and norm
+    are computed once per process."""
     pts_sq = np.zeros((g.N,) * g.n)
     ax = g.axis()
     for a in range(g.n):
         pts_sq = pts_sq + _axis_shape(ax**2, a, g.n)
-    vals = np.pi ** (-g.n / 4.0) * np.exp(-0.5 * pts_sq)
-    return WindowFunction(g, vals)
+    window = WindowFunction(g, np.pi ** (-g.n / 4.0) * np.exp(-0.5 * pts_sq))
+    window.values.flags.writeable = False
+    return window
 
 
 _HANN_HALF_WIDTH = 2.5

@@ -10,7 +10,6 @@ interpolation of |V|, one least squares fit per direction.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -61,7 +60,7 @@ class DirectionGrid:
 
 
 _DEFAULT_COUNTS = {2: 360, 4: 2048}
-_PROBES, _PROBE_BLOCK = 4096, 512
+_PROBES, _PROBE_BLOCK = 4096, 64
 
 
 def direction_grid(dim: int, count: int | None = None, seed: int = _SPHERE_SEED) -> DirectionGrid:
@@ -102,14 +101,16 @@ def _direction_grid(dim: int, d: int, seed: int) -> DirectionGrid:
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         dirs = np.concatenate([q, -q], axis=0)
         # covering radius probed on a deterministic random cloud, a block
-        # of probes at a time to bound the probe-direction cosine matrix
+        # of probes at a time to bound the probe-direction cosine matrix;
+        # max |cos| is max(max cos, -min cos), with no |cos| temporary
         rng = np.random.default_rng(seed + 1)
         probes = rng.standard_normal((_PROBES, 4))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        worst = 0.0
+        cosmax = np.empty(_PROBES)
         for start in range(0, _PROBES, _PROBE_BLOCK):
-            cosmax = np.max(np.abs(probes[start:start + _PROBE_BLOCK] @ dirs.T), axis=1)
-            worst = max(worst, float(np.max(np.arccos(np.clip(cosmax, -1.0, 1.0)))))
+            c = probes[start:start + _PROBE_BLOCK] @ dirs.T
+            np.maximum(c.max(axis=1), -c.min(axis=1), out=cosmax[start:start + _PROBE_BLOCK])
+        worst = np.max(np.arccos(np.clip(cosmax, -1.0, 1.0)))
         return DirectionGrid(dirs, resolution_deg=float(np.degrees(worst)))
     raise ValueError("direction grids are provided for phase space dimensions 2 and 4")
 
@@ -219,16 +220,12 @@ class WavefrontEstimate:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
         d = self.directions.dim
-        cols = [f"w{i+1}" for i in range(d)] + ["k_hat", "residual", "flagged"]
-        buf.write(",".join(cols) + "\n")
-        fl = self.flagged
-        for i, w in enumerate(self.directions.directions):
-            row = [f"{v:.12g}" for v in w]
-            row += [f"{self.k_hat[i]:.12g}", f"{self.residual[i]:.12g}", str(bool(fl[i]))]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        head = ",".join([f"w{i+1}" for i in range(d)] + ["k_hat", "residual", "flagged"])
+        row = ",".join(["%.12g"] * (d + 2) + ["%s"]) + "\n"
+        rows = zip(self.directions.directions.tolist(), self.k_hat.tolist(),
+                   self.residual.tolist(), self.flagged.tolist())
+        return head + "\n" + "".join(row % (*w, k, r, f) for w, k, r, f in rows)
 
 
 def _radius_band(g: Grid, window_sigma_x: float, window_sigma_xi: float,
@@ -288,9 +285,9 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
     t = np.log1p(radii**2)
     design = np.column_stack([t, np.ones_like(t)])
 
-    pts = radii[None, :, None] * dirs.directions[:, None, :]
-    vals = _multilinear(v.axes, v.magnitude(), pts.reshape(-1, dim))
-    vals = vals.reshape(dirs.count, params.radii)
+    stencil = _ray_stencil(tuple(np.asarray(ax, dtype=float).tobytes() for ax in v.axes),
+                           radii.tobytes(), dirs)
+    vals = stencil.read(v.magnitude()).reshape(dirs.count, params.radii)
 
     k_test = float(params.k_test)
     k_hat = np.empty(dirs.count)
@@ -317,23 +314,62 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
     )
 
 
-def _multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of `values` on the equispaced `axes` at
-    the rows of `pts`, zero outside the box.
+@dataclass(frozen=True, eq=False)
+class _Stencil:
+    """Where multilinear interpolation on equispaced axes reads for a
+    fixed set of points: the flat offset of each point's lower cell
+    corner, each axis's fractional weight y of the point in its cell, and
+    the indices of the points outside the box.  It depends only on the
+    axes and the points, so one stencil serves every array of `shape`.
 
     The cell along each axis is floor((x - a0)/step), moved by at most
     one node each way so that it equals searchsorted(ax, x, "right") - 1
-    clipped to [0, m - 2].  The corners are visited in itertools.product
-    order with weights ((w0*w1)*w2)*..., and the sum is accumulated in
-    that order, so every in-box value comes from the floating-point
-    operations of scipy's generic RegularGridInterpolator linear path.
+    clipped to [0, m - 2].  `read` visits the corners in
+    itertools.product order with weights ((w0*w1)*w2)*..., and
+    accumulates the sum in that order, so every in-box value comes from
+    the floating-point operations of scipy's generic
+    RegularGridInterpolator linear path.  Every array is read-only.
     """
-    values = np.ascontiguousarray(values, dtype=float)
-    flat = values.ravel()
-    strides = [s // values.itemsize for s in values.strides]
+
+    shape: tuple[int, ...]
+    offsets: tuple[int, ...]
+    base: np.ndarray
+    y: tuple[np.ndarray, ...]
+    outside: np.ndarray
+
+    def read(self, values: np.ndarray) -> np.ndarray:
+        """The interpolated `values` at the stencil's points, zero
+        outside the box."""
+        values = np.ascontiguousarray(values, dtype=float)
+        if values.shape != self.shape:
+            raise ValueError(f"values of shape {values.shape} on axes of shape {self.shape}")
+        flat = values.ravel()
+        weights = [(1 - y, y) for y in self.y]
+        # weight prefixes over all axes but the last; the last factor is
+        # applied per corner so that only one corner weight is held at a time
+        prefixes = [1.0]
+        for w in weights[:-1]:
+            prefixes = [p * wk for p in prefixes for wk in w]
+        out = np.zeros(len(self.base))
+        term, w = np.empty(len(self.base)), np.empty(len(self.base))
+        for off, (p, wk) in zip(self.offsets, itertools.product(prefixes, weights[-1])):
+            # every index is in range; "clip" only spares take a bounds check
+            np.take(flat[off:], self.base, out=term, mode="clip")
+            np.multiply(p, wk, out=w)
+            term *= w
+            out += term
+        out[self.outside] = 0.0
+        return out
+
+
+def _stencil(axes, pts: np.ndarray) -> _Stencil:
+    """The multilinear interpolation stencil of the rows of `pts` on the
+    equispaced `axes`."""
+    shape = tuple(len(ax) for ax in axes)
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
     base = np.zeros(len(pts), dtype=np.intp)
     outside = np.zeros(len(pts), dtype=bool)
-    weights = []
+    ys = []
     for k, ax in enumerate(axes):
         ax = np.asarray(ax, dtype=float)
         x = np.ascontiguousarray(pts[:, k], dtype=float)
@@ -342,26 +378,27 @@ def _multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
         np.clip(i, 0, top, out=i)
         i -= (x < ax[i]) & (i > 0)
         i += (x >= ax[i + 1]) & (i < top)
-        y = (x - ax[i]) / (ax[i + 1] - ax[i])
-        weights.append((1 - y, y))
+        ys.append((x - ax[i]) / (ax[i + 1] - ax[i]))
         base += i * strides[k]
         outside |= (x < ax[0]) | (x > ax[-1])
-    # weight prefixes over all axes but the last; the last factor is
-    # applied per corner so that only one corner weight is held at a time
-    prefixes = [1.0]
-    for w in weights[:-1]:
-        prefixes = [p * wk for p in prefixes for wk in w]
-    offsets = (int(np.dot(c, strides)) for c in itertools.product((0, 1), repeat=len(axes)))
-    out = np.zeros(len(pts))
-    term, w = np.empty(len(pts)), np.empty(len(pts))
-    for off, (p, wk) in zip(offsets, itertools.product(prefixes, weights[-1])):
-        # every index is in range; "clip" only spares take a bounds check
-        np.take(flat[off:], base, out=term, mode="clip")
-        np.multiply(p, wk, out=w)
-        term *= w
-        out += term
-    out[outside] = 0.0
-    return out
+    outside = np.flatnonzero(outside)
+    for a in (base, outside, *ys):
+        a.flags.writeable = False
+    offsets = tuple(int(np.dot(c, strides)) for c in itertools.product((0, 1), repeat=len(axes)))
+    return _Stencil(shape, offsets, base, tuple(ys), outside)
+
+
+@lru_cache(maxsize=8)
+def _ray_stencil(axes: tuple[bytes, ...], radii: bytes, dirs: DirectionGrid) -> _Stencil:
+    """The stencil of the ray samples r w (r in `radii`, w in `dirs`, rows
+    ordered direction by direction) on the lattice `axes`, both passed as
+    float64 bytes.  The estimator's geometry depends only on the grid,
+    the window and the parameters, so it is memoised: one entry holds
+    8 bytes per sample and phase-space axis plus 8, about 1 MB for 2048
+    directions and 12 radii."""
+    r = np.frombuffer(radii)
+    pts = r[None, :, None] * dirs.directions[:, None, :]
+    return _stencil([np.frombuffer(a) for a in axes], pts.reshape(-1, dirs.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import twistlab
-from twistlab.cli import main
-from twistlab.grids import SampledField
+from twistlab.cli import _field_csv, main
+from twistlab.grids import SampledField, make_grid
 
 
 def _write(path, obj):
@@ -54,6 +54,27 @@ def test_reruns_are_byte_identical(tmp_path, product_config):
         assert main([cmd, "--config", cfg, "--out", str(b)]) == 0
         for name in files:
             assert (a / name).read_bytes() == (b / name).read_bytes(), (cmd, name)
+
+
+def test_field_csv_matches_per_value_format():
+    # one % per row over Python floats writes what per-value f-strings
+    # write, abs() of each complex value included
+    rng = np.random.default_rng(3)
+    g = make_grid(2, 32, 3.0)
+    mag = 10.0 ** rng.uniform(-300, 300, (2, 32, 32))
+    vals = rng.standard_normal((32, 32)) * mag[0] + 1j * rng.standard_normal((32, 32)) * mag[1]
+    vals[0, :5] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), 1e300 + 1e300j]
+    vals[1] = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    # values whose |.|, taken by np.abs over an array, printed differently
+    vals[2, :3] = [0.6707692265601385 + 0.6867570128335649j,
+                   0.013969252984534476 + 0.3650455927795283j,
+                   -0.8111239157809338 - 1.1943980996917247j]
+    f = SampledField(g, vals)
+    want = ["x1,x2,re,im,abs"]
+    for x, v in zip(g.points(), f.values.reshape(-1)):
+        want.append(",".join([f"{c:.12g}" for c in x]
+                             + [f"{v.real:.12g}", f"{v.imag:.12g}", f"{abs(v):.12g}"]))
+    assert _field_csv(f) == "\n".join(want) + "\n"
 
 
 def test_star_subcommand_sets_op(tmp_path, product_config):

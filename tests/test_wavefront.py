@@ -14,10 +14,11 @@ from twistlab.grids import SampledField, make_grid
 from twistlab.spectral import WindowFunction, gaussian_window, hann_window, stft
 from twistlab.wavefront import (
     DirectionGrid,
+    WavefrontEstimate,
     WavefrontParams,
     _SPHERE_SEED,
-    _multilinear,
     _sobol3,
+    _stencil,
     check_chirp_shear,
     check_fourier_symmetry,
     direction_grid,
@@ -129,12 +130,100 @@ def test_multilinear_matches_scipy(d, data):
     ])
     want = RegularGridInterpolator(axes, values, method="linear", bounds_error=False,
                                    fill_value=0.0)(pts)
-    got = _multilinear(axes, values, pts)
+    got = _stencil(axes, pts).read(values)
     if d == 4:      # scipy's generic path: same operations in the same order
         assert got.tobytes() == want.tobytes()
     else:           # scipy's 2-D path multiplies in another order
         np.testing.assert_array_equal(got == 0, want == 0)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_direction_grid_probe_matches_one_shot_oracle():
+    # resolution_deg takes max |cos| block by block as max(max, -min);
+    # the oracle takes abs and max over the whole probe-direction matrix
+    for count, seed in [(c, s) for c in (8, 64, 512) for s in (1, 2, _SPHERE_SEED)]:
+        grid = wavefront._direction_grid.__wrapped__(4, count, seed)
+        probes = np.random.default_rng(seed + 1).standard_normal((4096, 4))
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        cosmax = np.abs(probes @ grid.directions.T).max(axis=1)
+        want = float(np.degrees(np.max(np.arccos(np.clip(cosmax, -1.0, 1.0)))))
+        assert grid.resolution_deg == want, (count, seed)
+
+
+def _clear_estimator_caches():
+    wavefront._ray_stencil.cache_clear()
+    spectral.gaussian_window.cache_clear()
+
+
+def test_cold_and_warm_estimates_agree():
+    # the memoised stencil and window change no byte of an estimate
+    cases = [(make_grid(1, 64, 8.0), Delta(0.5), None),
+             (make_grid(1, 64, 8.0), GaussianPacket((0.3,), 0.9, (-0.5,)), direction_grid(2, 90)),
+             (make_grid(2, 16, 6.0), Delta((0.0, 0.75)), direction_grid(4, 256)),
+             (make_grid(2, 16, 6.0), PlaneWave((0.2, -0.1)), direction_grid(4, 256))]
+
+    def run():
+        out = []
+        for g, dist, dirs in cases:
+            e = estimate_wf(sample_analytic(dist, g),
+                            params=WavefrontParams(k_test=0.05, directions=dirs))
+            out.append((e.k_hat.tobytes(), e.residual.tobytes(), e.value_at_rmax.tobytes()))
+        return out
+
+    _clear_estimator_caches()
+    cold = run()
+    assert run() == cold
+    _clear_estimator_caches()
+    assert run() == cold
+
+
+def test_one_stencil_per_configuration():
+    _clear_estimator_caches()
+    g = make_grid(2, 16, 6.0)
+    params = WavefrontParams(k_test=0.05, directions=direction_grid(4, 256))
+    for dist in (Delta((0.0, 0.0)), PlaneWave((0.1, -0.2)), GaussianPacket((0.0, 0.0), 1.0)):
+        estimate_wf(sample_analytic(dist, g), params=params)
+    info = wavefront._ray_stencil.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # another grid, another radius count or another direction grid is
+    # another configuration
+    u = sample_analytic(Delta((0.0, 0.0)), g)
+    estimate_wf(sample_analytic(Delta((0.0, 0.0)), make_grid(2, 18, 6.0)), params=params)
+    estimate_wf(u, params=WavefrontParams(radii=10, directions=params.directions))
+    estimate_wf(u, params=WavefrontParams(directions=direction_grid(4, 128)))
+    estimate_wf(u, params=params)
+    info = wavefront._ray_stencil.cache_info()
+    assert (info.misses, info.hits) == (4, 3)
+
+
+def test_cached_stencil_and_window_are_read_only():
+    stencil = wavefront._ray_stencil((np.arange(4.0).tobytes(),) * 2,
+                                     np.array([0.5, 1.0]).tobytes(), direction_grid(2, 4))
+    assert stencil.outside.size
+    for arr in (stencil.base, stencil.outside, *stencil.y):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    g = make_grid(2, 16, 6.0)
+    win = gaussian_window(g)
+    assert gaussian_window(g) is win
+    with pytest.raises(ValueError, match="read-only"):
+        win.values[0, 0] = 0.0
+
+
+def test_estimate_csv_matches_per_value_format():
+    # one % per row over Python floats writes what per-value f-strings write
+    rng = np.random.default_rng(5)
+    dirs = direction_grid(4, 256)
+    k_hat = rng.standard_normal(256) * 10.0 ** rng.uniform(-300, 300, 256)
+    residual = rng.standard_normal(256) * 10.0 ** rng.uniform(-300, 300, 256)
+    k_hat[::7] = np.inf
+    k_hat[1:6] = [0.0, -0.0, 1e-300, -1e300, 0.1]
+    residual[1:4] = [-0.0, 5e-324, 1e300]
+    est = WavefrontEstimate(dirs, k_hat, residual, np.zeros(256), 0.05, 1.0, 2.0, 12)
+    want = ["w1,w2,w3,w4,k_hat,residual,flagged"]
+    for w, k, r, f in zip(dirs.directions, k_hat, residual, est.flagged):
+        want.append(",".join([f"{v:.12g}" for v in w] + [f"{k:.12g}", f"{r:.12g}", str(bool(f))]))
+    assert est.to_csv() == "\n".join(want) + "\n"
 
 
 def test_delta_flags_frequency_axis(delta_estimate):

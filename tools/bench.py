@@ -3,6 +3,7 @@
 
     python3 tools/bench.py --base REV --head REV --label NAME --workdir DIR \\
         [--pairs WORKLOAD:SEED,SEED,...]... [--hash-seeds SEED...] [--repeats K]
+        [--tier1 K]
 
 Both revisions are exported with `git archive` into DIR (outside the
 repository).  For every `--pairs` entry, `perfbench/run.py --workload W
@@ -16,7 +17,14 @@ Fresh-interpreter probes, K times per checkout, alternating:
   time, peak RSS before and after, and a hash of the grid's bytes;
 - one `twistlab wf` job at n=2, N=32, L=7 on the centred impulse with
   k_test = 0.05: wall time, the job's own max RSS, and a hash of
-  `wf_estimate.json` and `wf_directions.csv`.
+  `wf_estimate.json` and `wf_directions.csv`;
+- `twistlab verify all`: wall and CPU time, the passed and total check
+  counts, and a hash of `verify_all.json` without its timestamp and
+  per-check seconds.
+
+With `--tier1 K`, the tier-1 suite (`python -m pytest -q` with `src` on
+the path) runs K times per checkout, alternating: wall and CPU time and
+pytest's summary line.
 
 With `--hash-seeds`, each checkout hashes every wavefront-n2 estimate
 (k_hat, residual, value_at_rmax, directions) of each seed.  BLAS and
@@ -28,6 +36,7 @@ commits.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -99,22 +108,52 @@ def last_json(cmd, tree: Path) -> dict:
     return json.loads(run.stdout.strip().splitlines()[-1])
 
 
-def oneshot_wf(tree: Path, workdir: Path) -> dict:
-    cfg, out = workdir / "wf_n2.json", workdir / f"wf-{tree.name}"
-    cfg.write_text(json.dumps(WF_CONFIG))
+def timed(cmd, tree: Path) -> tuple[dict, str]:
+    """Run `cmd` in `tree`: its wall time, its own CPU time and max RSS,
+    and its standard output.  A nonzero exit raises."""
     t = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "twistlab.cli", "wf", "--config", str(cfg),
-                             "--out", str(out)], cwd=tree, env=env_for(tree),
-                            stdout=subprocess.DEVNULL)
+    proc = subprocess.Popen(cmd, cwd=tree, env=env_for(tree), stdout=subprocess.PIPE, text=True)
+    out = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
-        raise RuntimeError(f"twistlab wf exited with {proc.returncode} in {tree}")
+        raise RuntimeError(f"{' '.join(map(str, cmd))} exited with {proc.returncode} in {tree}")
+    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+            "max_rss_mb": usage.ru_maxrss / 1024.0}, out
+
+
+def oneshot_wf(tree: Path, workdir: Path) -> dict:
+    cfg, out = workdir / "wf_n2.json", workdir / f"wf-{tree.name}"
+    cfg.write_text(json.dumps(WF_CONFIG))
+    res, _ = timed([sys.executable, "-m", "twistlab.cli", "wf", "--config", str(cfg),
+                    "--out", str(out)], tree)
     digest = subprocess.run(["sha256sum", "wf_estimate.json", "wf_directions.csv"], cwd=out,
                             check=True, capture_output=True, text=True).stdout
-    return {"wall_s": wall, "max_rss_mb": usage.ru_maxrss / 1024.0,
+    return {"wall_s": res["wall_s"], "max_rss_mb": res["max_rss_mb"],
             "sha256": " ".join(line.split()[0] for line in digest.splitlines())}
+
+
+def verify_all(tree: Path, workdir: Path) -> dict:
+    out = workdir / f"verify-{tree.name}"
+    res, _ = timed([sys.executable, "-m", "twistlab.cli", "verify", "all", "--out", str(out)],
+                   tree)
+    doc = json.loads((out / "verify_all.json").read_text())
+    doc.pop("timestamp")
+    for check in doc["checks"]:
+        check.pop("seconds")
+    res["passed"] = sum(c["status"] == "pass" for c in doc["checks"])
+    res["checks"] = len(doc["checks"])
+    res["sha256"] = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return res
+
+
+def tier1(tree: Path) -> dict:
+    res, out = timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                      "--continue-on-collection-errors"], tree)
+    res["summary"] = next(line for line in reversed(out.splitlines())
+                          if " passed" in line or " failed" in line)
+    return res
 
 
 def summary(values: list[float]) -> dict:
@@ -161,6 +200,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD:SEED,...")
     p.add_argument("--hash-seeds", nargs="*", type=int, default=[])
     p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--tier1", type=int, default=0, metavar="K")
     args = p.parse_args(argv)
 
     def log(msg):
@@ -179,19 +219,29 @@ def main(argv=None) -> int:
                     "numpy": numpy_version, "blas_threads": 1},
         "commits": commits,
     }
-    probes = {"base": {"grid": [], "wf": []}, "head": {"grid": [], "wf": []}}
+    probes = {side: {"grid": [], "wf": [], "verify": []} for side in trees}
     for i in range(args.repeats):
         for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
             probes[side]["grid"].append(
                 last_json([sys.executable, "-c", GRID_PROBE], trees[side]))
             probes[side]["wf"].append(oneshot_wf(trees[side], args.workdir))
-            log(f"probe {i} {side}: {probes[side]['grid'][-1]} {probes[side]['wf'][-1]}")
-    for key, name in (("grid", "first_direction_grid_4"), ("wf", "oneshot_wf_n2")):
+            probes[side]["verify"].append(verify_all(trees[side], args.workdir))
+            log(f"probe {i} {side}: " + " ".join(str(probes[side][k][-1]) for k in probes[side]))
+    for key, name in (("grid", "first_direction_grid_4"), ("wf", "oneshot_wf_n2"),
+                      ("verify", "verify_all")):
         result[name] = {side: {"median": medians(probes[side][key]), "runs": probes[side][key]}
                         for side in probes}
         result[name]["bytes_equal"] = len({r["sha256"] for s in probes.values()
                                            for r in s[key]}) == 1
     result["oneshot_wf_n2"]["config"] = WF_CONFIG
+    if args.tier1:
+        runs = {side: [] for side in trees}
+        for i in range(args.tier1):
+            for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+                runs[side].append(tier1(trees[side]))
+                log(f"tier-1 {i} {side}: {runs[side][-1]}")
+        result["tier1"] = {side: {"median": medians(runs[side]), "runs": runs[side]}
+                           for side in runs}
     if args.hash_seeds:
         result["wavefront_n2_estimate_sha256"] = {
             side: last_json([sys.executable, "-c", ESTIMATE_HASHES, *map(str, args.hash_seeds)],
