@@ -45,6 +45,7 @@ from .rational import (
     mscale,
     nullspace,
     primitive_ray,
+    rank,
     row_space_canonical,
     vec,
     vneg,
@@ -305,7 +306,8 @@ def _image(sets: tuple[ConicSet, ...], rows: Mat, out: Mat):
     E = F_o out + F_r rows: on the image y = out p we have rows p = 0, so
     E p = F_o y.  Otherwise E is dropped and the image is closed there.
     Carried selectors are written as `row_space_canonical(F_o)`, once per
-    kernel, and a cone inside the kernel of one of them (F_o g = 0 for
+    kernel; one implied by another (its kernel inside the other's) is
+    dropped.  A cone inside the kernel of one of them (F_o g = 0 for
     every generator g) holds no point and is not yielded.
     """
     stack = out + rows
@@ -323,6 +325,8 @@ def _image(sets: tuple[ConicSet, ...], rows: Mat, out: Mat):
             if not is_zero_vec(v):
                 gens.setdefault(primitive_ray(v), None)
         sels = dict.fromkeys(f for e in excludes if (f := carry(e)) is not None)
+        # F' p != 0 forces F p != 0 when rowspace(F') lies in rowspace(F)
+        sels = [f for f in sels if not any(f2 != f and rank(f + f2) == len(f) for f2 in sels)]
         # a selector that vanishes on every generator removes every point
         if gens and not any(all(is_zero_vec(matvec(f, v)) for v in gens) for f in sels):
             yield PolyhedralCone(tuple(gens), tuple(sels))

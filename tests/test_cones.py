@@ -257,6 +257,17 @@ def test_linear_image_checks_map_columns():
     assert member(linear_image(s, ((F(1), F(1)),)), (3,))
 
 
+def test_linear_image_drops_implied_selectors():
+    # x1 != 0 implies (x1, x2) != 0, so the image writes only the first;
+    # x2 != 0 implies neither and stays
+    gens = mat([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    x1, x12, x2 = mat([[1, 0, 0]]), mat([[1, 0, 0], [0, 1, 0]]), mat([[0, 1, 0]])
+    s = ConicSet(3, (PolyhedralCone(gens, (x12, x1, x2)),))
+    t = linear_image(s, mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert [c.excludes for c in t.components] == [(x1, x2)]
+    assert conic_equal(s, t)
+
+
 # ---------------------------------------------------------------------------
 # membership against closed-form definitions
 

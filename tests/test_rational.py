@@ -1,8 +1,9 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twistlab.rational import (
@@ -156,6 +157,47 @@ def test_extreme_rays_match_subset_oracle(case):
     assert nonneg_solve(gens[:-1], gens[-1]) == _oracle_nonneg_solve(gens[:-1], gens[-1])
 
 
+@st.composite
+def wide_cone_matrices(draw):
+    """(A, k): 1-6 rows over 1-12 columns, with a dependent row, a zero
+    row, and zero, repeated and negated columns now and then."""
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rows = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m)]
+    if m > 2 and draw(st.booleans()):
+        c, d = draw(st.fractions(-2, 2, max_denominator=2)), draw(st.fractions(-2, 2, max_denominator=2))
+        rows[-1] = [c * x + d * y for x, y in zip(rows[0], rows[1])]
+    if m > 1 and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [Fraction(0)] * k
+    cols = [list(c) for c in zip(*rows)]
+    edits = st.tuples(st.sampled_from(("zero", "repeat", "negate")),
+                      st.integers(0, k - 1), st.integers(0, k - 1))
+    for kind, i, j in draw(st.lists(edits, max_size=3)):
+        cols[j] = [0 * x if kind == "zero" else x if kind == "repeat" else -x for x in cols[i]]
+    return tuple(zip(*cols)), k
+
+
+def _wide_example():
+    """Six rows over twelve columns: row 2 is zero and row 5 is row 0 plus
+    twice row 3; column 3 is zero, column 10 repeats column 0 and column
+    11 is minus column 1."""
+    rng = random.Random(6)
+    rows = [[Fraction(rng.randint(-3, 3)) for _ in range(12)] for _ in range(6)]
+    rows[2] = [Fraction(0)] * 12
+    rows[5] = [x + 2 * y for x, y in zip(rows[0], rows[3])]
+    for row in rows:
+        row[3], row[10], row[11] = Fraction(0), row[0], -row[1]
+    return tuple(map(tuple, rows)), 12
+
+
+@example(_wide_example())
+@given(wide_cone_matrices())
+def test_kernel_matches_oracle_on_wide_systems(case):
+    a, k = case
+    assert extreme_rays(a, k) == _oracle_extreme_rays(a, k)     # order included
+    gens = [tuple(row[j] for row in a) for j in range(k)]
+    assert nonneg_solve(gens[:-1], gens[-1]) == _oracle_nonneg_solve(gens[:-1], gens[-1])
+
+
 def _random_gens(count, seed):
     rng = random.Random(seed)
     return [vec([rng.randint(-3, 3) for _ in range(4)]) for _ in range(count)]
@@ -175,3 +217,12 @@ def test_enumeration_budget_admits_18_generators():
     # 19 columns of rank 4: 16,663 candidate supports, inside the budget
     gens = _random_gens(18, 2)
     assert cone_contains(gens, gens[0])
+
+
+def test_extreme_rays_of_18_generators_pinned():
+    # 593 rays; the digest was taken from the support-enumeration kernel
+    # that double description replaced, so the list and its order are pinned
+    rays = extreme_rays(tuple(zip(*_random_gens(18, 2))), 18)
+    assert len(rays) == 593
+    digest = hashlib.sha256(repr(rays).encode()).hexdigest()
+    assert digest == "5d928ccd247746d8ea018ef4fd7ae41b1402c01c226e854e3bf2d9ed4d4acc56"

@@ -20,7 +20,14 @@ Fresh-interpreter probes, K times per checkout, alternating:
   `wf_estimate.json` and `wf_directions.csv`;
 - `twistlab verify all`: wall and CPU time, the passed and total check
   counts, and a hash of `verify_all.json` without its timestamp and
-  per-check seconds.
+  per-check seconds;
+- the exact layer: `rational.extreme_rays` on seeded integer generator
+  sets in R^4 of k = 6, 10, 14 and 18 (median process CPU of three
+  calls, ray count and a hash of the ray list), and the cli-jobs rounds
+  of seeds 1-12, three per seed with the first left out: each cone job's
+  median process CPU, the round's CPU, the CPU and calls of
+  `extreme_rays` through every module's reference to it, and a hash of
+  every round's fingerprints.
 
 With `--tier1 K`, the tier-1 suite (`python -m pytest -q` with `src` on
 the path) runs K times per checkout, alternating: wall and CPU time and
@@ -79,6 +86,63 @@ for seed in map(int, sys.argv[1:]):
             for a in (est.k_hat, est.residual, est.value_at_rmax, est.directions.directions):
                 h.update(a.tobytes())
     out[seed] = h.hexdigest()
+print(json.dumps(out))
+"""
+
+EXACT_PROBE = """
+import hashlib, json, random, statistics, tempfile, time
+from fractions import Fraction
+from pathlib import Path
+from twistlab import calculus, cones, rational
+from workloads import WORKLOADS
+out = {}
+for k in (6, 10, 14, 18):
+    rng = random.Random(2)
+    a = tuple(zip(*[[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(k)]))
+    cpu = []
+    for _ in range(3):
+        c = time.process_time()
+        rays = rational.extreme_rays(a, k)
+        cpu.append(time.process_time() - c)
+    out[f"extreme_rays_k{k}_cpu_s"] = statistics.median(cpu)
+    out[f"extreme_rays_k{k}_rays"] = len(rays)
+    out[f"extreme_rays_k{k}_sha256"] = hashlib.sha256(repr(rays).encode()).hexdigest()
+spent = [0.0, 0]
+def timed(fn):
+    def wrapper(*args):
+        c = time.process_time()
+        try:
+            return fn(*args)
+        finally:
+            spent[0] += time.process_time() - c
+            spent[1] += 1
+    return wrapper
+# calculus and cones call the kernel through their own imported names
+for mod in (rational, calculus, cones):
+    mod.extreme_rays = timed(mod.extreme_rays)
+h, cone_cpu, rounds = hashlib.sha256(), {}, []
+for seed in range(1, 13):
+    with tempfile.TemporaryDirectory() as scratch:
+        wl = WORKLOADS["cli-jobs"](seed, Path(scratch))
+        for r in range(3):
+            spent[:] = [0.0, 0]
+            total = 0.0
+            for j, op in enumerate(wl.ops):
+                c = time.process_time()
+                rc = op.call()
+                c = time.process_time() - c
+                total += c
+                h.update(repr(wl.fingerprint(j, rc)).encode())
+                if r and op.name.startswith("cone:"):
+                    cone_cpu.setdefault(f"cone_{j}_{op.name[5:]}_cpu_s", []).append(c)
+            if r:
+                rounds.append((total, *spent))
+out.update({k: statistics.median(v) for k, v in cone_cpu.items()})
+out["cli_jobs_round_cpu_s"] = statistics.median(t for t, _, _ in rounds)
+out["cli_jobs_extreme_rays_cpu_s"] = statistics.median(e for _, e, _ in rounds)
+out["cli_jobs_extreme_rays_calls"] = statistics.median(n for _, _, n in rounds)
+out["cli_jobs_extreme_rays_share"] = sum(e for _, e, _ in rounds) / sum(t for t, _, _ in rounds)
+out["cli_jobs_fingerprints_sha256"] = h.hexdigest()
 print(json.dumps(out))
 """
 
@@ -219,20 +283,23 @@ def main(argv=None) -> int:
                     "numpy": numpy_version, "blas_threads": 1},
         "commits": commits,
     }
-    probes = {side: {"grid": [], "wf": [], "verify": []} for side in trees}
+    probes = {side: {"grid": [], "wf": [], "verify": [], "exact": []} for side in trees}
     for i in range(args.repeats):
         for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
             probes[side]["grid"].append(
                 last_json([sys.executable, "-c", GRID_PROBE], trees[side]))
             probes[side]["wf"].append(oneshot_wf(trees[side], args.workdir))
             probes[side]["verify"].append(verify_all(trees[side], args.workdir))
+            probes[side]["exact"].append(last_json([sys.executable, "-c", EXACT_PROBE],
+                                                   trees[side]))
             log(f"probe {i} {side}: " + " ".join(str(probes[side][k][-1]) for k in probes[side]))
     for key, name in (("grid", "first_direction_grid_4"), ("wf", "oneshot_wf_n2"),
-                      ("verify", "verify_all")):
+                      ("verify", "verify_all"), ("exact", "exact_layer")):
         result[name] = {side: {"median": medians(probes[side][key]), "runs": probes[side][key]}
                         for side in probes}
-        result[name]["bytes_equal"] = len({r["sha256"] for s in probes.values()
-                                           for r in s[key]}) == 1
+        result[name]["bytes_equal"] = all(
+            len({r[h] for s in probes.values() for r in s[key]}) == 1
+            for h in probes["base"][key][0] if h.endswith("sha256"))
     result["oneshot_wf_n2"]["config"] = WF_CONFIG
     if args.tier1:
         runs = {side: [] for side in trees}
