@@ -57,8 +57,18 @@ def fourier_inverse(f: SampledField) -> SampledField:
 
 @dataclass(frozen=True, eq=False)
 class WindowFunction:
+    """A sampled window on `grid`.
+
+    `factors`, when given, are one profile of length N per axis, and
+    `values` must equal their outer product (axis 0 outermost, as
+    `_outer` forms it).  The spectrogram then transforms such a window
+    one axis at a time; a window of values alone takes the general
+    route, one n-dimensional transform per position.
+    """
+
     grid: Grid
     values: np.ndarray
+    factors: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex).reshape((self.grid.N,) * self.grid.n)
@@ -67,6 +77,11 @@ class WindowFunction:
             raise ValueError("window values must be finite")
         if not np.any(vals):
             raise ValueError("window must not vanish identically")
+        if self.factors is not None:
+            factors = _check_factors(self.grid, self.factors)
+            if not np.array_equal(vals, _outer(factors)):
+                raise ValueError("window values must equal the outer product of factors")
+            object.__setattr__(self, "factors", factors)
 
     @cached_property
     def l2norm(self) -> float:
@@ -83,6 +98,57 @@ class WindowFunction:
         """Largest per-axis amplitude-weighted spread of the transform."""
         hat = fourier_forward(SampledField(self.grid, self.values))
         return _spread(hat.grid, hat.values)
+
+    @cached_property
+    def _stft_arrays(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """What `_stft_rows` needs of the window whatever the field and
+        reach, built once, read-only: the sign grid (-1)^(j_1 + ... + j_n)
+        and the conjugate translates, where `table[j]` is conj(window)
+        moved to x_j with zero fill.  A window with factors has one
+        (N, N) table per axis, any other one n-dimensional table."""
+        g = self.grid
+        n, N, h = g.n, g.N, g.N // 2
+        signs = np.ones((N,) * n)
+        for ax in range(n):
+            signs = signs * _axis_shape((-1.0) ** np.arange(N), ax, n)
+        signs.flags.writeable = False
+        profiles = (self.values,) if self.factors is None else self.factors
+        tables = []
+        for f in profiles:
+            pad = np.zeros((3 * N,) * f.ndim, dtype=complex)
+            pad[(slice(N, 2 * N),) * f.ndim] = f
+            # a strided, read-only view: nothing is copied
+            tables.append(sliding_window_view(np.conj(pad), (N,) * f.ndim)
+                          [(slice(N + h, h, -1),) * f.ndim])
+        return signs, tuple(tables)
+
+
+def _check_factors(g: Grid, factors) -> tuple[np.ndarray, ...]:
+    """The per-axis profiles as read-only float or complex arrays, or a
+    ValueError naming `factors`."""
+    factors = tuple(factors)
+    if len(factors) != g.n:
+        raise ValueError(f"factors: expected {g.n} per-axis profiles, got {len(factors)}")
+    out = []
+    for a, f in enumerate(factors):
+        f = np.array(f, dtype=complex if np.iscomplexobj(f) else float)
+        if f.shape != (g.N,):
+            raise ValueError(f"factors[{a}]: expected shape ({g.N},), got {f.shape}")
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"factors[{a}]: entries must be finite")
+        if not np.any(f):
+            raise ValueError(f"factors[{a}]: must not vanish identically")
+        f.flags.writeable = False
+        out.append(f)
+    return tuple(out)
+
+
+def _outer(factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """f_0 (x) f_1 (x) ... (x) f_{n-1}, multiplied in axis order."""
+    vals = factors[0]
+    for f in factors[1:]:
+        vals = vals[..., None] * f
+    return vals
 
 
 def _spread(g: Grid, values: np.ndarray) -> float:
@@ -102,13 +168,13 @@ def _spread(g: Grid, values: np.ndarray) -> float:
 def gaussian_window(g: Grid) -> WindowFunction:
     """pi^{-n/4} exp(-|x|^2/2); unit mass in L2 up to grid truncation.
 
-    Memoised per grid with read-only values, so its spreads and norm
-    are computed once per process."""
-    pts_sq = np.zeros((g.N,) * g.n)
-    ax = g.axis()
-    for a in range(g.n):
-        pts_sq = pts_sq + _axis_shape(ax**2, a, g.n)
-    window = WindowFunction(g, np.pi ** (-g.n / 4.0) * np.exp(-0.5 * pts_sq))
+    The product of the profile pi^{-1/4} exp(-x^2/2) on every axis, so
+    the spectrogram transforms it one axis at a time.  Memoised per grid
+    with read-only values, so its spreads, norm and translates are
+    computed once per process."""
+    profile = np.pi ** -0.25 * np.exp(-0.5 * g.axis() ** 2)
+    factors = (profile,) * g.n
+    window = WindowFunction(g, _outer(factors), factors)
     window.values.flags.writeable = False
     return window
 
@@ -120,18 +186,16 @@ _HANN_HALF_WIDTH = 2.5
 def hann_window(g: Grid, half_width: float = _HANN_HALF_WIDTH) -> WindowFunction:
     """Compactly supported cos^2 bump, product over axes; an unrelated
     window family for cross-checking estimator invariance."""
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
-    vals = np.ones((g.N,) * g.n)
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"half_width must be finite and positive, got {half_width!r}")
     ax = g.axis()
-    for a in range(g.n):
-        w = np.where(
-            np.abs(ax) < half_width,
-            np.cos(np.pi * ax / (2.0 * half_width)) ** 2,
-            0.0,
-        )
-        vals = vals * _axis_shape(w, a, g.n)
-    return WindowFunction(g, vals)
+    profile = np.where(
+        np.abs(ax) < half_width,
+        np.cos(np.pi * ax / (2.0 * half_width)) ** 2,
+        0.0,
+    )
+    factors = (profile,) * g.n
+    return WindowFunction(g, _outer(factors), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -209,42 +273,74 @@ def _stft_rows(u: SampledField, window: WindowFunction, reach: float = math.inf)
 
     The window is translated by whole grid steps with zero fill, so any
     sampled window works; the (2pi)^{-n/2} lives inside the transform.
-    One batched FFT transforms the row's window translates in reach,
-    bit-identical to applying `fourier_forward` to each in turn.
+    A window without factors takes the general route: one batched FFT
+    transforms the row's window translates in reach, bit-identical to
+    applying `fourier_forward` to each in turn.  A window with factors
+    is separable, V(x, xi) = F_{y_n}[... F_{y_1}[u f_1(y_1 - x_1)] ...
+    f_n(y_n - x_n)], so axis a is transformed once per admitted
+    (x_1, ..., x_a) and every later y, and cropped to the frequency box
+    before axis a + 1 is.  At n=1 both routes are the same operations;
+    at n >= 2 the separable one rounds differently.  Either way every
+    FFT line depends only on its own position, so the reach never
+    changes a cell's bytes.
     """
     g = u.grid
     if not g.compatible(window.grid):
         raise ValueError("field and window grids differ")
-    n, N, h = g.n, g.N, g.N // 2
+    n = g.n
     xs, fs = _box(g, reach), _box(g.dual(), reach)
-    # (-1)^(j_1 + ... + j_n): fourier_forward's per-axis sign flips,
-    # moved out of the transform (flipping a sign is exact)
-    signs = np.ones((N,) * n)
-    for ax in range(n):
-        signs = signs * _axis_shape((-1.0) ** np.arange(N), ax, n)
-    pad = np.zeros((3 * N,) * n, dtype=complex)
-    pad[(slice(N, 2 * N),) * n] = window.values
-    # translates[j] is conj(window) moved to x_j, zero outside the box:
-    # a strided view, nothing is copied
-    translates = sliding_window_view(np.conj(pad), (N,) * n)[(slice(N + h, h, -1),) * n]
+    # fourier_forward's per-axis sign flips, moved out of the transform
+    # (flipping a sign is exact)
+    signs, tables = window._stft_arrays
     signed = u.values * signs
     post = (signs * _fft_scale(g))[(fs,) * n]
     nrm = 1.0 / window.l2norm
     pos2 = g.axis()[xs] ** 2
     limit2 = (reach + math.sqrt(n) * g.spacing) ** 2
-    for row in np.ndindex(*(pos2.size,) * (n - 1)):
-        inside = np.flatnonzero(sum(pos2[i] for i in row) + pos2 <= limit2)
-        if not inside.size:
-            continue
-        cols = slice(int(inside[0]), int(inside[-1]) + 1)
-        full_row = tuple(xs.start + i for i in row)
-        block = signed * translates[full_row][xs.start + cols.start:xs.start + cols.stop]
-        for ax in range(-n, 0):  # axis order as in fourier_forward
-            # crop each transformed axis before the next one is transformed
-            block = np.fft.fft(block, axis=ax)[(Ellipsis, fs) + (slice(None),) * (-ax - 1)]
+    dist2 = 0
+    for ax in range(n):
+        dist2 = dist2 + _axis_shape(pos2, ax, n)
+    inside = dist2 <= limit2
+
+    def admitted(mask):
+        hit = np.flatnonzero(mask)
+        return slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else None
+
+    def finish(row, cols, block):
         block = block * post
         block *= nrm
-        yield row, cols, block
+        return row, cols, block
+
+    if window.factors is None:
+        for row in np.ndindex(*(pos2.size,) * (n - 1)):
+            cols = admitted(inside[row])
+            if cols is None:
+                continue
+            full_row = tuple(xs.start + i for i in row)
+            block = signed * tables[0][full_row][xs.start + cols.start:xs.start + cols.stop]
+            for ax in range(-n, 0):  # axis order as in fourier_forward
+                # crop each transformed axis before the next one is transformed
+                block = np.fft.fft(block, axis=ax)[(Ellipsis, fs) + (slice(None),) * (-ax - 1)]
+            yield finish(row, cols, block)
+        return
+
+    def descend(part, row):
+        # part: V transformed along the axes before a = len(row), at
+        # the positions `row`, shape (fs,) * a + (N,) * (n - a)
+        a = len(row)
+        sel = admitted(inside[row].reshape(pos2.size, -1).any(axis=1))
+        if sel is None:
+            return
+        t = tables[a][xs.start + sel.start:xs.start + sel.stop]
+        t = t.reshape(t.shape[:1] + (1,) * a + t.shape[1:] + (1,) * (n - a - 1))
+        block = np.fft.fft(part * t, axis=a + 1)[(slice(None),) * (a + 1) + (fs,)]
+        if a == n - 1:
+            yield finish(row, sel, block)
+            return
+        for i in range(block.shape[0]):
+            yield from descend(block[i], row + (sel.start + i,))
+
+    yield from descend(signed, ())
 
 
 def stft(u: SampledField, window: WindowFunction) -> STFTData:

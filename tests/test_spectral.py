@@ -7,6 +7,7 @@ from twistlab.catalog import Delta, GaussianPacket, PlaneWave, sample_analytic
 from twistlab.grids import SampledField, field_l2_distance, make_grid
 from twistlab.spectral import (
     WindowFunction,
+    _outer,
     fourier_forward,
     fourier_inverse,
     gaussian_window,
@@ -75,6 +76,62 @@ def test_window_normalization(grid128):
         hann_window(grid128, half_width=0.0)
 
 
+@pytest.mark.parametrize("n, big_n", [(1, 64), (2, 16), (3, 8)])
+def test_product_windows_carry_their_factors(n, big_n):
+    g = make_grid(n, big_n, 5.0)
+    ax = g.axis()
+    gauss, hann = gaussian_window(g), hann_window(g, 1.5)
+    for win in (gauss, hann):
+        assert len(win.factors) == n
+        np.testing.assert_array_equal(win.values, _outer(win.factors))
+    # Hann's values are the parent's bytes at every n, the Gaussian's at n=1
+    old = np.ones((big_n,) * n)
+    for a in range(n):
+        prof = np.where(np.abs(ax) < 1.5, np.cos(np.pi * ax / 3.0) ** 2, 0.0)
+        old = old * prof.reshape((-1,) + (1,) * (n - 1 - a))
+    assert hann.values.tobytes() == old.astype(complex).tobytes()
+    if n == 1:
+        want = np.pi ** (-1 / 4.0) * np.exp(-0.5 * (np.zeros(big_n) + ax**2))
+        assert gauss.values.tobytes() == want.astype(complex).tobytes()
+
+
+def test_stft_arrays_built_once_read_only(grid2d, rng):
+    u = _rand_field(grid2d, rng)
+    for win in (gaussian_window(grid2d), WindowFunction(grid2d, hann_window(grid2d).values)):
+        stft_magnitude(u, win, 2.0)
+        signs, tables = win._stft_arrays
+        stft(u, win)
+        assert win._stft_arrays[0] is signs and win._stft_arrays[1] is tables
+        assert len(tables) == (1 if win.factors is None else 2)
+        for arr in (signs, *tables):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0
+    for f in gaussian_window(grid2d).factors:
+        with pytest.raises(ValueError, match="read-only"):
+            f[0] = 0.0
+
+
+@pytest.mark.parametrize("factors, match", [
+    ([np.ones(16)], r"factors: expected 2 per-axis profiles, got 1"),
+    ([np.ones(16)] * 3, r"factors: expected 2 per-axis profiles, got 3"),
+    ([np.ones(16), np.ones(15)], r"factors\[1\]: expected shape \(16,\)"),
+    ([np.ones((16, 1)), np.ones(16)], r"factors\[0\]: expected shape \(16,\)"),
+    ([np.ones(16), np.r_[np.nan, np.ones(15)]], r"factors\[1\]: entries must be finite"),
+    ([np.r_[np.ones(15), np.inf], np.ones(16)], r"factors\[0\]: entries must be finite"),
+    ([np.zeros(16), np.ones(16)], r"factors\[0\]: must not vanish identically"),
+    ([np.ones(16), 2.0 * np.ones(16)], r"values must equal the outer product of factors"),
+])
+def test_window_factors_rejected(grid2d, factors, match):
+    with pytest.raises(ValueError, match=match):
+        WindowFunction(grid2d, np.ones((16, 16)), factors)
+
+
+@pytest.mark.parametrize("half_width", [np.inf, -np.inf, np.nan])
+def test_hann_rejects_non_finite_half_width(grid128, half_width):
+    with pytest.raises(ValueError, match="half_width must be finite and positive"):
+        hann_window(grid128, half_width)
+
+
 def test_stft_point_values(grid128):
     # closed forms for V(0, 0) with the unit gaussian window
     c = (2.0 * np.pi) ** -0.5 * np.pi ** -0.25
@@ -126,23 +183,33 @@ def test_parseval_constant(grid64):
     assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
-@given(st.sampled_from((1, 2)), st.sampled_from(tuple(range(4, 17, 2))),
-       st.sampled_from(("gaussian", "hann", "random")), st.integers(0, 2**31 - 1))
+@given(st.sampled_from((1, 2)), st.sampled_from(tuple(range(4, 17, 2)) + (34,)),
+       st.sampled_from(("gaussian", "hann", "random", "gaussian-factors", "hann-factors")),
+       st.integers(0, 2**31 - 1))
 def test_stft_matches_loop_oracle(n, big_n, kind, seed):
-    # the batched transform does the loop's floating-point operations in
-    # the same order, so the bytes agree, not just the values
+    # a window of values alone takes the general route, which does the
+    # loop's floating-point operations in the same order, so the bytes
+    # agree, not just the values; a window with factors is transformed
+    # one axis at a time, the same operations at n=1 and within 1e-13
+    # of max |V| at n=2 (N=34: an FFT length with the prime factor 17)
     rng = np.random.default_rng(seed)
     g = make_grid(n, big_n, float(rng.uniform(1.0, 8.0)))
     u = _rand_field(g, rng)
-    if kind == "gaussian":
+    if kind.startswith("gaussian"):
         win = gaussian_window(g)
-    elif kind == "hann":
+    elif kind.startswith("hann"):
         win = hann_window(g, float(rng.uniform(0.5, 4.0)))
     else:
         win = WindowFunction(g, _rand_field(g, rng).values)
+    if not kind.endswith("factors"):
+        win = WindowFunction(g, win.values)
     want = _oracle_stft(u, win)
-    assert stft(u, win).values.tobytes() == want.tobytes()
-    assert stft_magnitude(u, win).values.tobytes() == np.abs(want).tobytes()
+    full = stft(u, win).values
+    if win.factors is None or n == 1:
+        assert full.tobytes() == want.tobytes()
+    else:
+        assert np.abs(full - want).max() <= 1e-13 * np.abs(want).max()
+    assert stft_magnitude(u, win).values.tobytes() == np.abs(full).tobytes()
     # within a finite reach, |V| is computed at every position with
     # |x| <= reach + sqrt(n) spacing of a box covering [-reach - spacing,
     # reach + spacing] on each axis, and equals the full lattice's there
@@ -157,6 +224,6 @@ def test_stft_matches_loop_oracle(n, big_n, kind, seed):
         box.append(slice(lo, lo + axis.size))
     pos = np.meshgrid(*mag.axes[:n], indexing="ij")
     computed = np.sqrt(sum(p**2 for p in pos)) <= reach + np.sqrt(n) * g.spacing
-    expect = np.abs(want[tuple(box)])
+    expect = np.abs(full[tuple(box)])
     assert mag.values[computed].tobytes() == expect[computed].tobytes()
     assert not np.any(mag.values[~computed])

@@ -28,16 +28,23 @@ Fresh-interpreter probes, K times per checkout, alternating:
   median process CPU, the round's CPU, the CPU and calls of
   `extreme_rays` through every module's reference to it, and a hash of
   every round's fingerprints.
+- the spectrogram ladder: for n=1 at N=128, 256, 512 and n=2 at N=32,
+  64, 128 (L=7, a Gaussian packet, the Gaussian window, k_test 0.05),
+  `stft_magnitude` within the reach `estimate_wf` uses and
+  `estimate_wf_from_stft` on its result, each the median process CPU of
+  three calls after a warm-up call, with a hash of the magnitudes and
+  of the `flagged` mask.
 
 With `--tier1 K`, the tier-1 suite (`python -m pytest -q` with `src` on
 the path) runs K times per checkout, alternating: wall and CPU time and
 pytest's summary line.
 
 With `--hash-seeds`, each checkout hashes every wavefront-n2 estimate
-(k_hat, residual, value_at_rmax, directions) of each seed.  BLAS and
-OpenMP run on one thread throughout, as in perfbench.  The file also
-records the machine, core count, Python and numpy versions and the
-commits.
+(k_hat, residual, value_at_rmax, directions) of each seed, and
+separately its `flagged` masks, so that a change that only moves
+rounding shows its verdicts unchanged.  BLAS and OpenMP run on one
+thread throughout, as in perfbench.  The file also records the machine,
+core count, Python and numpy versions and the commits.
 """
 
 from __future__ import annotations
@@ -79,13 +86,43 @@ from pathlib import Path
 from workloads import WORKLOADS
 out = {}
 for seed in map(int, sys.argv[1:]):
-    h = hashlib.sha256()
+    h, flagged = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as scratch:
         for op in WORKLOADS["wavefront-n2"](seed, Path(scratch)).ops:
             est = op.call()
             for a in (est.k_hat, est.residual, est.value_at_rmax, est.directions.directions):
                 h.update(a.tobytes())
-    out[seed] = h.hexdigest()
+            flagged.update(est.flagged.tobytes())
+    out[seed] = {"estimate": h.hexdigest(), "flagged": flagged.hexdigest()}
+print(json.dumps(out))
+"""
+
+SPECTROGRAM_PROBE = """
+import hashlib, json, statistics, time
+from twistlab import GaussianPacket, WavefrontParams, make_grid, sample_analytic
+from twistlab.spectral import gaussian_window, stft_magnitude
+from twistlab.wavefront import _radius_band, estimate_wf_from_stft
+params = WavefrontParams(k_test=0.05)
+out = {}
+for n, sizes in ((1, (128, 256, 512)), (2, (32, 64, 128))):
+    for N in sizes:
+        g = make_grid(n, N, 7.0)
+        u = sample_analytic(GaussianPacket((0.3,) * n, 0.9, (-0.5,) * n), g)
+        win = gaussian_window(g)
+        reach = _radius_band(g, win.sigma_x, win.sigma_xi, params)[1] * (1.0 + 1e-9)
+        cpu = {"stft_magnitude": [], "estimate_wf_from_stft": []}
+        for r in range(4):
+            c = time.process_time()
+            mag = stft_magnitude(u, win, reach)
+            cpu["stft_magnitude"].append(time.process_time() - c)
+            c = time.process_time()
+            est = estimate_wf_from_stft(mag, params)
+            cpu["estimate_wf_from_stft"].append(time.process_time() - c)
+        key = f"n{n}_N{N}"
+        for layer, times in cpu.items():
+            out[f"{key}_{layer}_cpu_s"] = statistics.median(times[1:])
+        out[f"{key}_magnitude_sha256"] = hashlib.sha256(mag.values.tobytes()).hexdigest()
+        out[f"{key}_flagged_sha256"] = hashlib.sha256(est.flagged.tobytes()).hexdigest()
 print(json.dumps(out))
 """
 
@@ -283,7 +320,8 @@ def main(argv=None) -> int:
                     "numpy": numpy_version, "blas_threads": 1},
         "commits": commits,
     }
-    probes = {side: {"grid": [], "wf": [], "verify": [], "exact": []} for side in trees}
+    probes = {side: {"grid": [], "wf": [], "verify": [], "exact": [], "spectrogram": []}
+              for side in trees}
     for i in range(args.repeats):
         for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
             probes[side]["grid"].append(
@@ -292,14 +330,19 @@ def main(argv=None) -> int:
             probes[side]["verify"].append(verify_all(trees[side], args.workdir))
             probes[side]["exact"].append(last_json([sys.executable, "-c", EXACT_PROBE],
                                                    trees[side]))
+            probes[side]["spectrogram"].append(
+                last_json([sys.executable, "-c", SPECTROGRAM_PROBE], trees[side]))
             log(f"probe {i} {side}: " + " ".join(str(probes[side][k][-1]) for k in probes[side]))
     for key, name in (("grid", "first_direction_grid_4"), ("wf", "oneshot_wf_n2"),
-                      ("verify", "verify_all"), ("exact", "exact_layer")):
+                      ("verify", "verify_all"), ("exact", "exact_layer"),
+                      ("spectrogram", "spectrogram_ladder")):
         result[name] = {side: {"median": medians(probes[side][key]), "runs": probes[side][key]}
                         for side in probes}
-        result[name]["bytes_equal"] = all(
-            len({r[h] for s in probes.values() for r in s[key]}) == 1
-            for h in probes["base"][key][0] if h.endswith("sha256"))
+        equal = {h: len({r[h] for s in probes.values() for r in s[key]}) == 1
+                 for h in probes["base"][key][0] if h.endswith("sha256")}
+        result[name]["bytes_equal"] = all(equal.values())
+        if len(equal) > 1:
+            result[name]["bytes_equal_by_hash"] = equal
     result["oneshot_wf_n2"]["config"] = WF_CONFIG
     if args.tier1:
         runs = {side: [] for side in trees}
@@ -310,9 +353,12 @@ def main(argv=None) -> int:
         result["tier1"] = {side: {"median": medians(runs[side]), "runs": runs[side]}
                            for side in runs}
     if args.hash_seeds:
-        result["wavefront_n2_estimate_sha256"] = {
-            side: last_json([sys.executable, "-c", ESTIMATE_HASHES, *map(str, args.hash_seeds)],
-                            trees[side]) for side in trees}
+        hashes = {side: last_json([sys.executable, "-c", ESTIMATE_HASHES,
+                                   *map(str, args.hash_seeds)], trees[side]) for side in trees}
+        result["wavefront_n2_estimate_sha256"] = hashes
+        result["wavefront_n2_equal"] = {
+            part: all(hashes["base"][s][part] == hashes["head"][s][part] for s in hashes["base"])
+            for part in ("estimate", "flagged")}
     result["pairs"] = {}
     for spec in args.pairs:
         workload, seeds = spec.split(":")
