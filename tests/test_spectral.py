@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twistlab.catalog import Delta, GaussianPacket, PlaneWave, sample_analytic
@@ -184,8 +184,12 @@ def test_parseval_constant(grid64):
 
 
 @given(st.sampled_from((1, 2)), st.sampled_from(tuple(range(4, 17, 2)) + (34,)),
-       st.sampled_from(("gaussian", "hann", "random", "gaussian-factors", "hann-factors")),
+       st.sampled_from(("gaussian", "hann", "random", "gaussian-factors", "hann-factors",
+                        "random-factors")),
        st.integers(0, 2**31 - 1))
+@example(2, 34, "gaussian-factors", 0)
+@example(2, 34, "hann-factors", 0)
+@example(2, 8, "random-factors", 0)
 def test_stft_matches_loop_oracle(n, big_n, kind, seed):
     # a window of values alone takes the general route, which does the
     # loop's floating-point operations in the same order, so the bytes
@@ -199,12 +203,16 @@ def test_stft_matches_loop_oracle(n, big_n, kind, seed):
         win = gaussian_window(g)
     elif kind.startswith("hann"):
         win = hann_window(g, float(rng.uniform(0.5, 4.0)))
-    else:
+    elif kind == "random":
         win = WindowFunction(g, _rand_field(g, rng).values)
+    else:   # a different complex profile on each axis
+        factors = [_rand_field(make_grid(1, big_n, g.L), rng).values for _ in range(n)]
+        win = WindowFunction(g, _outer(factors), factors)
     if not kind.endswith("factors"):
         win = WindowFunction(g, win.values)
     want = _oracle_stft(u, win)
-    full = stft(u, win).values
+    lattice_stft = stft(u, win)
+    full = lattice_stft.values
     if win.factors is None or n == 1:
         assert full.tobytes() == want.tobytes()
     else:
@@ -216,7 +224,7 @@ def test_stft_matches_loop_oracle(n, big_n, kind, seed):
     reach = float(rng.uniform(0.0, g.L))
     mag = stft_magnitude(u, win, reach)
     box = []
-    for axis, lattice in zip(mag.axes, stft(u, win).axes):
+    for axis, lattice in zip(mag.axes, lattice_stft.axes):
         lo = int(np.searchsorted(lattice, axis[0]))
         np.testing.assert_array_equal(axis, lattice[lo:lo + axis.size])
         assert axis[0] <= max(-reach - lattice[1] + lattice[0], lattice[0])
