@@ -1,9 +1,10 @@
 """Command-line front end: field products, singularity estimation,
 exact cone checks, and verification suites.
 
-Every run writes a `*_run.json` record embedding the fully resolved
-configuration; data products themselves are timestamp-free so reruns
-with the same config and seed are byte-identical.
+Every product, star, wf and cone run writes a `*_run.json` record
+embedding the fully resolved configuration; data products themselves are
+timestamp-free so reruns with the same config and seed are
+byte-identical.  Outputs are rewritten in place (`_write`).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -190,6 +192,29 @@ def _rational_matrix(rows, key: str):
     return m
 
 
+def _write(path: Path, text: str) -> None:
+    """Write `text` to `path` in place, with no stale tail.
+
+    An existing file keeps its inode and mode, and a symlink is written
+    through, as with `Path.write_text`.  The file is not opened with
+    O_TRUNC: on ext4 a close after truncating a file to zero starts a
+    flush of its data (auto_da_alloc), and the next truncate waits for
+    it, which made every rewrite wait tens of milliseconds.  The file is
+    cut to the new length after the write instead; devices and pipes,
+    whose size reads 0, are never cut.
+    """
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _run_record(out: Path, name: str, cfg: dict, outputs: dict) -> None:
     doc = {
         "schema_version": _SCHEMA,
@@ -198,7 +223,7 @@ def _run_record(out: Path, name: str, cfg: dict, outputs: dict) -> None:
         "outputs": outputs,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    (out / f"{name}_run.json").write_text(json.dumps(doc, indent=2) + "\n")
+    _write(out / f"{name}_run.json", json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +252,11 @@ def _cmd_product(args, out: Path) -> int:
     else:
         result = pointwise_product(left, right)
     field_path = out / f"{args.command}_field.json"
-    field_path.write_text(result.to_json())
+    _write(field_path, result.to_json())
     outputs = {"field": field_path.name}
     if cfg.get("csv", False):
         csv_path = out / f"{args.command}_field.csv"
-        csv_path.write_text(_field_csv(result))
+        _write(csv_path, _field_csv(result))
         outputs["csv"] = csv_path.name
     resolved = dict(cfg)
     resolved.update({"op": op, "theta": theta})
@@ -297,8 +322,8 @@ def _cmd_wf(args, out: Path) -> int:
     except ValueError as exc:
         raise ConfigError(f"params.{exc}") from exc
     est = estimate_wf(u, window, params)
-    (out / "wf_estimate.json").write_text(est.to_json())
-    (out / "wf_directions.csv").write_text(est.to_csv())
+    _write(out / "wf_estimate.json", est.to_json())
+    _write(out / "wf_directions.csv", est.to_csv())
     resolved = dict(cfg)
     resolved["params"] = {
         "k_test": est.k_test, "r_min": est.r_min, "r_max": est.r_max,
@@ -316,14 +341,14 @@ def _cmd_wf(args, out: Path) -> int:
 def _cone_set(spec, key: str):
     from .cones import set_from_json, set_from_obj
 
-    if isinstance(spec, dict) and "path" in spec:
-        return set_from_json(Path(spec["path"]).read_text())
-    if isinstance(spec, dict):
-        try:
-            return set_from_obj(spec)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-    raise ConfigError(f"{key}: expected a conic-set object or {{path: ...}}")
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{key}: expected a conic-set object or {{path: ...}}")
+    try:
+        if "path" in spec:
+            return set_from_json(Path(spec["path"]).read_text())
+        return set_from_obj(spec)
+    except (KeyError, ValueError, TypeError, OSError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _cmd_cone(args, out: Path) -> int:
@@ -337,7 +362,7 @@ def _cmd_cone(args, out: Path) -> int:
         # bad set data or a cone past the enumeration budget
         raise ConfigError(f"op {op}: {exc}") from exc
     report = json.dumps(doc, indent=2)
-    (out / "cone_report.json").write_text(report + "\n")
+    _write(out / "cone_report.json", report + "\n")
     _run_record(out, "cone", cfg, {"report": "cone_report.json"})
     print(report)
     return 1 if failed else 0
@@ -414,7 +439,7 @@ def _cmd_verify(args, out: Path) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     stamp = datetime.now(timezone.utc).isoformat()
-    (out / f"verify_{args.suite}.json").write_text(report.to_json(timestamp=stamp) + "\n")
+    _write(out / f"verify_{args.suite}.json", report.to_json(timestamp=stamp) + "\n")
     print(report.summary())
     return 0 if report.passed else 1
 

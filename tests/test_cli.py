@@ -56,6 +56,124 @@ def test_reruns_are_byte_identical(tmp_path, product_config):
             assert (a / name).read_bytes() == (b / name).read_bytes(), (cmd, name)
 
 
+def _rerun_jobs(tmp_path, product_config):
+    """Per subcommand: the argv of a first and a second run into one
+    directory (without --out), and the data products they write."""
+    product_csv = json.loads(Path(product_config).read_text())
+    product_csv["csv"] = True
+    wf = {"schema_version": 1, "grid": {"n": 1, "N": 64, "L": 8.0},
+          "field": {"kind": "chirp", "matrix": [[0.5]]}}
+    wf_720 = _write(tmp_path / "wf720.json", {**wf, "params": {"direction_count": 720}})
+    wf_180 = _write(tmp_path / "wf180.json", {**wf, "params": {"direction_count": 180}})
+    cone = _write(tmp_path / "cone.json", {
+        "schema_version": 1, "op": "existence", "theta": [[0]],
+        "u": _RAY_2, "v": {"dim": 2, "components": [{"kind": "ray", "v": [0, 1]}]},
+    })
+    csv_cfg = ["--config", _write(tmp_path / "csv.json", product_csv)]
+    return {
+        "product": (["product", *csv_cfg], ["product", *csv_cfg],
+                    ["product_field.json", "product_field.csv"]),
+        "star": (["star", "--config", product_config], ["star", "--config", product_config],
+                 ["star_field.json"]),
+        "wf": (["wf", "--config", wf_720], ["wf", "--config", wf_180],
+               ["wf_estimate.json", "wf_directions.csv"]),
+        "cone": (["cone", "--config", cone], ["cone", "--config", cone], ["cone_report.json"]),
+        "verify": (["verify", "calculus"], ["verify", "calculus"], ["verify_calculus.json"]),
+    }
+
+
+def _comparable(path):
+    """A data product's bytes; for a verification report, its JSON
+    without the timestamp and the per-check seconds."""
+    if not path.name.startswith("verify_"):
+        return path.read_bytes()
+    doc = json.loads(path.read_text())
+    doc.pop("timestamp")
+    for check in doc["checks"]:
+        check.pop("seconds")
+    return doc
+
+
+@pytest.mark.parametrize("command", ["product", "star", "wf", "cone", "verify"])
+def test_rerun_rewrites_outputs_in_place(tmp_path, product_config, command):
+    # a second run into the same directory, here one that shrinks the wf
+    # outputs from 720 to 180 directions, leaves the bytes a fresh run
+    # writes, in the same files, and writes through a symlinked output
+    first, second, products = _rerun_jobs(tmp_path, product_config)[command]
+    out, fresh, elsewhere = tmp_path / "out", tmp_path / "fresh", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    linked = elsewhere / products[-1]
+    linked.write_text("stale\n" * 100_000)
+    (out / products[-1]).symlink_to(linked)
+    rc = main([*first, "--out", str(out)])
+    assert rc in (0, 1)
+    outputs = sorted(out.iterdir())
+    inodes = [p.stat().st_ino for p in outputs]
+    assert main([*second, "--out", str(out)]) == rc
+    assert main([*second, "--out", str(fresh)]) == rc
+    assert sorted(out.iterdir()) == outputs
+    assert [p.stat().st_ino for p in outputs] == inodes
+    assert (out / products[-1]).is_symlink() and (out / products[-1]).resolve() == linked
+    for name in products:
+        assert _comparable(out / name) == _comparable(fresh / name), name
+    for path in out.glob("*_run.json"):
+        assert json.loads(path.read_text())["outputs"]
+
+
+@pytest.mark.parametrize("command", ["product", "star", "wf", "cone", "verify"])
+def test_rerun_opens_no_output_with_truncation(tmp_path, product_config, monkeypatch, command):
+    # a truncating open of a file that was just written waits for its
+    # writeback on ext4; every CLI output goes through cli._write instead
+    import io
+
+    first, second, _ = _rerun_jobs(tmp_path, product_config)[command]
+    out = tmp_path / "out"
+    rc = main([*first, "--out", str(out)])
+    assert rc in (0, 1)
+    truncated = []
+
+    def os_open(path, flags, *args, **kwargs):
+        if flags & os.O_TRUNC and os.path.exists(path):
+            truncated.append(path)
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def io_open(file, mode="r", *args, **kwargs):
+        if "w" in mode and isinstance(file, (str, os.PathLike)) and os.path.exists(file):
+            truncated.append(file)
+        return real_io_open(file, mode, *args, **kwargs)
+
+    def write_text(self, *args, **kwargs):
+        raise AssertionError(f"Path.write_text({self})")
+
+    real_os_open, real_io_open = os.open, io.open
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(io, "open", io_open)
+    monkeypatch.setattr("builtins.open", io_open)
+    monkeypatch.setattr(Path, "write_text", write_text)
+    assert main([*second, "--out", str(out)]) == rc
+    assert truncated == []
+
+
+def test_output_symlinked_to_a_device(tmp_path, product_config):
+    # a device's size reads 0: it is written to, never cut
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "star_field.json").symlink_to(os.devnull)
+    assert main(["star", "--config", product_config, "--out", str(out)]) == 0
+    assert os.readlink(out / "star_field.json") == os.devnull
+    assert json.loads((out / "star_run.json").read_text())["outputs"] == {
+        "field": "star_field.json"}
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys, product_config):
+    out = tmp_path / "out"
+    (out / "star_field.json").mkdir(parents=True)
+    assert main(["star", "--config", product_config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "star_field.json" in err and "Traceback" not in err
+
+
 def test_field_csv_matches_per_value_format():
     # one % per row over Python floats writes what per-value f-strings
     # write, abs() of each complex value included
@@ -350,6 +468,36 @@ def test_cone_bad_rationals_exit_2(tmp_path, capsys, fragment, key, message):
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"{key}: " in err and message in err and "Traceback" not in err
+
+
+_SET_JOBS = {
+    "u": {"op": "existence", "theta": [[0]], "u": None, "v": _RAY_2},
+    "v": {"op": "existence", "theta": [[0]], "u": _RAY_2, "v": None},
+    "gamma": {"op": "pair_condition", "gamma": None},
+    "gamma1": {"op": "shift_algebra", "theta": [[0, 1], [-1, 0]], "gamma1": None,
+               "gamma2": _RAY_2},
+    "gamma2": {"op": "shift_algebra", "theta": [[0, 1], [-1, 0]], "gamma1": _RAY_2,
+               "gamma2": None},
+    "set": {"op": "pullback", "set": None, "map": [[1, 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize("problem, message", [
+    ("missing", "No such file or directory"),
+    ("malformed", "Expecting property name"),
+])
+@pytest.mark.parametrize("key", sorted(_SET_JOBS))
+def test_cone_bad_set_file_names_its_key(tmp_path, capsys, key, problem, message):
+    path = tmp_path / "set.json"
+    if problem == "malformed":
+        path.write_text("{dim: 2}")
+    cfg = _write(tmp_path / "cone.json", {
+        "schema_version": 1, **_SET_JOBS[key], key: {"path": str(path)},
+    })
+    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_cone_theta_number_strings(tmp_path):

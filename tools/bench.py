@@ -3,7 +3,7 @@
 
     python3 tools/bench.py --base REV --head REV --label NAME --workdir DIR \\
         [--pairs WORKLOAD:SEED,SEED,...]... [--hash-seeds SEED...] [--repeats K]
-        [--tier1 K]
+        [--tier1 K] [--rss-rounds R]
 
 Both revisions are exported with `git archive` into DIR (outside the
 repository).  For every `--pairs` entry, `perfbench/run.py --workload W
@@ -27,13 +27,21 @@ Fresh-interpreter probes, K times per checkout, alternating:
   of seeds 1-12, three per seed with the first left out: each cone job's
   median process CPU, the round's CPU, the CPU and calls of
   `extreme_rays` through every module's reference to it, and a hash of
-  every round's fingerprints.
+  every round's fingerprints, and per round (medians) the round's CPU and
+  wall time and the CPU and wall time spent writing outputs, inside
+  `cli._write` (in a commit without it, `Path.write_text`).
 - the spectrogram ladder: for n=1 at N=128, 256, 512 and n=2 at N=32,
   64, 128 (L=7, a Gaussian packet, the Gaussian window, k_test 0.05),
   `stft_magnitude` within the reach `estimate_wf` uses and
   `estimate_wf_from_stft` on its result, each the median process CPU of
   three calls after a warm-up call, with a hash of the magnitudes and
   of the `flagged` mask.
+
+With `--rss-rounds R`, each checkout runs R cli-jobs rounds of seed 102
+in one interpreter, fingerprinting every output as perfbench does, and
+records after rounds 1, 10, 25, 50, 100, 150, 200, 300, ... and R its
+RssAnon and RssFile (from /proc/self/status), `sys.getallocatedblocks()`
+and its max RSS, so that RSS can be read against rounds completed.
 
 With `--tier1 K`, the tier-1 suite (`python -m pytest -q` with `src` on
 the path) runs K times per checkout, alternating: wall and CPU time and
@@ -130,7 +138,7 @@ EXACT_PROBE = """
 import hashlib, json, random, statistics, tempfile, time
 from fractions import Fraction
 from pathlib import Path
-from twistlab import calculus, cones, rational
+from twistlab import calculus, cli, cones, rational
 from workloads import WORKLOADS
 out = {}
 for k in (6, 10, 14, 18):
@@ -144,44 +152,80 @@ for k in (6, 10, 14, 18):
     out[f"extreme_rays_k{k}_cpu_s"] = statistics.median(cpu)
     out[f"extreme_rays_k{k}_rays"] = len(rays)
     out[f"extreme_rays_k{k}_sha256"] = hashlib.sha256(repr(rays).encode()).hexdigest()
-spent = [0.0, 0]
-def timed(fn):
+spent = {"rays": [0.0, 0.0, 0], "write": [0.0, 0.0, 0]}
+def timed(fn, key):
     def wrapper(*args):
-        c = time.process_time()
+        c, w = time.process_time(), time.perf_counter()
         try:
             return fn(*args)
         finally:
-            spent[0] += time.process_time() - c
-            spent[1] += 1
+            spent[key][0] += time.process_time() - c
+            spent[key][1] += time.perf_counter() - w
+            spent[key][2] += 1
     return wrapper
 # calculus and cones call the kernel through their own imported names
 for mod in (rational, calculus, cones):
-    mod.extreme_rays = timed(mod.extreme_rays)
+    mod.extreme_rays = timed(mod.extreme_rays, "rays")
+# every CLI output goes through cli._write; before it existed, through Path.write_text
+if hasattr(cli, "_write"):
+    cli._write = timed(cli._write, "write")
+else:
+    Path.write_text = timed(Path.write_text, "write")
 h, cone_cpu, rounds = hashlib.sha256(), {}, []
 for seed in range(1, 13):
     with tempfile.TemporaryDirectory() as scratch:
         wl = WORKLOADS["cli-jobs"](seed, Path(scratch))
         for r in range(3):
-            spent[:] = [0.0, 0]
-            total = 0.0
+            for v in spent.values():
+                v[:] = [0.0, 0.0, 0]
+            cpu = wall = 0.0
             for j, op in enumerate(wl.ops):
-                c = time.process_time()
+                c, w = time.process_time(), time.perf_counter()
                 rc = op.call()
-                c = time.process_time() - c
-                total += c
+                c, w = time.process_time() - c, time.perf_counter() - w
+                cpu += c
+                wall += w
                 h.update(repr(wl.fingerprint(j, rc)).encode())
                 if r and op.name.startswith("cone:"):
                     cone_cpu.setdefault(f"cone_{j}_{op.name[5:]}_cpu_s", []).append(c)
             if r:
-                rounds.append((total, *spent))
+                rounds.append({"round_cpu_s": cpu, "round_wall_s": wall,
+                               "extreme_rays_cpu_s": spent["rays"][0],
+                               "extreme_rays_calls": spent["rays"][2],
+                               "write_cpu_s": spent["write"][0],
+                               "write_wall_s": spent["write"][1],
+                               "writes": spent["write"][2]})
 out.update({k: statistics.median(v) for k, v in cone_cpu.items()})
-out["cli_jobs_round_cpu_s"] = statistics.median(t for t, _, _ in rounds)
-out["cli_jobs_extreme_rays_cpu_s"] = statistics.median(e for _, e, _ in rounds)
-out["cli_jobs_extreme_rays_calls"] = statistics.median(n for _, _, n in rounds)
-out["cli_jobs_extreme_rays_share"] = sum(e for _, e, _ in rounds) / sum(t for t, _, _ in rounds)
+for key in rounds[0]:
+    out[f"cli_jobs_{key}"] = statistics.median(r[key] for r in rounds)
+out["cli_jobs_extreme_rays_share"] = (sum(r["extreme_rays_cpu_s"] for r in rounds)
+                                      / sum(r["round_cpu_s"] for r in rounds))
 out["cli_jobs_fingerprints_sha256"] = h.hexdigest()
 print(json.dumps(out))
 """
+
+RSS_PROBE = """
+import json, resource, sys, tempfile
+from pathlib import Path
+from workloads import WORKLOADS
+seed, rounds = map(int, sys.argv[1:])
+marks = {1, 10, 25, 50, 100, 150, 200, 300, 400, 600, 800, rounds}
+def status():
+    with open("/proc/self/status") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    return {f"{k}_mb": int(fields[k].split()[0]) / 1024.0 for k in ("RssAnon", "RssFile")}
+out = []
+with tempfile.TemporaryDirectory() as scratch:
+    wl = WORKLOADS["cli-jobs"](seed, Path(scratch))
+    for r in range(1, rounds + 1):
+        for j, op in enumerate(wl.ops):
+            wl.fingerprint(j, op.call())
+        if r in marks:
+            out.append({"round": r, **status(), "allocated_blocks": sys.getallocatedblocks(),
+                        "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
+print(json.dumps(out))
+"""
+RSS_SEED = 102
 
 
 def env_for(tree: Path) -> dict:
@@ -302,6 +346,7 @@ def main(argv=None) -> int:
     p.add_argument("--hash-seeds", nargs="*", type=int, default=[])
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--tier1", type=int, default=0, metavar="K")
+    p.add_argument("--rss-rounds", type=int, default=0, metavar="R")
     args = p.parse_args(argv)
 
     def log(msg):
@@ -359,6 +404,10 @@ def main(argv=None) -> int:
         result["wavefront_n2_equal"] = {
             part: all(hashes["base"][s][part] == hashes["head"][s][part] for s in hashes["base"])
             for part in ("estimate", "flagged")}
+    if args.rss_rounds:
+        result["cli_jobs_rss_by_round"] = {"seed": RSS_SEED, **{
+            side: last_json([sys.executable, "-c", RSS_PROBE, str(RSS_SEED),
+                             str(args.rss_rounds)], trees[side]) for side in trees}}
     result["pairs"] = {}
     for spec in args.pairs:
         workload, seeds = spec.split(":")
