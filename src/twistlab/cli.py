@@ -117,6 +117,15 @@ def _need(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _flag(cfg: dict, key: str, where: str) -> bool:
+    """`cfg[key]` as a JSON boolean, False when absent; a string such as
+    "false" would read as True, so anything else is refused."""
+    value = cfg.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _grid_from(cfg: dict):
     from .grids import make_grid
 
@@ -141,10 +150,8 @@ def _field_from(spec, grid, key: str):
         if kind == "planewave":
             return sample_analytic(PlaneWave(_num_or_vec(spec.get("a", 0.0))), grid)
         if kind == "chirp":
-            return sample_analytic(
-                Chirp(spec.get("matrix", [[0.0]]), envelope=bool(spec.get("envelope", False))),
-                grid,
-            )
+            envelope = _flag(spec, "envelope", f"{key}.envelope")
+            return sample_analytic(Chirp(spec.get("matrix", [[0.0]]), envelope=envelope), grid)
         if kind == "gaussian":
             return sample_analytic(
                 GaussianPacket(
@@ -241,12 +248,13 @@ def _cmd_product(args, out: Path) -> int:
     op = cfg.get("op", "star" if args.command == "star" else "product")
     if op not in ("star", "product", "pointwise"):
         raise ConfigError(f"op: expected star|product|pointwise, got {op!r}")
+    wrap, csv = _flag(cfg, "wrap", "wrap"), _flag(cfg, "csv", "csv")
     theta = [[float(x) for x in row]
              for row in _rational_matrix(cfg.get("theta", [[0] * grid.n] * grid.n), "theta")]
     left = _field_from(_need(cfg, "left"), grid, "left")
     right = _field_from(_need(cfg, "right"), grid, "right")
     if op == "star":
-        result = twisted_convolution(left, right, theta, wrap=bool(cfg.get("wrap", False)))
+        result = twisted_convolution(left, right, theta, wrap=wrap)
     elif op == "product":
         result = twisted_convolution_product(left, right, theta)
     else:
@@ -254,7 +262,7 @@ def _cmd_product(args, out: Path) -> int:
     field_path = out / f"{args.command}_field.json"
     _write(field_path, result.to_json())
     outputs = {"field": field_path.name}
-    if cfg.get("csv", False):
+    if csv:
         csv_path = out / f"{args.command}_field.csv"
         _write(csv_path, _field_csv(result))
         outputs["csv"] = csv_path.name

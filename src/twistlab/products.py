@@ -6,21 +6,50 @@ Both evaluate the same finite twisted sum
 
 over the grid, with out-of-box arguments of f zero-padded or periodic.
 The bilinear chirp factorises one axis at a time: writing x = (x', x_n),
-y = (y', y_n) and c = theta[:-1, -1],
+y = (y', y_n), m = N^{n-1} leading points x' and c = theta[:-1, -1],
 
     x.theta y = x'.theta' y' + (x'.c) y_n - x_n (c.y').
 
-For each pair (x', y') the sum over y_n is then a 1-D convolution of the
-f-row at x' - y' with g(y', .) exp(-(i/2)(x'.c) y_n), done by FFT, and
-one contraction over y' against exp(-(i/2) x'.theta'y')
-exp(+(i/2) x_n c.y') gives the output.  The cost is O(N^{2n-1} log N)
-in place of the O(N^{2n}) direct sum: N^3 log N at n=2, and at n=1
-(theta = 0) a plain FFT convolution.  The zero-padded sum uses FFTs of
-length 2N, the periodic one circular FFTs of length N.  The direct sum
+For each pair (x', y') the sum over y_n is a 1-D convolution, done by
+FFT, and one contraction over y' gives the output.  The cost is
+O(N^{2n-1} log N) in place of the O(N^{2n}) direct sum: N^3 log N at
+n=2, and at n=1 (theta = 0) a plain FFT convolution.  The direct sum
 survives only as the oracle in `suites`.
+
+Zero-padded sums pre-chirp both factors (Bluestein's factorisation,
+applied to the coupling).  With the half-chirp Q(x) = exp((i/2)(x'.c) x_n),
+
+    exp(-(i/2) x.theta y) = exp(-(i/2) x'.theta' y') conj(Q(x))
+                            exp(i x_n c.y') Q(x - y) conj(Q(y)),
+
+so out = d^n conj(Q) sum_{y'} exp(-(i/2) x'.theta' y') exp(i x_n c.y')
+[(fQ)_{x'-y'} * (g conj(Q))_{y'}](x_n): every row of fQ and of g conj(Q)
+is transformed once, 2m + 1 forward FFTs with the zero row that stands
+for out-of-box x' - y', and only the m^2 inverse FFTs remain per pair.
+The lags of f lie in [-N/2, N/2), so a circular length P >= 3N/2 gives
+the linear sum on outputs 0..N-1; P is the least 7-smooth such length
+(54 at N=36, where 2N would be 72).
+
+Periodic sums keep one forward FFT of length N per pair: Q(x - y) needs
+the unwrapped lag, which the periodic index forgets.  Each g row is
+modulated by conj(Q(x', .)) for its x' row instead, and the output phase
+is Q(y', x_n).
+
+`_plan` keeps per (n, N, L, theta, mode) only O(m N) read-only data: the
+leading indices and coordinates, P and the half-chirp.  The index maps
+and lead phases exp(-(i/2) x'.theta' y') of a block of x' rows are O(m)
+per row and built per block; cached, they would be O(m^2).  Each thread
+keeps two workspaces of `_BLOCK_ELEMS` complex elements that every
+block is taken, multiplied and transformed in, so a repeated call maps
+no fresh pages; a block wider than a workspace gets a buffer of its own.
+FFTs with `out=` need numpy >= 2.0.
 """
 
 from __future__ import annotations
+
+import threading
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +57,9 @@ from .grids import Grid, SampledField
 from .matrices import AntisymmetricMatrix
 from .spectral import fourier_forward, fourier_inverse
 
-# complex elements in each transient array of one block of x' rows (4 MiB)
-_BLOCK_ELEMS = 1 << 18
+# complex elements in each of a thread's two block workspaces (1 MiB each)
+_BLOCK_ELEMS = 1 << 16
+_local = threading.local()
 
 
 def _theta_matrix(theta, n: int) -> np.ndarray:
@@ -51,44 +81,116 @@ def pointwise_product(u: SampledField, v: SampledField) -> SampledField:
     return SampledField(u.grid, u.values * v.values)
 
 
+def _smooth_length(k: int) -> int:
+    """The least 7-smooth integer >= k."""
+    while True:
+        r = k
+        for p in (2, 3, 5, 7):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return k
+        k += 1
+
+
+class _Plan(NamedTuple):
+    P: int                  # FFT length: N periodic, else least 7-smooth >= 3N/2
+    lead: np.ndarray        # (m, n-1) leading indices
+    strides: np.ndarray     # flat index of a leading index
+    xp: np.ndarray          # (m, n-1) leading coordinates
+    lead_form: np.ndarray   # theta' xp^T, (n-1, m)
+    chirp: np.ndarray       # Q(x', x_n) = exp((i/2)(x'.c) x_n), (m, N)
+    out_phase: np.ndarray   # (m, P), zero past column N: exp(i x_n c.y'), or Q periodic
+
+
+@lru_cache(maxsize=16)      # a products-n2 round uses 12 configurations
+def _plan(n: int, N: int, L: float, theta_bytes: bytes, wrap: bool) -> _Plan:
+    theta = np.frombuffer(theta_bytes).reshape(n, n)
+    m = N ** (n - 1)
+    ax = Grid(n, N, L).axis()
+    lead = np.indices((N,) * (n - 1)).reshape(n - 1, m).T
+    xp = ax[lead]
+    xc = np.outer(xp @ theta[:-1, -1], ax)             # (x'.c) x_n, also (c.y') x_n
+    chirp = np.exp(0.5j * xc)
+    P = N if wrap else _smooth_length(-(-3 * N // 2))
+    out_phase = np.zeros((m, P), dtype=complex)
+    out_phase[:, :N] = chirp if wrap else np.exp(1j * xc)
+    plan = _Plan(P, lead, N ** np.arange(n - 2, -1, -1), xp, theta[:-1, :-1] @ xp.T,
+                 chirp, out_phase)
+    for a in plan[1:]:
+        a.setflags(write=False)
+    return plan
+
+
+def _workspaces(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two block workspaces (made at the first call, or
+    again if `_BLOCK_ELEMS` changed), or new buffers when one block of
+    `size` elements is wider than they are."""
+    if size > _BLOCK_ELEMS:
+        return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    ws = getattr(_local, "ws", None)
+    if ws is None or ws[0].size != _BLOCK_ELEMS:
+        ws = _local.ws = (np.empty(_BLOCK_ELEMS, dtype=complex),
+                          np.empty(_BLOCK_ELEMS, dtype=complex))
+    return ws
+
+
 def _twisted_sum(f: SampledField, g: SampledField, theta: np.ndarray, wrap: bool) -> np.ndarray:
     """d^n sum_y f(x - y) g(y) exp(-(i/2) x.theta y) on the whole grid,
-    by the last-axis factorisation in the module docstring."""
+    by the factorisations in the module docstring."""
     grid = f.grid
     N, n = grid.N, grid.n
     m = N ** (n - 1)                       # number of leading points x' (and y')
-    P = N if wrap else 2 * N               # circular, or zero-padded linear
-    ax = grid.axis()
-    lead = np.indices((N,) * (n - 1)).reshape(n - 1, m).T
-    xp = ax[lead]                          # (m, n-1) leading coordinates
-    c = theta[:-1, -1]
-    xc = xp @ c                            # x'.c, also c.y' on the y' side
-    out_phase = np.exp(0.5j * np.outer(xc, ax))          # (y', x_n)
-    strides = N ** np.arange(n - 2, -1, -1)
-    # f-rows by leading index, row m being the zero row for out-of-box
-    # x' - y'.  Each row is rotated by N/2 so that the lag x_n - y_n + N/2
-    # of f sits at index x_n - y_n mod P, and output x_n is entry x_n.
-    frows = np.zeros((m + 1, P), dtype=complex)
-    frows[:m, :N] = f.values.reshape(m, N)
-    fhat = np.fft.fft(np.roll(frows, -(N // 2), axis=-1), axis=-1)
-    gvals = g.values.reshape(m, N)
-    out = np.empty((m, N), dtype=complex)
-    rows = max(1, _BLOCK_ELEMS // (m * P))
-    for start in range(0, m, rows):
-        b = slice(start, min(start + rows, m))
-        diff = lead[b, None, :] - lead[None, :, :] + N // 2
+    plan = _plan(n, N, grid.L, theta.tobytes(), wrap)
+    P, half = plan.P, N // 2
+    chirp_conj = plan.chirp.conj()
+    fvals, gvals = f.values.reshape(m, N), g.values.reshape(m, N)
+    # f-rows by leading index, rotated by N/2 so that the lag x_n - y_n + N/2
+    # of f sits at index x_n - y_n mod P and output x_n is entry x_n.
+    # Zero-padded, row m is the zero row for out-of-box x' - y' and the
+    # pre-chirped g rows follow it.
+    if wrap:
+        rows = np.empty((m, P), dtype=complex)
+    else:
+        rows = np.zeros((2 * m + 1, P), dtype=complex)
+        fvals = fvals * plan.chirp
+        np.multiply(gvals, chirp_conj, out=rows[m + 1:, :N])
+    rows[:m, :half] = fvals[:, half:]
+    rows[:m, P - half:] = fvals[:, :half]
+    np.fft.fft(rows, axis=-1, out=rows)
+    fhat, ghat = rows[:m + 1], rows[m + 1:]
+    out = np.empty((m, 1, N), dtype=complex)
+    per = max(1, _BLOCK_ELEMS // (m * P))  # x' rows per block
+    work, taken = _workspaces(per * m * P)
+    for start in range(0, m, per):
+        b = slice(start, min(start + per, m))
+        size = (b.stop - start) * m * P
+        diff = plan.lead[b, None, :] - plan.lead[None, :, :] + half
         if wrap:
-            frow = np.mod(diff, N) @ strides
+            frow = np.mod(diff, N) @ plan.strides
         else:
             inside = np.all((diff >= 0) & (diff < N), axis=-1)
-            frow = np.where(inside, diff @ strides, m)
-        mod = np.exp(-0.5j * np.outer(xc[b], ax))         # (x', y_n)
-        conv = np.fft.fft(gvals[None, :, :] * mod[:, None, :], P, axis=-1)
-        conv *= fhat[frow]
-        conv = np.fft.ifft(conv, axis=-1)[..., :N]        # (x', y', x_n)
-        lead_phase = np.exp(-0.5j * (xp[b] @ theta[:-1, :-1] @ xp.T))
-        out[b] = np.einsum("aj,jt,ajt->at", lead_phase, out_phase, conv)
-    return (out * grid.spacing**n).reshape((N,) * n)
+            frow = np.where(inside, diff @ plan.strides, m)
+        # every index is in range; mode="clip" takes straight into the
+        # workspace, where the default mode would buffer a copy of the block
+        conv = work[:size].reshape(-1, m, P)
+        if wrap:
+            np.multiply(gvals, chirp_conj[b, None, :], out=conv)
+            np.fft.fft(conv, axis=-1, out=conv)
+            conv *= np.take(fhat, frow, axis=0, mode="clip", out=taken[:size].reshape(-1, m, P))
+        else:
+            np.take(fhat, frow, axis=0, mode="clip", out=conv)
+            conv *= ghat
+        np.fft.ifft(conv, axis=-1, out=conv)
+        conv *= plan.out_phase
+        conv = conv[..., :N]                              # (x', y', x_n)
+        lead_phase = np.exp(-0.5j * (plan.xp[b] @ plan.lead_form))
+        np.matmul(lead_phase[:, None, :], conv, out=out[b])
+    out = out.reshape(m, N)
+    if not wrap:
+        out *= chirp_conj
+    out *= grid.spacing**n
+    return out.reshape((N,) * n)
 
 
 def twisted_convolution(

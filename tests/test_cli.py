@@ -240,6 +240,30 @@ def test_non_antisymmetric_theta_exit_2(tmp_path):
     assert main(["star", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("fragment, key", [
+    ({"wrap": "false"}, "wrap"),
+    ({"wrap": 0}, "wrap"),
+    ({"csv": "no"}, "csv"),
+    ({"csv": None}, "csv"),
+    ({"right": {"kind": "chirp", "matrix": [[0.5]], "envelope": "false"}}, "right.envelope"),
+    ({"left": {"kind": "chirp", "matrix": [[0.5]], "envelope": 1}}, "left.envelope"),
+])
+def test_product_non_boolean_flag_exit_2(tmp_path, capsys, fragment, key):
+    # bool("false") is True: only JSON true and false are flags
+    cfg = _write(tmp_path / "job.json", {
+        "schema_version": 1,
+        "grid": {"n": 1, "N": 16, "L": 4.0},
+        "left": {"kind": "gaussian", "mu": 0.0, "sigma": 1.0},
+        "right": {"kind": "gaussian", "mu": 0.5, "sigma": 1.2},
+        **fragment,
+    })
+    out = tmp_path / "o"
+    assert main(["star", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: expected true or false" in err and "Traceback" not in err
+    assert not (out / "star_field.json").exists()
+
+
 @pytest.mark.parametrize("command", ["product", "star"])
 def test_product_theta_rationals_match_floats(tmp_path, command):
     # theta entries read as in `cone`: [num, den] pairs and "p/q" strings

@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -161,7 +165,98 @@ def test_kernel_matches_oracle(n, big_n, wrap, seed):
 def test_kernel_independent_of_block_size(monkeypatch, wrap):
     f, g, theta = _random_case(3, 8, 7)
     whole = twisted_convolution(f, g, theta, wrap=wrap).values
-    # two x' rows per block zero-padded, five periodic (the last block short)
+    # three x' rows per block zero-padded (P = 12), five periodic (the last block short)
     monkeypatch.setattr(products, "_BLOCK_ELEMS", 3000)
+    split = twisted_convolution(f, g, theta, wrap=wrap).values
+    np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-14 * np.abs(whole).max())
+
+
+@pytest.mark.parametrize("big_n", [22, 26, 34])
+@pytest.mark.parametrize("wrap", [False, True])
+def test_kernel_matches_oracle_at_awkward_lengths(big_n, wrap):
+    # zero-padded lengths P = 35, 40 and 54 (least 7-smooth >= 3N/2), and
+    # periodic lengths N with the primes 11, 13 and 17
+    f, g, theta = _random_case(2, big_n, big_n)
+    got = twisted_convolution(f, g, theta, wrap=wrap).values.reshape(-1)
+    want = _oracle_convolution(f, g, theta, np.arange(f.grid.M), wrap=wrap)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, wrap", [(1, False), (1, True), (2, False), (2, True),
+                                     (3, False), (3, True)])
+def test_kernel_transforms(monkeypatch, n, wrap):
+    # zero-padded: one forward FFT per f row, per g row and the zero row,
+    # 2m + 1 in all; periodic: one per f row and one per (x', y') pair.
+    # Both invert once per pair.
+    f, g, theta = _random_case(n, 6, 11)
+    m = 6 ** (n - 1)
+    rows = {"fft": 0, "ifft": 0}
+    for name in rows:
+        def counted(a, *args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            rows[_name] += np.size(a) // np.shape(a)[-1]
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    twisted_convolution(f, g, theta, wrap=wrap)
+    assert rows == {"fft": m + m * m if wrap else 2 * m + 1, "ifft": m * m}
+
+
+@pytest.mark.parametrize("big_n, wrap", [(36, False), (38, True)])
+def test_repeat_call_allocates_no_block(big_n, wrap):
+    # the plan and this thread's workspaces are built by the first call;
+    # a repeat call allocates per-call rows and small per-block maps only
+    # (a block is 1 MiB; without the workspaces the peak was 3088 KiB
+    # zero-padded and 1858 KiB periodic)
+    f, g, theta = _random_case(2, big_n, 5)
+    twisted_convolution(f, g, theta, wrap=wrap)
+    tracemalloc.start()
+    try:
+        twisted_convolution(f, g, theta, wrap=wrap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+
+
+def test_threads_share_no_workspace():
+    # each thread blocks in its own workspaces: products of different sizes
+    # and modes, run at once from more threads than cores, give the bytes
+    # of serial runs
+    cases = [(_random_case(2, 36, 1), {}), (_random_case(2, 38, 2), {"wrap": True}),
+             (_random_case(3, 10, 3), {}), (_random_case(2, 30, 4), {"wrap": True})]
+
+    def run(case):
+        (f, g, theta), kw = case
+        return twisted_convolution(f, g, theta, **kw).values.tobytes()
+
+    serial = [run(c) for c in cases]
+    got = [[] for _ in cases]
+    start = threading.Barrier(len(cases))
+
+    def worker(i):
+        start.wait()
+        for _ in range(10):
+            got[i].append(run(cases[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[s] * 10 for s in serial]
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_block_wider_than_workspace(monkeypatch, wrap):
+    # one x' row (m P = 36 * 54 zero-padded, 36 * 36 periodic) is wider than
+    # the patched workspace, so every block gets a buffer of its own
+    f, g, theta = _random_case(2, 36, 9)
+    whole = twisted_convolution(f, g, theta, wrap=wrap).values
+    monkeypatch.setattr(products, "_BLOCK_ELEMS", 1000)
     split = twisted_convolution(f, g, theta, wrap=wrap).values
     np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-14 * np.abs(whole).max())

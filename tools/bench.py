@@ -3,7 +3,7 @@
 
     python3 tools/bench.py --base REV --head REV --label NAME --workdir DIR \\
         [--pairs WORKLOAD:SEED,SEED,...]... [--hash-seeds SEED...] [--repeats K]
-        [--tier1 K] [--rss-rounds R]
+        [--tier1 K] [--rss-rounds R] [--products-calls C]
 
 Both revisions are exported with `git archive` into DIR (outside the
 repository).  For every `--pairs` entry, `perfbench/run.py --workload W
@@ -43,6 +43,23 @@ records after rounds 1, 10, 25, 50, 100, 150, 200, 300, ... and R its
 RssAnon and RssFile (from /proc/self/status), `sys.getallocatedblocks()`
 and its max RSS, so that RSS can be read against rounds completed.
 
+With `--products-calls C`, the products ladder runs: one interpreter
+loads both checkouts' packages side by side and times C calls per side,
+alternating which side goes first, of `twisted_convolution` in both
+modes at n=1, N=512 and at n=2, N=32, 64 and 128, and of
+`twisted_convolution_product` and `star_via_product` at n=2, N=64 (L=8,
+Gaussian packets, theta = J at n=2).  Per case and side it records the
+median and quartiles of process CPU per call, minor page faults per call
+(`getrusage`), the pairs in which head was faster, and the largest
+difference of the two sides' outputs relative to base's peak.  Then, K
+times per checkout alternating, a fresh interpreter runs 40 products-n2
+rounds of seed 7 after one warm-up round, as perfbench's loop does, and
+records the median round's CPU and the minor faults per operation; and
+each checkout runs one cli-jobs round of seeds 1-12 into its own
+directory, whose star and product fields are compared (largest
+difference relative to base's peak) and whose `wf` outputs are compared
+byte for byte.
+
 With `--tier1 K`, the tier-1 suite (`python -m pytest -q` with `src` on
 the path) runs K times per checkout, alternating: wall and CPU time and
 pytest's summary line.
@@ -62,6 +79,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -227,6 +245,107 @@ print(json.dumps(out))
 """
 RSS_SEED = 102
 
+PRODUCTS_LADDER = """
+import importlib.util, json, resource, statistics, sys, time
+import numpy as np
+def load(name, src):
+    spec = importlib.util.spec_from_file_location(
+        name, f"{src}/twistlab/__init__.py", submodule_search_locations=[f"{src}/twistlab"])
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+calls = int(sys.argv[1])
+sides = {"base": load("twistlab_base", sys.argv[2]), "head": load("twistlab_head", sys.argv[3])}
+cases = [("twisted_convolution", 1, 512, wrap) for wrap in (False, True)]
+cases += [("twisted_convolution", 2, N, wrap) for N in (32, 64, 128) for wrap in (False, True)]
+cases += [(fn, 2, 64, None) for fn in ("twisted_convolution_product", "star_via_product")]
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+out = {}
+for fn, n, N, wrap in cases:
+    run, values = {}, {}
+    for side, tl in sides.items():
+        g = tl.make_grid(n, N, 8.0)
+        f = tl.sample_analytic(tl.GaussianPacket((0.3,) * n, 1.0, (0.4,) * n), g)
+        h = tl.sample_analytic(tl.GaussianPacket((-0.2,) * n, 0.9), g)
+        theta = [[0.0, 1.0], [-1.0, 0.0]] if n == 2 else [[0.0]]
+        kw = {} if wrap is None else {"wrap": wrap}
+        run[side] = lambda tl=tl, f=f, h=h, theta=theta, kw=kw: getattr(tl, fn)(f, h, theta, **kw)
+        values[side] = run[side]().values
+    cpu, faults = {s: [] for s in sides}, {s: 0 for s in sides}
+    for i in range(calls):
+        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+            m, c = minflt(), time.process_time()
+            run[side]()
+            cpu[side].append(time.process_time() - c)
+            faults[side] += minflt() - m
+    row = {}
+    for side, times in cpu.items():
+        q1, med, q3 = statistics.quantiles(times, n=4)
+        row[side] = {"cpu_ms_median": 1e3 * med, "cpu_ms_q1": 1e3 * q1, "cpu_ms_q3": 1e3 * q3,
+                     "minor_faults_per_call": faults[side] / calls}
+    row["head_faster_in_pairs"] = sum(h < b for b, h in zip(cpu["base"], cpu["head"]))
+    row["calls_per_side"] = calls
+    row["max_abs_diff_over_base_peak"] = float(
+        np.abs(values["head"] - values["base"]).max() / np.abs(values["base"]).max())
+    out[f"{fn}{'_wrap' if wrap else ''}_n{n}_N{N}"] = row
+print(json.dumps(out))
+"""
+
+PRODUCTS_ROUNDS = """
+import json, resource, statistics, tempfile, time
+from pathlib import Path
+from workloads import WORKLOADS
+with tempfile.TemporaryDirectory() as scratch:
+    wl = WORKLOADS["products-n2"](7, Path(scratch))
+    for op in wl.ops:
+        op.call()
+    rounds, start = [], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(40):
+        c = time.process_time()
+        for op in wl.ops:
+            op.call()
+        rounds.append(time.process_time() - c)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+print(json.dumps({"round_cpu_ms": 1e3 * statistics.median(rounds),
+                  "minor_faults_per_op": faults / (40 * len(wl.ops))}))
+"""
+
+CLI_FIELDS_RUN = """
+import sys
+from pathlib import Path
+from workloads import WORKLOADS
+for seed in range(1, 13):
+    for op in WORKLOADS["cli-jobs"](seed, Path(sys.argv[1]) / f"s{seed}").ops:
+        op.call()
+print("{}")
+"""
+
+CLI_FIELDS_COMPARE = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from twistlab.grids import SampledField
+base, head = Path(sys.argv[1]), Path(sys.argv[2])
+diff, wf = {}, {"files": 0, "bytes_equal": 0, "flagged_equal": 0}
+for path in sorted(base.rglob("*")):
+    other = head / path.relative_to(base)
+    if path.name.endswith("_field.json"):
+        a = SampledField.from_json(path.read_text()).values
+        b = SampledField.from_json(other.read_text()).values
+        key = f"{path.parent.name}_{path.name[:-len('_field.json')]}"
+        diff[key] = max(diff.get(key, 0.0), float(np.abs(b - a).max() / np.abs(a).max()))
+    elif path.name in ("wf_estimate.json", "wf_directions.csv"):
+        wf["files"] += 1
+        wf["bytes_equal"] += path.read_bytes() == other.read_bytes()
+        if path.name == "wf_estimate.json":
+            flags = [json.loads(p.read_text())["flagged"] for p in (path, other)]
+            wf["flagged_equal"] += flags[0] == flags[1]
+print(json.dumps({"field_max_abs_diff_over_base_peak_by_job": diff,
+                  "field_max_abs_diff_over_base_peak": max(diff.values()), "wf": wf}))
+"""
+
 
 def env_for(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]),
@@ -301,6 +420,29 @@ def tier1(tree: Path) -> dict:
     return res
 
 
+def products(trees: dict, workdir: Path, calls: int, repeats: int, log) -> dict:
+    """The products ladder, products-n2 rounds and cli-jobs fields (module
+    docstring)."""
+    result = {"ladder": last_json([sys.executable, "-c", PRODUCTS_LADDER, str(calls),
+                                   str(trees["base"] / "src"), str(trees["head"] / "src")],
+                                  trees["head"])}
+    log(f"products ladder: {json.dumps(result['ladder'])}")
+    rounds = {side: [] for side in trees}
+    for i in range(repeats):
+        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+            rounds[side].append(last_json([sys.executable, "-c", PRODUCTS_ROUNDS], trees[side]))
+            log(f"products-n2 rounds {i} {side}: {rounds[side][-1]}")
+    result["products_n2_rounds"] = {side: {"median": medians(rounds[side]), "runs": rounds[side]}
+                                    for side in trees}
+    dirs = {side: workdir / f"cli-fields-{side}" for side in trees}
+    for side, tree in trees.items():
+        shutil.rmtree(dirs[side], ignore_errors=True)
+        last_json([sys.executable, "-c", CLI_FIELDS_RUN, str(dirs[side])], tree)
+    result["cli_jobs_fields"] = last_json([sys.executable, "-c", CLI_FIELDS_COMPARE,
+                                           str(dirs["base"]), str(dirs["head"])], trees["head"])
+    return result
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
@@ -347,6 +489,7 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--tier1", type=int, default=0, metavar="K")
     p.add_argument("--rss-rounds", type=int, default=0, metavar="R")
+    p.add_argument("--products-calls", type=int, default=0, metavar="C")
     args = p.parse_args(argv)
 
     def log(msg):
@@ -408,6 +551,8 @@ def main(argv=None) -> int:
         result["cli_jobs_rss_by_round"] = {"seed": RSS_SEED, **{
             side: last_json([sys.executable, "-c", RSS_PROBE, str(RSS_SEED),
                              str(args.rss_rounds)], trees[side]) for side in trees}}
+    if args.products_calls:
+        result["products"] = products(trees, args.workdir, args.products_calls, args.repeats, log)
     result["pairs"] = {}
     for spec in args.pairs:
         workload, seeds = spec.split(":")
