@@ -36,7 +36,8 @@ modulated by conj(Q(x', .)) for its x' row instead, and the output phase
 is Q(y', x_n).
 
 `_plan` keeps per (n, N, L, theta, mode) only O(m N) read-only data: the
-leading indices and coordinates, P and the half-chirp.  The index maps
+leading indices and coordinates, P, the half-chirp and the output phase.
+The index maps
 and lead phases exp(-(i/2) x'.theta' y') of a block of x' rows are O(m)
 per row and built per block; cached, they would be O(m^2).  Each thread
 keeps two workspaces of `_BLOCK_ELEMS` complex elements that every
