@@ -203,9 +203,8 @@ def test_kernel_transforms(monkeypatch, n, wrap):
 @pytest.mark.parametrize("big_n, wrap", [(36, False), (38, True)])
 def test_repeat_call_allocates_no_block(big_n, wrap):
     # the plan and this thread's workspaces are built by the first call;
-    # a repeat call allocates per-call rows and small per-block maps only
-    # (a block is 1 MiB; without the workspaces the peak was 3088 KiB
-    # zero-padded and 1858 KiB periodic)
+    # a repeat call allocates per-call rows and small per-block maps, never
+    # a block (1 MiB here)
     f, g, theta = _random_case(2, big_n, 5)
     twisted_convolution(f, g, theta, wrap=wrap)
     tracemalloc.start()
