@@ -21,6 +21,8 @@ from operator import mul
 
 from .matrices import AntisymmetricMatrix
 from .rational import (
+    ONE,
+    ZERO,
     Mat,
     Vec,
     dot,
@@ -54,9 +56,6 @@ from .cones import (
     polyhedral,
     set_gencones,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,18 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, product
-from math import comb
+from itertools import accumulate, product
 from operator import mul
 
 import numpy as np
 
 from .rational import (
-    MAX_SUPPORTS,
+    ONE,
+    ZERO,
     Mat,
     Vec,
-    dot,
+    _eliminate,
+    _integer_rows,
     extreme_rays,
     hcat,
     identity,
@@ -51,9 +52,6 @@ from .rational import (
     vneg,
     zeros,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +231,24 @@ def _kernel_slice(e: Mat, gens: Mat) -> Mat:
 def _hform(gens: Mat) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The H-form of cone(gens) as coprime integer rows: equalities a, a
     basis of span(gens)^perp, and facet normals h, with cone(gens) = {v :
-    a v = 0, h v >= 0} (Minkowski-Weyl).  A facet is spanned by r - 1
-    independent generators, r the rank, so each (r - 1)-subset gives one
-    candidate, its normal inside the span, kept when it has one sign on
-    the generators; ValueError past MAX_SUPPORTS subsets.  Cached per cone."""
-    d = len(gens[0])
+    a v = 0, h v >= 0} (Minkowski-Weyl).  The slacks (g_i h)_i of the
+    facets are the extreme rays of the dependency cone {w >= 0 : L w = 0},
+    L a basis of the generators' linear dependencies, and one `left_solve`
+    of h g_i = w_i, h a = 0 maps them back.  Facets come in the order of
+    their first spanning (r - 1)-subset of generators, r the rank: the
+    greedy pivots `_eliminate` picks among the generators with zero
+    slack.  `extreme_rays` budgets the work.  Cached per cone."""
     eqs = tuple(integer_ray(a) for a in nullspace(gens))
-    r = d - len(eqs)
-    if (count := comb(len(gens), r - 1)) > MAX_SUPPORTS:
-        raise ValueError(f"cone too large for its facets: {len(gens)} generators of rank {r} give "
-                         f"{count} candidate subsets, above the budget of {MAX_SUPPORTS}")
-    facets: dict[tuple[int, ...], None] = {}
-    for sub in combinations(gens, r - 1):
-        if len(normal := nullspace(sub + eqs, d)) == 1:
-            h = normal[0] if any(dot(normal[0], g) > 0 for g in gens) else vneg(normal[0])
-            if all(dot(h, g) >= 0 for g in gens):
-                facets.setdefault(integer_ray(h), None)
-    return eqs, tuple(facets)
+    slacks = extreme_rays(nullspace(mat_t(gens)), len(gens))
+    normals = left_solve(tuple(w + (0,) * len(eqs) for w in slacks), hcat(mat_t(gens), mat_t(eqs)))
+    rows = _integer_rows(mat_t(gens))
+
+    def first_basis(w: Vec) -> tuple[int, ...]:
+        on = [j for j, x in enumerate(w) if not x]
+        return tuple(on[p] for p in _eliminate([[row[j] for j in on] for row in rows])[0])
+
+    facets = sorted(zip(map(first_basis, slacks), map(integer_ray, normals)))
+    return eqs, tuple(h for _, h in facets)
 
 
 def gencone_member(gc: PolyhedralCone, v: Vec) -> bool:
@@ -502,6 +501,15 @@ def set_to_obj(s: ConicSet) -> dict:
     return {"dim": s.dim, "components": comps}
 
 
+def _flag(obj: dict, key: str) -> bool:
+    """`obj[key]` as a JSON boolean, False when absent; a string such as
+    "false" would read as True, so anything else is refused."""
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key}: expected true or false, got {value!r}")
+    return value
+
+
 def _component_from_obj(obj: dict) -> ConicSet:
     """One JSON component, of any input kind, as the set it denotes."""
     kind = obj["kind"]
@@ -510,14 +518,14 @@ def _component_from_obj(obj: dict) -> ConicSet:
         cone = PolyhedralCone(mat(obj["generators"]), excludes)
         return ConicSet(cone.dim, (cone,))
     if kind == "ray":
-        return ray_set(obj["v"], bool(obj.get("both", False)))
+        return ray_set(obj["v"], _flag(obj, "both"))
     if kind == "graph":
         return graph_set(obj["A"])
     if kind == "product":
         def part(p):
             if p is None:
                 return None, False
-            return set_from_obj(p["set"]), bool(p.get("zero", False))
+            return set_from_obj(p["set"]), _flag(p, "zero")
 
         (xp, xz), (xip, xiz) = part(obj["x"]), part(obj["xi"])
         return product_set(xp, xip, xz, xiz)
@@ -527,7 +535,9 @@ def _component_from_obj(obj: dict) -> ConicSet:
 def set_from_obj(obj: dict) -> ConicSet:
     """Read a set written by `set_to_obj`, or given as a union of
     `polyhedral`, `ray`, `graph` and `product` components."""
-    dim = int(obj["dim"])
+    dim = obj["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"dim: expected an integer, got {dim!r}")
     comps = []
     for c in obj["components"]:
         part = _component_from_obj(c)

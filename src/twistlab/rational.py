@@ -4,16 +4,18 @@ Everything here works over tuples of fractions.Fraction and is exact.
 The central primitive is extreme-ray enumeration for cones of the form
 {w >= 0 : A w = 0}: incremental double description over Python
 integers, one independent row of A at a time, with a combinatorial
-adjacency test on ray supports.  Dimensions stay tiny (a handful of
-rows, at most a few dozen columns), and cones past a budget of
-candidate supports are refused.  No external solver is used: verdicts
-built on these routines are meant to certify counterexamples.
+adjacency test on ray supports.  Rank, rref and that enumeration share
+one fraction-free (Bareiss) elimination.  Dimensions stay tiny (a
+handful of rows, at most a few dozen columns), and an enumeration that
+holds more than MAX_RAYS rays after a cut is refused.  No external
+solver is used: verdicts built on these routines are meant to certify
+counterexamples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -127,36 +129,16 @@ def primitive_ray(a: Vec) -> Vec:
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows = [list(r) for r in a]
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        # the calculus's block matrices are mostly 0 and 1: skip no-op products
-        if rows[r][c] != 1:
-            inv = ONE / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    reduced = tuple(tuple(row) for row in rows[:r])
-    return reduced, tuple(pivots)
+    """Reduced row echelon form and pivot column indices: the integer
+    elimination `_eliminate`, divided by its last pivot (the rref is
+    unique)."""
+    rows = _integer_rows(a)
+    pivots, d = _eliminate(rows)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in rows[:len(pivots)]), tuple(pivots)
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    return len(_eliminate(_integer_rows(a))[0])
 
 
 def left_solve(e: Mat, m: Mat) -> Mat | None:
@@ -210,10 +192,10 @@ def row_space_canonical(rows: Sequence[Vec]) -> Mat:
     return tuple(primitive_ray(r) for r in red if not is_zero_vec(r))
 
 
-MAX_SUPPORTS = 1 << 15
-"""Budget of `extreme_rays`: the most candidate supports (subsets of at
-most rank + 1 columns) a cone may have.  For scale: `nonneg_solve` on 18
-generators in R^4 has 16,663, and its 724 rays take about 55 ms."""
+MAX_RAYS = 4096
+"""Budget of `extreme_rays`: the most rays the double description may
+hold.  For scale: `nonneg_solve` on 18 generators in R^4 peaks at 724
+rays, and 24 random columns of rank 4 at 2,057."""
 
 
 def _integer_rows(a: Mat) -> list[list[int]]:
@@ -269,22 +251,15 @@ def extreme_rays(a: Mat, ncols: int) -> list[Vec]:
     adds (a p) q - (a q) p, whose support is supp(p) | supp(q).  The pair
     is adjacent when no third ray's support lies inside that union, which
     needs the union to be at most rank + 2 columns, rank that of the rows
-    cut so far.  Raises ValueError, before any cut, when the cone has more
-    than MAX_SUPPORTS candidate supports.
+    cut so far.  Raises ValueError as soon as the rays held pass
+    MAX_RAYS; they only grow within a cut, so this refuses exactly the
+    cones with more than MAX_RAYS rays after some cut.
     """
     if ncols == 0:
         return []
     rows = _integer_rows(a)
     # a row is a pivot of the transpose iff the rows before it do not span it
     cuts, _ = _eliminate([list(c) for c in zip(*rows)])
-    if rows:
-        r = len(cuts)
-        count = sum(comb(ncols, s) for s in range(1, min(ncols, r + 1) + 1))
-        if count > MAX_SUPPORTS:
-            raise ValueError(
-                f"cone too large for exact ray enumeration: k={ncols} columns of rank {r} "
-                f"give {count} candidate supports, above the budget of {MAX_SUPPORTS}"
-            )
     # rays as (support bit mask, coprime nonnegative ints)
     rays = [(1 << j, [int(i == j) for i in range(ncols)]) for j in range(ncols)]
     for done, i in enumerate(cuts):
@@ -307,6 +282,10 @@ def extreme_rays(a: Mat, ncols: int) -> list[Vec]:
                 w = [sp * y - sq * x for x, y in zip(p, q)]
                 g = gcd(*w)
                 rays.append((u, [x // g for x in w]))
+                if len(rays) > MAX_RAYS:
+                    raise ValueError(
+                        f"cone too large for exact ray enumeration: k={ncols} columns of rank "
+                        f"{len(cuts)} hold more than {MAX_RAYS} rays in cut {done + 1}")
     rays.sort(key=lambda ray: (ray[0].bit_count(), [j for j, x in enumerate(ray[1]) if x]))
     return [tuple(map(Fraction, w)) for _, w in rays]
 
@@ -317,7 +296,7 @@ def nonneg_solve(gens: Sequence[Vec], v: Vec) -> Vec | None:
     Homogenize: rays of {(lam, s) >= 0 : G lam - s v = 0} with s > 0
     witness membership of v in the cone hull of gens.  The answer is the
     first such ray in `extreme_rays` order, scaled to s = 1; the whole
-    ray list is built, under the same MAX_SUPPORTS budget.
+    ray list is built, under that function's MAX_RAYS budget.
     """
     k = len(gens)
     if is_zero_vec(v):

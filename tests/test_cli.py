@@ -494,6 +494,25 @@ def test_cone_bad_rationals_exit_2(tmp_path, capsys, fragment, key, message):
     assert f"{key}: " in err and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("u", {"dim": 2, "components": [{"kind": "ray", "v": [1, 0], "both": "false"}]},
+     "u: both: expected true or false, got 'false'"),
+    ("v", {"dim": 2, "components": [{"kind": "product", "x": {"set": _RAY_1, "zero": "no"},
+                                     "xi": None}]},
+     "v: zero: expected true or false, got 'no'"),
+    ("u", {"dim": 2.9, "components": [{"kind": "ray", "v": [1, 0]}]},
+     "u: dim: expected an integer, got 2.9"),
+])
+def test_cone_set_flags_and_dim_are_typed_exit_2(tmp_path, capsys, key, value, message):
+    # "false" and "no" would read as true, and 2.9 as 2
+    cfg = _write(tmp_path / "cone.json", {
+        "schema_version": 1, "op": "existence", "theta": [[0]], "u": _RAY_2, "v": _RAY_2,
+        key: value,
+    })
+    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 _SET_JOBS = {
     "u": {"op": "existence", "theta": [[0]], "u": None, "v": _RAY_2},
     "v": {"op": "existence", "theta": [[0]], "u": _RAY_2, "v": None},
@@ -539,7 +558,7 @@ def test_cone_past_enumeration_budget_exit_2(tmp_path, capsys):
     from twistlab.cones import polyhedral, set_to_obj
 
     rng = random.Random(3)
-    big = polyhedral([[rng.randint(-3, 3) for _ in range(4)] for _ in range(24)])
+    big = polyhedral([[rng.randint(-3, 3) for _ in range(4)] for _ in range(28)])
     cfg = _write(tmp_path / "cone.json", {
         "schema_version": 1,
         "op": "existence",
@@ -549,19 +568,19 @@ def test_cone_past_enumeration_budget_exit_2(tmp_path, capsys):
     })
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "op existence" in err and "candidate supports" in err
+    assert "op existence" in err and "k=30 columns of rank 6 hold more than 4096 rays" in err
     assert "Traceback" not in err
 
 
 def test_cone_shift_algebra_past_salience_budget_exit_2(tmp_path, capsys):
     # salience searches pairs of a cone's generators, 2k columns: in R^4
-    # eleven generators are past rational.MAX_SUPPORTS
+    # twenty generators pass rational.MAX_RAYS in the third cut
     import random
 
     from twistlab.cones import polyhedral, set_to_obj
 
     rng = random.Random(5)
-    gens = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(11)]
+    gens = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(20)]
     cfg = _write(tmp_path / "cone.json", {
         "schema_version": 1,
         "op": "shift_algebra",
@@ -571,14 +590,14 @@ def test_cone_shift_algebra_past_salience_budget_exit_2(tmp_path, capsys):
     })
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "op shift_algebra" in err and "candidate supports" in err
+    assert "op shift_algebra" in err
+    assert "k=40 columns of rank 4 hold more than 4096 rays in cut 3" in err
     assert "Traceback" not in err
 
 
-def test_cone_shift_algebra_past_facet_budget_exit_2(tmp_path, capsys):
-    # the facets of gamma1 are tried over (r - 1)-subsets of its
-    # generators: 60 generators of rank 4 give C(60, 3) = 34,220 subsets,
-    # past rational.MAX_SUPPORTS
+def test_cone_shift_algebra_of_60_generators(tmp_path, capsys):
+    # the facets of gamma1 are the rays of its 60-column dependency cone;
+    # the witness is the one the (r - 1)-subset scan finds
     import random
 
     from twistlab.cones import polyhedral, set_to_obj
@@ -588,14 +607,16 @@ def test_cone_shift_algebra_past_facet_budget_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path / "cone.json", {
         "schema_version": 1,
         "op": "shift_algebra",
-        "theta": [[0] * 4 for _ in range(4)],
+        "theta": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
         "gamma1": set_to_obj(polyhedral(gens)),
         "gamma2": set_to_obj(polyhedral([[1, 0, 0, 0]])),
     })
-    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "op shift_algebra" in err and "facets" in err
-    assert "Traceback" not in err
+    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    report = json.loads((tmp_path / "o" / "cone_report.json").read_text())
+    assert [c["passed"] for c in report["conditions"]] == [True, True, False]
+    x0, xi, pt = ([x for x, _ in v] for v in report["conditions"][2]["witness"])
+    assert (x0, xi, pt) == ([-58, -40, -23, 236], [1674, 0, 0, 0], [-58, -877, -23, 236])
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cone_shift_algebra_past_union_search_budget_exit_2(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -33,7 +33,16 @@ from twistlab.cones import (
     wf_chirp_shear,
     wf_fourier_rotate,
 )
-from twistlab.rational import cone_contains, mat, matvec, rank
+from twistlab.rational import (
+    cone_contains,
+    dot,
+    integer_ray,
+    mat,
+    matvec,
+    nullspace,
+    rank,
+    vneg,
+)
 
 F = Fraction
 
@@ -446,6 +455,10 @@ def _gen_cone(draw, d=None):
     if len(gens) > 1 and draw(st.booleans()):  # redundant
         gens.append(tuple(a + b for a, b in zip(gens[0], gens[1])))
     gens = [g for g in gens if any(g)] or [(1,) + (0,) * (d - 1)]
+    if draw(st.booleans()):                    # a duplicate and a parallel generator
+        g = draw(st.sampled_from(gens))
+        gens.insert(draw(st.integers(0, len(gens))), g)
+        gens.insert(draw(st.integers(0, len(gens))), tuple(3 * x for x in g))
     excludes = draw(st.sampled_from(_SELECTORS[d]))
     return PolyhedralCone(mat(gens), tuple(mat(e) for e in excludes))
 
@@ -466,10 +479,28 @@ def test_gencone_member_matches_lp(cone, data):
         assert gencone_member(cone, v) == want, (cone, v)
 
 
+def _oracle_hform(gens):
+    """The H-form by brute force: each (r - 1)-subset of the generators
+    whose normal inside span(gens) has one sign on all of them gives a
+    facet, in `combinations` order."""
+    d = len(gens[0])
+    eqs = tuple(integer_ray(a) for a in nullspace(gens))
+    facets = {}
+    for sub in combinations(gens, d - len(eqs) - 1):
+        if len(normal := nullspace(sub + eqs, d)) == 1:
+            h = normal[0] if any(dot(normal[0], g) > 0 for g in gens) else vneg(normal[0])
+            if all(dot(h, g) >= 0 for g in gens):
+                facets.setdefault(integer_ray(h), None)
+    return eqs, tuple(facets)
+
+
+@settings(max_examples=100)
+@example(PolyhedralCone(mat([[7, -2], [-1, 2]])))     # facets in reverse order of their slacks
 @given(_gen_cone())
 def test_facets_support_the_cone(cone):
     gens = cone.generators
     eqs, facets = _hform(gens)
+    assert (eqs, facets) == _oracle_hform(gens)         # order included
     r = rank(gens)
     assert len(eqs) == cone.dim - r
     assert all(sum(a * g for a, g in zip(row, v)) == 0 for row in eqs for v in gens)

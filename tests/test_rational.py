@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twistlab.rational import (
-    MAX_SUPPORTS,
+    MAX_RAYS,
     cone_contains,
     dot,
     extreme_rays,
@@ -147,6 +147,33 @@ def cone_matrices(draw):
     return tuple(tuple(r) for r in rows), k
 
 
+def _oracle_rref(a):
+    """Gauss-Jordan over Fractions: the rref's definition, step by step."""
+    rows = [list(r) for r in a]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+@given(cone_matrices())
+def test_rref_matches_gauss_jordan(case):
+    a, _ = case
+    red, pivots = rref(a)
+    assert (red, pivots) == _oracle_rref(a)
+    assert all(type(x) is Fraction for row in red for x in row)
+    assert rank(a) == len(pivots)
+
+
 @given(cone_matrices())
 def test_extreme_rays_match_subset_oracle(case):
     a, k = case
@@ -204,13 +231,16 @@ def _random_gens(count, seed):
 
 
 def test_enumeration_budget_refuses_large_cones():
-    # 24 generators in R^4: 25 columns of rank 4, 68,405 candidate supports
+    # 24 generators in R^4: their 24 columns have 3,102 rays, inside the
+    # budget; nonneg_solve's 25th column, -v, takes cut 4 past it
     gens = _random_gens(24, 1)
-    with pytest.raises(ValueError, match=r"k=25 columns of rank 4 give 68405 candidate"):
+    assert len(extreme_rays(tuple(zip(*gens)), 24)) == 3102
+    with pytest.raises(ValueError, match=rf"k=25 columns of rank 4 hold more than {MAX_RAYS} "
+                                         r"rays in cut 4"):
         nonneg_solve(gens, vec([1, 2, 3, 4]))
-    a = tuple(zip(*gens))
-    with pytest.raises(ValueError, match=str(MAX_SUPPORTS)):
-        extreme_rays(a, 24)
+    a = tuple(zip(*_random_gens(28, 1)))
+    with pytest.raises(ValueError, match=rf"k=28 columns of rank 4 hold more than {MAX_RAYS}"):
+        extreme_rays(a, 28)
 
 
 def test_enumeration_budget_admits_18_generators():

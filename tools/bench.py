@@ -22,8 +22,11 @@ Fresh-interpreter probes, K times per checkout, alternating:
   counts, and a hash of `verify_all.json` without its timestamp and
   per-check seconds;
 - the exact layer: `rational.extreme_rays` on seeded integer generator
-  sets in R^4 of k = 6, 10, 14 and 18 (median process CPU of three
-  calls, ray count and a hash of the ray list), and the cli-jobs rounds
+  sets in R^4 of k = 6, 10, 14, 18, 24 and 30, and the uncached
+  `cones._hform` of cones over 20, 40 and 60 seeded integer points at
+  height 1 in R^4 (median process CPU of three calls, ray or facet count
+  and a hash of the result; where a budget refuses, the CPU time to the
+  refusal and its message), and the cli-jobs rounds
   of seeds 1-12, three per seed with the first left out: each cone job's
   median process CPU, the round's CPU, the CPU and calls of
   `extreme_rays` through every module's reference to it, and a hash of
@@ -159,17 +162,30 @@ from pathlib import Path
 from twistlab import calculus, cli, cones, rational
 from workloads import WORKLOADS
 out = {}
-for k in (6, 10, 14, 18):
+def probe(name, fn, unit, size):
+    # a cone past the budget records its refusal and the time it took
+    cpu = []
+    try:
+        for _ in range(3):
+            c = time.process_time()
+            got = fn()
+            cpu.append(time.process_time() - c)
+    except ValueError as exc:
+        out[f"{name}_cpu_s"] = time.process_time() - c
+        out[f"{name}_refused"] = str(exc)
+        return
+    out[f"{name}_cpu_s"] = statistics.median(cpu)
+    out[f"{name}_{unit}"] = size(got)
+    out[f"{name}_sha256"] = hashlib.sha256(repr(got).encode()).hexdigest()
+for k in (6, 10, 14, 18, 24, 30):
     rng = random.Random(2)
     a = tuple(zip(*[[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(k)]))
-    cpu = []
-    for _ in range(3):
-        c = time.process_time()
-        rays = rational.extreme_rays(a, k)
-        cpu.append(time.process_time() - c)
-    out[f"extreme_rays_k{k}_cpu_s"] = statistics.median(cpu)
-    out[f"extreme_rays_k{k}_rays"] = len(rays)
-    out[f"extreme_rays_k{k}_sha256"] = hashlib.sha256(repr(rays).encode()).hexdigest()
+    probe(f"extreme_rays_k{k}", lambda: rational.extreme_rays(a, k), "rays", len)
+# facets of a cone over k integer points of [-3, 3]^3 at height 1, uncached
+for k in (20, 40, 60):
+    rng = random.Random(7)
+    g = rational.mat([[rng.randint(-3, 3) for _ in range(3)] + [1] for _ in range(k)])
+    probe(f"hform_g{k}", lambda: cones._hform.__wrapped__(g), "facets", lambda h: len(h[1]))
 spent = {"rays": [0.0, 0.0, 0], "write": [0.0, 0.0, 0]}
 def timed(fn, key):
     def wrapper(*args):
@@ -526,7 +542,8 @@ def main(argv=None) -> int:
                       ("spectrogram", "spectrogram_ladder")):
         result[name] = {side: {"median": medians(probes[side][key]), "runs": probes[side][key]}
                         for side in probes}
-        equal = {h: len({r[h] for s in probes.values() for r in s[key]}) == 1
+        # a hash one side lacks was refused there: None makes it unequal
+        equal = {h: len({r.get(h) for s in probes.values() for r in s[key]}) == 1
                  for h in probes["base"][key][0] if h.endswith("sha256")}
         result[name]["bytes_equal"] = all(equal.values())
         if len(equal) > 1:
