@@ -195,7 +195,8 @@ def row_space_canonical(rows: Sequence[Vec]) -> Mat:
 MAX_RAYS = 4096
 """Budget of `extreme_rays`: the most rays the double description may
 hold.  For scale: `nonneg_solve` on 18 generators in R^4 peaks at 724
-rays, and 24 random columns of rank 4 at 2,057."""
+rays, and the 24 seeded columns of rank 4 that tools/bench.py probes at
+2,057."""
 
 
 def _integer_rows(a: Mat) -> list[list[int]]:
