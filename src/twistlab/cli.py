@@ -57,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON job configuration file")
         sp.add_argument("--out", default=".", help="output directory (default: cwd)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"sphere-sampling seed (default {_SPHERE_SEED})")
 
     for name, doc in (
         ("product", "frequency-side twisted product of two fields"),
@@ -66,7 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ("wf", "estimate phase space singular directions of a field"),
         ("cone", "exact conic-set checks and predictions"),
     ):
-        common(sub.add_parser(name, help=doc))
+        sp = sub.add_parser(name, help=doc)
+        common(sp)
+        if name == "wf":
+            # only wf samples a sphere; elsewhere a seed would be ignored
+            sp.add_argument("--seed", type=int, default=None,
+                            help=f"sphere-sampling seed (default {_SPHERE_SEED})")
     vp = sub.add_parser("verify", help="run a verification suite")
     vp.add_argument("suite", help="products | wavefront | calculus | bridge | all")
     common(vp)
@@ -127,13 +130,11 @@ def _flag(cfg: dict, key: str, where: str) -> bool:
 
 
 def _grid_from(cfg: dict):
-    from .grids import make_grid
+    from .grids import grid_from_obj
 
-    g = _need(cfg, "grid")
     try:
-        return make_grid(int(_need(g, "n", "grid")), int(_need(g, "N", "grid")),
-                         float(_need(g, "L", "grid")))
-    except (TypeError, ValueError) as exc:
+        return grid_from_obj(_need(cfg, "grid"))
+    except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 

@@ -126,10 +126,48 @@ class SampledField:
 
     @classmethod
     def from_json(cls, text: str) -> "SampledField":
+        """Read a field written by `to_json`: `n` and `N` must be JSON
+        integers, `L` a number, and `re` and `im` lists of N^n numbers;
+        otherwise a ValueError names the key."""
         obj = json.loads(text)
-        grid = make_grid(int(obj["n"]), int(obj["N"]), float(obj["L"]))
-        vals = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return cls(grid, vals.reshape((grid.N,) * grid.n))
+        grid = grid_from_obj(obj)
+        re, im = (_samples(obj, key, grid.M) for key in ("re", "im"))
+        return cls(grid, (re + 1j * im).reshape((grid.N,) * grid.n))
+
+
+def grid_from_obj(obj) -> Grid:
+    """The grid of a JSON object's `n`, `N` and `L`: `n` and `N` must be
+    JSON integers and `L` a number; otherwise a ValueError names the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    n, N, L = (_typed(obj, key, types, want) for key, types, want in (
+        ("n", int, "an integer"), ("N", int, "an integer"), ("L", (int, float), "a number")))
+    return make_grid(n, N, L)
+
+
+def _typed(obj: dict, key: str, types, want: str):
+    """`obj[key]` when it is an instance of `types` and not a boolean."""
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{key}: expected {want}, got {value!r}")
+    return value
+
+
+def _samples(obj: dict, key: str, m: int) -> np.ndarray:
+    """`obj[key]` as a float array, when it is a list of `m` JSON numbers.
+    `set(map(type, ...))` checks the entries without a Python-level loop
+    over the samples."""
+    value = obj.get(key)
+    if not isinstance(value, list):
+        got = repr(value)
+    elif len(value) != m:
+        got = f"{len(value)} entries"
+    else:
+        odd = set(map(type, value)) - {int, float}
+        if not odd:
+            return np.asarray(value, dtype=float)
+        got = "entries of type " + ", ".join(sorted(t.__name__ for t in odd))
+    raise ValueError(f"{key}: expected a list of {m} numbers, got {got}")
 
 
 def _check_same_grid(f: SampledField, g: SampledField) -> None:

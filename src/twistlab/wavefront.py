@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,7 +37,8 @@ _DEAD_FLOOR = 1e-13
 class DirectionGrid:
     """Antipodally closed unit vectors with a covering-radius estimate.
     The grid owns a read-only copy of its directions, so one grid can be
-    shared by every caller."""
+    shared by every caller, and the text its estimates write for the
+    directions is formatted once per grid."""
 
     directions: np.ndarray
     resolution_deg: float
@@ -57,6 +58,18 @@ class DirectionGrid:
     @property
     def count(self) -> int:
         return self.directions.shape[0]
+
+    @cached_property
+    def json_array(self) -> str:
+        """The directions as the JSON array `json.dumps` writes."""
+        return json.dumps(self.directions.tolist())
+
+    @cached_property
+    def csv_prefixes(self) -> tuple[str, ...]:
+        """Per direction, its components as `%.12g` fields, each
+        followed by a comma."""
+        fmt = "%.12g," * self.dim
+        return tuple(fmt % tuple(w) for w in self.directions.tolist())
 
 
 _DEFAULT_COUNTS = {2: 360, 4: 2048}
@@ -204,9 +217,10 @@ class WavefrontEstimate:
         return self.directions.directions[self.flagged]
 
     def to_json(self) -> str:
-        return json.dumps(
+        """`json.dumps` of {"directions", "k_hat", "flagged", "params"},
+        with the grid's cached array spliced in as the first value."""
+        rest = json.dumps(
             {
-                "directions": self.directions.directions.tolist(),
                 "k_hat": [None if not math.isfinite(v) else v for v in self.k_hat.tolist()],
                 "flagged": self.flagged.tolist(),
                 "params": {
@@ -218,14 +232,16 @@ class WavefrontEstimate:
                 },
             }
         )
+        return '{"directions": ' + self.directions.json_array + ", " + rest[1:]
 
     def to_csv(self) -> str:
+        """One row per direction: its components, k_hat and residual as
+        `%.12g`, and the flag; the components come from the grid's cache."""
         d = self.directions.dim
         head = ",".join([f"w{i+1}" for i in range(d)] + ["k_hat", "residual", "flagged"])
-        row = ",".join(["%.12g"] * (d + 2) + ["%s"]) + "\n"
-        rows = zip(self.directions.directions.tolist(), self.k_hat.tolist(),
+        rows = zip(self.directions.csv_prefixes, self.k_hat.tolist(),
                    self.residual.tolist(), self.flagged.tolist())
-        return head + "\n" + "".join(row % (*w, k, r, f) for w, k, r, f in rows)
+        return head + "\n" + "".join(["%s%.12g,%.12g,%s\n" % row for row in rows])
 
 
 def _radius_band(g: Grid, window_sigma_x: float, window_sigma_xi: float,

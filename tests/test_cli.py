@@ -264,6 +264,51 @@ def test_product_non_boolean_flag_exit_2(tmp_path, capsys, fragment, key):
     assert not (out / "star_field.json").exists()
 
 
+@pytest.mark.parametrize("grid,message", [
+    ({"n": 1, "N": 8.9, "L": 2.0}, "grid: N: expected an integer, got 8.9"),
+    ({"n": True, "N": 8, "L": 2.0}, "grid: n: expected an integer, got True"),
+    ({"n": 1, "N": 8, "L": "2"}, "grid: L: expected a number, got '2'"),
+    ({"n": 1, "L": 2.0}, "grid: N: expected an integer, got None"),
+])
+def test_config_grid_is_typed_exit_2(tmp_path, capsys, grid, message):
+    # int(8.9) used to read N as 8 and run
+    job = _write(tmp_path / "job.json", {"schema_version": 1, "grid": grid,
+                                         "left": {"kind": "delta"}, "right": {"kind": "delta"}})
+    assert main(["product", "--config", job, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "product_field.json").exists()
+
+
+_FIELD8 = {"n": 1, "N": 8, "L": 2.0, "re": [0.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0],
+           "im": [0.0] * 8}
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"N": 8.9}, "N: expected an integer, got 8.9"),
+    ({"n": True}, "n: expected an integer, got True"),
+    ({"N": "8"}, "N: expected an integer, got '8'"),
+    ({"L": "2"}, "L: expected a number, got '2'"),
+    ({"re": [0.0] * 7}, "re: expected a list of 8 numbers, got 7 entries"),
+    ({"im": None}, "im: expected a list of 8 numbers, got None"),
+    ({"re": [0.0] * 7 + ["1"]}, "re: expected a list of 8 numbers, got entries of type str"),
+    ({"im": [True] + [0.0] * 7}, "im: expected a list of 8 numbers, got entries of type bool"),
+])
+def test_field_file_with_ill_typed_grid_exit_2(tmp_path, capsys, patch, message):
+    # int(8.9) read N as 8, a short `re` failed inside numpy's broadcast,
+    # and a null `im` was reported as a non-finite value
+    path = _write(tmp_path / "f.json", {**_FIELD8, **patch})
+    grid, ref = {"n": 1, "N": 8, "L": 2.0}, {"kind": "file", "path": path}
+    for command, cfg, key in (
+            ("product", {"left": ref, "right": {"kind": "delta"}}, "left"),
+            ("star", {"left": {"kind": "delta"}, "right": ref}, "right"),
+            ("wf", {"field": ref}, "field")):
+        job = _write(tmp_path / "job.json", {"schema_version": 1, "grid": grid, **cfg})
+        assert main([command, "--config", job, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}: {message}" in err and "Traceback" not in err, (command, err)
+
+
 @pytest.mark.parametrize("command", ["product", "star"])
 def test_product_theta_rationals_match_floats(tmp_path, command):
     # theta entries read as in `cone`: [num, den] pairs and "p/q" strings
@@ -665,9 +710,22 @@ def test_parser_reused_without_leaking_values(tmp_path, monkeypatch):
     assert cli._build_parser() is cli._build_parser()
     assert seen == [
         {"command": "wf", "config": "a.json", "out": ".", "seed": 5},
-        {"command": "cone", "config": "b.json", "out": str(tmp_path), "seed": None},
-        {"command": "verify", "suite": "calculus", "config": None, "out": ".", "seed": None},
+        {"command": "cone", "config": "b.json", "out": str(tmp_path)},
+        {"command": "verify", "suite": "calculus", "config": None, "out": "."},
     ]
+
+
+@pytest.mark.parametrize("argv", [["product", "--config", "a.json"], ["star", "--config", "a.json"],
+                                  ["cone", "--config", "a.json"], ["verify", "calculus"]])
+def test_seed_only_on_wf_exit_2(argv, capsys, monkeypatch):
+    # only wf reads a seed: elsewhere it used to be accepted and ignored
+    from twistlab import cli
+
+    monkeypatch.setattr(cli, "_dispatch", lambda args: pytest.fail("dispatched"))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_verify_exit_codes(tmp_path):

@@ -211,20 +211,85 @@ def test_cached_stencil_and_window_are_read_only():
         win.values[0, 0] = 0.0
 
 
-def test_estimate_csv_matches_per_value_format():
-    # one % per row over Python floats writes what per-value f-strings write
-    rng = np.random.default_rng(5)
-    dirs = direction_grid(4, 256)
-    k_hat = rng.standard_normal(256) * 10.0 ** rng.uniform(-300, 300, 256)
-    residual = rng.standard_normal(256) * 10.0 ** rng.uniform(-300, 300, 256)
+def _random_estimate(dirs, seed):
+    """An estimate on `dirs` with k_hat and residual over the whole
+    float range, some k_hat infinite."""
+    rng = np.random.default_rng(seed)
+    m = dirs.count
+    k_hat = rng.standard_normal(m) * 10.0 ** rng.uniform(-300, 300, m)
+    residual = rng.standard_normal(m) * 10.0 ** rng.uniform(-300, 300, m)
     k_hat[::7] = np.inf
-    k_hat[1:6] = [0.0, -0.0, 1e-300, -1e300, 0.1]
-    residual[1:4] = [-0.0, 5e-324, 1e300]
-    est = WavefrontEstimate(dirs, k_hat, residual, np.zeros(256), 0.05, 1.0, 2.0, 12)
-    want = ["w1,w2,w3,w4,k_hat,residual,flagged"]
-    for w, k, r, f in zip(dirs.directions, k_hat, residual, est.flagged):
-        want.append(",".join([f"{v:.12g}" for v in w] + [f"{k:.12g}", f"{r:.12g}", str(bool(f))]))
-    assert est.to_csv() == "\n".join(want) + "\n"
+    k_hat[1:6] = [0.0, -0.0, 1e-300, -1e300, 0.1][:m - 1]
+    residual[1:4] = [-0.0, 5e-324, 1e300][:m - 1]
+    return WavefrontEstimate(dirs, k_hat, residual, np.zeros(m), 0.05, 1.0, 2.0, 12)
+
+
+def test_estimate_csv_matches_per_value_format():
+    # one % per row over Python floats writes what per-value f-strings write;
+    # the second estimate on the grid reads the grid's cached columns
+    dirs = direction_grid(4, 256)
+    for seed in (5, 6):
+        est = _random_estimate(dirs, seed)
+        want = ["w1,w2,w3,w4,k_hat,residual,flagged"]
+        for w, k, r, f in zip(dirs.directions, est.k_hat, est.residual, est.flagged):
+            want.append(",".join([f"{v:.12g}" for v in w] + [f"{k:.12g}", f"{r:.12g}", str(bool(f))]))
+        assert est.to_csv() == "\n".join(want) + "\n"
+
+
+def _oracle_to_json(est):
+    """`WavefrontEstimate.to_json` as one `json.dumps` of the whole dict."""
+    return json.dumps(
+        {
+            "directions": est.directions.directions.tolist(),
+            "k_hat": [None if not np.isfinite(v) else v for v in est.k_hat.tolist()],
+            "flagged": est.flagged.tolist(),
+            "params": {
+                "k_test": est.k_test,
+                "r_min": est.r_min,
+                "r_max": est.r_max,
+                "radii": est.radii,
+                "resolution_deg": est.directions.resolution_deg,
+            },
+        }
+    )
+
+
+@pytest.mark.parametrize("dim,count", [(2, 4), (2, 90), (2, 360), (4, 8), (4, 256), (4, 2048)])
+def test_estimate_json_matches_dict_dumps(dim, count):
+    # a fresh grid, so the first call builds the cached array and the
+    # second and the other estimate on the grid read it
+    dirs = wavefront._direction_grid.__wrapped__(dim, count, _SPHERE_SEED)
+    ests = [_random_estimate(dirs, seed) for seed in (1, 2)]
+    assert any(v is None for v in json.loads(ests[0].to_json())["k_hat"])
+    for est in ests * 2:
+        assert est.to_json() == _oracle_to_json(est)
+
+
+def test_estimate_text_of_a_grid_built_by_hand():
+    ang = np.radians([0.0, 30.0, 90.0, 180.0, 210.0, 270.0])
+    dirs = DirectionGrid(np.column_stack([np.cos(ang), np.sin(ang)]), resolution_deg=30.0)
+    est = _random_estimate(dirs, 3)
+    for _ in range(2):
+        assert est.to_json() == _oracle_to_json(est)
+        assert est.to_csv().splitlines()[1:] == [
+            f"{w[0]:.12g},{w[1]:.12g},{k:.12g},{r:.12g},{bool(f)}"
+            for w, k, r, f in zip(dirs.directions, est.k_hat, est.residual, est.flagged)]
+
+
+def test_grid_text_cached_once_per_grid():
+    dirs = direction_grid(4, 256)
+    a, b = _random_estimate(dirs, 1), _random_estimate(dirs, 2)
+    a.to_json(), a.to_csv()
+    array, prefixes = dirs.json_array, dirs.csv_prefixes
+    b.to_json(), b.to_csv()
+    assert b.directions.json_array is array and b.directions.csv_prefixes is prefixes
+    assert direction_grid(4, 256).json_array is array
+    with pytest.raises(ValueError, match="read-only"):
+        dirs.directions[0, 0] = 0.0
+    # the text follows the grid: same count, different seed, different text
+    other = direction_grid(4, 256, seed=_SPHERE_SEED + 1)
+    assert other.json_array != array
+    assert other.csv_prefixes != prefixes
 
 
 def test_delta_flags_frequency_axis(delta_estimate):

@@ -3,7 +3,7 @@
 
     python3 tools/bench.py --base REV --head REV --label NAME --workdir DIR \\
         [--pairs WORKLOAD:SEED,SEED,...]... [--hash-seeds SEED...] [--repeats K]
-        [--tier1 K] [--rss-rounds R] [--products-calls C]
+        [--tier1 K] [--rss-rounds R] [--products-calls C] [--serialize-calls C]
 
 Both revisions are exported with `git archive` into DIR (outside the
 repository).  For every `--pairs` entry, `perfbench/run.py --workload W
@@ -57,11 +57,25 @@ median and quartiles of process CPU per call, minor page faults per call
 difference of the two sides' outputs relative to base's peak.  Then, K
 times per checkout alternating, a fresh interpreter runs 40 products-n2
 rounds of seed 7 after one warm-up round, as perfbench's loop does, and
-records the median round's CPU and the minor faults per operation; and
-each checkout runs one cli-jobs round of seeds 1-12 into its own
-directory, whose star and product fields are compared (largest
-difference relative to base's peak) and whose `wf` outputs are compared
-byte for byte.
+records the median round's CPU and the minor faults per operation.
+
+With `--serialize-calls C`, the serialization ladder runs in one
+interpreter that loads both checkouts side by side and alternates C
+calls per side of `WavefrontEstimate.to_json` and `to_csv` (n=1, N=128,
+L=12 with 180, 360 and 720 directions, and n=2, N=32, L=7 with 2048; the
+centred impulse, k_test 0.05), of `SampledField.to_json` and `from_json`
+at n=1, N=512 and n=2, N=64, and of `cli._field_csv` at n=1, N=256 (L=8,
+a Gaussian packet).  Per case and side it records the median and
+quartiles of process CPU per call, the pairs in which head was faster,
+the output's length and whether both sides' outputs are equal byte for
+byte; for the estimate methods also the median CPU of the first call on
+a freshly built direction grid, five per side, which is what a one-shot
+CLI job pays.
+
+With either of the two, each checkout also runs one cli-jobs round of
+seeds 1-12 into its own directory, whose star and product fields are
+compared (largest difference relative to base's peak) and whose `wf`
+outputs are compared byte for byte (`cli_jobs_fields`).
 
 With `--tier1 K`, the tier-1 suite (`python -m pytest -q` with `src` on
 the path) runs K times per checkout, alternating: wall and CPU time and
@@ -261,7 +275,8 @@ print(json.dumps(out))
 """
 RSS_SEED = 102
 
-PRODUCTS_LADDER = """
+# both checkouts' packages in one interpreter: argv is C, base src, head src
+SIDES = """
 import importlib.util, json, resource, statistics, sys, time
 import numpy as np
 def load(name, src):
@@ -273,6 +288,14 @@ def load(name, src):
     return mod
 calls = int(sys.argv[1])
 sides = {"base": load("twistlab_base", sys.argv[2]), "head": load("twistlab_head", sys.argv[3])}
+def orders(calls):
+    return [("base", "head") if i % 2 == 0 else ("head", "base") for i in range(calls)]
+def cpu_summary(times):
+    q1, med, q3 = statistics.quantiles(times, n=4)
+    return {"cpu_ms_median": 1e3 * med, "cpu_ms_q1": 1e3 * q1, "cpu_ms_q3": 1e3 * q3}
+"""
+
+PRODUCTS_LADDER = SIDES + """
 cases = [("twisted_convolution", 1, 512, wrap) for wrap in (False, True)]
 cases += [("twisted_convolution", 2, N, wrap) for N in (32, 64, 128) for wrap in (False, True)]
 cases += [(fn, 2, 64, None) for fn in ("twisted_convolution_product", "star_via_product")]
@@ -290,22 +313,86 @@ for fn, n, N, wrap in cases:
         run[side] = lambda tl=tl, f=f, h=h, theta=theta, kw=kw: getattr(tl, fn)(f, h, theta, **kw)
         values[side] = run[side]().values
     cpu, faults = {s: [] for s in sides}, {s: 0 for s in sides}
-    for i in range(calls):
-        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+    for order in orders(calls):
+        for side in order:
             m, c = minflt(), time.process_time()
             run[side]()
             cpu[side].append(time.process_time() - c)
             faults[side] += minflt() - m
-    row = {}
-    for side, times in cpu.items():
-        q1, med, q3 = statistics.quantiles(times, n=4)
-        row[side] = {"cpu_ms_median": 1e3 * med, "cpu_ms_q1": 1e3 * q1, "cpu_ms_q3": 1e3 * q3,
-                     "minor_faults_per_call": faults[side] / calls}
+    row = {side: {**cpu_summary(times), "minor_faults_per_call": faults[side] / calls}
+           for side, times in cpu.items()}
     row["head_faster_in_pairs"] = sum(h < b for b, h in zip(cpu["base"], cpu["head"]))
     row["calls_per_side"] = calls
     row["max_abs_diff_over_base_peak"] = float(
         np.abs(values["head"] - values["base"]).max() / np.abs(values["base"]).max())
     out[f"{fn}{'_wrap' if wrap else ''}_n{n}_N{N}"] = row
+print(json.dumps(out))
+"""
+
+SERIALIZE_LADDER = SIDES + """
+import dataclasses, importlib
+FIRST_CALLS = 5
+def estimate(tl, n, N, count):
+    grid = tl.make_grid(n, N, 12.0 if n == 1 else 7.0)
+    params = tl.WavefrontParams(k_test=0.05, directions=tl.direction_grid(2 * n, count))
+    return tl.estimate_wf(tl.sample_analytic(tl.Delta((0.0,) * n), grid), params=params)
+def field(tl, n, N):
+    g = tl.make_grid(n, N, 8.0)
+    return tl.sample_analytic(tl.GaussianPacket((0.3,) * n, 1.0, (0.4,) * n), g)
+def comparable(x):
+    if isinstance(x, str):
+        return x
+    return (x.grid.n, x.grid.N, x.grid.L, x.values.tobytes())
+# name -> per side: (the timed call, a maker of fresh-grid estimates or None)
+cases = {}
+for n, N, counts in ((1, 128, (180, 360, 720)), (2, 32, (2048,))):
+    for count in counts:
+        ests = {side: estimate(tl, n, N, count) for side, tl in sides.items()}
+        for meth in ("to_json", "to_csv"):
+            cases[f"wf_{meth}_n{n}_N{N}_d{count}"] = {side: (
+                getattr(ests[side], meth),
+                lambda tl=tl, e=ests[side], dim=2 * n, count=count, meth=meth: getattr(
+                    dataclasses.replace(e, directions=tl.wavefront._direction_grid.__wrapped__(
+                        dim, count, tl.wavefront._SPHERE_SEED)), meth))
+                for side, tl in sides.items()}
+for n, N in ((1, 512), (2, 64)):
+    fields = {side: field(tl, n, N) for side, tl in sides.items()}
+    text = fields["base"].to_json()
+    cases[f"field_to_json_n{n}_N{N}"] = {side: (f.to_json, None) for side, f in fields.items()}
+    cases[f"field_from_json_n{n}_N{N}"] = {
+        side: (lambda tl=tl, text=text: tl.SampledField.from_json(text), None)
+        for side, tl in sides.items()}
+fields = {side: field(tl, 1, 256) for side, tl in sides.items()}
+cases["cli_field_csv_n1_N256"] = {
+    side: (lambda tl=tl, f=fields[side]: importlib.import_module(f"{tl.__name__}.cli")._field_csv(f),
+           None) for side, tl in sides.items()}
+out = {}
+for name, case in cases.items():
+    outs = {side: case[side][0]() for side in sides}
+    row = {"bytes": len(outs["base"]) if isinstance(outs["base"], str) else None,
+           "bytes_equal": comparable(outs["base"]) == comparable(outs["head"])}
+    cpu = {side: [] for side in sides}
+    for order in orders(calls):
+        for side in order:
+            c = time.process_time()
+            case[side][0]()
+            cpu[side].append(time.process_time() - c)
+    for side, times in cpu.items():
+        row[side] = cpu_summary(times)
+    row["head_faster_in_pairs"] = sum(h < b for b, h in zip(cpu["base"], cpu["head"]))
+    row["calls_per_side"] = calls
+    # the one-shot CLI cost: the first call on a grid no estimate has written yet
+    if case["base"][1] is not None:
+        first = {side: [] for side in sides}
+        for order in orders(FIRST_CALLS):
+            for side in order:
+                call = case[side][1]()
+                c = time.process_time()
+                call()
+                first[side].append(time.process_time() - c)
+        for side, times in first.items():
+            row[side]["first_call_cpu_ms"] = 1e3 * statistics.median(times)
+    out[name] = row
 print(json.dumps(out))
 """
 
@@ -437,8 +524,7 @@ def tier1(tree: Path) -> dict:
 
 
 def products(trees: dict, workdir: Path, calls: int, repeats: int, log) -> dict:
-    """The products ladder, products-n2 rounds and cli-jobs fields (module
-    docstring)."""
+    """The products ladder and products-n2 rounds (module docstring)."""
     result = {"ladder": last_json([sys.executable, "-c", PRODUCTS_LADDER, str(calls),
                                    str(trees["base"] / "src"), str(trees["head"] / "src")],
                                   trees["head"])}
@@ -450,13 +536,18 @@ def products(trees: dict, workdir: Path, calls: int, repeats: int, log) -> dict:
             log(f"products-n2 rounds {i} {side}: {rounds[side][-1]}")
     result["products_n2_rounds"] = {side: {"median": medians(rounds[side]), "runs": rounds[side]}
                                     for side in trees}
+    return result
+
+
+def cli_fields(trees: dict, workdir: Path) -> dict:
+    """One cli-jobs round of seeds 1-12 per checkout, their fields and `wf`
+    outputs compared (module docstring)."""
     dirs = {side: workdir / f"cli-fields-{side}" for side in trees}
     for side, tree in trees.items():
         shutil.rmtree(dirs[side], ignore_errors=True)
         last_json([sys.executable, "-c", CLI_FIELDS_RUN, str(dirs[side])], tree)
-    result["cli_jobs_fields"] = last_json([sys.executable, "-c", CLI_FIELDS_COMPARE,
-                                           str(dirs["base"]), str(dirs["head"])], trees["head"])
-    return result
+    return last_json([sys.executable, "-c", CLI_FIELDS_COMPARE,
+                      str(dirs["base"]), str(dirs["head"])], trees["head"])
 
 
 def summary(values: list[float]) -> dict:
@@ -506,6 +597,7 @@ def main(argv=None) -> int:
     p.add_argument("--tier1", type=int, default=0, metavar="K")
     p.add_argument("--rss-rounds", type=int, default=0, metavar="R")
     p.add_argument("--products-calls", type=int, default=0, metavar="C")
+    p.add_argument("--serialize-calls", type=int, default=0, metavar="C")
     args = p.parse_args(argv)
 
     def log(msg):
@@ -570,6 +662,13 @@ def main(argv=None) -> int:
                              str(args.rss_rounds)], trees[side]) for side in trees}}
     if args.products_calls:
         result["products"] = products(trees, args.workdir, args.products_calls, args.repeats, log)
+    if args.serialize_calls:
+        result["serialize_ladder"] = last_json(
+            [sys.executable, "-c", SERIALIZE_LADDER, str(args.serialize_calls),
+             str(trees["base"] / "src"), str(trees["head"] / "src")], trees["head"])
+        log(f"serialize ladder: {json.dumps(result['serialize_ladder'])}")
+    if args.products_calls or args.serialize_calls:
+        result["cli_jobs_fields"] = cli_fields(trees, args.workdir)
     result["pairs"] = {}
     for spec in args.pairs:
         workload, seeds = spec.split(":")
