@@ -343,7 +343,7 @@ def comparable(x):
     if isinstance(x, str):
         return x
     return (x.grid.n, x.grid.N, x.grid.L, x.values.tobytes())
-# name -> per side: (the timed call, a maker of fresh-grid estimates or None)
+# name -> per side: (the timed call, a maker of that call on a fresh grid, or None)
 cases = {}
 for n, N, counts in ((1, 128, (180, 360, 720)), (2, 32, (2048,))):
     for count in counts:
