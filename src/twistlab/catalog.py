@@ -7,6 +7,7 @@ truth.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -69,8 +70,10 @@ class GaussianPacket:
 
     def __init__(self, mu=0.0, sigma: float = 1.0, b=None):
         mu_t = _as_point(mu)
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
+        # the samples divide by sigma^2, which must not overflow or underflow
+        if not (sigma > 0 and 0.0 < float(sigma) * float(sigma) < math.inf):
+            raise ValueError("sigma: expected a positive number whose square is a positive "
+                             f"finite float, got {sigma!r}")
         b_t = _as_point(b) if b is not None else tuple(0.0 for _ in mu_t)
         if len(b_t) != len(mu_t):
             raise ValueError("mu and b must have matching length")

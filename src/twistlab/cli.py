@@ -169,7 +169,7 @@ def _field_from(spec, grid, key: str):
             return f
     except ConfigError:
         raise
-    except (TypeError, ValueError, OSError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     raise ConfigError(f"{key}.kind: unknown field kind {kind!r}")
 
@@ -317,9 +317,10 @@ def _cmd_wf(args, out: Path) -> int:
     if args.seed is not None:
         seed = args.seed
     count = pspec.pop("direction_count", None)
-    for key, val in (("seed", seed), ("direction_count", count)):
+    for key, val in (("--seed" if args.seed is not None else "params.seed", seed),
+                     ("params.direction_count", count)):
         if val is not None and (not _is_int(val) or val < 0):
-            raise ConfigError(f"params.{key}: expected a nonnegative integer, got {val!r}")
+            raise ConfigError(f"{key}: expected a nonnegative integer, got {val!r}")
     try:
         dirs = direction_grid(2 * grid.n, count, seed)
     except ValueError as exc:

@@ -137,7 +137,8 @@ class SampledField:
 
 def grid_from_obj(obj) -> Grid:
     """The grid of a JSON object's `n`, `N` and `L`: `n` and `N` must be
-    JSON integers and `L` a number; otherwise a ValueError names the key."""
+    JSON integers and `L` a finite number; otherwise a ValueError names
+    the key."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     n, N, L = (_typed(obj, key, types, want) for key, types, want in (
@@ -146,10 +147,26 @@ def grid_from_obj(obj) -> Grid:
 
 
 def _typed(obj: dict, key: str, types, want: str):
-    """`obj[key]` when it is an instance of `types` and not a boolean."""
+    """`obj[key]` when it is an instance of `types` and not a boolean, as
+    a float when `types` admits floats."""
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"{key}: expected {want}, got {value!r}")
+    return value if types is int else _finite(key, lambda: float(value))
+
+
+def _finite(key: str, convert):
+    """`convert()` when all it holds is finite, else a ValueError naming
+    the key: a JSON integer beyond float range makes `float` raise
+    OverflowError, and a float literal beyond it reads as inf."""
+    try:
+        value = convert()
+    except OverflowError:
+        raise ValueError(f"{key}: expected a finite number, got an integer "
+                         "beyond float range") from None
+    bad = np.asarray(value)[~np.isfinite(value)]
+    if bad.size:
+        raise ValueError(f"{key}: expected a finite number, got {float(bad[0])}")
     return value
 
 
@@ -165,7 +182,7 @@ def _samples(obj: dict, key: str, m: int) -> np.ndarray:
     else:
         odd = set(map(type, value)) - {int, float}
         if not odd:
-            return np.asarray(value, dtype=float)
+            return _finite(key, lambda: np.asarray(value, dtype=float))
         got = "entries of type " + ", ".join(sorted(t.__name__ for t in odd))
     raise ValueError(f"{key}: expected a list of {m} numbers, got {got}")
 

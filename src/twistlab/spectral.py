@@ -222,13 +222,10 @@ class STFTData:
         object.__setattr__(self, "values", vals)
 
     @property
-    def n(self) -> int:
-        return self.base_grid.n
-
-    @property
     def axes(self) -> tuple[np.ndarray, ...]:
         """Coordinates of the 2n axes of `values`: the full lattice."""
-        return (self.base_grid.axis(),) * self.n + (self.freq_grid.axis(),) * self.n
+        n = self.base_grid.n
+        return (self.base_grid.axis(),) * n + (self.freq_grid.axis(),) * n
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
@@ -237,8 +234,9 @@ class STFTData:
 @dataclass(frozen=True, eq=False)
 class STFTMagnitude:
     """|V| on the box of the position-frequency lattice that `axes`
-    spans, with the window spreads the estimator's trusted radii are
-    read from; what `estimate_wf_from_stft` needs of an `STFTData`."""
+    spans, 0 off the set B of `_stft_rows`, with the window spreads the
+    estimator's trusted radii are read from; what `estimate_wf_from_stft`
+    needs of an `STFTData`."""
 
     base_grid: Grid
     freq_grid: Grid
@@ -262,85 +260,88 @@ def _box(g: Grid, reach: float) -> slice:
     return slice(max(h - k, 0), min(h + k + 1, g.N))
 
 
+@lru_cache(maxsize=8)
+def _reach_set(n: int, N: int, L: float, reach: float):
+    """The lines of the set B of `_stft_rows` on the grid (n, N, L): the
+    admitted box indices x_1 and, per x_1 at n >= 2, each later level's
+    (source row, table index) pairs and the box rows its last level
+    fills, memoised as the ray stencil is, in read-only int32 arrays
+    (2^31 rows of at least 3 cells would be a box of over 50 GB)."""
+    g = Grid(n, N, L)
+    ex, ef = (np.maximum(np.abs(h.axis()[_box(h, reach)]) - h.spacing, 0.0) ** 2
+              for h in (g, g.dual()))
+    r2, P, F = reach * reach, ex.size, ef.size
+    x0s, rows = np.flatnonzero(ex <= r2), []
+    for x0 in x0s[:, None] if n > 1 else ():
+        # partial sums in coordinate order: ((e(x_1) + e(xi_1)) + e(x_2)) + ...
+        s, xrow, frow, levels = ex[x0], x0, np.zeros(1, np.intp), []
+        for _ in range(n - 1):
+            t = (s[:, None] + ef).ravel()
+            src, j = np.nonzero(t[:, None] + ex <= r2)
+            q, f = np.divmod(src, F)
+            s, xrow, frow = t[src] + ex[j], xrow[q] * P + j, frow[q] * F + f
+            levels.append((src.astype(np.int32), j.astype(np.int32)))
+        rows.append((tuple(levels), (xrow * F ** (n - 1) + frow).astype(np.int32)))
+    for a in (x0s, *(a for levels, dst in rows for a in (dst, *sum(levels, ())))):
+        a.flags.writeable = False
+    return x0s, tuple(rows)
+
+
 def _stft_rows(u: SampledField, window: WindowFunction, reach: float = math.inf):
-    """V(x, xi) at the positions |x| <= reach + sqrt(n) spacing, cropped
-    to the box `_box(., reach)` in every position and frequency axis.
+    """The FFT lines of V(x, xi) on the set B of the box `_box(., reach)`
+    that multilinear interpolation reads at points of norm <= reach: the
+    cells c with sum over a in (x_1, xi_1, ..., x_n) of max(|c_a| - D_a,
+    0)^2 <= reach^2, D_a the spacing of axis a.  The last frequency axis
+    is kept whole, since one FFT line yields all of it.  B is enough: a
+    stencil corner c of a point p lies within D_a of p on every axis, so
+    max(|c_a| - D_a, 0) <= |p_a| and the sum is at most |p|^2 <= reach^2.
 
-    Yields (row, cols, block) one position row at a time: `row` indexes
-    the box's first n-1 position axes, the slice `cols` its last, and
-    `block` of shape (cols,) + (box,) * n holds V there.  Positions of
-    the box outside the reach are not yielded.
+    Yields (rows, lines): times the sign (-1)^(k_1 + ... + k_n) of its
+    frequency indices, `_fft_scale` and 1/|window|, `lines[i]` is V on
+    row `rows[i]` of the box with its first 2n - 1 axes (x_1, ..., x_n,
+    xi_1, ..., xi_{n-1}) folded into one.
 
-    The window is translated by whole grid steps with zero fill, so any
-    sampled window works; the (2pi)^{-n/2} lives inside the transform.
-    A window without factors takes the general route: one batched FFT
-    transforms the row's window translates in reach, bit-identical to
-    applying `fourier_forward` to each in turn.  A window with factors
-    is separable, V(x, xi) = F_{y_n}[... F_{y_1}[u f_1(y_1 - x_1)] ...
-    f_n(y_n - x_n)], so axis a is transformed once per admitted
-    (x_1, ..., x_a) and every later y, and cropped to the frequency box
-    before axis a + 1 is.  At n=1 both routes are the same operations;
-    at n >= 2 the separable one rounds differently.  Either way every
-    FFT line depends only on its own position, so the reach never
-    changes a cell's bytes.
+    The window is translated by whole grid steps with zero fill.  One
+    without factors takes the general route: per x_1, one batched FFT of
+    its translates at the x_2 its lines use, bit-identical to
+    `fourier_forward` of each.  One with factors is separable, V(x, xi)
+    = F_{y_n}[... F_{y_1}[u f_1(y_1 - x_1)] ... f_n(y_n - x_n)]: y_1 is
+    transformed for all admitted x_1 at once, then level a > 1, one
+    gathered batch per x_1, transforms y_a on the lines whose prefix
+    (x_1, xi_1, ..., x_a) has a partial sum <= reach^2 and keeps xi_a
+    where it still fits; it rounds differently at n >= 2.  Each FFT line
+    depends only on its own position, so no cell's bytes depend on reach.
     """
     g = u.grid
     if not g.compatible(window.grid):
         raise ValueError("field and window grids differ")
-    n = g.n
-    xs, fs = _box(g, reach), _box(g.dual(), reach)
-    # fourier_forward's per-axis sign flips, moved out of the transform
-    # (flipping a sign is exact)
+    n, N, xs, fs = g.n, g.N, _box(g, reach), _box(g.dual(), reach)
+    x0s, rows = _reach_set(n, N, g.L, reach)
+    # fourier_forward's per-axis sign flips, moved out of the transform (exact)
     signs, tables = window._stft_arrays
     signed = u.values * signs
-    post = (signs * _fft_scale(g))[(fs,) * n]
-    nrm = 1.0 / window.l2norm
-    pos2 = g.axis()[xs] ** 2
-    limit2 = (reach + math.sqrt(n) * g.spacing) ** 2
-    dist2 = 0
-    for ax in range(n):
-        dist2 = dist2 + _axis_shape(pos2, ax, n)
-    inside = dist2 <= limit2
-
-    def admitted(mask):
-        hit = np.flatnonzero(mask)
-        return slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else None
-
-    def finish(row, cols, block):
-        block = block * post
-        block *= nrm
-        return row, cols, block
-
-    if window.factors is None:
-        for row in np.ndindex(*(pos2.size,) * (n - 1)):
-            cols = admitted(inside[row])
-            if cols is None:
-                continue
-            full_row = tuple(xs.start + i for i in row)
-            block = signed * tables[0][full_row][xs.start + cols.start:xs.start + cols.stop]
+    if window.factors is None and n > 1:
+        per_x2 = (xs.stop - xs.start) ** (n - 2) * (fs.stop - fs.start) ** (n - 1)
+        for x0, (_, dst) in zip(x0s, rows):
+            local = dst - x0 * (xs.stop - xs.start) * per_x2
+            lo, hi = local.min() // per_x2, local.max() // per_x2 + 1
+            block = signed * tables[0][(xs.start + x0, slice(xs.start + lo, xs.start + hi),
+                                        *(xs,) * (n - 2))]
             for ax in range(-n, 0):  # axis order as in fourier_forward
-                # crop each transformed axis before the next one is transformed
                 block = np.fft.fft(block, axis=ax)[(Ellipsis, fs) + (slice(None),) * (-ax - 1)]
-            yield finish(row, cols, block)
+            yield dst, block.reshape(-1, block.shape[-1])[local - lo * per_x2]
         return
-
-    def descend(part, row):
-        # part: V transformed along the axes before a = len(row), at
-        # the positions `row`, shape (fs,) * a + (N,) * (n - a)
-        a = len(row)
-        sel = admitted(inside[row].reshape(pos2.size, -1).any(axis=1))
-        if sel is None:
-            return
-        t = tables[a][xs.start + sel.start:xs.start + sel.stop]
-        t = t.reshape(t.shape[:1] + (1,) * a + t.shape[1:] + (1,) * (n - a - 1))
-        block = np.fft.fft(part * t, axis=a + 1)[(slice(None),) * (a + 1) + (fs,)]
-        if a == n - 1:
-            yield finish(row, sel, block)
-            return
-        for i in range(block.shape[0]):
-            yield from descend(block[i], row + (sel.start + i,))
-
-    yield from descend(signed, ())
+    # the admitted x_1 are consecutive, so the table slice is a view, not a copy
+    t = tables[0][xs.start + x0s[0]:xs.start + x0s[-1] + 1]
+    block = np.fft.fft(signed * t.reshape((-1, N) + (1,) * (n - 1)), axis=1)[:, fs]
+    if n == 1:
+        yield x0s, block
+    for part, (levels, dst) in zip(block, rows):    # no rows at n=1
+        for a, (src, j) in enumerate(levels, 1):
+            lines = part.reshape((-1,) + (N,) * (n - a))[src]
+            lines *= tables[a][xs.start + j].reshape((-1, N) + (1,) * (n - a - 1))
+            part = np.fft.fft(lines, axis=1, out=lines)[:, fs]
+        yield dst, part
 
 
 def stft(u: SampledField, window: WindowFunction) -> STFTData:
@@ -348,15 +349,12 @@ def stft(u: SampledField, window: WindowFunction) -> STFTData:
     y -> u(y) conj(window(y - x)) and divide by the window norm."""
     n, N = u.grid.n, u.grid.N
     out = np.empty((N,) * n + (N,) * n, dtype=complex)
-    for row, cols, block in _stft_rows(u, window):
-        out[row][cols] = block
-    return STFTData(
-        base_grid=u.grid,
-        freq_grid=u.grid.dual(),
-        values=out,
-        window_sigma_x=window.sigma_x,
-        window_sigma_xi=window.sigma_xi,
-    )
+    post, nrm = (window._stft_arrays[0] * _fft_scale(u.grid)).reshape(-1, N), 1.0 / window.l2norm
+    for dst, lines in _stft_rows(u, window):
+        lines = lines * post[dst % N ** (n - 1)]
+        lines *= nrm
+        out.reshape(-1, N)[dst] = lines
+    return STFTData(u.grid, u.grid.dual(), out, window.sigma_x, window.sigma_xi)
 
 
 def stft_magnitude(u: SampledField, window: WindowFunction,
@@ -365,17 +363,19 @@ def stft_magnitude(u: SampledField, window: WindowFunction,
     reads it, equal there to `abs(stft(u, window).values)` at the same
     lattice points, without ever holding the complex spectrogram.
 
-    The array covers the box `_box(., reach)` of every position and
-    frequency axis; its cells at positions |x| > reach + sqrt(n) spacing
-    are never transformed and hold 0.  So `estimate_wf_from_stft` reads
-    it right only when its r_max is at most `reach`."""
-    g = u.grid
-    d = g.dual()
-    xs, fs = _box(g, reach), _box(d, reach)
-    px, pf = g.axis()[xs], d.axis()[fs]
+    The array covers the box `_box(., reach)`; only its cells in the set
+    B of `_stft_rows` are transformed, the others hold 0, so
+    `estimate_wf_from_stft` reads it right only for r_max <= `reach`.
+    The signs `stft` applies are left out: flipping a sign is exact, so
+    |(z s) / |w|| = |(z |s|) / |w|| bit for bit."""
+    g, d = u.grid, u.grid.dual()
+    px, pf = g.axis()[_box(g, reach)], d.axis()[_box(d, reach)]
     mag = np.zeros(px.shape * g.n + pf.shape * g.n)
-    for row, cols, block in _stft_rows(u, window, reach):
-        np.abs(block, out=mag[row][cols])
+    scale, nrm = abs(_fft_scale(g)), 1.0 / window.l2norm
+    for dst, lines in _stft_rows(u, window, reach):
+        lines = lines * scale     # a contiguous copy of the strided crop
+        lines *= nrm
+        mag.reshape(-1, pf.size)[dst] = np.abs(lines)
     return STFTMagnitude(g, d, mag, window.sigma_x, window.sigma_xi,
                          (px,) * g.n + (pf,) * g.n)
 

@@ -81,6 +81,15 @@ def test_gaussian_validation():
         GaussianPacket((0.0, 0.0), 1.0, (1.0,))
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf"), 1e-300, 1e200])
+def test_gaussian_sigma_square_must_be_positive_finite(sigma):
+    # the samples divide by sigma^2: 1e-300 squared underflows to 0 and
+    # 1e200 squared overflows, which used to end in non-finite samples
+    with pytest.raises(ValueError, match="^sigma: expected a positive number whose square"):
+        GaussianPacket(0.0, sigma)
+    assert GaussianPacket(0.0, 1e-150).sigma == 1e-150
+
+
 def test_dimension_mismatch(grid64):
     with pytest.raises(ValueError, match="dimension"):
         sample_analytic(Delta((0.0, 0.0)), grid64)

@@ -269,6 +269,8 @@ def test_product_non_boolean_flag_exit_2(tmp_path, capsys, fragment, key):
     ({"n": True, "N": 8, "L": 2.0}, "grid: n: expected an integer, got True"),
     ({"n": 1, "N": 8, "L": "2"}, "grid: L: expected a number, got '2'"),
     ({"n": 1, "L": 2.0}, "grid: N: expected an integer, got None"),
+    ({"n": 1, "N": 8, "L": 10**400},
+     "grid: L: expected a finite number, got an integer beyond float range"),
 ])
 def test_config_grid_is_typed_exit_2(tmp_path, capsys, grid, message):
     # int(8.9) used to read N as 8 and run
@@ -293,6 +295,9 @@ _FIELD8 = {"n": 1, "N": 8, "L": 2.0, "re": [0.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0
     ({"im": None}, "im: expected a list of 8 numbers, got None"),
     ({"re": [0.0] * 7 + ["1"]}, "re: expected a list of 8 numbers, got entries of type str"),
     ({"im": [True] + [0.0] * 7}, "im: expected a list of 8 numbers, got entries of type bool"),
+    ({"L": 10**400}, "L: expected a finite number, got an integer beyond float range"),
+    ({"re": [0.0] * 7 + [10**400]}, "re: expected a finite number, got an integer beyond float range"),
+    ({"im": [float("nan")] + [0.0] * 7}, "im: expected a finite number, got nan"),
 ])
 def test_field_file_with_ill_typed_grid_exit_2(tmp_path, capsys, patch, message):
     # int(8.9) read N as 8, a short `re` failed inside numpy's broadcast,
@@ -393,6 +398,8 @@ def test_wf_seed_flag_overrides_config_seed(tmp_path):
     ({"params": {"k_test": None}}, "params.k_test"),
     ({"grid": {"n": 2, "N": 16, "L": 7.0}, "field": {"kind": "delta", "a": [0.0, 0.0]},
       "params": {"direction_count": 100}}, "params.direction_count"),
+    ({"field": {"kind": "gaussian", "sigma": 1e-300}}, "field: sigma: expected a positive number"),
+    ({"field": {"kind": "gaussian", "sigma": 10**400}}, "field: int too large to convert"),
 ])
 def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
     # each case is a top-level config fragment: params, window, ...
@@ -713,6 +720,19 @@ def test_parser_reused_without_leaking_values(tmp_path, monkeypatch):
         {"command": "cone", "config": "b.json", "out": str(tmp_path)},
         {"command": "verify", "suite": "calculus", "config": None, "out": "."},
     ]
+
+
+def test_wf_seed_error_names_its_source(tmp_path, capsys):
+    # a seed from the flag is named as the flag, one from the config as its key
+    for params, flag, key in (({}, ["--seed", "-1"], "--seed"),
+                              ({"seed": -1}, [], "params.seed"),
+                              ({"seed": 5}, ["--seed", "-2"], "--seed")):
+        cfg = _write(tmp_path / "wf.json", {"schema_version": 1,
+                                            "grid": {"n": 1, "N": 64, "L": 8.0},
+                                            "field": {"kind": "delta"}, "params": params})
+        assert main(["wf", "--config", cfg, "--out", str(tmp_path / "o"), *flag]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: expected a nonnegative integer, got -" in err, err
 
 
 @pytest.mark.parametrize("argv", [["product", "--config", "a.json"], ["star", "--config", "a.json"],

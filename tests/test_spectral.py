@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -17,6 +19,7 @@ from twistlab.spectral import (
     stft_magnitude,
 )
 from twistlab.suites import _oracle_stft
+from twistlab.wavefront import WavefrontParams, _radius_band, _stencil, direction_grid
 
 
 @pytest.fixture
@@ -28,6 +31,20 @@ def _rand_field(grid, rng):
     shape = (grid.N,) * grid.n
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return SampledField(grid, v)
+
+
+def _in_reach_set(mag, reach):
+    """The set B of `_stft_rows` on the axes of `mag`: the cells whose
+    max(|c_a| - spacing_a, 0)^2, summed in the order x_1, xi_1, ..., x_n
+    (all axes but the last frequency one), stay within reach^2."""
+    n = mag.base_grid.n
+    spacings = (mag.base_grid.spacing,) * n + (mag.freq_grid.spacing,) * n
+    total = 0.0
+    for a in [a for k in range(n) for a in (k, n + k)][:-1]:
+        shape = [1] * (2 * n)
+        shape[a] = -1
+        total = total + (np.maximum(np.abs(mag.axes[a]) - spacings[a], 0.0) ** 2).reshape(shape)
+    return np.broadcast_to(total <= reach * reach, mag.values.shape)
 
 
 def test_unitarity(grid64, rng):
@@ -218,9 +235,9 @@ def test_stft_matches_loop_oracle(n, big_n, kind, seed):
     else:
         assert np.abs(full - want).max() <= 1e-13 * np.abs(want).max()
     assert stft_magnitude(u, win).values.tobytes() == np.abs(full).tobytes()
-    # within a finite reach, |V| is computed at every position with
-    # |x| <= reach + sqrt(n) spacing of a box covering [-reach - spacing,
-    # reach + spacing] on each axis, and equals the full lattice's there
+    # within a finite reach, |V| is computed on the set B of a box
+    # covering [-reach - spacing, reach + spacing] on each axis, and
+    # equals the full lattice's there
     reach = float(rng.uniform(0.0, g.L))
     mag = stft_magnitude(u, win, reach)
     box = []
@@ -230,8 +247,36 @@ def test_stft_matches_loop_oracle(n, big_n, kind, seed):
         assert axis[0] <= max(-reach - lattice[1] + lattice[0], lattice[0])
         assert axis[-1] >= min(reach + lattice[1] - lattice[0], lattice[-1])
         box.append(slice(lo, lo + axis.size))
-    pos = np.meshgrid(*mag.axes[:n], indexing="ij")
-    computed = np.sqrt(sum(p**2 for p in pos)) <= reach + np.sqrt(n) * g.spacing
+    computed = _in_reach_set(mag, reach)
     expect = np.abs(full[tuple(box)])
     assert mag.values[computed].tobytes() == expect[computed].tobytes()
     assert not np.any(mag.values[~computed])
+
+
+@pytest.mark.parametrize("n, sizes", [(1, (32, 64, 128, 130)), (2, (12, 20, 28, 34, 42))])
+def test_ray_stencil_reads_only_the_reach_set(n, sizes):
+    # every corner that multilinear interpolation weights at a point of
+    # norm <= r_max (the estimator's ray samples and random points of the
+    # ball) lies in the set B that stft_magnitude computes for the reach
+    # estimate_wf asks for
+    rng = np.random.default_rng(26)
+    params = WavefrontParams()
+    for big_n, win_of in itertools.product(sizes, (gaussian_window, hann_window)):
+        g = make_grid(n, big_n, 7.0)
+        win = win_of(g)
+        r_min, r_max = _radius_band(g, win.sigma_x, win.sigma_xi, params)
+        reach = r_max * (1.0 + 1e-9)
+        mag = stft_magnitude(_rand_field(g, rng), win, reach)
+        inside = _in_reach_set(mag, reach)
+        assert n == 1 or not inside.all()
+        dirs = direction_grid(2 * n).directions
+        ball = rng.standard_normal((4000, 2 * n))
+        ball *= (r_max * rng.uniform(0.0, 1.0, (4000, 1)) ** (1.0 / (2 * n))
+                 / np.linalg.norm(ball, axis=1, keepdims=True))
+        radii = np.geomspace(r_min, r_max, params.radii)
+        pts = np.concatenate([(radii[None, :, None] * dirs[:, None, :]).reshape(-1, 2 * n), ball])
+        st = _stencil(mag.axes, pts)
+        assert st.outside.size == 0
+        for off, corner in zip(st.offsets, itertools.product((0, 1), repeat=2 * n)):
+            weight = np.prod([y if c else 1 - y for y, c in zip(st.y, corner)], axis=0)
+            assert inside.ravel()[st.base[weight != 0] + off].all(), (big_n, win_of, corner)

@@ -33,12 +33,17 @@ Fresh-interpreter probes, K times per checkout, alternating:
   every round's fingerprints, and per round (medians) the round's CPU and
   wall time and the CPU and wall time spent writing outputs, inside
   `cli._write` (in a commit without it, `Path.write_text`).
-- the spectrogram ladder: for n=1 at N=128, 256, 512 and n=2 at N=32,
-  64, 128 (L=7, a Gaussian packet, the Gaussian window, k_test 0.05),
-  `stft_magnitude` within the reach `estimate_wf` uses and
-  `estimate_wf_from_stft` on its result, each the median process CPU of
-  three calls after a warm-up call, with a hash of the magnitudes and
-  of the `flagged` mask.
+
+The spectrogram ladder runs in one interpreter that loads both
+checkouts' packages side by side: for n=1 at N=128, 256, 512 and n=2 at
+N=32, 64, 128 (L=7, a Gaussian packet, the Gaussian window, k_test
+0.05), after one warm-up call per side, SPECTROGRAM_CALLS alternating
+pairs of `stft_magnitude` within the reach `estimate_wf` uses and of
+`estimate_wf_from_stft` on its result.  Per case and side it records
+the median and quartiles of process CPU per call of each, the pairs in
+which head was faster, a hash of k_hat, value_at_rmax and `flagged`, the
+nonzero magnitude cells, and the largest |V| difference over the cells
+both sides hold nonzero, with the count of cells only head holds nonzero.
 
 With `--rss-rounds R`, each checkout runs R cli-jobs rounds of seed 102
 in one interpreter, fingerprinting every output as perfbench does, and
@@ -137,35 +142,6 @@ for seed in map(int, sys.argv[1:]):
                 h.update(a.tobytes())
             flagged.update(est.flagged.tobytes())
     out[seed] = {"estimate": h.hexdigest(), "flagged": flagged.hexdigest()}
-print(json.dumps(out))
-"""
-
-SPECTROGRAM_PROBE = """
-import hashlib, json, statistics, time
-from twistlab import GaussianPacket, WavefrontParams, make_grid, sample_analytic
-from twistlab.spectral import gaussian_window, stft_magnitude
-from twistlab.wavefront import _radius_band, estimate_wf_from_stft
-params = WavefrontParams(k_test=0.05)
-out = {}
-for n, sizes in ((1, (128, 256, 512)), (2, (32, 64, 128))):
-    for N in sizes:
-        g = make_grid(n, N, 7.0)
-        u = sample_analytic(GaussianPacket((0.3,) * n, 0.9, (-0.5,) * n), g)
-        win = gaussian_window(g)
-        reach = _radius_band(g, win.sigma_x, win.sigma_xi, params)[1] * (1.0 + 1e-9)
-        cpu = {"stft_magnitude": [], "estimate_wf_from_stft": []}
-        for r in range(4):
-            c = time.process_time()
-            mag = stft_magnitude(u, win, reach)
-            cpu["stft_magnitude"].append(time.process_time() - c)
-            c = time.process_time()
-            est = estimate_wf_from_stft(mag, params)
-            cpu["estimate_wf_from_stft"].append(time.process_time() - c)
-        key = f"n{n}_N{N}"
-        for layer, times in cpu.items():
-            out[f"{key}_{layer}_cpu_s"] = statistics.median(times[1:])
-        out[f"{key}_magnitude_sha256"] = hashlib.sha256(mag.values.tobytes()).hexdigest()
-        out[f"{key}_flagged_sha256"] = hashlib.sha256(est.flagged.tobytes()).hexdigest()
 print(json.dumps(out))
 """
 
@@ -396,6 +372,50 @@ for name, case in cases.items():
 print(json.dumps(out))
 """
 
+SPECTROGRAM_CALLS = 20
+SPECTROGRAM_LADDER = SIDES + """
+import hashlib
+out = {}
+for n, sizes in ((1, (128, 256, 512)), (2, (32, 64, 128))):
+    for N in sizes:
+        run, mags, ests = {}, {}, {}
+        for side, tl in sides.items():
+            g = tl.make_grid(n, N, 7.0)
+            u = tl.sample_analytic(tl.GaussianPacket((0.3,) * n, 0.9, (-0.5,) * n), g)
+            win, params = tl.spectral.gaussian_window(g), tl.WavefrontParams(k_test=0.05)
+            reach = tl.wavefront._radius_band(g, win.sigma_x, win.sigma_xi, params)[1] * (1.0 + 1e-9)
+            run[side] = (lambda tl=tl, u=u, win=win, reach=reach: tl.spectral.stft_magnitude(u, win, reach),
+                         lambda mag, tl=tl, params=params: tl.wavefront.estimate_wf_from_stft(mag, params))
+            mags[side] = run[side][0]()     # also the warm-up call
+            ests[side] = run[side][1](mags[side])
+        cpu = {side: {"stft_magnitude": [], "fit": []} for side in sides}
+        for order in orders(calls):
+            for side in order:
+                c = time.process_time()
+                mag = run[side][0]()
+                cpu[side]["stft_magnitude"].append(time.process_time() - c)
+                c = time.process_time()
+                run[side][1](mag)
+                cpu[side]["fit"].append(time.process_time() - c)
+                del mag
+        row = {side: {layer: cpu_summary(t) for layer, t in cpu[side].items()} for side in sides}
+        row["head_faster_in_pairs"] = {layer: sum(h < b for b, h in zip(
+            cpu["base"][layer], cpu["head"][layer])) for layer in cpu["base"]}
+        row["calls_per_side"] = calls
+        row["estimate_sha256"] = {side: hashlib.sha256(b"".join(
+            a.tobytes() for a in (e.k_hat, e.value_at_rmax, e.flagged))).hexdigest()
+            for side, e in ests.items()}
+        row["estimate_bytes_equal"] = len(set(row["estimate_sha256"].values())) == 1
+        b, h = mags["base"].values, mags["head"].values
+        both = (b != 0) & (h != 0)
+        row["nonzero_cells"] = {side: int(np.count_nonzero(m.values)) for side, m in mags.items()}
+        row["head_only_nonzero_cells"] = int(np.count_nonzero((h != 0) & (b == 0)))
+        row["max_abs_diff_on_cells_both_compute"] = float(np.abs(h - b)[both].max(initial=0.0))
+        out[f"n{n}_N{N}"] = row
+        del mags, ests, run, b, h, both
+print(json.dumps(out))
+"""
+
 PRODUCTS_ROUNDS = """
 import json, resource, statistics, tempfile, time
 from pathlib import Path
@@ -616,8 +636,7 @@ def main(argv=None) -> int:
                     "numpy": numpy_version, "blas_threads": 1},
         "commits": commits,
     }
-    probes = {side: {"grid": [], "wf": [], "verify": [], "exact": [], "spectrogram": []}
-              for side in trees}
+    probes = {side: {"grid": [], "wf": [], "verify": [], "exact": []} for side in trees}
     for i in range(args.repeats):
         for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
             probes[side]["grid"].append(
@@ -626,12 +645,9 @@ def main(argv=None) -> int:
             probes[side]["verify"].append(verify_all(trees[side], args.workdir))
             probes[side]["exact"].append(last_json([sys.executable, "-c", EXACT_PROBE],
                                                    trees[side]))
-            probes[side]["spectrogram"].append(
-                last_json([sys.executable, "-c", SPECTROGRAM_PROBE], trees[side]))
             log(f"probe {i} {side}: " + " ".join(str(probes[side][k][-1]) for k in probes[side]))
     for key, name in (("grid", "first_direction_grid_4"), ("wf", "oneshot_wf_n2"),
-                      ("verify", "verify_all"), ("exact", "exact_layer"),
-                      ("spectrogram", "spectrogram_ladder")):
+                      ("verify", "verify_all"), ("exact", "exact_layer")):
         result[name] = {side: {"median": medians(probes[side][key]), "runs": probes[side][key]}
                         for side in probes}
         # a hash one side lacks was refused there: None makes it unequal
@@ -641,6 +657,10 @@ def main(argv=None) -> int:
         if len(equal) > 1:
             result[name]["bytes_equal_by_hash"] = equal
     result["oneshot_wf_n2"]["config"] = WF_CONFIG
+    result["spectrogram_ladder"] = last_json(
+        [sys.executable, "-c", SPECTROGRAM_LADDER, str(SPECTROGRAM_CALLS),
+         str(trees["base"] / "src"), str(trees["head"] / "src")], trees["head"])
+    log(f"spectrogram ladder: {json.dumps(result['spectrogram_ladder'])}")
     if args.tier1:
         runs = {side: [] for side in trees}
         for i in range(args.tier1):
