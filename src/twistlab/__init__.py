@@ -4,8 +4,9 @@ that predicts which directions survive a product.
 
 The numerical layer (grids, products, spectral, wavefront) works on
 `SampledField` values; the exact layer (rational, matrices, cones,
-calculus) works on `Fraction` matrices and `ConicSet` values, and its
-verdicts use no floating point.  `suites` ties the two together with named
+calculus) takes rational data (ints, `Fraction`s, floats, "p/q" strings
+or [p, q] pairs) and `ConicSet` values, computes on Python integers,
+and its verdicts use no floating point.  `suites` ties the two together with named
 verification checks, runnable from the `twistlab` command line.
 """
 

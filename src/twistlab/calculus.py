@@ -1,7 +1,12 @@
 """Exact conic calculus: product existence, predicted wavefront sets,
 cone algebra conditions, and the pullback transform.
 
-All verdicts here are exact over rational arithmetic.  Every yes/no
+All verdicts here are exact.  Rational inputs (theta, maps) are
+brought to integer form once, T / q with T an integer matrix and q > 0,
+and the equations are written over the integers: x = (1/2) theta xi
+becomes 2q x - T xi = 0, which has the same kernel and the same image
+cone, and a map such as (x, xi) -> x + (1/2) theta xi is applied times
+2q.  Every yes/no
 verdict is one witness search (`_witness`) over tuples of generator
 cones, or a few, chosen by the complement search `_escape`.  Its
 workhorse is nonnegative feasibility with "nonzero" side conditions: a
@@ -15,20 +20,18 @@ sum t^i r_i of the extreme rays r_i for all but finitely many t > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, product
 from operator import mul
 
 from .matrices import AntisymmetricMatrix
 from .rational import (
-    ONE,
-    ZERO,
     Mat,
     Vec,
     dot,
     extreme_rays,
     hcat,
     identity,
+    integer_form,
     integer_ray,
     inverse,
     madd,
@@ -38,7 +41,6 @@ from .rational import (
     matvec,
     mscale,
     nullspace,
-    primitive_ray,
     vneg,
     zeros,
 )
@@ -81,7 +83,7 @@ def as_rational_antisym(theta, n: int) -> Mat:
 
 def _flip(n: int) -> Mat:
     """F: (x, xi) -> (x, -xi) on R^{2n}."""
-    return _projector(n, 0) + mscale(-ONE, _projector(n, 1))
+    return _projector(n, 0) + mscale(-1, _projector(n, 1))
 
 
 def _half_dim(wfu: ConicSet, wfv: ConicSet) -> int:
@@ -102,7 +104,7 @@ def feasible_with_nonzero(a: Mat, ncols: int, selectors: list[Mat]) -> Vec | Non
         return None
     # deterministic generic combination: w(t) = sum t^i r_i
     for t in range(1, 1 + max(4, len(rays) * (len(selectors) + 1) * 4)):
-        w = tuple(sum((t ** i * x for i, x in enumerate(col)), ZERO) for col in zip(*rays))
+        w = tuple(sum(t ** i * x for i, x in enumerate(col)) for col in zip(*rays))
         if all(any(dot(row, w) for row in sel) for sel in selectors):
             return w
     raise RuntimeError("generic witness search failed; selector degrees exceeded bound")
@@ -123,7 +125,7 @@ def _witness(sets: tuple[ConicSet, ...], rows: Mat, *nonzero: Mat) -> tuple[Vec,
         selectors = [matmul(e, g) for e in (*nonzero, *excludes)]
         w = feasible_with_nonzero(matmul(rows, g), len(g[0]), selectors)
         if w is not None:
-            point = primitive_ray(matvec(g, w))
+            point = integer_ray(matvec(g, w))
             return tuple(point[e - s.dim:e] for s, e in zip(sets, ends))
     return None
 
@@ -149,11 +151,14 @@ def _complement(gc: PolyhedralCone, ycols: list[tuple[int, ...]]):
             yield *_hform(kept), False
 
 
-def _piece_witness(parts: tuple[ConicSet, ...], ymap: Mat, pieces: tuple) -> tuple[Vec, ...] | None:
-    """Nonzero members p_i of parts[i] whose image y = ymap p is nonzero
-    and lies in every piece, as (p_1, ..., p_m, primitive y), or None.
-    One `_witness` call, with a slack s >= 0 per inequality row b of the
-    pieces, b y - s = 0, and s != 0 for a strict piece."""
+def _piece_witness(parts: tuple[ConicSet, ...], ymap: Mat, pieces: tuple,
+                   den: int = 1) -> tuple[Vec, ...] | None:
+    """Nonzero members p_i of parts[i] whose image y = ymap p / den is
+    nonzero and lies in every piece, as (p_1, ..., p_m, primitive y), or
+    None.  One `_witness` call, with a slack s >= 0 per inequality row b
+    of the pieces, b ymap p - den s = 0, and s != 0 for a strict piece;
+    den keeps s the slack of the exact map, so witnesses do not depend on
+    how ymap is scaled."""
     eqs, ineqs = (sum((piece[i] for piece in pieces), ()) for i in (0, 1))
     width, k = len(ymap[0]), len(ineqs)
 
@@ -161,7 +166,7 @@ def _piece_witness(parts: tuple[ConicSet, ...], ymap: Mat, pieces: tuple) -> tup
         """The rows picking n coordinates from lo of the point (p, s)."""
         return hcat(zeros(n, lo), identity(n), zeros(n, width + k - lo - n))
 
-    rows = hcat(matmul(eqs + ineqs, ymap), zeros(len(eqs), k) + mscale(-ONE, identity(k)))
+    rows = hcat(matmul(eqs + ineqs, ymap), zeros(len(eqs), k) + mscale(-den, identity(k)))
     starts = accumulate((len(piece[1]) for piece in pieces), initial=width)
     # a strict piece keeps y != 0, and a selector of p_i's cone keeps p_i != 0
     nonzero = [coords(lo, 1) for lo, piece in zip(starts, pieces) if piece[2]]
@@ -170,13 +175,14 @@ def _piece_witness(parts: tuple[ConicSet, ...], ymap: Mat, pieces: tuple) -> tup
                 if not s.components[0].excludes]
     orthant = (polyhedral(identity(k)),) if k else ()
     w = _witness((*parts, *orthant), rows, *nonzero)
-    return w and (*w[:len(parts)], primitive_ray(matvec(ymap, sum(w[:len(parts)], ()))))
+    return w and (*w[:len(parts)], integer_ray(matvec(ymap, sum(w[:len(parts)], ()))))
 
 
-def _escape(sets: tuple[ConicSet, ...], ymap: Mat, target: ConicSet) -> tuple[Vec, ...] | None:
+def _escape(sets: tuple[ConicSet, ...], ymap: Mat, target: ConicSet,
+            den: int = 1) -> tuple[Vec, ...] | None:
     """Nonzero members p_i of sets[i] whose image y = ymap (p_1, ..., p_m)
-    is nonzero and outside target, as (p_1, ..., p_m, primitive y), or
-    None.
+    / den is nonzero and outside target, as (p_1, ..., p_m, primitive y),
+    or None; ymap is an integer matrix and den > 0.
 
     Per tuple of the sets' generator cones.  A target cone whose hull
     holds every image column and whose selectors do not cut it holds the
@@ -195,7 +201,7 @@ def _escape(sets: tuple[ConicSet, ...], ymap: Mat, target: ConicSet) -> tuple[Ve
         if (budget := budget - 1) < 0:
             raise ValueError(f"complement search past its budget of {MAX_PIECE_SEARCHES} "
                              f"piece choices over {len(tcones)} target cones")
-        w = _piece_witness(parts, ymap, chosen)
+        w = _piece_witness(parts, ymap, chosen, den)
         held = w and next((gc for gc in tcones if gencone_member(gc, w[-1])), None)
         if not held:
             return w
@@ -233,11 +239,10 @@ def existence_condition(wfu: ConicSet, wfv: ConicSet, theta) -> ExistenceResult:
     space points ((x, xi), (x, -xi)).
     """
     n = _half_dim(wfu, wfv)
-    tm = as_rational_antisym(theta, n)
-    px, pxi = _projector(n, 0), _projector(n, 1)
-    # q = F p, and p lies on the slice x = (1/2) theta xi
-    slice_rows = madd(px, matmul(mscale(Fraction(-1, 2), tm), pxi))
-    mu = mscale(-ONE, _flip(n)) + slice_rows
+    tm, q = integer_form(as_rational_antisym(theta, n))
+    # q = F p, and p lies on the slice x = (1/2) theta xi: 2q x - T xi = 0
+    slice_rows = hcat(mscale(2 * q, identity(n)), mscale(-1, tm))
+    mu = mscale(-1, _flip(n)) + slice_rows
     mv = identity(2 * n) + zeros(n, 2 * n)
     w = _witness((wfu, wfv), hcat(mu, mv), hcat(identity(2 * n), zeros(2 * n, 2 * n)))
     return ExistenceResult(w is None, w)
@@ -252,15 +257,18 @@ def existence_condition_theta_inv(wfu: ConicSet, wfv: ConicSet, theta) -> Existe
     `existence_condition`.
     """
     n = _half_dim(wfu, wfv)
-    tinv = inverse(as_rational_antisym(theta, n))
-    if tinv is None:
+    tm, q = integer_form(as_rational_antisym(theta, n))
+    if (tinv := inverse(tm)) is None:
         raise ValueError("theta is not invertible; use existence_condition")
+    # theta^{-1} = q ti / d
+    ti, d = tinv
     px, pxi = _projector(n, 0), _projector(n, 1)
-    ti2px = matmul(mscale(Fraction(2), tinv), px)
+    ti2px, dpxi = matmul(mscale(2 * q, ti), px), mscale(d, pxi)
     zero = zeros(n, 2 * n)
-    # xi_p = 2 theta^{-1} x_p, x_q = x_p, xi_q = -2 theta^{-1} x_q
-    mu = madd(pxi, mscale(-ONE, ti2px)) + mscale(-ONE, px) + zero
-    mv = zero + px + madd(pxi, ti2px)
+    # xi_p = 2 theta^{-1} x_p, x_q = x_p, xi_q = -2 theta^{-1} x_q, the
+    # first and last times d
+    mu = madd(dpxi, mscale(-1, ti2px)) + mscale(-1, px) + zero
+    mv = zero + px + madd(dpxi, ti2px)
     w = _witness((wfu, wfv), hcat(mu, mv), hcat(px, zero))
     return ExistenceResult(w is None, w, "theta-inverse")
 
@@ -300,18 +308,20 @@ def predicted_star_wf(wfu: ConicSet, wfv: ConicSet, theta) -> ConicSet:
 def _predicted(wfu: ConicSet, wfv: ConicSet, theta, rot: Mat | None = None) -> ConicSet:
     """`predicted_product_wf` of rot^-1 wfu and rot^-1 wfv, mapped by rot
     (the identity when None): one `_image` call per family, whose rows and
-    output map act on the factors' own points through rot^-1."""
+    output map act on the factors' own points through rot^-1.  The slices
+    x +- (1/2) theta xi and the interaction family's output map are
+    written times 2q, theta = T / q."""
     n = _half_dim(wfu, wfv)
-    tm = as_rational_antisym(theta, n)
+    tm, q = integer_form(as_rational_antisym(theta, n))
     px, pxi = _projector(n, 0), _projector(n, 1)
-    half_theta_xi = matmul(mscale(Fraction(1, 2), tm), pxi)
-    plus, minus = madd(px, half_theta_xi), madd(px, mscale(-ONE, half_theta_xi))
+    theta_xi, qpx, qpxi = matmul(tm, pxi), mscale(2 * q, px), mscale(2 * q, pxi)
+    plus, minus = madd(qpx, theta_xi), madd(qpx, mscale(-1, theta_xi))
     eye = identity(2 * n)
     # (sets, rows, out) with one block per set
-    families = [((wfu, wfv), (mscale(-ONE, plus), minus), (eye, half_theta_xi + pxi)),
+    families = [((wfu, wfv), (mscale(-1, plus), minus), (mscale(2 * q, eye), theta_xi + qpxi)),
                 ((wfu,), (plus,), (eye,)), ((wfv,), (minus,), (eye,))]
     if rot is not None:
-        back = inverse(rot)
+        back, _ = inverse(rot)
         families = [(sets, [matmul(b, back) for b in rows], [matmul(rot, matmul(b, back)) for b in out])
                     for sets, rows, out in families]
     comps = [c for sets, rows, out in families for c in _image(sets, hcat(*rows), hcat(*out))]
@@ -370,7 +380,7 @@ def shift_algebra_check(gamma1: ConicSet, gamma2: ConicSet, theta) -> ShiftAlgeb
     if gamma1.dim != gamma2.dim:
         raise ValueError("cones must live in the same dimension")
     eye, zero = identity(gamma1.dim), zeros(gamma1.dim, gamma1.dim)
-    half_theta = mscale(Fraction(1, 2), as_rational_antisym(theta, gamma1.dim))
+    tm, q = integer_form(as_rational_antisym(theta, gamma1.dim))
     # salience, within one cone and across two: no members p, q with p + q = 0
     if (w := _witness((gamma2, gamma2), hcat(eye, eye), hcat(eye, zero))) is not None:
         salient = ConditionCheck("additive-salient", False, w, "two members sum to zero")
@@ -381,7 +391,8 @@ def shift_algebra_check(gamma1: ConicSet, gamma2: ConicSet, theta) -> ShiftAlgeb
                                  note="no two members sum to zero or leave the set")
     origin = ConditionCheck("origin-excluded", True,
                             note="conic sets exclude the origin by representation")
-    w = _escape((gamma1, gamma2), hcat(eye, half_theta), gamma1)
+    # x0 + (1/2) theta xi = (2q x0 + T xi) / 2q
+    w = _escape((gamma1, gamma2), hcat(mscale(2 * q, eye), tm), gamma1, 2 * q)
     stable = ConditionCheck("shift-stability", w is None, w, "shifted point leaves gamma1" if w
                             else "no member of gamma1 shifted along gamma2 leaves it")
     return ShiftAlgebraReport(salient, origin, stable)
@@ -405,7 +416,7 @@ def pair_condition(gamma: ConicSet) -> PairConditionResult:
     if gamma.dim % 2 != 0:
         raise ValueError("phase space dimension must be even")
     flip, eye = _flip(gamma.dim // 2), identity(gamma.dim)
-    w = _witness((gamma, gamma), hcat(mscale(-ONE, flip), eye),
+    w = _witness((gamma, gamma), hcat(mscale(-1, flip), eye),
                  hcat(eye, zeros(gamma.dim, gamma.dim)))
     return PairConditionResult(w is None, w)
 
@@ -434,22 +445,24 @@ def wf_pullback(s: ConicSet, amap) -> PullbackResult:
     if s.dim != 2 * m:
         raise ValueError(f"set dimension {s.dim} does not match map rows {m}")
     px, pxi = _projector(m, 0), _projector(m, 1)
-    at = mat_t(am)
+    # A = ai / d
+    ai, d = integer_form(am)
+    at = mat_t(ai)
     # s meets the conormal set: (y, eta) in s with y = 0, A^T eta = 0, eta != 0
     w = _witness((s,), px + matmul(at, pxi), pxi)
-    # (x, A^T eta) over x in R^n and (y, eta) in s with A x = y; a selector
-    # (E_y, E_eta) on (y, eta) carries as (E_y A, F) on (x, xi) when
-    # E_eta = F A^T, which holds for every selector when A is invertible
-    out_comps = list(_image((full_space(n), s), hcat(am, mscale(-ONE, px)),
-                            hcat(identity(n), zeros(n, 2 * m))
+    # (x, A^T eta) over x in R^n and (y, eta) in s with A x = y, both
+    # times d; a selector (E_y, E_eta) on (y, eta) carries as (E_y A, F)
+    # on (x, xi) when E_eta = F A^T, which holds for every selector when
+    # A is invertible
+    out_comps = list(_image((full_space(n), s), hcat(ai, mscale(-d, px)),
+                            hcat(mscale(d, identity(n)), zeros(n, 2 * m))
                             + hcat(zeros(n, n), matmul(at, pxi))))
-    kernel = nullspace(am, n)
+    kernel = nullspace(ai, n)
     if kernel:
         kgens = []
         for b in kernel:
-            v = tuple(b) + tuple(ZERO for _ in range(n))
-            kgens.append(primitive_ray(v))
-            kgens.append(primitive_ray(vneg(v)))
+            v = integer_ray(b + (0,) * n)
+            kgens += [v, vneg(v)]
         out_comps.append(PolyhedralCone(tuple(kgens)))
     return PullbackResult(w is None, ConicSet(2 * n, tuple(out_comps)),
                           None if w is None else w[0])

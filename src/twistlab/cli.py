@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -146,22 +147,19 @@ def _field_from(spec, grid, key: str):
         raise ConfigError(f"{key}: expected an object with a 'kind' field")
     kind = spec["kind"]
     try:
+        def reals(name, default):
+            return _reals(spec.get(name, default), f"{key}.{name}")
+
         if kind == "delta":
-            return sample_analytic(Delta(_num_or_vec(spec.get("a", 0.0))), grid)
+            return sample_analytic(Delta(reals("a", 0.0)), grid)
         if kind == "planewave":
-            return sample_analytic(PlaneWave(_num_or_vec(spec.get("a", 0.0))), grid)
+            return sample_analytic(PlaneWave(reals("a", 0.0)), grid)
         if kind == "chirp":
             envelope = _flag(spec, "envelope", f"{key}.envelope")
-            return sample_analytic(Chirp(spec.get("matrix", [[0.0]]), envelope=envelope), grid)
+            return sample_analytic(Chirp(reals("matrix", [[0.0]]), envelope=envelope), grid)
         if kind == "gaussian":
-            return sample_analytic(
-                GaussianPacket(
-                    _num_or_vec(spec.get("mu", 0.0)),
-                    float(spec.get("sigma", 1.0)),
-                    _num_or_vec(spec["b"]) if "b" in spec else None,
-                ),
-                grid,
-            )
+            b = reals("b", None) if "b" in spec else None
+            return sample_analytic(GaussianPacket(reals("mu", 0.0), reals("sigma", 1.0), b), grid)
         if kind == "file":
             f = SampledField.from_json(Path(_need(spec, "path", key)).read_text())
             if not f.grid.compatible(grid):
@@ -182,10 +180,22 @@ def _is_number(x) -> bool:
     return _is_int(x) or isinstance(x, float)
 
 
-def _num_or_vec(x):
-    if isinstance(x, (list, tuple)):
-        return tuple(float(v) for v in x)
-    return float(x)
+def _reals(x, where: str):
+    """A JSON number as a finite float, and a list as a tuple of such
+    values, nested as given.  Anything else exits 2 naming `where`: a
+    boolean would read as 1.0 or 0.0, and a string would be parsed."""
+    if isinstance(x, list):
+        return tuple(_reals(v, where) for v in x)
+    if not _is_number(x):
+        raise ConfigError(f"{where}: expected a finite number, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:
+        raise ConfigError(f"{where}: expected a finite number, got an integer "
+                          "beyond float range") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value}")
+    return value
 
 
 def _rational_matrix(rows, key: str):

@@ -1,10 +1,15 @@
 """Exact finite representations of closed conic subsets of R^d \\ {0}.
 
-A ConicSet is a finite union of generator cones, over Fraction
-arithmetic.  A generator cone (`PolyhedralCone`) is a tuple of
-generators plus "exclude" selectors, and represents
+A ConicSet is a finite union of generator cones, over integer
+arithmetic.  A generator cone (`PolyhedralCone`) is a tuple of integer
+generators with one positive denominator for the whole cone, plus
+"exclude" selectors with primitive integer rows, and represents
 
     {v in cone(generators) : v != 0 and  E v != 0 for every selector E}.
+
+Cones are homogeneous, so the denominator matters only where exact
+values leave the layer (`set_to_obj`) and where cones are stacked side
+by side (`_stacked`), which brings them to a common denominator.
 
 Polyhedral cones, rays, subspaces, graphs {(x, Ax)} and products of two
 lower dimensional sets are input forms: their constructors, and the
@@ -19,25 +24,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
 
 from .rational import (
-    ONE,
-    ZERO,
     Mat,
     Vec,
     _eliminate,
-    _integer_rows,
     extreme_rays,
     hcat,
     identity,
+    integer_form,
     integer_ray,
-    is_zero_vec,
     left_solve,
     mat,
     mat_t,
@@ -45,7 +47,6 @@ from .rational import (
     matvec,
     mscale,
     nullspace,
-    primitive_ray,
     rank,
     row_space_canonical,
     vec,
@@ -59,20 +60,34 @@ from .rational import (
 
 @dataclass(frozen=True)
 class PolyhedralCone:
-    """Nonnegative rational combinations of `generators`, origin excluded.
+    """Nonnegative combinations of the exact generators g / den, origin
+    excluded.
 
-    `excludes` is a tuple of selector matrices E; points with E v = 0 are
-    removed from the set.  An empty tuple means the cone minus the origin.
+    Generators are stored as integer tuples, and `den` as the least
+    common denominator of their exact values; rational generators, or
+    integer ones with a `den`, are brought to that form here.  `excludes`
+    is a tuple of selector matrices E, stored with primitive integer
+    rows; points with E v = 0 are removed from the set.  An empty tuple
+    means the cone minus the origin.
     """
 
     generators: Mat
     excludes: tuple[Mat, ...] = ()
+    den: int = 1
 
     def __post_init__(self):
         if not self.generators:
             raise ValueError("polyhedral component needs at least one generator")
-        if any(is_zero_vec(g) for g in self.generators):
+        gens, d = integer_form(self.generators)
+        den = self.den * d
+        if den > 1 and (g := gcd(den, *chain.from_iterable(gens))) > 1:
+            gens, den = tuple(tuple(x // g for x in r) for r in gens), den // g
+        if not all(map(any, gens)):
             raise ValueError("zero generator not allowed")
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "excludes", tuple(
+            tuple(map(integer_ray, integer_form(e)[0])) for e in self.excludes))
 
     @property
     def dim(self) -> int:
@@ -112,7 +127,7 @@ def polyhedral(gens) -> ConicSet:
 def ray_set(v, both: bool = False) -> ConicSet:
     """The ray {t v : t > 0}, or the antipodal pair when both=True."""
     w = vec(v)
-    if is_zero_vec(w):
+    if not any(w):
         raise ValueError("ray direction must be nonzero")
     rays = (w, vneg(w)) if both else (w,)
     return ConicSet(len(w), tuple(PolyhedralCone((r,)) for r in rays))
@@ -165,9 +180,10 @@ def product_set(
     gxis, xi_zero = _part_cones(xi_part, xi_includes_zero)
     px, pxi = _projector(half, 0), _projector(half, 1)
     cones = []
-    for x_gens, x_excl in gxs:
-        for xi_gens, xi_excl in gxis:
-            gens = _embed(x_gens, half, 0) + _embed(xi_gens, half, 1)
+    for x_gens, x_den, x_excl in gxs:
+        for xi_gens, xi_den, xi_excl in gxis:
+            den = lcm(x_den, xi_den)
+            gens = _embed(x_gens, den // x_den, half, 0) + _embed(xi_gens, den // xi_den, half, 1)
             if not gens:                       # {0} x {0} holds no point
                 continue
             excludes = [matmul(e, px) for e in x_excl]
@@ -176,7 +192,7 @@ def product_set(
                 excludes.append(px)
             if not xi_zero:
                 excludes.append(pxi)
-            cones.append(PolyhedralCone(gens, tuple(excludes)))
+            cones.append(PolyhedralCone(gens, tuple(excludes), den))
     return ConicSet(2 * half, tuple(cones))
 
 
@@ -184,9 +200,12 @@ def empty_set(d: int) -> ConicSet:
     return ConicSet(d, ())
 
 
-def _embed(gens: Mat, half: int, side: int) -> Mat:
-    """Embed R^half generators into R^{2*half} on side 0 (x) or 1 (xi)."""
-    zero = tuple(ZERO for _ in range(half))
+def _embed(gens: Mat, c: int, half: int, side: int) -> Mat:
+    """Embed R^half generators, times c, into R^{2*half} on side 0 (x)
+    or 1 (xi)."""
+    zero = (0,) * half
+    if c != 1:
+        gens = mscale(c, gens)
     if side == 0:
         return tuple(g + zero for g in gens)
     return tuple(zero + g for g in gens)
@@ -199,20 +218,21 @@ def _projector(half: int, side: int) -> Mat:
 
 
 def _part_cones(part: ConicSet | None, includes_zero: bool) -> tuple[list, bool]:
-    """(generators, excludes) pairs whose union is one side of a product
-    (the part, with 0 where it admits 0), and whether 0 is in that union.
+    """(generators, den, excludes) triples whose union is one side of a
+    product (the part, with 0 where it admits 0), and whether 0 is in
+    that union.
 
     A cone without selectors holds 0; any selector removes it (E 0 = 0).
     So where the part admits 0, selectors that only remove the origin are
     dropped, and the origin cone is added when every cone still carries a
     selector, which covers empty parts; None is {0}."""
     if part is None:
-        return [((), ())], True
-    cones = [(c.generators, c.excludes) for c in part.components]
+        return [((), 1, ())], True
+    cones = [(c.generators, c.den, c.excludes) for c in part.components]
     if includes_zero:
-        cones = [(g, tuple(e for e in excl if _kernel_slice(e, g))) for g, excl in cones]
-        if all(excl for _, excl in cones):
-            cones.append(((), ()))
+        cones = [(g, d, tuple(e for e in excl if _kernel_slice(e, g))) for g, d, excl in cones]
+        if all(excl for _, _, excl in cones):
+            cones.append(((), 1, ()))
     return cones, includes_zero
 
 
@@ -238,10 +258,10 @@ def _hform(gens: Mat) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...
     their first spanning (r - 1)-subset of generators, r the rank: the
     greedy pivots `_eliminate` picks among the generators with zero
     slack.  `extreme_rays` budgets the work.  Cached per cone."""
-    eqs = tuple(integer_ray(a) for a in nullspace(gens))
-    slacks = extreme_rays(nullspace(mat_t(gens)), len(gens))
-    normals = left_solve(tuple(w + (0,) * len(eqs) for w in slacks), hcat(mat_t(gens), mat_t(eqs)))
-    rows = _integer_rows(mat_t(gens))
+    eqs = tuple(map(integer_ray, nullspace(gens)))
+    rows = mat_t(gens)
+    slacks = extreme_rays(nullspace(rows), len(gens))
+    normals, _ = left_solve(tuple(w + (0,) * len(eqs) for w in slacks), hcat(rows, mat_t(eqs)))
 
     def first_basis(w: Vec) -> tuple[int, ...]:
         on = [j for j, x in enumerate(w) if not x]
@@ -252,13 +272,13 @@ def _hform(gens: Mat) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...
 
 
 def gencone_member(gc: PolyhedralCone, v: Vec) -> bool:
-    if is_zero_vec(v):
+    """Membership of an integer vector, or any positive multiple of it."""
+    if not any(v):
         return False
     eqs, facets = _hform(gc.generators)
-    w = integer_ray(v)
-    return (all(sum(map(mul, a, w)) == 0 for a in eqs)
-            and all(sum(map(mul, h, w)) >= 0 for h in facets)
-            and all(not is_zero_vec(matvec(e, v)) for e in gc.excludes))
+    return (all(sum(map(mul, a, v)) == 0 for a in eqs)
+            and all(sum(map(mul, h, v)) >= 0 for h in facets)
+            and all(any(matvec(e, v)) for e in gc.excludes))
 
 
 def member(s: ConicSet, v) -> bool:
@@ -267,10 +287,10 @@ def member(s: ConicSet, v) -> bool:
     The zero vector is rejected: conic sets exclude the origin by
     definition, so membership of 0 is not a meaningful query.
     """
-    w = vec(v)
+    (w,), _ = integer_form((vec(v),))
     if len(w) != s.dim:
         raise ValueError(f"vector dimension {len(w)} != set dimension {s.dim}")
-    if is_zero_vec(w):
+    if not any(w):
         raise ValueError("membership of the zero vector is undefined for conic sets")
     return any(gencone_member(gc, w) for gc in set_gencones(s))
 
@@ -281,17 +301,20 @@ def member(s: ConicSet, v) -> bool:
 def _stacked(sets: tuple[ConicSet, ...]):
     """For each tuple of generator cones, one from each set, in
     `itertools.product` order: the matrix G whose columns are the cones'
-    generators stacked block-diagonally, so that G w = (p_1, ..., p_m)
-    with p_i in the hull of the i-th cone for every w >= 0, and the cones'
-    exclude selectors as selectors on that stacked point."""
+    exact generators stacked block-diagonally, times their common
+    denominator, so that G w = (p_1, ..., p_m) with p_i in the hull of the
+    i-th cone for every w >= 0, and the cones' exclude selectors as
+    selectors on that stacked point.  One common factor keeps each
+    generator's weight in G w as the exact generators give it."""
     ends = tuple(accumulate(s.dim for s in sets))
-    pads = [(e - s.dim, ends[-1] - e) for s, e in zip(sets, ends)]
+    pads = [((0,) * (e - s.dim), (0,) * (ends[-1] - e)) for s, e in zip(sets, ends)]
 
-    def lift(v: Vec, i: int) -> Vec:
-        return (ZERO,) * pads[i][0] + v + (ZERO,) * pads[i][1]
+    def lift(v: Vec, i: int, c: int = 1) -> Vec:
+        return pads[i][0] + (v if c == 1 else tuple(c * x for x in v)) + pads[i][1]
 
     for cones in product(*(set_gencones(s) for s in sets)):
-        g = mat_t([lift(v, i) for i, c in enumerate(cones) for v in c.generators])
+        den = lcm(*(c.den for c in cones))
+        g = mat_t([lift(v, i, den // c.den) for i, c in enumerate(cones) for v in c.generators])
         yield g, [tuple(lift(r, i) for r in e) for i, c in enumerate(cones) for e in c.excludes]
 
 
@@ -300,6 +323,8 @@ def _image(sets: tuple[ConicSet, ...], rows: Mat, out: Mat):
     {0}: the cone out G {w >= 0 : rows G w = 0}, generated by the
     primitive, deduplicated, nonzero images of that cone's extreme rays.
     This is the one ray enumeration behind every image of a conic set.
+    rows and out are integer; a positive factor on a row of rows, or on
+    the whole of out, changes no image.
 
     A selector E of the tuple's cones carries over as F_o exactly when
     E = F_o out + F_r rows: on the image y = out p we have rows p = 0, so
@@ -314,20 +339,20 @@ def _image(sets: tuple[ConicSet, ...], rows: Mat, out: Mat):
     @lru_cache(maxsize=None)
     def carry(e: Mat) -> Mat | None:
         f = left_solve(e, stack)
-        return None if f is None else row_space_canonical([r[:len(out)] for r in f])
+        return None if f is None else row_space_canonical([r[:len(out)] for r in f[0]])
 
     for g, excludes in _stacked(sets):
         og = matmul(out, g)
         gens: dict[Vec, None] = {}
         for r in extreme_rays(matmul(rows, g), len(g[0])):
             v = matvec(og, r)
-            if not is_zero_vec(v):
-                gens.setdefault(primitive_ray(v), None)
+            if any(v):
+                gens.setdefault(integer_ray(v), None)
         sels = dict.fromkeys(f for e in excludes if (f := carry(e)) is not None)
         # F' p != 0 forces F p != 0 when rowspace(F') lies in rowspace(F)
         sels = [f for f in sels if not any(f2 != f and rank(f + f2) == len(f) for f2 in sels)]
         # a selector that vanishes on every generator removes every point
-        if gens and not any(all(is_zero_vec(matvec(f, v)) for v in gens) for f in sels):
+        if gens and all(any(any(matvec(f, v)) for v in gens) for f in sels):
             yield PolyhedralCone(tuple(gens), tuple(sels))
 
 
@@ -338,13 +363,13 @@ def linear_image(s: ConicSet, m: Mat) -> ConicSet:
     cols = len(m[0]) if m else 0
     if cols != s.dim or any(len(r) != cols for r in m):
         raise ValueError(f"linear map has {cols} columns, set dimension is {s.dim}")
-    return ConicSet(len(m), tuple(_image((s,), (), m)))
+    return ConicSet(len(m), tuple(_image((s,), (), integer_form(m)[0])))
 
 
 def _fourier_rotation(n: int) -> Mat:
     """The map (x, xi) -> (xi, -x) on R^{2n}; its inverse is its negative."""
     eye, zero = identity(n), zeros(n, n)
-    return hcat(zero, eye) + hcat(mscale(-ONE, eye), zero)
+    return hcat(zero, eye) + hcat(mscale(-1, eye), zero)
 
 
 def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
@@ -352,7 +377,7 @@ def wf_fourier_rotate(s: ConicSet, inverse: bool = False) -> ConicSet:
     if s.dim % 2 != 0:
         raise ValueError("phase-space rotation needs even dimension")
     fwd = _fourier_rotation(s.dim // 2)
-    return linear_image(s, mscale(-ONE, fwd) if inverse else fwd)
+    return linear_image(s, mscale(-1, fwd) if inverse else fwd)
 
 
 def wf_chirp_shear(s: ConicSet, a) -> ConicSet:
@@ -381,7 +406,8 @@ def conic_equal(s: ConicSet, t: ConicSet) -> bool:
 # angular distance and containment reports
 
 def _float_gens(gc: PolyhedralCone) -> np.ndarray:
-    return np.array([[float(x) for x in g] for g in gc.generators], dtype=float)
+    # int / int rounds the exact value once, as float(Fraction) does
+    return np.array([[x / gc.den for x in g] for g in gc.generators], dtype=float)
 
 
 def angular_distance_deg(s: ConicSet, direction) -> float:
@@ -479,12 +505,9 @@ def angular_containment(directions, s: ConicSet, tol_deg: float) -> ContainmentR
 # ---------------------------------------------------------------------------
 # serialization
 
-def _frac_pair(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
-
-
-def _vec_obj(v: Vec) -> list[list[int]]:
-    return [_frac_pair(x) for x in v]
+def _vec_obj(v: Vec, den: int = 1) -> list[list[int]]:
+    """The exact values v / den as [num, den] pairs in lowest terms."""
+    return [[x // g, den // g] for x in v for g in (gcd(x, den),)]
 
 
 def _mat_obj(m: Mat) -> list[list[list[int]]]:
@@ -494,7 +517,7 @@ def _mat_obj(m: Mat) -> list[list[list[int]]]:
 def set_to_obj(s: ConicSet) -> dict:
     comps = []
     for c in s.components:
-        obj = {"kind": "polyhedral", "generators": _mat_obj(c.generators)}
+        obj = {"kind": "polyhedral", "generators": [_vec_obj(g, c.den) for g in c.generators]}
         if c.excludes:
             obj["excludes"] = [_mat_obj(e) for e in c.excludes]
         comps.append(obj)

@@ -1,15 +1,20 @@
-"""Exact rational linear algebra for small polyhedral cone problems.
+"""Exact linear algebra over the integers for small polyhedral cone problems.
 
-Everything here works over tuples of fractions.Fraction and is exact.
-The central primitive is extreme-ray enumeration for cones of the form
-{w >= 0 : A w = 0}: incremental double description over Python
-integers, one independent row of A at a time, with a combinatorial
-adjacency test on ray supports.  Rank, rref and that enumeration share
-one fraction-free (Bareiss) elimination.  Dimensions stay tiny (a
-handful of rows, at most a few dozen columns), and an enumeration that
-holds more than MAX_RAYS rays after a cut is refused.  No external
-solver is used: verdicts built on these routines are meant to certify
-counterexamples.
+Vectors and matrices are tuples of Python ints.  Rational data enters
+through `frac`, `vec` and `mat`, the one parse boundary, and
+`integer_form` scales it to integers with one positive denominator.
+Cones are homogeneous, so every kernel here works on those integers:
+`rref`, `left_solve` and `inverse`, rational by nature, return an
+integer matrix and a positive denominator, and only `nonneg_solve`
+returns fractions.Fraction coefficients.  The central primitive is
+extreme-ray enumeration for cones of the form {w >= 0 : A w = 0}:
+incremental double description, one independent row of A at a time,
+with a combinatorial adjacency test on ray supports.  Rank, rref and
+that enumeration share one fraction-free (Bareiss) elimination.
+Dimensions stay tiny (a handful of rows, at most a few dozen columns),
+and an enumeration that holds more than MAX_RAYS rays after a cut is
+refused.  No external solver is used: verdicts built on these routines
+are meant to certify counterexamples.
 """
 
 from __future__ import annotations
@@ -19,11 +24,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -46,36 +48,48 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational scalar")
 
 
-def vec(xs: Iterable) -> Vec:
-    return tuple(frac(x) for x in xs)
+def vec(xs: Iterable) -> tuple:
+    """The exact values of `frac` inputs; integral ones as ints."""
+    out = []
+    for x in xs:
+        if type(x) is list and len(x) == 2 and type(x[0]) is int and x[1] == 1:
+            x = x[0]                       # [k, 1], as JSON writes an integer
+        elif type(x) is not int:
+            x = frac(x)
+            if x.denominator == 1:
+                x = x.numerator
+        out.append(x)
+    return tuple(out)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
+def mat(rows: Iterable[Iterable]) -> tuple:
     out = tuple(vec(r) for r in rows)
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
 
 
+def integer_form(rows: Sequence[Sequence]) -> tuple[Mat, int]:
+    """Rational rows times the least common denominator d > 0 of their
+    entries: the integer matrix and d."""
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in r) for r in rows), d
+
+
 def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vscale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
 
 
 def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
-def dot(a: Vec, b: Vec) -> Fraction:
-    # the calculus multiplies by projector and selector matrices, mostly zeros
-    return sum((x * y for x, y in zip(a, b) if x and y), ZERO)
+def dot(a: Vec, b: Vec) -> int:
+    return sum(map(mul, a, b))
 
 
 def matvec(a: Mat, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in a)
+    return tuple(sum(map(mul, row, x)) for row in a)
 
 
 def mat_t(a: Mat) -> Mat:
@@ -84,17 +98,15 @@ def mat_t(a: Mat) -> Mat:
 
 def matmul(a: Mat, b: Mat) -> Mat:
     bt = mat_t(b)
-    # rows of the calculus's block and selector matrices are mostly zero
-    nonzero = ([(j, x) for j, x in enumerate(ra) if x] for ra in a)
-    return tuple(tuple(sum((x * cb[j] for j, x in nz if cb[j]), ZERO) for cb in bt) for nz in nonzero)
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
 
 
 def identity(d: int) -> Mat:
-    return tuple(tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d))
+    return tuple(tuple(int(j == i) for j in range(d)) for i in range(d))
 
 
 def zeros(rows: int, cols: int) -> Mat:
-    return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
+    return ((0,) * cols,) * rows
 
 
 def hcat(*blocks: Mat) -> Mat:
@@ -102,64 +114,56 @@ def hcat(*blocks: Mat) -> Mat:
     return tuple(sum(rows, ()) for rows in zip(*(b for b in blocks if b)))
 
 
-def mscale(c: Fraction, a: Mat) -> Mat:
-    return tuple(vscale(c, r) for r in a)
+def mscale(c: int, a: Mat) -> Mat:
+    return tuple(tuple(c * x for x in r) for r in a)
 
 
 def madd(a: Mat, b: Mat) -> Mat:
     return tuple(vadd(ra, rb) for ra, rb in zip(a, b))
 
 
-def is_zero_vec(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+def integer_ray(a: Vec) -> Vec:
+    """a divided by the gcd of its entries: coprime ints in the same
+    direction, all zero for a = 0."""
+    g = gcd(*a)
+    return tuple(x // g for x in a) if g > 1 else tuple(a)
 
 
-def integer_ray(a: Sequence) -> tuple[int, ...]:
-    """a scaled by a positive rational to coprime Python ints; all zero
-    for a = 0.  Signs of linear functionals on a are kept."""
-    den = lcm(*(x.denominator for x in a))
-    ints = [x.numerator * (den // x.denominator) for x in a]
-    g = gcd(*ints) or 1
-    return tuple(v // g for v in ints)
-
-
-def primitive_ray(a: Vec) -> Vec:
-    """Scale by a positive rational to coprime integers, keeping direction."""
-    return tuple(map(Fraction, integer_ray(a)))
-
-
-def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices: the integer
-    elimination `_eliminate`, divided by its last pivot (the rref is
-    unique)."""
-    rows = _integer_rows(a)
+def rref(a: Mat) -> tuple[Mat, int, tuple[int, ...]]:
+    """The reduced row echelon form as (r, d, pivot columns), r an
+    integer matrix and d > 0 with r / d the rref: the rows of the integer
+    elimination `_eliminate`, which are its last pivot times the rref's
+    (the rref is unique)."""
+    rows = list(a)
     pivots, d = _eliminate(rows)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in rows[:len(pivots)]), tuple(pivots)
+    s = 1 if d > 0 else -1
+    return tuple(tuple(s * x for x in row) for row in rows[:len(pivots)]), s * d, tuple(pivots)
 
 
 def rank(a: Mat) -> int:
-    return len(_eliminate(_integer_rows(a))[0])
+    return len(_eliminate(list(a))[0])
 
 
-def left_solve(e: Mat, m: Mat) -> Mat | None:
-    """A matrix F with F m = e, or None when a row of e leaves the row
-    space of m.
+def left_solve(e: Mat, m: Mat) -> tuple[Mat, int] | None:
+    """(F, d) with d > 0 and (F / d) m = e, or None when a row of e
+    leaves the row space of m.
 
     One rref of [m^T | e^T]; the entries of F at free columns are 0, so
-    F is the unique solution when m has independent rows.
+    F / d is the unique solution when m has independent rows.
     """
     k = len(m)
-    red, pivots = rref(hcat(mat_t(m), mat_t(e)))
+    red, d, pivots = rref(hcat(mat_t(m), mat_t(e)))
     if pivots and pivots[-1] >= k:
         return None
-    ft = [(ZERO,) * len(e)] * k
+    ft = [(0,) * len(e)] * k
     for row, c in zip(red, pivots):
         ft[c] = row[k:]
-    return tuple(zip(*ft)) if ft else tuple(() for _ in e)
+    return (tuple(zip(*ft)) if ft else tuple(() for _ in e)), d
 
 
-def inverse(a: Mat) -> Mat | None:
-    """Inverse of a square matrix, or None when a is singular or not square."""
+def inverse(a: Mat) -> tuple[Mat, int] | None:
+    """(F, d) with F / d the inverse of a square matrix, or None when a
+    is singular or not square."""
     n = len(a)
     if any(len(r) != n for r in a):
         return None
@@ -167,29 +171,30 @@ def inverse(a: Mat) -> Mat | None:
 
 
 def nullspace(a: Mat, ncols: int | None = None) -> list[Vec]:
-    """Basis of {x : A x = 0}; pass ncols when A may be empty."""
+    """Basis of {x : A x = 0}, each vector the rref's denominator times
+    the usual one (1 at its free column); pass ncols when A may be empty."""
     if not a:
         if ncols is None:
             raise ValueError("need ncols for an empty matrix")
         return list(identity(ncols))
     ncols = len(a[0])
-    red, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
+    red, d, pivots = rref(a)
     basis = []
-    for fc in free:
-        x = [ZERO] * ncols
-        x[fc] = ONE
-        for ri, pc in enumerate(pivots):
-            x[pc] = -red[ri][fc]
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        x = [0] * ncols
+        x[fc] = d
+        for row, pc in zip(red, pivots):
+            x[pc] = -row[fc]
         basis.append(tuple(x))
     return basis
 
 
 def row_space_canonical(rows: Sequence[Vec]) -> Mat:
-    """Canonical (rref, primitive-scaled) basis of the row space."""
-    # an rref row leads with a 1, so its primitive ray is sign-normalised
-    red, _ = rref(tuple(rows))
-    return tuple(primitive_ray(r) for r in red if not is_zero_vec(r))
+    """Canonical basis of the row space: the rref's rows, each scaled to
+    coprime integers (leading positive)."""
+    return tuple(map(integer_ray, rref(tuple(rows))[0]))
 
 
 MAX_RAYS = 4096
@@ -199,18 +204,10 @@ rays, and the 24 seeded columns of rank 4 that tools/bench.py probes at
 2,057."""
 
 
-def _integer_rows(a: Mat) -> list[list[int]]:
-    """Each row times the lcm of its denominators: integers, same nullspace."""
-    out = []
-    for row in a:
-        den = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
-
-
-def _eliminate(m: list[list[int]]) -> tuple[list[int], int]:
+def _eliminate(m: list[Sequence[int]]) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan (Bareiss) elimination of an integer
-    matrix, in place.
+    matrix, given as a list of rows, in place: rows are replaced, never
+    mutated.
 
     Returns the pivot columns and the last pivot d.  Afterwards pivot row
     i holds d in column pivots[i], every other row holds 0 there, and
@@ -258,13 +255,12 @@ def extreme_rays(a: Mat, ncols: int) -> list[Vec]:
     """
     if ncols == 0:
         return []
-    rows = _integer_rows(a)
     # a row is a pivot of the transpose iff the rows before it do not span it
-    cuts, _ = _eliminate([list(c) for c in zip(*rows)])
+    cuts, _ = _eliminate(list(zip(*a)))
     # rays as (support bit mask, coprime nonnegative ints)
     rays = [(1 << j, [int(i == j) for i in range(ncols)]) for j in range(ncols)]
     for done, i in enumerate(cuts):
-        row = rows[i]
+        row = a[i]
         masks = [mask for mask, _ in rays]
         kept, pos, neg = [], [], []
         for ray in rays:
@@ -288,11 +284,12 @@ def extreme_rays(a: Mat, ncols: int) -> list[Vec]:
                         f"cone too large for exact ray enumeration: k={ncols} columns of rank "
                         f"{len(cuts)} hold more than {MAX_RAYS} rays in cut {done + 1}")
     rays.sort(key=lambda ray: (ray[0].bit_count(), [j for j, x in enumerate(ray[1]) if x]))
-    return [tuple(map(Fraction, w)) for _, w in rays]
+    return [tuple(w) for _, w in rays]
 
 
-def nonneg_solve(gens: Sequence[Vec], v: Vec) -> Vec | None:
-    """Coefficients lam >= 0 with sum lam_i g_i = v, or None.
+def nonneg_solve(gens: Sequence, v: Sequence) -> tuple[Fraction, ...] | None:
+    """Coefficients lam >= 0 with sum lam_i g_i = v, or None; gens and v
+    may be rational, and lam is exact.
 
     Homogenize: rays of {(lam, s) >= 0 : G lam - s v = 0} with s > 0
     witness membership of v in the cone hull of gens.  The answer is the
@@ -300,19 +297,15 @@ def nonneg_solve(gens: Sequence[Vec], v: Vec) -> Vec | None:
     ray list is built, under that function's MAX_RAYS budget.
     """
     k = len(gens)
-    if is_zero_vec(v):
-        return tuple([ZERO] * k)
+    if not any(v):
+        return (Fraction(0),) * k
     if k == 0:
         return None
-    d = len(v)
-    a = tuple(
-        tuple(gens[j][i] for j in range(k)) + (-v[i],)
-        for i in range(d)
-    )
+    a, _ = integer_form(tuple(tuple(g[i] for g in gens) + (-x,) for i, x in enumerate(v)))
     for ray in extreme_rays(a, k + 1):
         s = ray[k]
         if s > 0:
-            return tuple(x / s for x in ray[:k])
+            return tuple(Fraction(x, s) for x in ray[:k])
     return None
 
 

@@ -50,18 +50,14 @@ from .products import (
     twisted_convolution_product,
 )
 from .rational import (
-    ONE,
-    ZERO,
     cone_contains,
     extreme_rays,
     identity,
+    integer_form,
     mat_t,
     matmul,
     matvec,
     nonneg_solve,
-    nullspace,
-    primitive_ray,
-    rank,
     vadd,
     vneg,
 )
@@ -579,7 +575,7 @@ def check_existence_forced() -> CheckResult:
             res = existence_condition(wfu, wfv, th)
             ok = ok and bool(res)
             if not res:
-                notes.append(f"n={n} witness {res.witness}")
+                notes.append(f"n={n} witness {_witness_text(res.witness)}")
     return _cond("existence-forced-pairs", "wf-product-existence", ok, "; ".join(notes))
 
 
@@ -611,7 +607,7 @@ def _random_polyhedral(rng: random.Random, dim: int, planted: tuple | None = Non
         if gens:
             comp = polyhedral(gens).components[0]
             if rng.random() < 0.5:
-                comp = PolyhedralCone(comp.generators, (_projector(dim // 2, 0),))
+                comp = PolyhedralCone(comp.generators, (_projector(dim // 2, 0),), comp.den)
             comps.append(comp)
     return ConicSet(dim, tuple(comps)) if comps else empty_set(dim)
 
@@ -680,13 +676,13 @@ def _pointwise_theta0(wfu: ConicSet, wfv: ConicSet) -> bool:
             cu, cv = len(mu[0]), len(mv[0])
             rows = []
             for i in range(n):                       # x parts vanish
-                rows.append(tuple(mu[i]) + (ZERO,) * cv)
-                rows.append((ZERO,) * cu + tuple(mv[i]))
+                rows.append(tuple(mu[i]) + (0,) * cv)
+                rows.append((0,) * cu + tuple(mv[i]))
             for i in range(n):                       # xi_u + xi_v = 0
                 rows.append(tuple(mu[n + i]) + tuple(mv[n + i]))
-            selectors = [tuple(tuple(mu[n + i]) + (ZERO,) * cv for i in range(n))]
-            selectors += [tuple(r + (ZERO,) * cv for r in matmul(e, mu)) for e in gu.excludes]
-            selectors += [tuple((ZERO,) * cu + r for r in matmul(e, mv)) for e in gv.excludes]
+            selectors = [tuple(tuple(mu[n + i]) + (0,) * cv for i in range(n))]
+            selectors += [tuple(r + (0,) * cv for r in matmul(e, mu)) for e in gu.excludes]
+            selectors += [tuple((0,) * cu + r for r in matmul(e, mv)) for e in gv.excludes]
             if feasible_with_nonzero(tuple(rows), cu + cv, selectors) is not None:
                 return True
     return False
@@ -717,7 +713,7 @@ def check_lightcone_as_printed() -> CheckResult:
     s = sum(np.asarray([float(x) for x in w]) for w in c.witness) if c.witness else None
     ok = ok and s is not None and np.allclose(s, 0.0)
     return _cond("shift-algebra-two-wedge-reading", "twisted-shift-algebra", ok,
-                 f"witness {c.witness}")
+                 f"witness {_witness_text(c.witness)}")
 
 
 @_check("calculus")
@@ -727,7 +723,7 @@ def check_lightcone_time_forward() -> CheckResult:
     ok = rep.additive_salient.passed and not rep.shift_stability.passed \
         and rep.shift_stability.witness is not None
     return _cond("shift-algebra-time-forward-reading", "twisted-shift-algebra", ok,
-                 f"shift witness {rep.shift_stability.witness}")
+                 f"shift witness {_witness_text(rep.shift_stability.witness)}")
 
 
 @_check("calculus", 7)
@@ -738,7 +734,7 @@ def check_double_cone() -> CheckResult:
     c = rep.additive_salient
     ok = (not rep.passed) and (not c.passed) and c.witness is not None
     return _cond("shift-algebra-double-cone-fails", "twisted-shift-algebra", ok,
-                 f"witness {c.witness}")
+                 f"witness {_witness_text(c.witness)}")
 
 
 @_check("calculus")
@@ -761,7 +757,7 @@ def check_shift_algebra_vs_lattice() -> CheckResult:
     every lattice member of gamma2 is in gamma1, and when it reads False
     the `_escape` witness of gamma2 leaving gamma1 is re-checked.  The
     measured value is the number of mismatches."""
-    rng, half_theta = random.Random(1), ((ZERO, Fraction(1, 2)), (Fraction(-1, 2), ZERO))
+    rng, half_theta = random.Random(1), ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
     lattice = [tuple(map(Fraction, v)) for v in product(range(-3, 4), repeat=2) if any(v)]
     bad = failed = 0
     for _ in range(100):
@@ -769,7 +765,7 @@ def check_shift_algebra_vs_lattice() -> CheckResult:
         memo: dict = {}
 
         def inside(s, v):
-            if (key := (id(s), primitive_ray(v))) not in memo:
+            if (key := (id(s), _primitive(v))) not in memo:
                 memo[key] = any(cone_contains(c.generators, key[1]) and all(
                     any(matvec(e, key[1])) for e in c.excludes) for c in set_gencones(s))
             return memo[key]
@@ -778,11 +774,11 @@ def check_shift_algebra_vs_lattice() -> CheckResult:
         if not sal.passed:
             p, q, *rest = sal.witness
             bad += not (inside(g2, p) and inside(g2, q)) or (
-                rest[0] != primitive_ray(vadd(p, q)) or inside(g2, rest[0]) if rest else q != vneg(p))
+                rest[0] != _primitive(vadd(p, q)) or inside(g2, rest[0]) if rest else q != vneg(p))
         if not shift.passed:
             x0, xi, pt = shift.witness
             bad += not (inside(g1, x0) and inside(g2, xi)) or inside(g1, pt) \
-                or pt != primitive_ray(vadd(x0, matvec(half_theta, xi)))
+                or pt != _primitive(vadd(x0, matvec(half_theta, xi)))
         else:
             m1, m2 = ([v for v in lattice if inside(g, v)] for g in (g1, g2))
             shifts = [matvec(half_theta, xi) for xi in m2]
@@ -884,36 +880,71 @@ def check_pullback() -> CheckResult:
     return _cond("pullback-cases", "pullback", ok, "; ".join(notes))
 
 
+def _oracle_rref(a) -> tuple[tuple, tuple[int, ...]]:
+    """Gauss-Jordan over Fractions, the rref's definition step by step:
+    its nonzero rows and pivot columns."""
+    rows = [[Fraction(x) for x in r] for r in a]
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return tuple(map(tuple, rows[:len(pivots)])), tuple(pivots)
+
+
+def _primitive(v) -> tuple[int, ...]:
+    """A rational vector scaled by a positive rational to coprime ints."""
+    v = [Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
+def _witness_text(w) -> str:
+    """A witness's points with Fraction entries, as check details write them."""
+    return repr(w if w is None else tuple(tuple(map(Fraction, p)) for p in w))
+
+
 def _oracle_extreme_rays(a, ncols: int) -> list:
     """Extreme rays of {w >= 0 : A w = 0} by the Fraction subset
-    enumerator: one rref per candidate support, then a minimal-support
-    filter.  Serves as the reference for `rational.extreme_rays`."""
+    enumerator: one Gauss-Jordan per candidate support, then a
+    minimal-support filter.  Serves as the reference for
+    `rational.extreme_rays`, and shares none of its code."""
     if ncols == 0:
         return []
     if not a:
         # free nonnegative orthant: extreme rays are the unit vectors
-        return [tuple(ONE if j == i else ZERO for j in range(ncols)) for i in range(ncols)]
-    full_rank = rank(a)
-    max_support = min(ncols, full_rank + 1)
-    cols = mat_t(a)
+        return [tuple(int(j == i) for j in range(ncols)) for i in range(ncols)]
+    max_support = min(ncols, len(_oracle_rref(a)[1]) + 1)
+    cols = list(zip(*a))
     rays: dict = {}
     for size in range(1, max_support + 1):
         for support in combinations(range(ncols), size):
-            sub = mat_t(tuple(cols[j] for j in support))
-            ns = nullspace(sub, ncols=size)
-            if len(ns) != 1:
+            red, pivots = _oracle_rref(tuple(zip(*(cols[j] for j in support))))
+            if len(pivots) != size - 1:
                 continue
-            gen = ns[0]
-            if all(x > 0 for x in gen):
-                pass
-            elif all(x < 0 for x in gen):
-                gen = vneg(gen)
-            else:
+            # the one kernel vector: 1 at the free column
+            fc = next(c for c in range(size) if c not in pivots)
+            gen = [Fraction(0)] * size
+            gen[fc] = Fraction(1)
+            for row, pc in zip(red, pivots):
+                gen[pc] = -row[fc]
+            if all(x < 0 for x in gen):
+                gen = [-x for x in gen]
+            elif not all(x > 0 for x in gen):
                 continue
-            w = [ZERO] * ncols
+            w = [Fraction(0)] * ncols
             for j, val in zip(support, gen):
                 w[j] = val
-            rays[primitive_ray(tuple(w))] = None
+            rays[_primitive(w)] = None
     # minimal supports only: drop rays whose support strictly contains another's
     out = []
     supports = {r: frozenset(j for j, x in enumerate(r) if x != 0) for r in rays}
@@ -927,20 +958,20 @@ def _oracle_nonneg_solve(gens, v):
     """`rational.nonneg_solve` over the oracle's ray list."""
     k = len(gens)
     if all(x == 0 for x in v):
-        return tuple([ZERO] * k)
+        return (Fraction(0),) * k
     if k == 0:
         return None
     a = tuple(tuple(g[i] for g in gens) + (-v[i],) for i in range(len(v)))
     for ray in _oracle_extreme_rays(a, k + 1):
         if ray[k] > 0:
-            return tuple(x / ray[k] for x in ray[:k])
+            return tuple(Fraction(x, ray[k]) for x in ray[:k])
     return None
 
 
 def _random_rational_matrix(rng: random.Random, rows: int, cols: int) -> tuple:
     """Small rational entries, some zero; sometimes a dependent last row
     and a zero column."""
-    a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.8 else ZERO
+    a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.8 else Fraction(0)
           for _ in range(cols)] for _ in range(rows)]
     if rows > 1 and rng.random() < 0.3:
         c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
@@ -948,7 +979,7 @@ def _random_rational_matrix(rng: random.Random, rows: int, cols: int) -> tuple:
     if rng.random() < 0.2:
         j = rng.randrange(cols)
         for row in a:
-            row[j] = ZERO
+            row[j] = Fraction(0)
     return tuple(tuple(row) for row in a)
 
 
@@ -961,7 +992,7 @@ def check_extreme_rays_int_vs_oracle() -> CheckResult:
     for _ in range(150):
         m, k = rng.randint(1, 4), rng.randint(1, 6)
         a = _random_rational_matrix(rng, m, k)
-        if extreme_rays(a, k) != _oracle_extreme_rays(a, k):
+        if extreme_rays(integer_form(a)[0], k) != _oracle_extreme_rays(a, k):
             mismatches += 1
         gens = mat_t(a)
         if nonneg_solve(gens[:-1], gens[-1]) != _oracle_nonneg_solve(gens[:-1], gens[-1]):

@@ -33,13 +33,14 @@ from twistlab.cones import (
 from twistlab.rational import (
     hcat,
     identity,
+    integer_form,
+    integer_ray,
     inverse,
     madd,
     mat_t,
     matmul,
     matvec,
     mscale,
-    primitive_ray,
     vec,
     zeros,
 )
@@ -80,7 +81,7 @@ def test_existence_delta_pair_fails_with_valid_witness():
     assert member(DELTA_1, p) and member(DELTA_1, q)
     # q is the frequency flip of p (up to positive scale)
     flip = (p[0], -p[1])
-    assert primitive_ray(q) == primitive_ray(flip)
+    assert integer_ray(q) == integer_ray(flip)
     # the pairing equation x = (1/2) theta xi degenerates to x = 0
     assert p[0] == 0
 
@@ -163,7 +164,7 @@ def test_yes_no_witnesses_solve_their_equations(case):
         if not res.holds:
             p, q = res.witness
             assert member(u, p) and member(v, q)
-            assert _on_slice(p, theta) and primitive_ray(q) == primitive_ray(_flip(p))
+            assert _on_slice(p, theta) and integer_ray(q) == integer_ray(_flip(p))
             if res.phrasing == "theta-inverse":
                 assert any(p[:2])
     for gamma in (u, v):
@@ -189,7 +190,7 @@ def _assert_salience_witness(gamma):
     a, b, *rest = c.witness
     assert member(gamma, a) and member(gamma, b)
     if rest:
-        assert primitive_ray(tuple(x + y for x, y in zip(a, b))) == rest[0]
+        assert integer_ray(tuple(x + y for x, y in zip(a, b))) == rest[0]
         assert not member(gamma, rest[0])
     else:
         assert b == tuple(-x for x in a)
@@ -263,12 +264,13 @@ def test_pullback_matches_linear_image():
     while checked < 40:
         s = _random_polyhedral(rng, 4)
         a = tuple(tuple(F(rng.randint(-2, 2)) for _ in range(2)) for _ in range(2))
-        a_inv = inverse(a)
-        if a_inv is None:
+        ai, _ = integer_form(a)
+        if (a_inv := inverse(ai)) is None:
             continue
         res = wf_pullback(s, a)
         assert res.defined
-        fwd = hcat(a_inv, zeros(2, 2)) + hcat(zeros(2, 2), mat_t(a))
+        # (A^{-1} y, A^T eta), times the denominator of A^{-1}
+        fwd = hcat(a_inv[0], zeros(2, 2)) + hcat(zeros(2, 2), mscale(a_inv[1], mat_t(ai)))
         assert conic_equal(res.wavefront, linear_image(s, fwd))
         checked += 1
 
@@ -278,7 +280,7 @@ def _in_image(sets, rows, out, y) -> bool:
     one witness search for (p, t y), t > 0, with rows p = 0 and
     out p = t y.  Uses neither `_image` nor `left_solve`."""
     d, k = len(out), sum(s.dim for s in sets)
-    search = hcat(rows, zeros(len(rows), d)) + hcat(out, mscale(F(-1), identity(d)))
+    search, _ = integer_form(hcat(rows, zeros(len(rows), d)) + hcat(out, mscale(-1, identity(d))))
     return _witness((*sets, ray_set(y)), search, hcat(zeros(d, k), identity(d))) is not None
 
 
@@ -290,7 +292,7 @@ def _probes(d, s=None):
         for g in c.generators:
             for h in c.generators:
                 if any(w := tuple(x + y for x, y in zip(g, h))):
-                    probes.setdefault(primitive_ray(w), None)
+                    probes.setdefault(integer_ray(w), None)
     return list(probes)
 
 
@@ -300,10 +302,10 @@ def _product_defining(u, v, theta, y) -> bool:
     (of v) on its slice x = -(1/2) theta xi (x = (1/2) theta xi)."""
     px, pxi = hcat(identity(2), zeros(2, 2)), hcat(zeros(2, 2), identity(2))
     half_theta_xi = matmul(mscale(F(1, 2), theta), pxi)
-    plus, minus = madd(px, half_theta_xi), madd(px, mscale(F(-1), half_theta_xi))
+    plus, minus = madd(px, half_theta_xi), madd(px, mscale(-1, half_theta_xi))
     return ((member(u, y) and not any(matvec(plus, y)))
             or (member(v, y) and not any(matvec(minus, y)))
-            or _in_image((u, v), hcat(mscale(F(-1), plus), minus),
+            or _in_image((u, v), hcat(mscale(-1, plus), minus),
                          hcat(identity(4), half_theta_xi + pxi), y))
 
 
@@ -314,9 +316,10 @@ def _pullback_defining(s, a, y) -> bool:
     if not any(y[n:]) and not any(matvec(a, y[:n])):
         return True
     # stacked point (y', eta, t x, t xi): y' = A t x and A^T eta = t xi
-    rows = (hcat(identity(m), zeros(m, m), mscale(F(-1), a), zeros(m, n))
-            + hcat(zeros(n, m), mat_t(a), zeros(n, n), mscale(F(-1), identity(n))))
-    return _witness((s, ray_set(y)), rows, hcat(zeros(2 * n, 2 * m), identity(2 * n))) is not None
+    rows = (hcat(identity(m), zeros(m, m), mscale(-1, a), zeros(m, n))
+            + hcat(zeros(n, m), mat_t(a), zeros(n, n), mscale(-1, identity(n))))
+    return _witness((s, ray_set(y)), integer_form(rows)[0],
+                    hcat(zeros(2 * n, 2 * m), identity(2 * n))) is not None
 
 
 @st.composite
@@ -356,9 +359,9 @@ def test_pullback_and_linear_image_match_their_definitions(case):
     # the map is invertible no selector is dropped and the two agree
     u, _, _, a, m = case
     for got, exact, defining in (
-            (wf_pullback(u, a).wavefront, inverse(a) is not None,
+            (wf_pullback(u, a).wavefront, inverse(integer_form(a)[0]) is not None,
              lambda y: _pullback_defining(u, a, y)),
-            (linear_image(u, m), inverse(m) is not None,
+            (linear_image(u, m), inverse(integer_form(m)[0]) is not None,
              lambda y: _in_image((u,), (), m, y))):
         for y in _probes(got.dim, got):
             if exact:

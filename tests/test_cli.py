@@ -399,7 +399,8 @@ def test_wf_seed_flag_overrides_config_seed(tmp_path):
     ({"grid": {"n": 2, "N": 16, "L": 7.0}, "field": {"kind": "delta", "a": [0.0, 0.0]},
       "params": {"direction_count": 100}}, "params.direction_count"),
     ({"field": {"kind": "gaussian", "sigma": 1e-300}}, "field: sigma: expected a positive number"),
-    ({"field": {"kind": "gaussian", "sigma": 10**400}}, "field: int too large to convert"),
+    ({"field": {"kind": "gaussian", "sigma": 10**400}},
+     "field.sigma: expected a finite number, got an integer beyond float range"),
 ])
 def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
     # each case is a top-level config fragment: params, window, ...
@@ -414,6 +415,28 @@ def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
         assert main(["wf", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"kind": "gaussian", "mu": "x"}, "field.mu: expected a finite number, got 'x'"),
+    ({"kind": "gaussian", "sigma": 10**400},
+     "field.sigma: expected a finite number, got an integer beyond float range"),
+    ({"kind": "gaussian", "sigma": True}, "field.sigma: expected a finite number, got True"),
+    ({"kind": "gaussian", "b": False}, "field.b: expected a finite number, got False"),
+    ({"kind": "gaussian", "mu": [0.0, None]}, "field.mu: expected a finite number, got None"),
+    ({"kind": "delta", "a": True}, "field.a: expected a finite number, got True"),
+    ({"kind": "delta", "a": "1e400"}, "field.a: expected a finite number, got '1e400'"),
+    ({"kind": "planewave", "a": float("inf")}, "field.a: expected a finite number, got inf"),
+    ({"kind": "chirp", "matrix": [[True]]}, "field.matrix: expected a finite number, got True"),
+])
+def test_wf_field_numbers_are_typed_exit_2(tmp_path, capsys, field, message):
+    # each of these used to run on 1.0, 0.0 or inf, or to fail without naming the key
+    cfg = _write(tmp_path / "wf.json", {"schema_version": 1, "grid": {"n": 1, "N": 64, "L": 8.0},
+                                        "field": field})
+    assert main(["wf", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "wf_estimate.json").exists()
 
 
 def test_jobs_and_angles_load_no_scipy(tmp_path, product_config):

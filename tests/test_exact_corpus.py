@@ -25,7 +25,7 @@ from twistlab.calculus import (
     wf_pullback,
 )
 from twistlab.cones import linear_image, set_to_obj
-from twistlab.rational import extreme_rays, nonneg_solve, rref
+from twistlab.rational import extreme_rays, integer_form, nonneg_solve, rref
 from twistlab.suites import _THETA_FAMILY, _j_theta, _random_pair, _random_rational_matrix, _zero_theta
 
 PAIRS = 64
@@ -79,10 +79,11 @@ def _matrix_records(rng):
     for i in range(MATRICES):
         m, k = rng.randint(1, 4), rng.randint(1, 7)
         a = _random_rational_matrix(rng, m, k)
-        red, pivots = rref(a)
+        ai, _ = integer_form(a)
+        red, d, pivots = rref(ai)
         gens = tuple(zip(*a))
-        yield {"i": i, "rref": [red, pivots], "extreme_rays": extreme_rays(a, k),
-               "nonneg_solve": nonneg_solve(gens[:-1], gens[-1])}
+        yield {"i": i, "rref": [[[Fraction(x, d) for x in row] for row in red], pivots],
+               "extreme_rays": extreme_rays(ai, k), "nonneg_solve": nonneg_solve(gens[:-1], gens[-1])}
 
 
 def corpus_digest() -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -14,23 +15,24 @@ from twistlab.rational import (
     frac,
     hcat,
     identity,
+    integer_form,
+    integer_ray,
     inverse,
-    is_zero_vec,
     left_solve,
     madd,
     mat,
     matmul,
+    matvec,
     mscale,
     nonneg_solve,
     nullspace,
-    primitive_ray,
     rank,
     row_space_canonical,
     rref,
     vec,
     zeros,
 )
-from twistlab.suites import _oracle_extreme_rays, _oracle_nonneg_solve
+from twistlab.suites import _oracle_extreme_rays, _oracle_nonneg_solve, _oracle_rref
 
 fracs = st.fractions(max_denominator=6)
 small_vecs = st.lists(fracs, min_size=2, max_size=4).map(tuple)
@@ -48,29 +50,31 @@ def test_frac_zero_denominator_is_value_error(x):
         frac(x)
 
 
-def test_primitive_ray_scaling_and_sign():
-    assert primitive_ray(vec([2, 4, -6])) == (1, 2, -3)
-    assert primitive_ray(vec([Fraction(1, 2), Fraction(3, 2)])) == (1, 3)
+def test_integer_ray_scaling_and_sign():
+    assert integer_ray(vec([2, 4, -6])) == (1, 2, -3)
+    assert integer_form([vec([Fraction(1, 2), Fraction(3, 2)])]) == (((1, 3),), 2)
     # sign of the ray is preserved, not normalized away
-    assert primitive_ray(vec([-2, 4])) == (-1, 2)
+    assert integer_ray(vec([-2, 4])) == (-1, 2)
+    assert integer_ray((0, 0)) == (0, 0)
 
 
 def test_row_space_canonical_leads_positive():
-    rows = [vec([-2, 4, 0]), vec([0, 0, Fraction(-3, 2)]), vec([1, -2, 5])]
+    rows, _ = integer_form([vec([-2, 4, 0]), vec([0, 0, Fraction(-3, 2)]), vec([1, -2, 5])])
     assert row_space_canonical(rows) == ((1, -2, 0), (0, 0, 1))
 
 
 def test_rref_pivots():
-    r, piv = rref(mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
-    assert piv == (0, 2)
+    r, d, piv = rref(mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
+    assert piv == (0, 2) and d > 0
     assert rank(mat([[1, 2], [2, 4]])) == 1
 
 
 def test_matrix_helpers():
     a = mat([[1, 2], [3, 4]])
     assert hcat(a, identity(2), zeros(2, 0), ()) == mat([[1, 2, 1, 0], [3, 4, 0, 1]])
-    assert madd(a, mscale(Fraction(-1), a)) == zeros(2, 2)
-    assert matmul(a, inverse(a)) == identity(2)
+    assert madd(a, mscale(-1, a)) == zeros(2, 2)
+    f, d = inverse(a)
+    assert matmul(a, f) == mscale(d, identity(2)) and d > 0
     assert inverse(mat([[1, 2], [2, 4]])) is None              # singular
     assert inverse(mat([[0], [1]])) is None                    # not square
     assert inverse(mat([[1, 0, 0], [0, 1, 0]])) is None
@@ -79,12 +83,12 @@ def test_matrix_helpers():
 def test_left_solve():
     m = mat([[1, 0, 1], [0, 1, 1], [1, 1, 2]])             # third row = first + second
     e = mat([[2, 3, 5], [0, 0, 0]])
-    f = left_solve(e, m)
-    assert matmul(f, m) == e
+    f, d = left_solve(e, m)
+    assert matmul(f, m) == mscale(d, e) and d > 0
     assert f[0][2] == 0                                    # free entry set to 0
     assert left_solve(mat([[0, 0, 1]]), m) is None         # outside the row space
     assert left_solve(mat([[1, 2]]), ()) is None           # m without rows
-    assert left_solve((), m) == ()
+    assert left_solve((), m)[0] == ()
 
 
 def test_nullspace_orthogonality():
@@ -118,14 +122,16 @@ def test_nonneg_solve_and_membership():
 
 
 @given(small_vecs)
-def test_primitive_ray_idempotent(v):
-    if is_zero_vec(v):
+def test_integer_ray_idempotent(v):
+    if not any(v):
         return
-    p = primitive_ray(v)
-    assert primitive_ray(p) == p
-    # integer entries with content 1
-    denoms = [Fraction(x).denominator for x in p]
-    assert set(denoms) == {1}
+    (w,), d = integer_form([v])
+    assert tuple(Fraction(x, d) for x in w) == v
+    p = integer_ray(w)
+    assert integer_ray(p) == p
+    # integer entries with content 1, on the ray of v
+    assert all(type(x) is int for x in p) and gcd(*p) == 1
+    assert tuple(gcd(*w) * x for x in p) == w
 
 
 entries = st.fractions(-3, 3, max_denominator=3)
@@ -147,39 +153,22 @@ def cone_matrices(draw):
     return tuple(tuple(r) for r in rows), k
 
 
-def _oracle_rref(a):
-    """Gauss-Jordan over Fractions: the rref's definition, step by step."""
-    rows = [list(r) for r in a]
-    pivots, r = [], 0
-    for c in range(len(rows[0]) if rows else 0):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
-
-
 @given(cone_matrices())
 def test_rref_matches_gauss_jordan(case):
     a, _ = case
-    red, pivots = rref(a)
-    assert (red, pivots) == _oracle_rref(a)
-    assert all(type(x) is Fraction for row in red for x in row)
-    assert rank(a) == len(pivots)
+    ai, _ = integer_form(a)
+    red, d, pivots = rref(ai)
+    assert (tuple(tuple(Fraction(x, d) for x in row) for row in red), pivots) == _oracle_rref(a)
+    assert d > 0 and all(type(x) is int for row in red for x in row)
+    assert rank(ai) == len(pivots)
 
 
 @given(cone_matrices())
 def test_extreme_rays_match_subset_oracle(case):
     a, k = case
-    rays = extreme_rays(a, k)
+    rays = extreme_rays(integer_form(a)[0], k)
     assert rays == _oracle_extreme_rays(a, k)          # order included
-    assert all(type(x) is Fraction for r in rays for x in r)
+    assert all(type(x) is int for r in rays for x in r)
     gens = [tuple(row[j] for row in a) for j in range(k)]
     assert nonneg_solve(gens[:-1], gens[-1]) == _oracle_nonneg_solve(gens[:-1], gens[-1])
 
@@ -220,7 +209,7 @@ def _wide_example():
 @given(wide_cone_matrices())
 def test_kernel_matches_oracle_on_wide_systems(case):
     a, k = case
-    assert extreme_rays(a, k) == _oracle_extreme_rays(a, k)     # order included
+    assert extreme_rays(integer_form(a)[0], k) == _oracle_extreme_rays(a, k)     # order included
     gens = [tuple(row[j] for row in a) for j in range(k)]
     assert nonneg_solve(gens[:-1], gens[-1]) == _oracle_nonneg_solve(gens[:-1], gens[-1])
 
@@ -254,5 +243,114 @@ def test_extreme_rays_of_18_generators_pinned():
     # that double description replaced, so the list and its order are pinned
     rays = extreme_rays(tuple(zip(*_random_gens(18, 2))), 18)
     assert len(rays) == 593
-    digest = hashlib.sha256(repr(rays).encode()).hexdigest()
+    # the digest is of the rays written as Fractions, as the kernel first returned them
+    digest = hashlib.sha256(repr([tuple(map(Fraction, r)) for r in rays]).encode()).hexdigest()
     assert digest == "5d928ccd247746d8ea018ef4fd7ae41b1402c01c226e854e3bf2d9ed4d4acc56"
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against plain Fraction arithmetic, on rational inputs
+# brought to integer form at the parse boundary
+
+def _rational_matrix(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols).map(tuple),
+                    min_size=rows, max_size=rows).map(tuple)
+
+
+def _values(m, d):
+    return tuple(tuple(Fraction(x, d) for x in row) for row in m)
+
+
+def _ref_matmul(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b))
+                 for row in a)
+
+
+def _ref_gauss_jordan(a):
+    """Reduced rows and pivot columns of a Fraction matrix."""
+    rows, pivots = [list(r) for r in a], []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], [x / rows[pr][c] for x in rows[pr]]
+        rows = [row if i == r or not row[c] else [x - row[c] * y for x, y in zip(row, rows[r])]
+                for i, row in enumerate(rows)]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _ref_left_solve(e, m):
+    """F with F m = e and 0 at free entries, or None."""
+    k = len(m)
+    red, pivots = _ref_gauss_jordan([list(mc) + list(ec) for mc, ec in zip(zip(*m), zip(*e))])
+    if pivots and pivots[-1] >= k:
+        return None
+    ft = [(Fraction(0),) * len(e)] * k
+    for row, c in zip(red, pivots):
+        ft[c] = tuple(row[k:])
+    return tuple(zip(*ft))
+
+
+@given(st.data())
+def test_int_products_match_fractions(data):
+    m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = data.draw(_rational_matrix(m, k)), data.draw(_rational_matrix(k, n))
+    x = data.draw(_rational_matrix(1, k))[0]
+    (ai, da), (bi, db), ((xi,), dx) = integer_form(a), integer_form(b), integer_form([x])
+    assert _values(matmul(ai, bi), da * db) == _ref_matmul(a, b)
+    ax = tuple(row[0] for row in _ref_matmul(a, tuple((v,) for v in x)))
+    assert _values([matvec(ai, xi)], da * dx) == (ax,)
+    assert Fraction(dot(ai[0], xi), da * dx) == ax[0]
+
+
+@given(st.data())
+def test_int_solvers_match_fractions(data):
+    m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a = data.draw(_rational_matrix(m, k))
+    ai, _ = integer_form(a)
+    # nullspace: the same vectors once scaled to 1 at their free column
+    red, pivots = _ref_gauss_jordan(a)
+    want = []
+    for fc in (c for c in range(k) if c not in pivots):
+        v = [Fraction(int(c == fc)) for c in range(k)]
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        want.append(tuple(v))
+    got = nullspace(ai)
+    assert [tuple(Fraction(x, v[fc]) for x in v)
+            for v, fc in zip(got, (c for c in range(k) if c not in pivots))] == want
+    # left_solve of a right-hand side with the same columns
+    e = data.draw(_rational_matrix(data.draw(st.integers(1, 3)), k))
+    (ei, de), ref = integer_form(e), _ref_left_solve(e, a)
+    got = left_solve(ei, ai)
+    assert (got is None) == (ref is None)
+    if got is not None:
+        # (F / d) (A d_a) = E d_e, so F / d = ref d_e / d_a
+        f, d = got
+        _, da = integer_form(a)
+        assert _values(f, d) == tuple(tuple(x * de / da for x in row) for row in ref)
+    # inverse of the square part
+    sq = tuple(row[:m] for row in a) if k >= m else None
+    if sq is not None:
+        si, ds = integer_form(sq)
+        ref = _ref_left_solve(tuple(tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m)), sq)
+        got = inverse(si)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert _values(got[0], got[1]) == tuple(tuple(x / ds for x in row) for row in ref)
+
+
+@pytest.mark.parametrize("parse, value, error, message", [
+    (frac, True, TypeError, "bool is not a rational scalar"),
+    (vec, [1, False], TypeError, "bool is not a rational scalar"),
+    (mat, [[1, 2], [3, True]], TypeError, "bool is not a rational scalar"),
+    (vec, [[1, 0]], ValueError, "zero denominator in"),
+    (mat, [["1/2"], ["2/0"]], ValueError, "zero denominator in"),
+    (mat, [[1, 2], [3]], ValueError, "ragged matrix"),
+    (mat, [[[1, 2], [3, 1]], [[1, 1]]], ValueError, "ragged matrix"),
+])
+def test_parse_boundary_refuses(parse, value, error, message):
+    with pytest.raises(error, match=message):
+        parse(value)

@@ -25,8 +25,10 @@ Fresh-interpreter probes, K times per checkout, alternating:
   sets in R^4 of k = 6, 10, 14, 18, 24 and 30, and the uncached
   `cones._hform` of cones over 20, 40 and 60 seeded integer points at
   height 1 in R^4 (median process CPU of three calls, ray or facet count
-  and a hash of the result; where a budget refuses, the CPU time to the
-  refusal and its message), and the cli-jobs rounds
+  and a hash of the result with every number written as its reduced
+  fraction, so that both sides hash the same values alike; inputs pass
+  `rational.mat` and `cones.polyhedral`; where a budget refuses, the CPU
+  time to the refusal and its message), and the cli-jobs rounds
   of seeds 1-12, three per seed with the first left out: each cone job's
   median process CPU, the round's CPU, the CPU and calls of
   `extreme_rays` through every module's reference to it, and a hash of
@@ -147,11 +149,13 @@ print(json.dumps(out))
 
 EXACT_PROBE = """
 import hashlib, json, random, statistics, tempfile, time
-from fractions import Fraction
 from pathlib import Path
 from twistlab import calculus, cli, cones, rational
 from workloads import WORKLOADS
 out = {}
+def exact(x):
+    # str(Fraction(3)) == str(3): one text for a value, whatever its type
+    return [exact(v) for v in x] if isinstance(x, (list, tuple)) else str(x)
 def probe(name, fn, unit, size):
     # a cone past the budget records its refusal and the time it took
     cpu = []
@@ -166,15 +170,17 @@ def probe(name, fn, unit, size):
         return
     out[f"{name}_cpu_s"] = statistics.median(cpu)
     out[f"{name}_{unit}"] = size(got)
-    out[f"{name}_sha256"] = hashlib.sha256(repr(got).encode()).hexdigest()
+    out[f"{name}_sha256"] = hashlib.sha256(json.dumps(exact(got)).encode()).hexdigest()
+# inputs pass the public parse boundary, so each side gets its own representation
 for k in (6, 10, 14, 18, 24, 30):
     rng = random.Random(2)
-    a = tuple(zip(*[[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(k)]))
+    a = rational.mat(zip(*[[rng.randint(-3, 3) for _ in range(4)] for _ in range(k)]))
     probe(f"extreme_rays_k{k}", lambda: rational.extreme_rays(a, k), "rays", len)
 # facets of a cone over k integer points of [-3, 3]^3 at height 1, uncached
 for k in (20, 40, 60):
     rng = random.Random(7)
-    g = rational.mat([[rng.randint(-3, 3) for _ in range(3)] + [1] for _ in range(k)])
+    g = cones.polyhedral([[rng.randint(-3, 3) for _ in range(3)] + [1]
+                          for _ in range(k)]).components[0].generators
     probe(f"hform_g{k}", lambda: cones._hform.__wrapped__(g), "facets", lambda h: len(h[1]))
 spent = {"rays": [0.0, 0.0, 0], "write": [0.0, 0.0, 0]}
 def timed(fn, key):
