@@ -883,7 +883,7 @@ def check_pullback() -> CheckResult:
 def _oracle_rref(a) -> tuple[tuple, tuple[int, ...]]:
     """Gauss-Jordan over Fractions, the rref's definition step by step:
     its nonzero rows and pivot columns."""
-    rows = [[Fraction(x) for x in r] for r in a]
+    rows = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in a]
     pivots: list[int] = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -893,8 +893,8 @@ def _oracle_rref(a) -> tuple[tuple, tuple[int, ...]]:
         rows[r], rows[pr] = rows[pr], rows[r]
         rows[r] = [x / rows[r][c] for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+            if i != r and (f := rows[i][c]) != 0:
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return tuple(map(tuple, rows[:len(pivots)])), tuple(pivots)
 
@@ -915,9 +915,12 @@ def _witness_text(w) -> str:
 
 def _oracle_extreme_rays(a, ncols: int) -> list:
     """Extreme rays of {w >= 0 : A w = 0} by the Fraction subset
-    enumerator: one Gauss-Jordan per candidate support, then a
-    minimal-support filter.  Serves as the reference for
-    `rational.extreme_rays`, and shares none of its code."""
+    enumerator: one Gauss-Jordan per candidate support, by increasing
+    size, keeping the supports with a one-dimensional kernel positive on
+    them.  A support that holds a ray's support is skipped, since its
+    kernel, where one-dimensional, is that ray, which is not positive on
+    it; so every ray kept has a minimal support.  Serves as the reference
+    for `rational.extreme_rays`, and shares none of its code."""
     if ncols == 0:
         return []
     if not a:
@@ -925,9 +928,11 @@ def _oracle_extreme_rays(a, ncols: int) -> list:
         return [tuple(int(j == i) for j in range(ncols)) for i in range(ncols)]
     max_support = min(ncols, len(_oracle_rref(a)[1]) + 1)
     cols = list(zip(*a))
-    rays: dict = {}
+    rays, found = [], []
     for size in range(1, max_support + 1):
         for support in combinations(range(ncols), size):
+            if any(f.issubset(support) for f in found):
+                continue
             red, pivots = _oracle_rref(tuple(zip(*(cols[j] for j in support))))
             if len(pivots) != size - 1:
                 continue
@@ -944,14 +949,9 @@ def _oracle_extreme_rays(a, ncols: int) -> list:
             w = [Fraction(0)] * ncols
             for j, val in zip(support, gen):
                 w[j] = val
-            rays[_primitive(w)] = None
-    # minimal supports only: drop rays whose support strictly contains another's
-    out = []
-    supports = {r: frozenset(j for j, x in enumerate(r) if x != 0) for r in rays}
-    for r, s in supports.items():
-        if not any(o != s and o < s for o in supports.values()):
-            out.append(r)
-    return out
+            rays.append(_primitive(w))
+            found.append(set(support))
+    return rays
 
 
 def _oracle_nonneg_solve(gens, v):
