@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._read import number
 from .cones import ConicSet, empty_set, full_space, graph_set, product_set
 from .grids import Grid, SampledField
 
@@ -71,14 +72,13 @@ class GaussianPacket:
     def __init__(self, mu=0.0, sigma: float = 1.0, b=None):
         mu_t = _as_point(mu)
         # the samples divide by sigma^2, which must not overflow or underflow
-        if not (sigma > 0 and 0.0 < float(sigma) * float(sigma) < math.inf):
-            raise ValueError("sigma: expected a positive number whose square is a positive "
-                             f"finite float, got {sigma!r}")
+        sigma = number(sigma, "sigma", "a positive number whose square is a positive finite float",
+                       lambda s: s > 0 and 0.0 < s * s < math.inf)
         b_t = _as_point(b) if b is not None else tuple(0.0 for _ in mu_t)
         if len(b_t) != len(mu_t):
             raise ValueError("mu and b must have matching length")
         object.__setattr__(self, "mu", mu_t)
-        object.__setattr__(self, "sigma", float(sigma))
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "b", b_t)
 
 

@@ -12,18 +12,20 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+from ._read import ReadError, flag, integer, matrix, need, number, show
 
 
 _SCHEMA = 1
 
 
 class ConfigError(Exception):
-    """Invalid configuration; the message names the offending key."""
+    """A refusal that is not one value's, such as an unreadable file or
+    a set the calculus refuses; `main` writes it as a `ReadError`."""
 
 
 def main(argv=None) -> int:
@@ -34,7 +36,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _dispatch(args)
-    except ConfigError as exc:
+    except (ConfigError, ReadError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
@@ -111,103 +113,42 @@ def _load_config(args) -> dict:
         raise ConfigError(f"{args.config}: top level must be an object")
     version = cfg.get("schema_version", _SCHEMA)
     if version != _SCHEMA:
-        raise ConfigError(f"unsupported schema_version {version} (expected {_SCHEMA})")
+        raise ReadError("schema_version", str(_SCHEMA), show(version))
     return cfg
 
 
-def _need(cfg: dict, key: str, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"missing {where}.{key}")
-    return cfg[key]
-
-
-def _flag(cfg: dict, key: str, where: str) -> bool:
-    """`cfg[key]` as a JSON boolean, False when absent; a string such as
-    "false" would read as True, so anything else is refused."""
-    value = cfg.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
-def _grid_from(cfg: dict):
-    from .grids import grid_from_obj
-
-    try:
-        return grid_from_obj(_need(cfg, "grid"))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-
 def _field_from(spec, grid, key: str):
+    """The field at `key`; a refusal from the readers, the catalog or
+    the field file is named under `key`."""
     from .catalog import Chirp, Delta, GaussianPacket, PlaneWave, sample_analytic
     from .grids import SampledField
 
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{key}: expected an object with a 'kind' field")
-    kind = spec["kind"]
+    kind = need(spec, "kind", key)
     try:
         def reals(name, default):
-            return _reals(spec.get(name, default), f"{key}.{name}")
+            def read(x):
+                return tuple(map(read, x)) if isinstance(x, list) else number(x, name)
+            return read(spec.get(name, default))
 
         if kind == "delta":
             return sample_analytic(Delta(reals("a", 0.0)), grid)
         if kind == "planewave":
             return sample_analytic(PlaneWave(reals("a", 0.0)), grid)
         if kind == "chirp":
-            envelope = _flag(spec, "envelope", f"{key}.envelope")
-            return sample_analytic(Chirp(reals("matrix", [[0.0]]), envelope=envelope), grid)
+            return sample_analytic(Chirp(reals("matrix", [[0.0]]), flag(spec, "envelope")), grid)
         if kind == "gaussian":
             b = reals("b", None) if "b" in spec else None
             return sample_analytic(GaussianPacket(reals("mu", 0.0), reals("sigma", 1.0), b), grid)
         if kind == "file":
-            f = SampledField.from_json(Path(_need(spec, "path", key)).read_text())
+            f = SampledField.from_json(Path(need(spec, "path")).read_text())
             if not f.grid.compatible(grid):
-                raise ConfigError(f"{key}: field grid does not match config grid")
+                raise ReadError("path", "a field on the config grid", f"one on {f.grid}")
             return f
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError, OSError) as exc:
+    except ReadError as exc:
+        raise exc.within(key) from None
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    raise ConfigError(f"{key}.kind: unknown field kind {kind!r}")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
-
-
-def _reals(x, where: str):
-    """A JSON number as a finite float, and a list as a tuple of such
-    values, nested as given.  Anything else exits 2 naming `where`: a
-    boolean would read as 1.0 or 0.0, and a string would be parsed."""
-    if isinstance(x, list):
-        return tuple(_reals(v, where) for v in x)
-    if not _is_number(x):
-        raise ConfigError(f"{where}: expected a finite number, got {x!r}")
-    try:
-        value = float(x)
-    except OverflowError:
-        raise ConfigError(f"{where}: expected a finite number, got an integer "
-                          "beyond float range") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value}")
-    return value
-
-
-def _rational_matrix(rows, key: str):
-    from .rational import mat
-
-    try:
-        m = mat(rows)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    if not m or not m[0]:
-        raise ConfigError(f"{key}: expected a matrix with at least one row and one column")
-    return m
+    raise ReadError(f"{key}.kind", "delta, planewave, chirp, gaussian or file", show(kind))
 
 
 def _write(path: Path, text: str) -> None:
@@ -248,6 +189,7 @@ def _run_record(out: Path, name: str, cfg: dict, outputs: dict) -> None:
 # subcommands
 
 def _cmd_product(args, out: Path) -> int:
+    from .grids import grid_from_obj
     from .products import (
         pointwise_product,
         twisted_convolution,
@@ -255,15 +197,15 @@ def _cmd_product(args, out: Path) -> int:
     )
 
     cfg = _load_config(args)
-    grid = _grid_from(cfg)
+    grid = grid_from_obj(need(cfg, "grid"), "grid")
     op = cfg.get("op", "star" if args.command == "star" else "product")
     if op not in ("star", "product", "pointwise"):
-        raise ConfigError(f"op: expected star|product|pointwise, got {op!r}")
-    wrap, csv = _flag(cfg, "wrap", "wrap"), _flag(cfg, "csv", "csv")
+        raise ReadError("op", "star|product|pointwise", show(op))
+    wrap, csv = flag(cfg, "wrap"), flag(cfg, "csv")
     theta = [[float(x) for x in row]
-             for row in _rational_matrix(cfg.get("theta", [[0] * grid.n] * grid.n), "theta")]
-    left = _field_from(_need(cfg, "left"), grid, "left")
-    right = _field_from(_need(cfg, "right"), grid, "right")
+             for row in matrix(cfg.get("theta", [[0] * grid.n] * grid.n), "theta")]
+    left = _field_from(need(cfg, "left"), grid, "left")
+    right = _field_from(need(cfg, "right"), grid, "right")
     if op == "star":
         result = twisted_convolution(left, right, theta, wrap=wrap)
     elif op == "product":
@@ -298,49 +240,45 @@ def _field_csv(f) -> str:
 
 
 def _cmd_wf(args, out: Path) -> int:
+    from .grids import grid_from_obj
     from .spectral import _HANN_HALF_WIDTH, gaussian_window, hann_window
     from .wavefront import _SPHERE_SEED, WavefrontParams, direction_grid, estimate_wf
 
     cfg = _load_config(args)
-    grid = _grid_from(cfg)
-    u = _field_from(_need(cfg, "field"), grid, "field")
+    grid = grid_from_obj(need(cfg, "grid"), "grid")
+    u = _field_from(need(cfg, "field"), grid, "field")
     if grid.n > 2:
-        raise ConfigError(f"grid.n: direction grids exist for n = 1 and 2, got {grid.n}")
+        raise ReadError("grid.n", "1 or 2, where direction grids exist", show(grid.n))
     wspec = cfg.get("window", {"kind": "gaussian"})
     if not isinstance(wspec, dict):
-        raise ConfigError(f"window: expected an object with a 'kind' field, got {wspec!r}")
+        raise ReadError("window", "an object", show(wspec))
     wkind = wspec.get("kind", "gaussian")
-    if wkind == "gaussian":
-        window = gaussian_window(grid)
-    elif wkind == "hann":
-        half_width = wspec.get("half_width", _HANN_HALF_WIDTH)
-        if not _is_number(half_width) or not 0.0 < half_width < float("inf"):
-            raise ConfigError(f"window.half_width: expected a positive number, got {half_width!r}")
-        window = hann_window(grid, float(half_width))
-    else:
-        raise ConfigError(f"window.kind: unknown window {wkind!r}")
+    if wkind not in ("gaussian", "hann"):
+        raise ReadError("window.kind", "gaussian or hann", show(wkind))
+    try:
+        window = gaussian_window(grid) if wkind == "gaussian" else \
+            hann_window(grid, wspec.get("half_width", _HANN_HALF_WIDTH))
+    except ReadError as exc:
+        raise exc.within("window") from None
     pspec = cfg.get("params", {})
     if not isinstance(pspec, dict):
-        raise ConfigError(f"params: expected an object, got {pspec!r}")
+        raise ReadError("params", "an object", show(pspec))
     pspec = dict(pspec)
     seed = pspec.pop("seed", _SPHERE_SEED)
-    if args.seed is not None:
-        seed = args.seed
-    count = pspec.pop("direction_count", None)
-    for key, val in (("--seed" if args.seed is not None else "params.seed", seed),
-                     ("params.direction_count", count)):
-        if val is not None and (not _is_int(val) or val < 0):
-            raise ConfigError(f"{key}: expected a nonnegative integer, got {val!r}")
+    if args.seed is None:
+        seed = integer(seed, "params.seed", least=0)
+    else:
+        seed = integer(args.seed, "--seed", least=0)
     try:
-        dirs = direction_grid(2 * grid.n, count, seed)
-    except ValueError as exc:
-        raise ConfigError(f"params.direction_count: {exc}") from exc
+        dirs = direction_grid(2 * grid.n, pspec.pop("direction_count", None), seed)
+    except ReadError as exc:
+        raise ReadError("params.direction_count", exc.want, exc.got) from None
     try:
         params = WavefrontParams(directions=dirs, **pspec)
+    except ReadError as exc:
+        raise exc.within("params") from None
     except TypeError as exc:
         raise ConfigError(f"params: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"params.{exc}") from exc
     est = estimate_wf(u, window, params)
     _write(out / "wf_estimate.json", est.to_json())
     _write(out / "wf_directions.csv", est.to_csv())
@@ -359,25 +297,28 @@ def _cmd_wf(args, out: Path) -> int:
 
 
 def _cone_set(spec, key: str):
+    """The conic set at `key`, given inline or as {"path": ...}."""
     from .cones import set_from_json, set_from_obj
 
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{key}: expected a conic-set object or {{path: ...}}")
     try:
-        if "path" in spec:
-            return set_from_json(Path(spec["path"]).read_text())
-        return set_from_obj(spec)
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+        if isinstance(spec, dict) and "path" in spec:
+            return set_from_json(Path(spec["path"]).read_text(), key)
+        return set_from_obj(spec, key)
+    except ReadError:
+        raise
+    except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _cmd_cone(args, out: Path) -> int:
     cfg = _load_config(args)
-    op = _need(cfg, "op")
-    theta = _rational_matrix(cfg["theta"], "theta") if "theta" in cfg else None
+    op = need(cfg, "op")
+    theta = matrix(cfg["theta"], "theta") if "theta" in cfg else None
     doc: dict = {"schema_version": _SCHEMA, "kind": "cone_report", "op": op}
     try:
         failed = _cone_op(op, cfg, theta, doc)
+    except ReadError:
+        raise
     except ValueError as exc:
         # bad set data or a cone past the enumeration budget
         raise ConfigError(f"op {op}: {exc}") from exc
@@ -404,16 +345,16 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
 
     failed = False
     if op in ("existence", "existence_theta_inv"):
-        u = _cone_set(_need(cfg, "u"), "u")
-        v = _cone_set(_need(cfg, "v"), "v")
+        u = _cone_set(need(cfg, "u"), "u")
+        v = _cone_set(need(cfg, "v"), "v")
         fn = existence_condition if op == "existence" else existence_condition_theta_inv
         res = fn(u, v, theta if theta is not None else zeros(u.dim // 2, u.dim // 2))
         doc["holds"] = bool(res)
         doc["witness"] = None if res.holds else [_vec_obj(p) for p in res.witness]
         failed = not bool(res)
     elif op == "shift_algebra":
-        g1 = _cone_set(_need(cfg, "gamma1"), "gamma1")
-        g2 = _cone_set(_need(cfg, "gamma2"), "gamma2")
+        g1 = _cone_set(need(cfg, "gamma1"), "gamma1")
+        g2 = _cone_set(need(cfg, "gamma2"), "gamma2")
         rep = shift_algebra_check(g1, g2, theta if theta is not None
                                    else zeros(g1.dim, g1.dim))
         doc["passed"] = rep.passed
@@ -426,27 +367,28 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
         ]
         failed = not rep.passed
     elif op == "pair_condition":
-        g = _cone_set(_need(cfg, "gamma"), "gamma")
+        g = _cone_set(need(cfg, "gamma"), "gamma")
         res = pair_condition(g)
         doc["holds"] = bool(res)
         doc["witness"] = None if res.holds else [_vec_obj(p) for p in res.witness]
         failed = not bool(res)
     elif op in ("predict_product", "predict_star"):
-        u = _cone_set(_need(cfg, "u"), "u")
-        v = _cone_set(_need(cfg, "v"), "v")
+        u = _cone_set(need(cfg, "u"), "u")
+        v = _cone_set(need(cfg, "v"), "v")
         fn = predicted_product_wf if op == "predict_product" else predicted_star_wf
         got = fn(u, v, theta if theta is not None else zeros(u.dim // 2, u.dim // 2))
         doc["predicted"] = set_to_obj(got)
     elif op == "pullback":
-        s = _cone_set(_need(cfg, "set"), "set")
-        amap = _rational_matrix(_need(cfg, "map"), "map")
+        s = _cone_set(need(cfg, "set"), "set")
+        amap = matrix(need(cfg, "map"), "map")
         res = wf_pullback(s, amap)
         doc["defined"] = res.defined
         doc["wavefront"] = set_to_obj(res.wavefront) if res.defined else None
         doc["witness"] = None if res.defined else _vec_obj(res.undefined_witness)
         failed = not res.defined
     else:
-        raise ConfigError(f"op: unknown cone operation {op!r}")
+        raise ReadError("op", "existence, existence_theta_inv, shift_algebra, pair_condition, "
+                              "predict_product, predict_star or pullback", show(op))
     return failed
 
 

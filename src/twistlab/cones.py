@@ -31,6 +31,7 @@ from operator import mul
 
 import numpy as np
 
+from ._read import ReadError, flag, integer, matrix, need, show
 from .rational import (
     Mat,
     Vec,
@@ -524,46 +525,42 @@ def set_to_obj(s: ConicSet) -> dict:
     return {"dim": s.dim, "components": comps}
 
 
-def _flag(obj: dict, key: str) -> bool:
-    """`obj[key]` as a JSON boolean, False when absent; a string such as
-    "false" would read as True, so anything else is refused."""
-    value = obj.get(key, False)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key}: expected true or false, got {value!r}")
-    return value
-
-
-def _component_from_obj(obj: dict) -> ConicSet:
-    """One JSON component, of any input kind, as the set it denotes."""
-    kind = obj["kind"]
+def _component_from_obj(obj, where: str) -> ConicSet:
+    """One JSON component at `where`, of any input kind, as its set."""
+    kind = need(obj, "kind", where)
     if kind == "polyhedral":
-        excludes = tuple(mat(e) for e in obj.get("excludes", []))
-        cone = PolyhedralCone(mat(obj["generators"]), excludes)
+        excludes = tuple(matrix(e, f"{where}.excludes[{i}]")
+                         for i, e in enumerate(obj.get("excludes", [])))
+        gens = matrix(need(obj, "generators", where), f"{where}.generators")
+        cone = PolyhedralCone(gens, excludes)
         return ConicSet(cone.dim, (cone,))
     if kind == "ray":
-        return ray_set(obj["v"], _flag(obj, "both"))
+        v = matrix(need(obj, "v", where), f"{where}.v", vector=True)
+        return ray_set(v, flag(obj, "both", where))
     if kind == "graph":
-        return graph_set(obj["A"])
+        return graph_set(matrix(need(obj, "A", where), f"{where}.A"))
     if kind == "product":
-        def part(p):
+        def part(key):
+            p, at = need(obj, key, where), f"{where}.{key}"
             if p is None:
                 return None, False
-            return set_from_obj(p["set"]), _flag(p, "zero")
+            return set_from_obj(need(p, "set", at), f"{at}.set"), flag(p, "zero", at)
 
-        (xp, xz), (xip, xiz) = part(obj["x"]), part(obj["xi"])
+        (xp, xz), (xip, xiz) = part("x"), part("xi")
         return product_set(xp, xip, xz, xiz)
-    raise ValueError(f"unknown component kind {kind!r}")
+    raise ReadError(f"{where}.kind", "polyhedral, ray, graph or product", show(kind))
 
 
-def set_from_obj(obj: dict) -> ConicSet:
-    """Read a set written by `set_to_obj`, or given as a union of
-    `polyhedral`, `ray`, `graph` and `product` components."""
-    dim = obj["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ValueError(f"dim: expected an integer, got {dim!r}")
+def set_from_obj(obj, where: str = "set") -> ConicSet:
+    """Read the set at `where` written by `set_to_obj`, or given as a
+    union of `polyhedral`, `ray`, `graph` and `product` components."""
+    dim = integer(need(obj, "dim", where), f"{where}.dim", least=1)
+    listed = need(obj, "components", where)
+    if not isinstance(listed, list):
+        raise ReadError(f"{where}.components", "a list", show(listed))
     comps = []
-    for c in obj["components"]:
-        part = _component_from_obj(c)
+    for i, c in enumerate(listed):
+        part = _component_from_obj(c, f"{where}.components[{i}]")
         if part.dim != dim:
             raise ValueError(f"component dimension {part.dim} != set dimension {dim}")
         comps.extend(part.components)
@@ -574,5 +571,5 @@ def set_to_json(s: ConicSet) -> str:
     return json.dumps(set_to_obj(s), sort_keys=True)
 
 
-def set_from_json(text: str) -> ConicSet:
-    return set_from_obj(json.loads(text))
+def set_from_json(text: str, where: str = "set") -> ConicSet:
+    return set_from_obj(json.loads(text), where)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._read import ReadError, integer, need, number, show
+
 # tolerance for treating two float half-widths as the same grid
 _L_RTOL = 1e-12
 
@@ -32,12 +34,12 @@ class Grid:
     L: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"dimension n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.N, int) or self.N < 4 or self.N % 2 != 0:
-            raise ValueError(f"N must be an even integer >= 4, got {self.N!r}")
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise ValueError(f"half-width L must be positive and finite, got {self.L!r}")
+        n, N = integer(self.n, "n", least=1), integer(self.N, "N", least=4)
+        if N % 2:
+            raise ReadError("N", "an even integer", show(N))
+        L = number(self.L, "L", "a positive finite number", lambda x: 0 < x < math.inf)
+        for key, value in (("n", n), ("N", N), ("L", L)):
+            object.__setattr__(self, key, value)
 
     @property
     def spacing(self) -> float:
@@ -81,9 +83,7 @@ class Grid:
         )
 
 
-def make_grid(n: int, N: int, L: float) -> Grid:
-    """Validated Grid constructor; rejects odd N and nonpositive L."""
-    return Grid(n, N, float(L))
+make_grid = Grid  # the package's name for the constructor, which reads n, N and L
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,65 +126,46 @@ class SampledField:
 
     @classmethod
     def from_json(cls, text: str) -> "SampledField":
-        """Read a field written by `to_json`: `n` and `N` must be JSON
-        integers, `L` a number, and `re` and `im` lists of N^n numbers;
-        otherwise a ValueError names the key."""
+        """Read a field written by `to_json`: its grid as `grid_from_obj`
+        reads it, and `re` and `im` lists of N^n finite numbers; otherwise
+        a ReadError names the key."""
         obj = json.loads(text)
         grid = grid_from_obj(obj)
         re, im = (_samples(obj, key, grid.M) for key in ("re", "im"))
         return cls(grid, (re + 1j * im).reshape((grid.N,) * grid.n))
 
 
-def grid_from_obj(obj) -> Grid:
-    """The grid of a JSON object's `n`, `N` and `L`: `n` and `N` must be
-    JSON integers and `L` a finite number; otherwise a ValueError names
-    the key."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    n, N, L = (_typed(obj, key, types, want) for key, types, want in (
-        ("n", int, "an integer"), ("N", int, "an integer"), ("L", (int, float), "a number")))
-    return make_grid(n, N, L)
-
-
-def _typed(obj: dict, key: str, types, want: str):
-    """`obj[key]` when it is an instance of `types` and not a boolean, as
-    a float when `types` admits floats."""
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{key}: expected {want}, got {value!r}")
-    return value if types is int else _finite(key, lambda: float(value))
-
-
-def _finite(key: str, convert):
-    """`convert()` when all it holds is finite, else a ValueError naming
-    the key: a JSON integer beyond float range makes `float` raise
-    OverflowError, and a float literal beyond it reads as inf."""
+def grid_from_obj(obj, where: str = "") -> Grid:
+    """The grid of the JSON object at `where`: its `n`, `N` and `L`, as
+    `Grid` reads them."""
     try:
-        value = convert()
-    except OverflowError:
-        raise ValueError(f"{key}: expected a finite number, got an integer "
-                         "beyond float range") from None
-    bad = np.asarray(value)[~np.isfinite(value)]
-    if bad.size:
-        raise ValueError(f"{key}: expected a finite number, got {float(bad[0])}")
-    return value
+        return Grid(*(need(obj, key) for key in ("n", "N", "L")))
+    except ReadError as exc:
+        raise exc.within(where) from None
 
 
 def _samples(obj: dict, key: str, m: int) -> np.ndarray:
-    """`obj[key]` as a float array, when it is a list of `m` JSON numbers.
-    `set(map(type, ...))` checks the entries without a Python-level loop
-    over the samples."""
-    value = obj.get(key)
+    """`obj[key]` as a float array, when it is a list of `m` finite JSON
+    numbers, checked without a Python-level loop over the samples (by
+    `set(map(type, ...))` and `isfinite`) unless one is refused."""
+    value = need(obj, key)
     if not isinstance(value, list):
-        got = repr(value)
+        got = show(value)
     elif len(value) != m:
         got = f"{len(value)} entries"
     else:
         odd = set(map(type, value)) - {int, float}
         if not odd:
-            return _finite(key, lambda: np.asarray(value, dtype=float))
+            try:
+                arr = np.asarray(value, dtype=float)
+                if np.isfinite(arr).all():
+                    return arr
+            except OverflowError:
+                pass
+            for x in value:
+                number(x, key)
         got = "entries of type " + ", ".join(sorted(t.__name__ for t in odd))
-    raise ValueError(f"{key}: expected a list of {m} numbers, got {got}")
+    raise ReadError(key, f"a list of {m} numbers", got)
 
 
 def _check_same_grid(f: SampledField, g: SampledField) -> None:

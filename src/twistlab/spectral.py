@@ -20,6 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._read import number
 from .grids import Grid, SampledField
 
 
@@ -186,8 +187,8 @@ _HANN_HALF_WIDTH = 2.5
 def hann_window(g: Grid, half_width: float = _HANN_HALF_WIDTH) -> WindowFunction:
     """Compactly supported cos^2 bump, product over axes; an unrelated
     window family for cross-checking estimator invariance."""
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValueError(f"half_width must be finite and positive, got {half_width!r}")
+    half_width = number(half_width, "half_width", "a positive finite number",
+                        lambda x: 0.0 < x < math.inf)
     ax = g.axis()
     profile = np.where(
         np.abs(ax) < half_width,

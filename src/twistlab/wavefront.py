@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._read import ReadError, integer, number, show
 from .grids import Grid, SampledField
 from .spectral import (
     STFTData,
@@ -84,7 +85,7 @@ def direction_grid(dim: int, count: int | None = None, seed: int = _SPHERE_SEED)
 
     Grids are pure in (dim, count, seed) and memoised per process, so
     repeated calls return the same read-only object."""
-    d = _DEFAULT_COUNTS.get(dim, 0) if count is None else int(count)
+    d = _DEFAULT_COUNTS.get(dim, 0) if count is None else integer(count, "count")
     return _direction_grid(dim, d, seed)
 
 
@@ -92,14 +93,14 @@ def direction_grid(dim: int, count: int | None = None, seed: int = _SPHERE_SEED)
 def _direction_grid(dim: int, d: int, seed: int) -> DirectionGrid:
     if dim == 2:
         if d < 4 or d % 2:
-            raise ValueError("need an even count of at least 4")
+            raise ReadError("count", "an even integer of at least 4", show(d))
         ang = np.arange(d) * (2.0 * np.pi / d)
         dirs = np.column_stack([np.cos(ang), np.sin(ang)])
         return DirectionGrid(dirs, resolution_deg=180.0 / d)
     if dim == 4:
         half = d // 2
         if d < 8 or d % 2 or half & (half - 1):
-            raise ValueError(f"count must be twice a power of two, at least 8, got {d}")
+            raise ReadError("count", "twice a power of two, at least 8", show(d))
         u = _sobol3(half, seed)
         s1 = np.sqrt(1.0 - u[:, 0])
         s2 = np.sqrt(u[:, 0])
@@ -173,28 +174,18 @@ class WavefrontParams:
     directions: DirectionGrid | None = None
 
     def __post_init__(self):
-        """Reject ill-typed or out-of-range fields; each message starts
-        with the offending field's name."""
-        def integer(v):
-            return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-        def number(v):
-            return (integer(v) or isinstance(v, (float, np.floating))) and not math.isnan(v)
-
-        checks = (
-            ("k_test", number(self.k_test), "a number"),
-            ("r_max_frac", number(self.r_max_frac) and 0.0 < self.r_max_frac <= 1.0,
-             "a number in (0, 1]"),
-            ("r_min_frac", number(self.r_min_frac) and 0.0 < self.r_min_frac < 1.0,
-             "a number in (0, 1)"),
-            ("radii", integer(self.radii) and self.radii >= 8,
-             "an integer of at least 8 for a stable fit"),
-            ("directions", self.directions is None or isinstance(self.directions, DirectionGrid),
-             "a direction grid or null"),
-        )
-        for name, ok, want in checks:
-            if not ok:
-                raise ValueError(f"{name}: expected {want}, got {getattr(self, name)!r}")
+        """Read every field, refusing a bad one by name; k_test may be infinite."""
+        for key, value in (
+            ("k_test", number(self.k_test, "k_test", "a number", lambda x: not math.isnan(x))),
+            ("r_max_frac", number(self.r_max_frac, "r_max_frac", "a number in (0, 1]",
+                                  lambda x: 0.0 < x <= 1.0)),
+            ("r_min_frac", number(self.r_min_frac, "r_min_frac", "a number in (0, 1)",
+                                  lambda x: 0.0 < x < 1.0)),
+            ("radii", integer(self.radii, "radii", least=8)),
+        ):
+            object.__setattr__(self, key, value)
+        if not (self.directions is None or isinstance(self.directions, DirectionGrid)):
+            raise ReadError("directions", "a direction grid or null", show(self.directions))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +296,6 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
                            radii.tobytes(), dirs)
     vals = stencil.read(v.magnitude()).reshape(dirs.count, params.radii)
 
-    k_test = float(params.k_test)
     k_hat = np.empty(dirs.count)
     residual = np.zeros(dirs.count)
 
@@ -323,7 +313,7 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
         k_hat=k_hat,
         residual=residual,
         value_at_rmax=vals[:, -1].copy(),
-        k_test=k_test,
+        k_test=params.k_test,
         r_min=float(r_min),
         r_max=float(r_max),
         radii=params.radii,

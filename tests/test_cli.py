@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,19 @@ from twistlab.grids import SampledField, make_grid
 def _write(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+_REFUSAL = re.compile(r"config error: ([\w.\[\]-]+): (expected .+, got .+)\n")
+
+
+def _refused(capsys, key, message=""):
+    """Stderr is the one line a refused input value writes, `config
+    error: <dotted key>: expected ..., got ...`, for `key`, with the text
+    after the key starting with `message`."""
+    err = capsys.readouterr().err
+    m = _REFUSAL.fullmatch(err)
+    assert m and m[1] == key and m[2].startswith(message), err
+    return err
 
 
 @pytest.fixture
@@ -259,26 +273,28 @@ def test_product_non_boolean_flag_exit_2(tmp_path, capsys, fragment, key):
     })
     out = tmp_path / "o"
     assert main(["star", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"{key}: expected true or false" in err and "Traceback" not in err
+    _refused(capsys, key, "expected true or false, got ")
     assert not (out / "star_field.json").exists()
 
 
 @pytest.mark.parametrize("grid,message", [
-    ({"n": 1, "N": 8.9, "L": 2.0}, "grid: N: expected an integer, got 8.9"),
-    ({"n": True, "N": 8, "L": 2.0}, "grid: n: expected an integer, got True"),
-    ({"n": 1, "N": 8, "L": "2"}, "grid: L: expected a number, got '2'"),
-    ({"n": 1, "L": 2.0}, "grid: N: expected an integer, got None"),
+    ({"n": 1, "N": 8.9, "L": 2.0}, "grid.N: expected an integer, got 8.9"),
+    ({"n": True, "N": 8, "L": 2.0}, "grid.n: expected an integer, got True"),
+    ({"n": 1, "N": 8, "L": "2"}, "grid.L: expected a positive finite number, got '2'"),
+    ({"n": 1, "L": 2.0}, "grid.N: expected a value, got nothing"),
     ({"n": 1, "N": 8, "L": 10**400},
-     "grid: L: expected a finite number, got an integer beyond float range"),
+     "grid.L: expected a positive finite number, got an integer beyond float range"),
+    ({"n": 0, "N": 8, "L": 2.0}, "grid.n: expected a positive integer, got 0"),
+    ({"n": 1, "N": 7, "L": 2.0}, "grid.N: expected an even integer, got 7"),
+    ({"n": 1, "N": 2, "L": 2.0}, "grid.N: expected an integer of at least 4, got 2"),
+    ({"n": 1, "N": 8, "L": -2}, "grid.L: expected a positive finite number, got -2.0"),
 ])
 def test_config_grid_is_typed_exit_2(tmp_path, capsys, grid, message):
     # int(8.9) used to read N as 8 and run
     job = _write(tmp_path / "job.json", {"schema_version": 1, "grid": grid,
                                          "left": {"kind": "delta"}, "right": {"kind": "delta"}})
     assert main(["product", "--config", job, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    _refused(capsys, *message.split(": ", 1))
     assert not (tmp_path / "o" / "product_field.json").exists()
 
 
@@ -290,12 +306,12 @@ _FIELD8 = {"n": 1, "N": 8, "L": 2.0, "re": [0.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0
     ({"N": 8.9}, "N: expected an integer, got 8.9"),
     ({"n": True}, "n: expected an integer, got True"),
     ({"N": "8"}, "N: expected an integer, got '8'"),
-    ({"L": "2"}, "L: expected a number, got '2'"),
+    ({"L": "2"}, "L: expected a positive finite number, got '2'"),
     ({"re": [0.0] * 7}, "re: expected a list of 8 numbers, got 7 entries"),
     ({"im": None}, "im: expected a list of 8 numbers, got None"),
     ({"re": [0.0] * 7 + ["1"]}, "re: expected a list of 8 numbers, got entries of type str"),
     ({"im": [True] + [0.0] * 7}, "im: expected a list of 8 numbers, got entries of type bool"),
-    ({"L": 10**400}, "L: expected a finite number, got an integer beyond float range"),
+    ({"L": 10**400}, "L: expected a positive finite number, got an integer beyond float range"),
     ({"re": [0.0] * 7 + [10**400]}, "re: expected a finite number, got an integer beyond float range"),
     ({"im": [float("nan")] + [0.0] * 7}, "im: expected a finite number, got nan"),
 ])
@@ -310,8 +326,8 @@ def test_field_file_with_ill_typed_grid_exit_2(tmp_path, capsys, patch, message)
             ("wf", {"field": ref}, "field")):
         job = _write(tmp_path / "job.json", {"schema_version": 1, "grid": grid, **cfg})
         assert main([command, "--config", job, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert f"{key}: {message}" in err and "Traceback" not in err, (command, err)
+        name, rest = message.split(": ", 1)
+        _refused(capsys, f"{key}.{name}", rest)
 
 
 @pytest.mark.parametrize("command", ["product", "star"])
@@ -345,8 +361,7 @@ def test_product_bad_theta_entry_exit_2(tmp_path, capsys, theta):
         "right": {"kind": "delta", "a": [0.0, 0.0]},
     })
     assert main(["product", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "theta: " in err and "Traceback" not in err
+    _refused(capsys, "theta", "expected a matrix of rationals, got ")
 
 
 def test_unknown_schema_version(tmp_path):
@@ -398,9 +413,16 @@ def test_wf_seed_flag_overrides_config_seed(tmp_path):
     ({"params": {"k_test": None}}, "params.k_test"),
     ({"grid": {"n": 2, "N": 16, "L": 7.0}, "field": {"kind": "delta", "a": [0.0, 0.0]},
       "params": {"direction_count": 100}}, "params.direction_count"),
-    ({"field": {"kind": "gaussian", "sigma": 1e-300}}, "field: sigma: expected a positive number"),
+    ({"field": {"kind": "gaussian", "sigma": 1e-300}},
+     "field.sigma: expected a positive number whose square is a positive finite float, got 1e-300"),
     ({"field": {"kind": "gaussian", "sigma": 10**400}},
      "field.sigma: expected a finite number, got an integer beyond float range"),
+    # integers beyond float range are refused before any arithmetic meets them
+    ({"params": {"k_test": 10**400}}, "params.k_test: expected a number, got an integer beyond"),
+    ({"params": {"r_min_frac": 10**400}}, "params.r_min_frac: expected a number in (0, 1), got an"),
+    ({"params": {"r_max_frac": 10**400}}, "params.r_max_frac: expected a number in (0, 1], got an"),
+    ({"window": {"kind": "hann", "half_width": 10**400}},
+     "window.half_width: expected a positive finite number, got an integer beyond float range"),
 ])
 def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
     # each case is a top-level config fragment: params, window, ...
@@ -413,7 +435,8 @@ def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["wf", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert key in capsys.readouterr().err
+    name, _, message = key.partition(": ")
+    _refused(capsys, name, message)
     assert [str(w.message) for w in caught] == []
 
 
@@ -434,8 +457,7 @@ def test_wf_field_numbers_are_typed_exit_2(tmp_path, capsys, field, message):
     cfg = _write(tmp_path / "wf.json", {"schema_version": 1, "grid": {"n": 1, "N": 64, "L": 8.0},
                                         "field": field})
     assert main(["wf", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    _refused(capsys, *message.split(": ", 1))
     assert not (tmp_path / "o" / "wf_estimate.json").exists()
 
 
@@ -565,18 +587,34 @@ def test_cone_bad_rationals_exit_2(tmp_path, capsys, fragment, key, message):
         **fragment,
     })
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    # a refused value names its full key, e.g. u.components[0].v; a set the
+    # constructors refuse names the set
     err = capsys.readouterr().err
-    assert f"{key}: " in err and message in err and "Traceback" not in err
+    assert err.startswith(f"config error: {key}") and err.count("\n") == 1 and message in err, err
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("u", {"dim": 2, "components": [{"kind": "ray", "v": [1, 0], "both": "false"}]},
-     "u: both: expected true or false, got 'false'"),
+     "u.components[0].both: expected true or false, got 'false'"),
     ("v", {"dim": 2, "components": [{"kind": "product", "x": {"set": _RAY_1, "zero": "no"},
                                      "xi": None}]},
-     "v: zero: expected true or false, got 'no'"),
+     "v.components[0].x.zero: expected true or false, got 'no'"),
     ("u", {"dim": 2.9, "components": [{"kind": "ray", "v": [1, 0]}]},
-     "u: dim: expected an integer, got 2.9"),
+     "u.dim: expected an integer, got 2.9"),
+    # structure faults that used to surface as Python's KeyError or TypeError text
+    ("u", {"components": [{"kind": "ray", "v": [1, 0]}]}, "u.dim: expected a value, got nothing"),
+    ("v", {"dim": 2, "components": 5}, "v.components: expected a list, got 5"),
+    ("u", {"dim": 2, "components": [[1, 0]]},
+     "u.components[0]: expected an object, got [1, 0]"),
+    ("u", {"dim": 2, "components": [{"kind": "polyhedral"}]},
+     "u.components[0].generators: expected a value, got nothing"),
+    ("v", {"dim": 2, "components": [{"kind": "ray", "v": [1, 0]},
+                                    {"kind": "polyhedral", "generators": [[1, 0], ["x", 0]]}]},
+     "v.components[1].generators: expected a matrix of rationals, got [[1, 0], ['x', 0]] "
+     "(Invalid literal for Fraction: 'x')"),
+    ("u", {"dim": 2, "components": [{"kind": "product", "x": {"set": {"components": []}},
+                                     "xi": None}]},
+     "u.components[0].x.set.dim: expected a value, got nothing"),
 ])
 def test_cone_set_flags_and_dim_are_typed_exit_2(tmp_path, capsys, key, value, message):
     # "false" and "no" would read as true, and 2.9 as 2
@@ -585,7 +623,7 @@ def test_cone_set_flags_and_dim_are_typed_exit_2(tmp_path, capsys, key, value, m
         key: value,
     })
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert _refused(capsys, *message.split(": ", 1)) == f"config error: {message}\n"
 
 
 _SET_JOBS = {
@@ -725,8 +763,7 @@ def test_cone_sampled_set_exit_2(tmp_path, capsys):
         "v": set_to_obj(product_set(None, full_space(1))),
     })
     assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "u:" in err and "'caps'" in err and "Traceback" not in err
+    _refused(capsys, "u.components[0].kind", "expected polyhedral, ray, graph or product, got 'caps'")
 
 
 def test_parser_reused_without_leaking_values(tmp_path, monkeypatch):
@@ -754,8 +791,7 @@ def test_wf_seed_error_names_its_source(tmp_path, capsys):
                                             "grid": {"n": 1, "N": 64, "L": 8.0},
                                             "field": {"kind": "delta"}, "params": params})
         assert main(["wf", "--config", cfg, "--out", str(tmp_path / "o"), *flag]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: {key}: expected a nonnegative integer, got -" in err, err
+        _refused(capsys, key, "expected a nonnegative integer, got -")
 
 
 @pytest.mark.parametrize("argv", [["product", "--config", "a.json"], ["star", "--config", "a.json"],

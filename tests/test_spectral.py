@@ -145,7 +145,7 @@ def test_window_factors_rejected(grid2d, factors, match):
 
 @pytest.mark.parametrize("half_width", [np.inf, -np.inf, np.nan])
 def test_hann_rejects_non_finite_half_width(grid128, half_width):
-    with pytest.raises(ValueError, match="half_width must be finite and positive"):
+    with pytest.raises(ValueError, match="^half_width: expected a positive finite number, got "):
         hann_window(grid128, half_width)
 
 

@@ -71,7 +71,7 @@ def test_direction_grid_sphere_seeded():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for count in (6, 12, 100, 2050):
-            with pytest.raises(ValueError, match="^count must be twice a power of two"):
+            with pytest.raises(ValueError, match=r"^count: expected twice a power of two, at least 8, got "):
                 direction_grid(4, count)
 
 

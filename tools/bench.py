@@ -71,8 +71,11 @@ interpreter that loads both checkouts side by side and alternates C
 calls per side of `WavefrontEstimate.to_json` and `to_csv` (n=1, N=128,
 L=12 with 180, 360 and 720 directions, and n=2, N=32, L=7 with 2048; the
 centred impulse, k_test 0.05), of `SampledField.to_json` and `from_json`
-at n=1, N=512 and n=2, N=64, and of `cli._field_csv` at n=1, N=256 (L=8,
-a Gaussian packet).  Per case and side it records the median and
+at n=1, N=512 and n=2, N=64, of `cli._field_csv` at n=1, N=256 (L=8,
+a Gaussian packet), and of `cones.set_from_json` on a set file shaped as
+cli-jobs writes them (three cones of three seeded half-integer
+generators in R^4, as `set_to_json`'s [num, den] pairs; its output is
+compared by repr).  Per case and side it records the median and
 quartiles of process CPU per call, the pairs in which head was faster,
 the output's length and whether both sides' outputs are equal byte for
 byte; for the estimate methods also the median CPU of the first call on
@@ -312,7 +315,8 @@ print(json.dumps(out))
 """
 
 SERIALIZE_LADDER = SIDES + """
-import dataclasses, importlib
+import dataclasses, importlib, random
+from fractions import Fraction
 FIRST_CALLS = 5
 def estimate(tl, n, N, count):
     grid = tl.make_grid(n, N, 12.0 if n == 1 else 7.0)
@@ -324,6 +328,8 @@ def field(tl, n, N):
 def comparable(x):
     if isinstance(x, str):
         return x
+    if hasattr(x, "components"):
+        return repr(x)
     return (x.grid.n, x.grid.N, x.grid.L, x.values.tobytes())
 # name -> per side: (the timed call, a maker of that call on a fresh grid, or None)
 cases = {}
@@ -348,6 +354,14 @@ fields = {side: field(tl, 1, 256) for side, tl in sides.items()}
 cases["cli_field_csv_n1_N256"] = {
     side: (lambda tl=tl, f=fields[side]: importlib.import_module(f"{tl.__name__}.cli")._field_csv(f),
            None) for side, tl in sides.items()}
+rng = random.Random(7)
+hulls = [[[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)] for _ in range(3)]
+         for _ in range(3)]
+hulls = [[g for g in h if any(g)] for h in hulls]
+tl = sides["base"]
+text = tl.set_to_json(tl.ConicSet(4, tuple(tl.polyhedral(h).components[0] for h in hulls)))
+cases["cones_set_from_json_d4_k9"] = {
+    side: (lambda tl=tl: tl.set_from_json(text), None) for side, tl in sides.items()}
 out = {}
 for name, case in cases.items():
     outs = {side: case[side][0]() for side in sides}
