@@ -25,7 +25,7 @@ _SCHEMA = 1
 
 class ConfigError(Exception):
     """A refusal that is not one value's, such as an unreadable file or
-    a set the calculus refuses; `main` writes it as a `ReadError`."""
+    a set the calculus refuses; `main` writes it as `config error: …`."""
 
 
 def main(argv=None) -> int:
