@@ -48,11 +48,14 @@ def flag(obj: dict, key: str, where: str = "") -> bool:
     return value
 
 
-def integer(value, key: str, least: int | None = None) -> int:
-    """`value` as an int: a Python or numpy integer, not a boolean, and
-    at least `least` when that is given."""
+def integer(value, key: str, least: int | None = None, most: int | None = None) -> int:
+    """`value` as an int: a Python or numpy integer, not a boolean, at
+    least `least` when that is given, and at most `most`, which is given
+    with `least`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ReadError(key, "an integer", show(value))
+    if most is not None and not least <= value <= most:
+        raise ReadError(key, f"an integer from {least} to {most}", show(value))
     if least is not None and value < least:
         raise ReadError(key, {0: "a nonnegative integer", 1: "a positive integer"}.get(
             least, f"an integer of at least {least}"), show(value))

@@ -190,6 +190,7 @@ def _run_record(out: Path, name: str, cfg: dict, outputs: dict) -> None:
 
 def _cmd_product(args, out: Path) -> int:
     from .grids import grid_from_obj
+    from .matrices import AntisymmetricMatrix
     from .products import (
         pointwise_product,
         twisted_convolution,
@@ -202,8 +203,15 @@ def _cmd_product(args, out: Path) -> int:
     if op not in ("star", "product", "pointwise"):
         raise ReadError("op", "star|product|pointwise", show(op))
     wrap, csv = flag(cfg, "wrap"), flag(cfg, "csv")
-    theta = [[float(x) for x in row]
-             for row in matrix(cfg.get("theta", [[0] * grid.n] * grid.n), "theta")]
+    raw = cfg.get("theta", [[0] * grid.n] * grid.n)
+    rows = matrix(raw, "theta")
+    try:
+        theta = [[float(x) for x in row] for row in rows]
+        square = AntisymmetricMatrix.from_matrix(theta).n == grid.n
+    except (OverflowError, ValueError):
+        square = False
+    if not square:
+        raise ReadError("theta", f"an antisymmetric {grid.n}×{grid.n} matrix", show(raw))
     left = _field_from(need(cfg, "left"), grid, "left")
     right = _field_from(need(cfg, "right"), grid, "right")
     if op == "star":
@@ -239,6 +247,10 @@ def _field_csv(f) -> str:
     return head + "\n" + "".join(row % (*x, re, im, a) for x, re, im, a in rows)
 
 
+# the keys of a wf job's `params`
+_WF_PARAMS = ("k_test", "r_min_frac", "r_max_frac", "radii", "seed", "direction_count")
+
+
 def _cmd_wf(args, out: Path) -> int:
     from .grids import grid_from_obj
     from .spectral import _HANN_HALF_WIDTH, gaussian_window, hann_window
@@ -263,6 +275,10 @@ def _cmd_wf(args, out: Path) -> int:
     pspec = cfg.get("params", {})
     if not isinstance(pspec, dict):
         raise ReadError("params", "an object", show(pspec))
+    for key in pspec:
+        if key not in _WF_PARAMS:
+            raise ReadError(f"params.{key}", f"one of {', '.join(_WF_PARAMS[:-1])} or "
+                                             f"{_WF_PARAMS[-1]}", "an unknown key")
     pspec = dict(pspec)
     seed = pspec.pop("seed", _SPHERE_SEED)
     if args.seed is None:
@@ -277,8 +293,6 @@ def _cmd_wf(args, out: Path) -> int:
         params = WavefrontParams(directions=dirs, **pspec)
     except ReadError as exc:
         raise exc.within("params") from None
-    except TypeError as exc:
-        raise ConfigError(f"params: {exc}") from exc
     est = estimate_wf(u, window, params)
     _write(out / "wf_estimate.json", est.to_json())
     _write(out / "wf_directions.csv", est.to_csv())

@@ -34,7 +34,9 @@ class AntisymmetricMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
         if np.isfinite(a).all():
-            antisymmetric = (np.abs(a + a.T) <= 1e-12).all()
+            # a sum past float range comes from a pair that is not antisymmetric
+            with np.errstate(over="ignore"):
+                antisymmetric = (np.abs(a + a.T) <= 1e-12).all()
         else:
             # an infinite pair a_ij = -a_ji passes, and the constructor
             # refuses it as not finite; a nan fails

@@ -30,6 +30,9 @@ from .spectral import (
 )
 
 _SPHERE_SEED = 20240817
+# the most radii a ray fit takes: its stencil holds 48 bytes per radius
+# and direction at n=2, so 2048 directions take 25 MB at the cap
+MAX_RADII = 256
 # |V| at r_max at or below this counts as infinitely fast decay
 _DEAD_FLOOR = 1e-13
 
@@ -181,7 +184,7 @@ class WavefrontParams:
                                   lambda x: 0.0 < x <= 1.0)),
             ("r_min_frac", number(self.r_min_frac, "r_min_frac", "a number in (0, 1)",
                                   lambda x: 0.0 < x < 1.0)),
-            ("radii", integer(self.radii, "radii", least=8)),
+            ("radii", integer(self.radii, "radii", least=8, most=MAX_RADII)),
         ):
             object.__setattr__(self, key, value)
         if not (self.directions is None or isinstance(self.directions, DirectionGrid)):
@@ -288,26 +291,9 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
     if dirs.dim != dim:
         raise ValueError(f"direction grid dimension {dirs.dim} != phase space dimension {dim}")
 
-    radii = np.geomspace(r_min, r_max, params.radii)
-    t = np.log1p(radii**2)
-    design = np.column_stack([t, np.ones_like(t)])
-
-    stencil = _ray_stencil(tuple(np.asarray(ax, dtype=float).tobytes() for ax in v.axes),
-                           radii.tobytes(), dirs)
-    vals = stencil.read(v.magnitude()).reshape(dirs.count, params.radii)
-
-    k_hat = np.empty(dirs.count)
-    residual = np.zeros(dirs.count)
-
-    dead = vals[:, -1] <= _DEAD_FLOOR
-    k_hat[dead] = math.inf
-    live = ~dead
-    if np.any(live):
-        y = -np.log(np.maximum(vals[live], 1e-300))
-        coef, *_ = np.linalg.lstsq(design, y.T, rcond=None)
-        k_hat[live] = coef[0]
-        fit = design @ coef
-        residual[live] = np.sqrt(np.mean((fit - y.T) ** 2, axis=0))
+    radii = _radii(r_min, r_max, params.radii)
+    vals = _ray_samples(v, dirs, radii)
+    k_hat, residual = _decay_fit(vals, radii)
     return WavefrontEstimate(
         directions=dirs,
         k_hat=k_hat,
@@ -320,6 +306,65 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
     )
 
 
+def _ray_samples(v: STFTData | STFTMagnitude, dirs: DirectionGrid, radii: _Radii) -> np.ndarray:
+    """|V| at r w by multilinear interpolation, 0 outside the lattice box:
+    one row per direction w of `dirs`, one column per radius r."""
+    stencil = _ray_stencil(tuple(np.asarray(ax, dtype=float).tobytes() for ax in v.axes),
+                           radii.r.tobytes(), dirs)
+    return stencil.read(v.magnitude()).reshape(dirs.count, len(radii.r))
+
+
+def _decay_fit(samples: np.ndarray, radii: _Radii) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `samples` (one ray at `radii`), the least-squares fit of
+    -log|V| against log(1 + r^2): the slope k_hat and the RMS residual.
+    A ray at or below the numerical floor at r_max is dead: k_hat +inf,
+    residual 0."""
+    live = ~(samples[:, -1] <= _DEAD_FLOOR)
+    every = bool(live.all())
+    if every:
+        y = np.maximum(samples, 1e-300)
+    else:
+        y = samples[live]
+        np.maximum(y, 1e-300, out=y)
+    np.log(y, out=y)
+    np.negative(y, out=y)
+    coef = radii.pinv @ y.T
+    fit = radii.design @ coef
+    fit -= y.T
+    fit *= fit
+    res = np.sqrt(np.mean(fit, axis=0))
+    if every:
+        return coef[0], res
+    k_hat = np.full(len(samples), math.inf)
+    residual = np.zeros(len(samples))
+    k_hat[live] = coef[0]
+    residual[live] = res
+    return k_hat, residual
+
+
+@dataclass(frozen=True, eq=False)
+class _Radii:
+    """The fit's radii r, its design [log(1 + r^2), 1] and the design's
+    pseudo-inverse, all read-only."""
+
+    r: np.ndarray
+    design: np.ndarray
+    pinv: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _radii(r_min: float, r_max: float, count: int) -> _Radii:
+    """`count` log-spaced radii in [r_min, r_max] and their fit, memoised
+    beside `_ray_stencil` on the same configurations."""
+    r = np.geomspace(r_min, r_max, count)
+    t = np.log1p(r**2)
+    design = np.column_stack([t, np.ones_like(t)])
+    pinv = np.linalg.pinv(design)
+    for a in (r, design, pinv):
+        a.flags.writeable = False
+    return _Radii(r, design, pinv)
+
+
 @dataclass(frozen=True, eq=False)
 class _Stencil:
     """Where multilinear interpolation on equispaced axes reads for a
@@ -327,6 +372,10 @@ class _Stencil:
     corner, each axis's fractional weight y of the point in its cell, and
     the indices of the points outside the box.  It depends only on the
     axes and the points, so one stencil serves every array of `shape`.
+
+    The samples are held in memory order, sorted (stably) by their
+    offset, so that each corner's gather walks the array forwards;
+    `rows` maps them back to the points' order.
 
     The cell along each axis is floor((x - a0)/step), moved by at most
     one node each way so that it equals searchsorted(ax, x, "right") - 1
@@ -341,6 +390,7 @@ class _Stencil:
     offsets: tuple[int, ...]
     base: np.ndarray
     y: tuple[np.ndarray, ...]
+    rows: np.ndarray
     outside: np.ndarray
 
     def read(self, values: np.ndarray) -> np.ndarray:
@@ -351,19 +401,22 @@ class _Stencil:
             raise ValueError(f"values of shape {values.shape} on axes of shape {self.shape}")
         flat = values.ravel()
         weights = [(1 - y, y) for y in self.y]
-        # weight prefixes over all axes but the last; the last factor is
-        # applied per corner so that only one corner weight is held at a time
-        prefixes = [1.0]
-        for w in weights[:-1]:
+        # weight prefixes over all axes but the last (the first axis's
+        # weights themselves); the last factor is applied per corner so
+        # that only one corner weight is held at a time
+        prefixes = list(weights[0]) if len(weights) > 1 else [1.0]
+        for w in weights[1:-1]:
             prefixes = [p * wk for p in prefixes for wk in w]
-        out = np.zeros(len(self.base))
+        acc = np.zeros(len(self.base))
         term, w = np.empty(len(self.base)), np.empty(len(self.base))
         for off, (p, wk) in zip(self.offsets, itertools.product(prefixes, weights[-1])):
             # every index is in range; "clip" only spares take a bounds check
             np.take(flat[off:], self.base, out=term, mode="clip")
             np.multiply(p, wk, out=w)
             term *= w
-            out += term
+            acc += term
+        out = np.empty(len(self.base))
+        out[self.rows] = acc
         out[self.outside] = 0.0
         return out
 
@@ -387,11 +440,14 @@ def _stencil(axes, pts: np.ndarray) -> _Stencil:
         ys.append((x - ax[i]) / (ax[i + 1] - ax[i]))
         base += i * strides[k]
         outside |= (x < ax[0]) | (x > ax[-1])
+    rows = np.argsort(base, kind="stable")
+    # rows stay intp: scattering through int32 indices converts them on every read
+    base, ys = base[rows], [y[rows] for y in ys]
     outside = np.flatnonzero(outside)
-    for a in (base, outside, *ys):
+    for a in (base, rows, outside, *ys):
         a.flags.writeable = False
     offsets = tuple(int(np.dot(c, strides)) for c in itertools.product((0, 1), repeat=len(axes)))
-    return _Stencil(shape, offsets, base, tuple(ys), outside)
+    return _Stencil(shape, offsets, base, tuple(ys), rows, outside)
 
 
 @lru_cache(maxsize=8)
@@ -400,8 +456,8 @@ def _ray_stencil(axes: tuple[bytes, ...], radii: bytes, dirs: DirectionGrid) -> 
     ordered direction by direction) on the lattice `axes`, both passed as
     float64 bytes.  The estimator's geometry depends only on the grid,
     the window and the parameters, so it is memoised: one entry holds
-    8 bytes per sample and phase-space axis plus 8, about 1 MB for 2048
-    directions and 12 radii."""
+    8 bytes per sample and phase-space axis plus 16, about 1.2 MB for
+    2048 directions and 12 radii."""
     r = np.frombuffer(radii)
     pts = r[None, :, None] * dirs.directions[:, None, :]
     return _stencil([np.frombuffer(a) for a in axes], pts.reshape(-1, dirs.dim))

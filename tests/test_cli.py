@@ -243,15 +243,27 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_non_antisymmetric_theta_exit_2(tmp_path):
+@pytest.mark.parametrize("n, theta, got", [
+    (2, [[0.0, 1.0], [1.0, 0.0]], "[[0.0, 1.0], [1.0, 0.0]]"),
+    (1, [[0, 1], [-1, 0]], "[[0, 1], [-1, 0]]"),
+    (1, [[1e308]], "[[1e+308]]"),
+    (1, [[10**400]], "[[100000000000000000...0000000000000000000]]"),
+])
+@pytest.mark.parametrize("command", ["product", "star"])
+def test_non_antisymmetric_theta_exit_2(tmp_path, capsys, command, n, theta, got):
+    # an integer beyond float range used to end in an OverflowError traceback
     cfg = _write(tmp_path / "job.json", {
         "schema_version": 1,
-        "grid": {"n": 2, "N": 8, "L": 4.0},
-        "theta": [[0.0, 1.0], [1.0, 0.0]],
-        "left": {"kind": "delta", "a": [0.0, 0.0]},
-        "right": {"kind": "delta", "a": [0.0, 0.0]},
+        "grid": {"n": n, "N": 8, "L": 4.0},
+        "theta": theta,
+        "left": {"kind": "delta", "a": [0.0] * n},
+        "right": {"kind": "delta", "a": [0.0] * n},
     })
-    assert main(["star", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    _refused(capsys, "theta", f"expected an antisymmetric {n}×{n} matrix, got {got}")
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("fragment, key", [
@@ -399,6 +411,20 @@ def test_wf_seed_flag_overrides_config_seed(tmp_path):
     assert run["resolved_config"]["params"]["seed"] == 3
 
 
+def test_wf_radii_at_cap(tmp_path):
+    # the largest radius count runs; one more is refused (test_wf_bad_params_exit_2)
+    cfg = _write(tmp_path / "wf.json", {
+        "schema_version": 1,
+        "grid": {"n": 1, "N": 64, "L": 8.0},
+        "field": {"kind": "delta", "a": 0.0},
+        "params": {"radii": 256},
+    })
+    out = tmp_path / "out"
+    assert main(["wf", "--config", cfg, "--out", str(out)]) == 0
+    run = json.loads((out / "wf_run.json").read_text())
+    assert run["resolved_config"]["params"]["radii"] == 256
+
+
 @pytest.mark.parametrize("params, key", [
     ({"params": {"radii": "12"}}, "params.radii"),
     ({"params": {"r_min_frac": 2.0}}, "params.r_min_frac"),
@@ -411,6 +437,15 @@ def test_wf_seed_flag_overrides_config_seed(tmp_path):
     ({"window": {"kind": "hann", "half_width": "wide"}}, "window.half_width"),
     ({"window": {"kind": "hann", "half_width": None}}, "window.half_width"),
     ({"params": {"k_test": None}}, "params.k_test"),
+    # a key WavefrontParams lacks, or one the job sets itself, is no parameter
+    ({"params": {"k_tset": 0.05}}, "params.k_tset: expected one of k_test, r_min_frac, "
+                                   "r_max_frac, radii, seed or direction_count, got an unknown key"),
+    ({"params": {"directions": 5}}, "params.directions: expected one of k_test, r_min_frac, "
+                                    "r_max_frac, radii, seed or direction_count, got an unknown key"),
+    # the radius count is capped before anything is allocated
+    ({"params": {"radii": 257}}, "params.radii: expected an integer from 8 to 256, got 257"),
+    ({"params": {"radii": 10**6}}, "params.radii: expected an integer from 8 to 256, got 1000000"),
+    ({"params": {"radii": 10**400}}, "params.radii: expected an integer from 8 to 256, got 1000"),
     ({"grid": {"n": 2, "N": 16, "L": 7.0}, "field": {"kind": "delta", "a": [0.0, 0.0]},
       "params": {"direction_count": 100}}, "params.direction_count"),
     ({"field": {"kind": "gaussian", "sigma": 1e-300}},

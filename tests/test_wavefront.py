@@ -139,6 +139,29 @@ def test_multilinear_matches_scipy(d, data):
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("n, big_n", [(1, 128), (2, 32)])
+def test_ray_stencil_in_memory_order(n, big_n):
+    # the samples are held sorted by offset, and `rows` takes them back
+    # to direction-major order
+    g = make_grid(n, big_n, 7.0)
+    u = sample_analytic(Delta((0.0,) * n), g)
+    est = estimate_wf(u)
+    win = gaussian_window(g)
+    mag = spectral.stft_magnitude(u, win, est.r_max * (1.0 + 1e-9))
+    radii = wavefront._radii(est.r_min, est.r_max, est.radii)
+    stencil = wavefront._ray_stencil(tuple(np.asarray(ax).tobytes() for ax in mag.axes),
+                                     radii.r.tobytes(), direction_grid(2 * n))
+    assert np.all(np.diff(stencil.base) >= 0)
+    assert np.array_equal(np.sort(stencil.rows), np.arange(est.directions.count * est.radii))
+    # back in point order, each offset is the lower corner's cell as searchsorted finds it
+    pts = (radii.r[None, :, None] * est.directions.directions[:, None, :]).reshape(-1, 2 * n)
+    cells = [np.clip(np.searchsorted(ax, pts[:, k], "right") - 1, 0, len(ax) - 2)
+             for k, ax in enumerate(mag.axes)]
+    base = np.empty_like(stencil.base)
+    base[stencil.rows] = stencil.base
+    assert np.array_equal(base, np.ravel_multi_index(cells, stencil.shape))
+
+
 def test_direction_grid_probe_matches_one_shot_oracle():
     # resolution_deg takes max |cos| block by block as max(max, -min);
     # the oracle takes abs and max over the whole probe-direction matrix
@@ -200,8 +223,11 @@ def test_one_stencil_per_configuration():
 def test_cached_stencil_and_window_are_read_only():
     stencil = wavefront._ray_stencil((np.arange(4.0).tobytes(),) * 2,
                                      np.array([0.5, 1.0]).tobytes(), direction_grid(2, 4))
+    radii = wavefront._radii(0.5, 2.0, 8)
     assert stencil.outside.size
-    for arr in (stencil.base, stencil.outside, *stencil.y):
+    assert wavefront._radii(0.5, 2.0, 8) is radii
+    for arr in (stencil.base, stencil.rows, stencil.outside, *stencil.y,
+                radii.r, radii.design, radii.pinv):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
     g = make_grid(2, 16, 6.0)
@@ -407,6 +433,14 @@ def test_params_rejected_by_name(kw, key):
         WavefrontParams(**kw)
 
 
+def test_radii_cap():
+    assert wavefront.MAX_RADII == 256
+    assert WavefrontParams(radii=256).radii == 256
+    for radii in (7, 257, 10**400):
+        with pytest.raises(ValueError, match=r"^radii: expected an integer from 8 to 256, got "):
+            WavefrontParams(radii=radii)
+
+
 def test_trust_region_must_be_nonempty(monkeypatch):
     # a unit window overflows a half-width-1 box: no trusted radii, and
     # the estimator says so before it transforms anything
@@ -472,6 +506,45 @@ def test_separable_route_keeps_verdicts(big_n):
         np.testing.assert_array_equal(np.isfinite(a.k_hat), np.isfinite(b.k_hat))
         live = np.isfinite(a.k_hat)
         assert np.max(np.abs(a.k_hat[live] - b.k_hat[live]), initial=0.0) <= 1e-12
+
+
+def _lstsq_fit(samples, radii):
+    """The ray fit as np.linalg.lstsq computes it: k_hat and the RMS
+    residual of each live row, +inf and 0 on a dead one."""
+    k_hat, residual = np.full(len(samples), np.inf), np.zeros(len(samples))
+    live = ~(samples[:, -1] <= wavefront._DEAD_FLOOR)
+    t = np.log1p(radii**2)
+    design = np.column_stack([t, np.ones_like(t)])
+    y = -np.log(np.maximum(samples[live], 1e-300))
+    coef, *_ = np.linalg.lstsq(design, y.T, rcond=None)
+    k_hat[live] = coef[0]
+    residual[live] = np.sqrt(np.mean((design @ coef - y.T) ** 2, axis=0))
+    return k_hat, residual
+
+
+@pytest.mark.parametrize("n, big_n, L", [(1, 128, 12.0), (2, 32, 7.0)])
+def test_decay_fit_matches_lstsq(n, big_n, L):
+    # the cached pseudo-inverse fit against lstsq on the same ray samples
+    g = make_grid(n, big_n, L)
+    for win, dist in itertools.product(
+            (gaussian_window(g), hann_window(g)),
+            (Delta((0.0,) * n), PlaneWave((0.2,) * n), Chirp(0.3 * np.eye(n)),
+             GaussianPacket((0.4,) * n, 1.1, (0.5,) * n))):
+        u = sample_analytic(dist, g)
+        est = estimate_wf(u, win)
+        radii = wavefront._radii(est.r_min, est.r_max, est.radii)
+        mag = spectral.stft_magnitude(u, win, est.r_max * (1.0 + 1e-9))
+        samples = wavefront._ray_samples(mag, est.directions, radii)
+        k_hat, residual = wavefront._decay_fit(samples, radii)
+        want_k, want_res = _lstsq_fit(samples, radii.r)
+        assert k_hat.tobytes() == est.k_hat.tobytes()
+        np.testing.assert_array_equal(np.isinf(k_hat), np.isinf(want_k))
+        live = np.isfinite(want_k)
+        assert np.all(residual[~live] == 0.0)
+        assert np.max(np.abs(k_hat[live] - want_k[live]), initial=0.0) <= 1e-14, (win, dist)
+        assert np.max(np.abs(residual - want_res), initial=0.0) <= 1e-14, (win, dist)
+        for k_test in (est.k_test, 0.05):
+            np.testing.assert_array_equal(k_hat < k_test, want_k < k_test)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "hann", "random"])

@@ -43,9 +43,13 @@ N=32, 64, 128 (L=7, a Gaussian packet, the Gaussian window, k_test
 pairs of `stft_magnitude` within the reach `estimate_wf` uses and of
 `estimate_wf_from_stft` on its result.  Per case and side it records
 the median and quartiles of process CPU per call of each, the pairs in
-which head was faster, a hash of k_hat, value_at_rmax and `flagged`, the
-nonzero magnitude cells, and the largest |V| difference over the cells
-both sides hold nonzero, with the count of cells only head holds nonzero.
+which head was faster, a hash of k_hat, value_at_rmax and `flagged`, how
+far head's estimate moved (the largest |k_hat| difference over the
+entries finite on both sides, null when a k_hat is finite on one side
+only; whether every flag is equal; whether value_at_rmax keeps its
+bytes), the nonzero magnitude cells, and the largest |V| difference
+over the cells both sides hold nonzero, with the count of cells only
+head holds nonzero.
 
 With `--rss-rounds R`, each checkout runs R cli-jobs rounds of seed 102
 in one interpreter, fingerprinting every output as perfbench does, and
@@ -94,9 +98,11 @@ pytest's summary line.
 With `--hash-seeds`, each checkout hashes every wavefront-n2 estimate
 (k_hat, residual, value_at_rmax, directions) of each seed, and
 separately its `flagged` masks, so that a change that only moves
-rounding shows its verdicts unchanged.  BLAS and OpenMP run on one
-thread throughout, as in perfbench.  The file also records the machine,
-core count, Python and numpy versions and the commits.
+rounding shows its verdicts unchanged; per seed, the file also records
+how far head's estimates moved from base's, as the spectrogram ladder
+does, from the arrays each checkout leaves under DIR.  BLAS and OpenMP
+run on one thread throughout, as in perfbench.  The file also records
+the machine, core count, Python and numpy versions and the commits.
 """
 
 from __future__ import annotations
@@ -133,21 +139,52 @@ print(json.dumps({"wall_s": w, "cpu_s": c, "peak_rss_mb_before": before,
                   "sha256": h}))
 """
 
-ESTIMATE_HASHES = """
+# how far head's estimates moved from base's, each given as (k_hat,
+# flagged, value_at_rmax): the largest |k_hat difference| where both are
+# finite (null when a k_hat is finite on one side only), whether every
+# flag is equal, and whether value_at_rmax keeps its bytes
+ESTIMATE_DIFF = """
+import numpy as np
+ESTIMATE_ARRAYS = ("k_hat", "flagged", "value_at_rmax")
+def estimate_diff(base, head):
+    (kb, fb, vb), (kh, fh, vh) = base, head
+    live = np.isfinite(kb)
+    same = np.array_equal(live, np.isfinite(kh))
+    return {"max_abs_dk_hat": float(np.abs(kh - kb)[live].max(initial=0.0)) if same else None,
+            "flagged_equal": bool(np.array_equal(fb, fh)),
+            "value_at_rmax_bytes_equal": vb.tobytes() == vh.tobytes()}
+"""
+
+# argv: a directory for each seed's (k_hat, flagged, value_at_rmax), then the seeds
+ESTIMATE_HASHES = ESTIMATE_DIFF + """
 import hashlib, json, sys, tempfile
 from pathlib import Path
 from workloads import WORKLOADS
 out = {}
-for seed in map(int, sys.argv[1:]):
-    h, flagged = hashlib.sha256(), hashlib.sha256()
+for seed in map(int, sys.argv[2:]):
+    h, flagged, arrays = hashlib.sha256(), hashlib.sha256(), []
     with tempfile.TemporaryDirectory() as scratch:
         for op in WORKLOADS["wavefront-n2"](seed, Path(scratch)).ops:
             est = op.call()
             for a in (est.k_hat, est.residual, est.value_at_rmax, est.directions.directions):
                 h.update(a.tobytes())
             flagged.update(est.flagged.tobytes())
+            arrays.append([getattr(est, k) for k in ESTIMATE_ARRAYS])
+    np.savez(Path(sys.argv[1]) / f"{seed}.npz",
+             **{k: np.concatenate(a) for k, a in zip(ESTIMATE_ARRAYS, zip(*arrays))})
     out[seed] = {"estimate": h.hexdigest(), "flagged": flagged.hexdigest()}
 print(json.dumps(out))
+"""
+
+# argv: base's and head's directories of ESTIMATE_HASHES arrays, then the seeds
+ESTIMATE_COMPARE = ESTIMATE_DIFF + """
+import json, sys
+from pathlib import Path
+def arrays(side, seed):
+    npz = np.load(Path(side) / f"{seed}.npz")
+    return [npz[k] for k in ESTIMATE_ARRAYS]
+print(json.dumps({seed: estimate_diff(arrays(sys.argv[1], seed), arrays(sys.argv[2], seed))
+                  for seed in sys.argv[3:]}))
 """
 
 EXACT_PROBE = """
@@ -393,7 +430,7 @@ print(json.dumps(out))
 """
 
 SPECTROGRAM_CALLS = 20
-SPECTROGRAM_LADDER = SIDES + """
+SPECTROGRAM_LADDER = SIDES + ESTIMATE_DIFF + """
 import hashlib
 out = {}
 for n, sizes in ((1, (128, 256, 512)), (2, (32, 64, 128))):
@@ -426,6 +463,8 @@ for n, sizes in ((1, (128, 256, 512)), (2, (32, 64, 128))):
             a.tobytes() for a in (e.k_hat, e.value_at_rmax, e.flagged))).hexdigest()
             for side, e in ests.items()}
         row["estimate_bytes_equal"] = len(set(row["estimate_sha256"].values())) == 1
+        row.update(estimate_diff(*([getattr(e, k) for k in ESTIMATE_ARRAYS]
+                                   for e in (ests["base"], ests["head"]))))
         b, h = mags["base"].values, mags["head"].values
         both = (b != 0) & (h != 0)
         row["nonzero_cells"] = {side: int(np.count_nonzero(m.values)) for side, m in mags.items()}
@@ -690,12 +729,20 @@ def main(argv=None) -> int:
         result["tier1"] = {side: {"median": medians(runs[side]), "runs": runs[side]}
                            for side in runs}
     if args.hash_seeds:
-        hashes = {side: last_json([sys.executable, "-c", ESTIMATE_HASHES,
-                                   *map(str, args.hash_seeds)], trees[side]) for side in trees}
+        seeds = [str(s) for s in args.hash_seeds]
+        dirs = {side: args.workdir / f"estimates-{side}" for side in trees}
+        for d in dirs.values():
+            d.mkdir(exist_ok=True)
+        hashes = {side: last_json([sys.executable, "-c", ESTIMATE_HASHES, str(dirs[side]), *seeds],
+                                  trees[side]) for side in trees}
         result["wavefront_n2_estimate_sha256"] = hashes
         result["wavefront_n2_equal"] = {
             part: all(hashes["base"][s][part] == hashes["head"][s][part] for s in hashes["base"])
             for part in ("estimate", "flagged")}
+        moved = last_json([sys.executable, "-c", ESTIMATE_COMPARE, str(dirs["base"]),
+                           str(dirs["head"]), *seeds], trees["head"])
+        result["wavefront_n2_moved"] = moved
+        log(f"wavefront-n2 estimates moved: {json.dumps(moved)}")
     if args.rss_rounds:
         result["cli_jobs_rss_by_round"] = {"seed": RSS_SEED, **{
             side: last_json([sys.executable, "-c", RSS_PROBE, str(RSS_SEED),
