@@ -243,6 +243,11 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_antisymmetric_theta_exit_2(tmp_path, capsys):
+    test_theta_refused_by_key_exit_2(tmp_path, capsys, "star", 2, [[0.0, 1.0], [1.0, 0.0]],
+                                     "[[0.0, 1.0], [1.0, 0.0]]")
+
+
 @pytest.mark.parametrize("n, theta, got", [
     (2, [[0.0, 1.0], [1.0, 0.0]], "[[0.0, 1.0], [1.0, 0.0]]"),
     (1, [[0, 1], [-1, 0]], "[[0, 1], [-1, 0]]"),
@@ -250,7 +255,7 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     (1, [[10**400]], "[[100000000000000000...0000000000000000000]]"),
 ])
 @pytest.mark.parametrize("command", ["product", "star"])
-def test_non_antisymmetric_theta_exit_2(tmp_path, capsys, command, n, theta, got):
+def test_theta_refused_by_key_exit_2(tmp_path, capsys, command, n, theta, got):
     # an integer beyond float range used to end in an OverflowError traceback
     cfg = _write(tmp_path / "job.json", {
         "schema_version": 1,
@@ -437,15 +442,6 @@ def test_wf_radii_at_cap(tmp_path):
     ({"window": {"kind": "hann", "half_width": "wide"}}, "window.half_width"),
     ({"window": {"kind": "hann", "half_width": None}}, "window.half_width"),
     ({"params": {"k_test": None}}, "params.k_test"),
-    # a key WavefrontParams lacks, or one the job sets itself, is no parameter
-    ({"params": {"k_tset": 0.05}}, "params.k_tset: expected one of k_test, r_min_frac, "
-                                   "r_max_frac, radii, seed or direction_count, got an unknown key"),
-    ({"params": {"directions": 5}}, "params.directions: expected one of k_test, r_min_frac, "
-                                    "r_max_frac, radii, seed or direction_count, got an unknown key"),
-    # the radius count is capped before anything is allocated
-    ({"params": {"radii": 257}}, "params.radii: expected an integer from 8 to 256, got 257"),
-    ({"params": {"radii": 10**6}}, "params.radii: expected an integer from 8 to 256, got 1000000"),
-    ({"params": {"radii": 10**400}}, "params.radii: expected an integer from 8 to 256, got 1000"),
     ({"grid": {"n": 2, "N": 16, "L": 7.0}, "field": {"kind": "delta", "a": [0.0, 0.0]},
       "params": {"direction_count": 100}}, "params.direction_count"),
     ({"field": {"kind": "gaussian", "sigma": 1e-300}},
@@ -458,6 +454,15 @@ def test_wf_radii_at_cap(tmp_path):
     ({"params": {"r_max_frac": 10**400}}, "params.r_max_frac: expected a number in (0, 1], got an"),
     ({"window": {"kind": "hann", "half_width": 10**400}},
      "window.half_width: expected a positive finite number, got an integer beyond float range"),
+    # a key WavefrontParams lacks, or one the job sets itself, is no parameter
+    ({"params": {"k_tset": 0.05}}, "params.k_tset: expected one of k_test, r_min_frac, "
+                                   "r_max_frac, radii, seed or direction_count, got an unknown key"),
+    ({"params": {"directions": 5}}, "params.directions: expected one of k_test, r_min_frac, "
+                                    "r_max_frac, radii, seed or direction_count, got an unknown key"),
+    # the radius count is capped before anything is allocated
+    ({"params": {"radii": 257}}, "params.radii: expected an integer from 8 to 256, got 257"),
+    ({"params": {"radii": 10**6}}, "params.radii: expected an integer from 8 to 256, got 1000000"),
+    ({"params": {"radii": 10**400}}, "params.radii: expected an integer from 8 to 256, got 1000"),
 ])
 def test_wf_bad_params_exit_2(tmp_path, capsys, params, key):
     # each case is a top-level config fragment: params, window, ...
