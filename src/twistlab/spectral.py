@@ -266,8 +266,8 @@ def _reach_set(n: int, N: int, L: float, reach: float):
     """The lines of the set B of `_stft_rows` on the grid (n, N, L): the
     admitted box indices x_1 and, per x_1 at n >= 2, each later level's
     (source row, table index) pairs and the box rows its last level
-    fills, memoised as the ray stencil is, in read-only int32 arrays
-    (2^31 rows of at least 3 cells would be a box of over 50 GB)."""
+    fills, memoised as `wavefront._geometry` is, in read-only int32
+    arrays (2^31 rows of at least 3 cells would be a box of over 50 GB)."""
     g = Grid(n, N, L)
     ex, ef = (np.maximum(np.abs(h.axis()[_box(h, reach)]) - h.spacing, 0.0) ** 2
               for h in (g, g.dual()))

@@ -24,6 +24,7 @@ from .spectral import (
     STFTData,
     STFTMagnitude,
     WindowFunction,
+    _box,
     fourier_forward,
     gaussian_window,
     stft_magnitude,
@@ -238,11 +239,47 @@ class WavefrontEstimate:
         return head + "\n" + "".join(["%s%.12g,%.12g,%s\n" % row for row in rows])
 
 
-def _radius_band(g: Grid, window_sigma_x: float, window_sigma_xi: float,
-                 params: WavefrontParams) -> tuple[float, float]:
-    """The fit's radii [r_min, r_max]: fractions of the largest |x| and
-    |xi| not contaminated by box truncation, the box half-width minus
-    twice the window spread on each side."""
+@dataclass(frozen=True, eq=False)
+class _Geometry:
+    """An estimate configuration's geometry, derived once, read-only: the
+    reach of the |V| the fit reads, the lattice axes cut to the `_box` of
+    that reach, the radii r in [r_min, r_max] with the design
+    [log(1 + r^2), 1] and its pseudo-inverse, and the stencil of the ray
+    samples r w on those axes, rows direction by direction."""
+
+    reach: float
+    axes: tuple[np.ndarray, ...]
+    r: np.ndarray
+    design: np.ndarray
+    pinv: np.ndarray
+    directions: DirectionGrid
+    stencil: _Stencil
+
+    def samples(self, v: STFTData | STFTMagnitude) -> np.ndarray:
+        """|V| at r w, one row per direction w and one column per radius
+        r, read through a view of `v` cropped to the box axes."""
+        crop = []
+        for ax, box in zip(v.axes, self.axes):
+            lo = int(np.searchsorted(ax, box[0]))
+            crop.append(slice(lo, lo + box.size))
+        return self.stencil.read(v.magnitude()[tuple(crop)]).reshape(self.directions.count, -1)
+
+
+def _geometry_of(g: Grid, window_sigma_x: float, window_sigma_xi: float,
+                 params: WavefrontParams) -> _Geometry:
+    """The memoised geometry of `params` on g for a window of these spreads."""
+    dirs = params.directions if params.directions is not None else direction_grid(2 * g.n)
+    return _geometry(g, window_sigma_x, window_sigma_xi, params.r_min_frac, params.r_max_frac,
+                     params.radii, dirs)
+
+
+@lru_cache(maxsize=8)
+def _geometry(g: Grid, window_sigma_x: float, window_sigma_xi: float, r_min_frac: float,
+              r_max_frac: float, radii: int, dirs: DirectionGrid) -> _Geometry:
+    """r_max is a fraction of the largest |x| and |xi| not contaminated by
+    box truncation, the box half-width minus twice the window spread on
+    each side.  An entry holds 8 bytes per ray sample and phase-space
+    axis plus 16: about 1.2 MB for 2048 directions and 12 radii at n=2."""
     tx = g.L - 2.0 * window_sigma_x
     tf = g.dual().L - 2.0 * window_sigma_xi
     if tx <= 0.0 or tf <= 0.0:
@@ -250,8 +287,22 @@ def _radius_band(g: Grid, window_sigma_x: float, window_sigma_xi: float,
             "trusted region is empty: the grid box is too small for the window "
             f"(spatial margin {tx:.3g}, frequency margin {tf:.3g})"
         )
-    r_max = params.r_max_frac * min(tx, tf)
-    return params.r_min_frac * r_max, r_max
+    if dirs.dim != 2 * g.n:
+        raise ValueError(f"direction grid dimension {dirs.dim} != phase space dimension {2 * g.n}")
+    r_max = r_max_frac * min(tx, tf)
+    # only |V| within reach of the ray samples is read, so nothing else
+    # is transformed or stored; the slack covers the rounding of |w| = 1
+    # in the samples r w, which DirectionGrid admits up to 1e-12
+    reach = r_max * (1.0 + 1e-9)
+    px, pf = (h.axis()[_box(h, reach)] for h in (g, g.dual()))
+    r = np.geomspace(r_min_frac * r_max, r_max, radii)   # its ends are exactly r_min and r_max
+    design = np.column_stack([np.log1p(r**2), np.ones_like(r)])
+    pinv = np.linalg.pinv(design)
+    for a in (px, pf, r, design, pinv):
+        a.flags.writeable = False
+    axes = (px,) * g.n + (pf,) * g.n
+    pts = (r[None, :, None] * dirs.directions[:, None, :]).reshape(-1, dirs.dim)
+    return _Geometry(reach, axes, r, design, pinv, dirs, _stencil(axes, pts))
 
 
 def estimate_wf(
@@ -273,49 +324,31 @@ def estimate_wf(
         raise ValueError("cannot estimate singularities of the zero field")
     if window is None:
         window = gaussian_window(u.grid)
-    _, r_max = _radius_band(u.grid, window.sigma_x, window.sigma_xi, params)
-    # only |V| within reach of the ray samples is read, so nothing else
-    # is transformed or stored; the slack covers the rounding of |w| = 1
-    # in the samples r w, which DirectionGrid admits up to 1e-12
-    return estimate_wf_from_stft(stft_magnitude(u, window, r_max * (1.0 + 1e-9)), params)
+    geo = _geometry_of(u.grid, window.sigma_x, window.sigma_xi, params)
+    return estimate_wf_from_stft(stft_magnitude(u, window, geo.reach), params)
 
 
 def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
                           params: WavefrontParams | None = None) -> WavefrontEstimate:
     if params is None:
         params = WavefrontParams()
-    n = v.base_grid.n
-    dim = 2 * n
-    r_min, r_max = _radius_band(v.base_grid, v.window_sigma_x, v.window_sigma_xi, params)
-    dirs = params.directions if params.directions is not None else direction_grid(dim)
-    if dirs.dim != dim:
-        raise ValueError(f"direction grid dimension {dirs.dim} != phase space dimension {dim}")
-
-    radii = _radii(r_min, r_max, params.radii)
-    vals = _ray_samples(v, dirs, radii)
-    k_hat, residual = _decay_fit(vals, radii)
+    geo = _geometry_of(v.base_grid, v.window_sigma_x, v.window_sigma_xi, params)
+    vals = geo.samples(v)
+    k_hat, residual = _decay_fit(vals, geo)
     return WavefrontEstimate(
-        directions=dirs,
+        directions=geo.directions,
         k_hat=k_hat,
         residual=residual,
         value_at_rmax=vals[:, -1].copy(),
         k_test=params.k_test,
-        r_min=float(r_min),
-        r_max=float(r_max),
+        r_min=float(geo.r[0]),
+        r_max=float(geo.r[-1]),
         radii=params.radii,
     )
 
 
-def _ray_samples(v: STFTData | STFTMagnitude, dirs: DirectionGrid, radii: _Radii) -> np.ndarray:
-    """|V| at r w by multilinear interpolation, 0 outside the lattice box:
-    one row per direction w of `dirs`, one column per radius r."""
-    stencil = _ray_stencil(tuple(np.asarray(ax, dtype=float).tobytes() for ax in v.axes),
-                           radii.r.tobytes(), dirs)
-    return stencil.read(v.magnitude()).reshape(dirs.count, len(radii.r))
-
-
-def _decay_fit(samples: np.ndarray, radii: _Radii) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of `samples` (one ray at `radii`), the least-squares fit of
+def _decay_fit(samples: np.ndarray, geo: _Geometry) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `samples` (one ray at the radii of `geo`), the least-squares fit of
     -log|V| against log(1 + r^2): the slope k_hat and the RMS residual.
     A ray at or below the numerical floor at r_max is dead: k_hat +inf,
     residual 0."""
@@ -328,8 +361,8 @@ def _decay_fit(samples: np.ndarray, radii: _Radii) -> tuple[np.ndarray, np.ndarr
         np.maximum(y, 1e-300, out=y)
     np.log(y, out=y)
     np.negative(y, out=y)
-    coef = radii.pinv @ y.T
-    fit = radii.design @ coef
+    coef = geo.pinv @ y.T
+    fit = geo.design @ coef
     fit -= y.T
     fit *= fit
     res = np.sqrt(np.mean(fit, axis=0))
@@ -340,29 +373,6 @@ def _decay_fit(samples: np.ndarray, radii: _Radii) -> tuple[np.ndarray, np.ndarr
     k_hat[live] = coef[0]
     residual[live] = res
     return k_hat, residual
-
-
-@dataclass(frozen=True, eq=False)
-class _Radii:
-    """The fit's radii r, its design [log(1 + r^2), 1] and the design's
-    pseudo-inverse, all read-only."""
-
-    r: np.ndarray
-    design: np.ndarray
-    pinv: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def _radii(r_min: float, r_max: float, count: int) -> _Radii:
-    """`count` log-spaced radii in [r_min, r_max] and their fit, memoised
-    beside `_ray_stencil` on the same configurations."""
-    r = np.geomspace(r_min, r_max, count)
-    t = np.log1p(r**2)
-    design = np.column_stack([t, np.ones_like(t)])
-    pinv = np.linalg.pinv(design)
-    for a in (r, design, pinv):
-        a.flags.writeable = False
-    return _Radii(r, design, pinv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,19 +458,6 @@ def _stencil(axes, pts: np.ndarray) -> _Stencil:
         a.flags.writeable = False
     offsets = tuple(int(np.dot(c, strides)) for c in itertools.product((0, 1), repeat=len(axes)))
     return _Stencil(shape, offsets, base, tuple(ys), rows, outside)
-
-
-@lru_cache(maxsize=8)
-def _ray_stencil(axes: tuple[bytes, ...], radii: bytes, dirs: DirectionGrid) -> _Stencil:
-    """The stencil of the ray samples r w (r in `radii`, w in `dirs`, rows
-    ordered direction by direction) on the lattice `axes`, both passed as
-    float64 bytes.  The estimator's geometry depends only on the grid,
-    the window and the parameters, so it is memoised: one entry holds
-    8 bytes per sample and phase-space axis plus 16, about 1.2 MB for
-    2048 directions and 12 radii."""
-    r = np.frombuffer(radii)
-    pts = r[None, :, None] * dirs.directions[:, None, :]
-    return _stencil([np.frombuffer(a) for a in axes], pts.reshape(-1, dirs.dim))
 
 
 # ---------------------------------------------------------------------------

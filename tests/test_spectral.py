@@ -19,7 +19,7 @@ from twistlab.spectral import (
     stft_magnitude,
 )
 from twistlab.suites import _oracle_stft
-from twistlab.wavefront import WavefrontParams, _radius_band, _stencil, direction_grid
+from twistlab.wavefront import WavefrontParams, _geometry_of, _stencil, direction_grid
 
 
 @pytest.fixture
@@ -264,8 +264,8 @@ def test_ray_stencil_reads_only_the_reach_set(n, sizes):
     for big_n, win_of in itertools.product(sizes, (gaussian_window, hann_window)):
         g = make_grid(n, big_n, 7.0)
         win = win_of(g)
-        r_min, r_max = _radius_band(g, win.sigma_x, win.sigma_xi, params)
-        reach = r_max * (1.0 + 1e-9)
+        geo = _geometry_of(g, win.sigma_x, win.sigma_xi, params)
+        r_max, reach = geo.r[-1], geo.reach
         mag = stft_magnitude(_rand_field(g, rng), win, reach)
         inside = _in_reach_set(mag, reach)
         assert n == 1 or not inside.all()
@@ -273,8 +273,7 @@ def test_ray_stencil_reads_only_the_reach_set(n, sizes):
         ball = rng.standard_normal((4000, 2 * n))
         ball *= (r_max * rng.uniform(0.0, 1.0, (4000, 1)) ** (1.0 / (2 * n))
                  / np.linalg.norm(ball, axis=1, keepdims=True))
-        radii = np.geomspace(r_min, r_max, params.radii)
-        pts = np.concatenate([(radii[None, :, None] * dirs[:, None, :]).reshape(-1, 2 * n), ball])
+        pts = np.concatenate([(geo.r[None, :, None] * dirs[:, None, :]).reshape(-1, 2 * n), ball])
         st = _stencil(mag.axes, pts)
         assert st.outside.size == 0
         for off, corner in zip(st.offsets, itertools.product((0, 1), repeat=2 * n)):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import warnings
@@ -144,22 +145,21 @@ def test_ray_stencil_in_memory_order(n, big_n):
     # the samples are held sorted by offset, and `rows` takes them back
     # to direction-major order
     g = make_grid(n, big_n, 7.0)
-    u = sample_analytic(Delta((0.0,) * n), g)
-    est = estimate_wf(u)
     win = gaussian_window(g)
-    mag = spectral.stft_magnitude(u, win, est.r_max * (1.0 + 1e-9))
-    radii = wavefront._radii(est.r_min, est.r_max, est.radii)
-    stencil = wavefront._ray_stencil(tuple(np.asarray(ax).tobytes() for ax in mag.axes),
-                                     radii.r.tobytes(), direction_grid(2 * n))
+    geo = wavefront._geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams())
+    stencil = geo.stencil
     assert np.all(np.diff(stencil.base) >= 0)
-    assert np.array_equal(np.sort(stencil.rows), np.arange(est.directions.count * est.radii))
+    assert np.array_equal(np.sort(stencil.rows), np.arange(geo.directions.count * geo.r.size))
     # back in point order, each offset is the lower corner's cell as searchsorted finds it
-    pts = (radii.r[None, :, None] * est.directions.directions[:, None, :]).reshape(-1, 2 * n)
+    pts = (geo.r[None, :, None] * geo.directions.directions[:, None, :]).reshape(-1, 2 * n)
     cells = [np.clip(np.searchsorted(ax, pts[:, k], "right") - 1, 0, len(ax) - 2)
-             for k, ax in enumerate(mag.axes)]
+             for k, ax in enumerate(geo.axes)]
     base = np.empty_like(stencil.base)
     base[stencil.rows] = stencil.base
     assert np.array_equal(base, np.ravel_multi_index(cells, stencil.shape))
+    # the box axes are those of the spectrogram estimate_wf reads
+    mag = spectral.stft_magnitude(sample_analytic(Delta((0.0,) * n), g), win, geo.reach)
+    assert all(np.array_equal(a, b) for a, b in zip(geo.axes, mag.axes, strict=True))
 
 
 def test_direction_grid_probe_matches_one_shot_oracle():
@@ -175,12 +175,13 @@ def test_direction_grid_probe_matches_one_shot_oracle():
 
 
 def _clear_estimator_caches():
-    wavefront._ray_stencil.cache_clear()
+    wavefront._geometry.cache_clear()
+    spectral._reach_set.cache_clear()
     spectral.gaussian_window.cache_clear()
 
 
 def test_cold_and_warm_estimates_agree():
-    # the memoised stencil and window change no byte of an estimate
+    # the memoised geometry, reach set and window change no byte of an estimate
     cases = [(make_grid(1, 64, 8.0), Delta(0.5), None),
              (make_grid(1, 64, 8.0), GaussianPacket((0.3,), 0.9, (-0.5,)), direction_grid(2, 90)),
              (make_grid(2, 16, 6.0), Delta((0.0, 0.75)), direction_grid(4, 256)),
@@ -202,32 +203,36 @@ def test_cold_and_warm_estimates_agree():
 
 
 def test_one_stencil_per_configuration():
+    # one geometry is built per configuration; an estimate looks it up
+    # twice, for the reach and for the fit
     _clear_estimator_caches()
     g = make_grid(2, 16, 6.0)
     params = WavefrontParams(k_test=0.05, directions=direction_grid(4, 256))
     for dist in (Delta((0.0, 0.0)), PlaneWave((0.1, -0.2)), GaussianPacket((0.0, 0.0), 1.0)):
         estimate_wf(sample_analytic(dist, g), params=params)
-    info = wavefront._ray_stencil.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    info = wavefront._geometry.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
     # another grid, another radius count or another direction grid is
-    # another configuration
+    # another configuration; another k_test is not
     u = sample_analytic(Delta((0.0, 0.0)), g)
     estimate_wf(sample_analytic(Delta((0.0, 0.0)), make_grid(2, 18, 6.0)), params=params)
     estimate_wf(u, params=WavefrontParams(radii=10, directions=params.directions))
     estimate_wf(u, params=WavefrontParams(directions=direction_grid(4, 128)))
-    estimate_wf(u, params=params)
-    info = wavefront._ray_stencil.cache_info()
-    assert (info.misses, info.hits) == (4, 3)
+    estimate_wf(u, params=WavefrontParams(k_test=0.01, directions=params.directions))
+    info = wavefront._geometry.cache_info()
+    assert (info.misses, info.hits) == (4, 10)
 
 
 def test_cached_stencil_and_window_are_read_only():
-    stencil = wavefront._ray_stencil((np.arange(4.0).tobytes(),) * 2,
-                                     np.array([0.5, 1.0]).tobytes(), direction_grid(2, 4))
-    radii = wavefront._radii(0.5, 2.0, 8)
-    assert stencil.outside.size
-    assert wavefront._radii(0.5, 2.0, 8) is radii
-    for arr in (stencil.base, stencil.rows, stencil.outside, *stencil.y,
-                radii.r, radii.design, radii.pinv):
+    g = make_grid(1, 8, 3.0)
+    params = WavefrontParams(directions=direction_grid(2, 4))
+    geo = wavefront._geometry_of(g, 0.5, 0.5, params)
+    assert wavefront._geometry_of(g, 0.5, 0.5, params) is geo
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        geo.reach = 0.0
+    stencil = geo.stencil
+    for arr in (*geo.axes, geo.r, geo.design, geo.pinv, geo.directions.directions,
+                stencil.base, stencil.rows, stencil.outside, *stencil.y):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
     g = make_grid(2, 16, 6.0)
@@ -532,11 +537,10 @@ def test_decay_fit_matches_lstsq(n, big_n, L):
              GaussianPacket((0.4,) * n, 1.1, (0.5,) * n))):
         u = sample_analytic(dist, g)
         est = estimate_wf(u, win)
-        radii = wavefront._radii(est.r_min, est.r_max, est.radii)
-        mag = spectral.stft_magnitude(u, win, est.r_max * (1.0 + 1e-9))
-        samples = wavefront._ray_samples(mag, est.directions, radii)
-        k_hat, residual = wavefront._decay_fit(samples, radii)
-        want_k, want_res = _lstsq_fit(samples, radii.r)
+        geo = wavefront._geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams())
+        samples = geo.samples(spectral.stft_magnitude(u, win, geo.reach))
+        k_hat, residual = wavefront._decay_fit(samples, geo)
+        want_k, want_res = _lstsq_fit(samples, geo.r)
         assert k_hat.tobytes() == est.k_hat.tobytes()
         np.testing.assert_array_equal(np.isinf(k_hat), np.isinf(want_k))
         live = np.isfinite(want_k)

@@ -440,7 +440,7 @@ for n, sizes in ((1, (128, 256, 512)), (2, (32, 64, 128))):
             g = tl.make_grid(n, N, 7.0)
             u = tl.sample_analytic(tl.GaussianPacket((0.3,) * n, 0.9, (-0.5,) * n), g)
             win, params = tl.spectral.gaussian_window(g), tl.WavefrontParams(k_test=0.05)
-            reach = tl.wavefront._radius_band(g, win.sigma_x, win.sigma_xi, params)[1] * (1.0 + 1e-9)
+            reach = tl.estimate_wf(u, win, params).r_max * (1.0 + 1e-9)
             run[side] = (lambda tl=tl, u=u, win=win, reach=reach: tl.spectral.stft_magnitude(u, win, reach),
                          lambda mag, tl=tl, params=params: tl.wavefront.estimate_wf_from_stft(mag, params))
             mags[side] = run[side][0]()     # also the warm-up call
