@@ -346,6 +346,7 @@ def _cmd_cone(args, out: Path) -> int:
 def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
     """Run one cone operation into `doc`; True when its verdict fails."""
     from .calculus import (
+        as_rational_antisym,
         shift_algebra_check,
         existence_condition,
         existence_condition_theta_inv,
@@ -357,20 +358,29 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
     from .cones import _vec_obj, set_to_obj
     from .rational import zeros
 
+    def theta_of(n: int):
+        """The job's theta, 0 when absent, refused unless n×n antisymmetric."""
+        if theta is None:
+            return zeros(n, n)
+        try:
+            return as_rational_antisym(theta, n)
+        except ValueError:
+            raise ReadError("theta", f"an antisymmetric {n}×{n} matrix",
+                            show(cfg["theta"])) from None
+
     failed = False
     if op in ("existence", "existence_theta_inv"):
         u = _cone_set(need(cfg, "u"), "u")
         v = _cone_set(need(cfg, "v"), "v")
         fn = existence_condition if op == "existence" else existence_condition_theta_inv
-        res = fn(u, v, theta if theta is not None else zeros(u.dim // 2, u.dim // 2))
+        res = fn(u, v, theta_of(u.dim // 2))
         doc["holds"] = bool(res)
         doc["witness"] = None if res.holds else [_vec_obj(p) for p in res.witness]
         failed = not bool(res)
     elif op == "shift_algebra":
         g1 = _cone_set(need(cfg, "gamma1"), "gamma1")
         g2 = _cone_set(need(cfg, "gamma2"), "gamma2")
-        rep = shift_algebra_check(g1, g2, theta if theta is not None
-                                   else zeros(g1.dim, g1.dim))
+        rep = shift_algebra_check(g1, g2, theta_of(g1.dim))
         doc["passed"] = rep.passed
         doc["verdict"] = rep.verdict
         doc["conditions"] = [
@@ -390,7 +400,7 @@ def _cone_op(op: str, cfg: dict, theta, doc: dict) -> bool:
         u = _cone_set(need(cfg, "u"), "u")
         v = _cone_set(need(cfg, "v"), "v")
         fn = predicted_product_wf if op == "predict_product" else predicted_star_wf
-        got = fn(u, v, theta if theta is not None else zeros(u.dim // 2, u.dim // 2))
+        got = fn(u, v, theta_of(u.dim // 2))
         doc["predicted"] = set_to_obj(got)
     elif op == "pullback":
         s = _cone_set(need(cfg, "set"), "set")

@@ -235,9 +235,9 @@ class STFTData:
 @dataclass(frozen=True, eq=False)
 class STFTMagnitude:
     """|V| on the box of the position-frequency lattice that `axes`
-    spans, 0 off the set B of `_stft_rows`, with the window spreads the
-    estimator's trusted radii are read from; what `estimate_wf_from_stft`
-    needs of an `STFTData`."""
+    spans, 0 off the set B of `_stft_rows` for `reach`, with the window
+    spreads the estimator's trusted radii are read from; what
+    `estimate_wf_from_stft` needs of an `STFTData`."""
 
     base_grid: Grid
     freq_grid: Grid
@@ -245,6 +245,7 @@ class STFTMagnitude:
     window_sigma_x: float
     window_sigma_xi: float
     axes: tuple[np.ndarray, ...]
+    reach: float = math.inf
 
     def magnitude(self) -> np.ndarray:
         return self.values
@@ -365,8 +366,8 @@ def stft_magnitude(u: SampledField, window: WindowFunction,
     lattice points, without ever holding the complex spectrogram.
 
     The array covers the box `_box(., reach)`; only its cells in the set
-    B of `_stft_rows` are transformed, the others hold 0, so
-    `estimate_wf_from_stft` reads it right only for r_max <= `reach`.
+    B of `_stft_rows` are transformed, the others hold 0;
+    `estimate_wf_from_stft` refuses it when `reach` is below its fit's.
     The signs `stft` applies are left out: flipping a sign is exact, so
     |(z s) / |w|| = |(z |s|) / |w|| bit for bit."""
     g, d = u.grid, u.grid.dual()
@@ -378,7 +379,7 @@ def stft_magnitude(u: SampledField, window: WindowFunction,
         lines *= nrm
         mag.reshape(-1, pf.size)[dst] = np.abs(lines)
     return STFTMagnitude(g, d, mag, window.sigma_x, window.sigma_xi,
-                         (px,) * g.n + (pf,) * g.n)
+                         (px,) * g.n + (pf,) * g.n, reach)
 
 
 def parseval_constant(g: Grid) -> float:

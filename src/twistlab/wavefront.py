@@ -34,6 +34,10 @@ _SPHERE_SEED = 20240817
 # the most radii a ray fit takes: its stencil holds 48 bytes per radius
 # and direction at n=2, so 2048 directions take 25 MB at the cap
 MAX_RADII = 256
+# the most directions a grid takes: 8 times 2048, the S^3 default and the
+# most any caller in this repository asks for; at MAX_RADII the stencil
+# of that many directions holds 201 MB at n=2
+MAX_DIRECTIONS = 16384
 # |V| at r_max at or below this counts as infinitely fast decay
 _DEAD_FLOOR = 1e-13
 
@@ -85,11 +89,13 @@ def direction_grid(dim: int, count: int | None = None, seed: int = _SPHERE_SEED)
     """Standard sphere samplings: uniform angles on S^1, a scrambled
     Sobol net mapped to S^3; both closed under negation.  On S^3 the
     count is twice a power of two, the sizes at which Sobol points keep
-    their balance.
+    their balance.  A count above `MAX_DIRECTIONS` is refused before
+    anything is allocated.
 
     Grids are pure in (dim, count, seed) and memoised per process, so
     repeated calls return the same read-only object."""
-    d = _DEFAULT_COUNTS.get(dim, 0) if count is None else integer(count, "count")
+    d = (_DEFAULT_COUNTS.get(dim, 0) if count is None
+         else integer(count, "count", least=4, most=MAX_DIRECTIONS))
     return _direction_grid(dim, d, seed)
 
 
@@ -262,6 +268,10 @@ class _Geometry:
         for ax, box in zip(v.axes, self.axes):
             lo = int(np.searchsorted(ax, box[0]))
             crop.append(slice(lo, lo + box.size))
+        # a box-sized |V| holds 0 off the set B of its own reach
+        if isinstance(v, STFTMagnitude) and v.reach < self.reach or not all(
+                np.array_equal(ax[c], box) for ax, c, box in zip(v.axes, crop, self.axes)):
+            raise ValueError(f"the spectrogram does not cover the fit's reach {self.reach!r}")
         return self.stencil.read(v.magnitude()[tuple(crop)]).reshape(self.directions.count, -1)
 
 
@@ -330,6 +340,11 @@ def estimate_wf(
 
 def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
                           params: WavefrontParams | None = None) -> WavefrontEstimate:
+    """`estimate_wf` on a spectrogram already computed: `stft(u, window)`
+    on the full lattice, or `stft_magnitude(u, window, reach)` for a
+    reach of at least the fit's, r_max (1 + 1e-9), which `estimate_wf`
+    passes.  A smaller reach, or axes that do not contain the box of the
+    fit's reach, is refused with a ValueError naming that reach."""
     if params is None:
         params = WavefrontParams()
     geo = _geometry_of(v.base_grid, v.window_sigma_x, v.window_sigma_xi, params)

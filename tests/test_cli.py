@@ -858,3 +858,43 @@ def test_verify_exit_codes(tmp_path):
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "twistlab" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("op, theta, n, got", [
+    ("existence", [[1]], 1, "[[1]]"),
+    ("existence", [[0, 1], [-1, 0]], 1, "[[0, 1], [-1, 0]]"),
+    ("existence_theta_inv", [[1]], 1, "[[1]]"),
+    ("predict_star", [[0, 1], [-1, 0]], 1, "[[0, 1], [-1, 0]]"),
+    ("shift_algebra", [[0]], 2, "[[0]]"),
+])
+def test_cone_theta_refused_by_key_exit_2(tmp_path, capsys, op, theta, n, got):
+    # a theta that does not fit the sets is refused in the form product
+    # and star use; it used to print "op existence: theta must be ..."
+    sets = ({"gamma1": _RAY_2, "gamma2": _RAY_2} if op == "shift_algebra"
+            else {"u": _RAY_2, "v": _RAY_2})
+    cfg = _write(tmp_path / "cone.json", {"schema_version": 1, "op": op, "theta": theta, **sets})
+    assert main(["cone", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    _refused(capsys, "theta", f"expected an antisymmetric {n}×{n} matrix, got {got}")
+
+
+def test_wf_direction_count_cap(tmp_path, capsys, monkeypatch):
+    # the largest direction count runs; one more is refused by key before
+    # any grid is built
+    from twistlab import wavefront
+
+    cfg = {"schema_version": 1, "grid": {"n": 1, "N": 64, "L": 8.0},
+           "field": {"kind": "delta", "a": 0.0},
+           "params": {"direction_count": wavefront.MAX_DIRECTIONS}}
+    out = tmp_path / "out"
+    assert main(["wf", "--config", _write(tmp_path / "wf.json", cfg), "--out", str(out)]) == 0
+    run = json.loads((out / "wf_run.json").read_text())
+    assert run["resolved_config"]["params"]["direction_count"] == 16384
+    monkeypatch.setattr(wavefront, "_direction_grid",
+                        lambda *args: pytest.fail("a past-cap grid was built"))
+    for grid, count in (({"n": 1, "N": 64, "L": 8.0}, 16385), ({"n": 2, "N": 16, "L": 7.0}, 32768)):
+        cfg.update(grid=grid, field={"kind": "delta", "a": [0.0] * grid["n"]},
+                   params={"direction_count": count})
+        assert main(["wf", "--config", _write(tmp_path / "wf.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        _refused(capsys, "params.direction_count",
+                 f"expected an integer from 4 to 16384, got {count}")

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -596,3 +597,31 @@ def test_default_threshold(grid128):
     assert est.k_test == 0.0073
     # the default threshold still finds the axis
     assert est.flagged.sum() > 0
+
+
+@pytest.mark.parametrize("n, big_n, shrink", [(1, 128, 0.5), (2, 32, 0.5), (2, 64, 0.99)])
+def test_spectrogram_short_of_the_reach_refused(n, big_n, shrink):
+    # at half the reach the box misses cells the fit reads; at n=2, N=64,
+    # 0.99 of it keeps the fit's box, but cells the fit weights lie off
+    # that reach's set B and hold 0.  Both used to read as dead rays or
+    # moved k_hat, silently.
+    g = make_grid(n, big_n, 7.0)
+    u = sample_analytic(GaussianPacket((0.3,) * n, 0.9, (-0.5,) * n), g)
+    win = gaussian_window(g)
+    reach = estimate_wf(u, win).r_max * (1.0 + 1e-9)
+    mag = spectral.stft_magnitude(u, win, shrink * reach)
+    with pytest.raises(ValueError, match=rf"^the spectrogram does not cover the fit's reach "
+                                         rf"{re.escape(repr(reach))}$"):
+        estimate_wf_from_stft(mag)
+
+
+def test_direction_count_cap(monkeypatch):
+    assert wavefront.MAX_DIRECTIONS == 16384
+    assert direction_grid(2, wavefront.MAX_DIRECTIONS).count == 16384
+    # a past-cap count is refused before any grid is built
+    monkeypatch.setattr(wavefront, "_direction_grid",
+                        lambda *args: pytest.fail("a past-cap grid was built"))
+    for dim, count in ((2, 16385), (2, 16386), (4, 32768), (4, 2**20)):
+        with pytest.raises(ValueError, match=rf"^count: expected an integer from 4 to 16384, "
+                                             rf"got {count}$"):
+            direction_grid(dim, count)
