@@ -269,7 +269,7 @@ class _Geometry:
             lo = int(np.searchsorted(ax, box[0]))
             crop.append(slice(lo, lo + box.size))
         # a box-sized |V| holds 0 off the set B of its own reach
-        if isinstance(v, STFTMagnitude) and v.reach < self.reach or not all(
+        if (isinstance(v, STFTMagnitude) and v.reach < self.reach) or not all(
                 np.array_equal(ax[c], box) for ax, c, box in zip(v.axes, crop, self.axes)):
             raise ValueError(f"the spectrogram does not cover the fit's reach {self.reach!r}")
         return self.stencil.read(v.magnitude()[tuple(crop)]).reshape(self.directions.count, -1)
@@ -363,10 +363,10 @@ def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
 
 
 def _decay_fit(samples: np.ndarray, geo: _Geometry) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of `samples` (one ray at the radii of `geo`), the least-squares fit of
-    -log|V| against log(1 + r^2): the slope k_hat and the RMS residual.
-    A ray at or below the numerical floor at r_max is dead: k_hat +inf,
-    residual 0."""
+    """Per row of `samples` (one ray at the radii of `geo`), the
+    least-squares fit of -log|V| against log(1 + r^2): the slope k_hat
+    and the RMS residual.  A ray at or below the numerical floor at
+    r_max is dead: k_hat +inf, residual 0."""
     live = ~(samples[:, -1] <= _DEAD_FLOOR)
     every = bool(live.all())
     if every:

@@ -868,8 +868,8 @@ def test_no_command_prints_help(capsys):
     ("shift_algebra", [[0]], 2, "[[0]]"),
 ])
 def test_cone_theta_refused_by_key_exit_2(tmp_path, capsys, op, theta, n, got):
-    # a theta that does not fit the sets is refused in the form product
-    # and star use; it used to print "op existence: theta must be ..."
+    # a theta that does not fit the sets is refused by key, in the form
+    # product and star use, not as an error of the op
     sets = ({"gamma1": _RAY_2, "gamma2": _RAY_2} if op == "shift_algebra"
             else {"u": _RAY_2, "v": _RAY_2})
     cfg = _write(tmp_path / "cone.json", {"schema_version": 1, "op": op, "theta": theta, **sets})

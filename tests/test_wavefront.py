@@ -603,8 +603,8 @@ def test_default_threshold(grid128):
 def test_spectrogram_short_of_the_reach_refused(n, big_n, shrink):
     # at half the reach the box misses cells the fit reads; at n=2, N=64,
     # 0.99 of it keeps the fit's box, but cells the fit weights lie off
-    # that reach's set B and hold 0.  Both used to read as dead rays or
-    # moved k_hat, silently.
+    # that reach's set B and hold 0, so a read would give dead rays or
+    # moved slopes without an error
     g = make_grid(n, big_n, 7.0)
     u = sample_analytic(GaussianPacket((0.3,) * n, 0.9, (-0.5,) * n), g)
     win = gaussian_window(g)
