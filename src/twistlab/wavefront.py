@@ -278,18 +278,18 @@ class _Geometry:
 def _geometry_of(g: Grid, window_sigma_x: float, window_sigma_xi: float,
                  params: WavefrontParams) -> _Geometry:
     """The memoised geometry of `params` on g for a window of these spreads."""
-    dirs = params.directions if params.directions is not None else direction_grid(2 * g.n)
     return _geometry(g, window_sigma_x, window_sigma_xi, params.r_min_frac, params.r_max_frac,
-                     params.radii, dirs)
+                     params.radii, params.directions)
 
 
 @lru_cache(maxsize=8)
 def _geometry(g: Grid, window_sigma_x: float, window_sigma_xi: float, r_min_frac: float,
-              r_max_frac: float, radii: int, dirs: DirectionGrid) -> _Geometry:
+              r_max_frac: float, radii: int, dirs: DirectionGrid | None) -> _Geometry:
     """r_max is a fraction of the largest |x| and |xi| not contaminated by
     box truncation, the box half-width minus twice the window spread on
-    each side.  An entry holds 8 bytes per ray sample and phase-space
-    axis plus 16: about 1.2 MB for 2048 directions and 12 radii at n=2."""
+    each side; `dirs` None is the default grid, resolved here, once per
+    entry.  An entry holds 8 bytes per ray sample and phase-space axis
+    plus 16: about 1.2 MB for 2048 directions and 12 radii at n=2."""
     tx = g.L - 2.0 * window_sigma_x
     tf = g.dual().L - 2.0 * window_sigma_xi
     if tx <= 0.0 or tf <= 0.0:
@@ -297,6 +297,8 @@ def _geometry(g: Grid, window_sigma_x: float, window_sigma_xi: float, r_min_frac
             "trusted region is empty: the grid box is too small for the window "
             f"(spatial margin {tx:.3g}, frequency margin {tf:.3g})"
         )
+    if dirs is None:
+        dirs = direction_grid(2 * g.n)
     if dirs.dim != 2 * g.n:
         raise ValueError(f"direction grid dimension {dirs.dim} != phase space dimension {2 * g.n}")
     r_max = r_max_frac * min(tx, tf)
