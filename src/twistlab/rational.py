@@ -6,7 +6,8 @@ through `frac`, `vec` and `mat`, the one parse boundary, and
 Cones are homogeneous, so every kernel here works on those integers:
 `rref`, `left_solve` and `inverse`, rational by nature, return an
 integer matrix and a positive denominator, and only `nonneg_solve`
-returns fractions.Fraction coefficients.  The central primitive is
+returns fractions.Fraction coefficients; a matrix entry that is not an
+int is refused with a TypeError naming its row and column.  The central primitive is
 extreme-ray enumeration for cones of the form {w >= 0 : A w = 0}:
 incremental double description, one independent row of A at a time,
 with a combinatorial adjacency test on ray supports.  Rank, rref and
@@ -20,6 +21,7 @@ are meant to certify counterexamples.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -129,11 +131,21 @@ def integer_ray(a: Vec) -> Vec:
     return tuple(x // g for x in a) if g > 1 else tuple(a)
 
 
+def _integers(a: Mat, name: str = "a") -> None:
+    """Refuse an entry of `a` that is not an int, with a TypeError naming
+    its row and column: the kernels below divide exactly only on ints."""
+    if set(map(type, chain.from_iterable(a))) - {int}:
+        i, j, x = next((i, j, x) for i, row in enumerate(a) for j, x in enumerate(row)
+                       if type(x) is not int)
+        raise TypeError(f"{name}[{i}][{j}]: expected an int, got {x!r}")
+
+
 def rref(a: Mat) -> tuple[Mat, int, tuple[int, ...]]:
     """The reduced row echelon form as (r, d, pivot columns), r an
     integer matrix and d > 0 with r / d the rref: the rows of the integer
     elimination `_eliminate`, which are its last pivot times the rref's
     (the rref is unique)."""
+    _integers(a)
     rows = list(a)
     pivots, d = _eliminate(rows)
     s = 1 if d > 0 else -1
@@ -141,6 +153,7 @@ def rref(a: Mat) -> tuple[Mat, int, tuple[int, ...]]:
 
 
 def rank(a: Mat) -> int:
+    _integers(a)
     return len(_eliminate(list(a))[0])
 
 
@@ -151,6 +164,8 @@ def left_solve(e: Mat, m: Mat) -> tuple[Mat, int] | None:
     One rref of [m^T | e^T]; the entries of F at free columns are 0, so
     F / d is the unique solution when m has independent rows.
     """
+    _integers(e, "e")
+    _integers(m, "m")
     k = len(m)
     red, d, pivots = rref(hcat(mat_t(m), mat_t(e)))
     if pivots and pivots[-1] >= k:
@@ -164,6 +179,7 @@ def left_solve(e: Mat, m: Mat) -> tuple[Mat, int] | None:
 def inverse(a: Mat) -> tuple[Mat, int] | None:
     """(F, d) with F / d the inverse of a square matrix, or None when a
     is singular or not square."""
+    _integers(a)
     n = len(a)
     if any(len(r) != n for r in a):
         return None
@@ -253,6 +269,7 @@ def extreme_rays(a: Mat, ncols: int) -> list[Vec]:
     MAX_RAYS; they only grow within a cut, so this refuses exactly the
     cones with more than MAX_RAYS rays after some cut.
     """
+    _integers(a)
     if ncols == 0:
         return []
     # a row is a pivot of the transpose iff the rows before it do not span it

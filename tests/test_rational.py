@@ -354,3 +354,25 @@ def test_int_solvers_match_fractions(data):
 def test_parse_boundary_refuses(parse, value, error, message):
     with pytest.raises(error, match=message):
         parse(value)
+
+
+def test_integer_kernels_refuse_non_integer_entries():
+    # each would divide inexactly and answer wrongly without an error: on
+    # this matrix inverse gave (((0, 2, 0), (0, 0, 0), (0, 0, 0)), 2), rref
+    # a denominator of 2 and extreme_rays(m, 3) no ray at all
+    m = mat([[Fraction(1, 2), Fraction(1, 3), 1], [1, Fraction(1, 5), Fraction(1, 7)],
+             [Fraction(2, 3), 1, 5]])
+    first = r"\[0\]\[0\]: expected an int, got Fraction\(1, 2\)$"
+    for call in (rref, rank, inverse, nullspace, lambda a: extreme_rays(a, 3)):
+        with pytest.raises(TypeError, match="^a" + first):
+            call(m)
+    with pytest.raises(TypeError, match="^m" + first):
+        left_solve(identity(3), m)
+    with pytest.raises(TypeError, match=r"^e\[1\]\[2\]: expected an int, got 0.5$"):
+        left_solve(((1, 0, 0), (0, 1, 0.5)), identity(3))
+    with pytest.raises(TypeError, match=r"^a\[0\]\[1\]: expected an int, got True$"):
+        rank(((1, True),))
+    # the same matrix in integer form is answered exactly
+    a, d = integer_form(m)
+    f, q = inverse(a)
+    assert matmul(f, a) == tuple(tuple(q * x for x in row) for row in identity(3))
