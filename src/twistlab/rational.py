@@ -6,11 +6,11 @@ through `frac`, `vec` and `mat`, the one parse boundary, and
 Cones are homogeneous, so every kernel here works on those integers:
 `rref`, `left_solve` and `inverse`, rational by nature, return an
 integer matrix and a positive denominator, and only `nonneg_solve`
-returns fractions.Fraction coefficients; a matrix entry that is not an
-int is refused with a TypeError naming its row and column.  The central primitive is
-extreme-ray enumeration for cones of the form {w >= 0 : A w = 0}:
-incremental double description, one independent row of A at a time,
-with a combinatorial adjacency test on ray supports.  Rank, rref and
+returns fractions.Fraction coefficients.  The kernels refuse a matrix
+entry that is not an int with a TypeError naming its row and column.
+The central primitive is extreme-ray enumeration for cones of the form
+{w >= 0 : A w = 0}: incremental double description, one independent
+row of A at a time, with a combinatorial adjacency test on ray supports.  Rank, rref and
 that enumeration share one fraction-free (Bareiss) elimination.
 Dimensions stay tiny (a handful of rows, at most a few dozen columns),
 and an enumeration that holds more than MAX_RAYS rays after a cut is

@@ -103,7 +103,7 @@ class WindowFunction:
     @cached_property
     def _stft_arrays(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """What `_stft_rows` needs of the window whatever the field and
-        reach, built once, read-only: the sign grid (-1)^(j_1 + ... + j_n)
+        plan, built once, read-only: the sign grid (-1)^(j_1 + ... + j_n)
         and the conjugate translates, where `table[j]` is conj(window)
         moved to x_j with zero fill.  A window with factors has one
         (N, N) table per axis, any other one n-dimensional table."""
@@ -222,20 +222,59 @@ class STFTData:
         vals = np.asarray(self.values, dtype=complex).reshape(expected)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def axes(self) -> tuple[np.ndarray, ...]:
-        """Coordinates of the 2n axes of `values`: the full lattice."""
-        n = self.base_grid.n
-        return (self.base_grid.axis(),) * n + (self.freq_grid.axis(),) * n
-
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
 
 
 @dataclass(frozen=True, eq=False)
+class LinePlan:
+    """The FFT lines of V a spectrogram on `grid` transforms, on the box
+    of the lattice with indices `xs` on each position axis and `fs` on
+    each frequency axis.  A row is a cell of the box's first 2n - 1 axes
+    (x_1, ..., x_n, xi_1, ..., xi_{n-1}), one FFT line along the last.
+    `rows` are the rows filled, sorted, and `x0s` their x_1; at n >= 2,
+    `lines[i]` holds for x_1 = `x0s[i]` each later level's (source row,
+    table index) pairs and the rows its last level fills.  Every array
+    is read-only int32: 2^31 rows would be a box of over 50 GB."""
+
+    grid: Grid
+    xs: slice
+    fs: slice
+    rows: np.ndarray
+    x0s: np.ndarray
+    lines: tuple
+
+
+def _line_plan(g: Grid, xs: slice, fs: slice, rows) -> LinePlan:
+    """The plan that fills the box rows `rows`, sorted and distinct: per
+    x_1, level a >= 1 transforms the distinct prefixes (x_1, xi_1, ...,
+    xi_a, x_{a+1}) of those rows, in source-major order."""
+    n, P, F = g.n, xs.stop - xs.start, fs.stop - fs.start
+    digits = np.unravel_index(rows, (P,) * n + (F,) * (n - 1))
+    x0s, starts = np.unique(digits[0], return_index=True)
+    lines = []
+    for lo, hi in zip(starts, [*starts[1:], rows.size]) if n > 1 else ():
+        line, levels = np.zeros(hi - lo, np.intp), []   # each row's line at the level before
+        for a in range(1, n):
+            key = (line * F + digits[n + a - 1][lo:hi]) * P + digits[a][lo:hi]
+            key, first, line = np.unique(key, return_index=True, return_inverse=True)
+            levels.append(tuple(k.astype(np.int32) for k in np.divmod(key, P)))
+        lines.append((tuple(levels), rows[lo:hi][first].astype(np.int32)))
+    rows, x0s = rows.astype(np.int32), x0s.astype(np.int32)
+    for a in (rows, x0s, *(a for levels, dst in lines for a in (dst, *sum(levels, ())))):
+        a.flags.writeable = False
+    return LinePlan(g, xs, fs, rows, x0s, tuple(lines))
+
+
+def _lattice_plan(g: Grid) -> LinePlan:
+    """The plan of every row of the full lattice."""
+    return _line_plan(g, slice(0, g.N), slice(0, g.N), np.arange(g.N ** (2 * g.n - 1)))
+
+
+@dataclass(frozen=True, eq=False)
 class STFTMagnitude:
-    """|V| on the box of the position-frequency lattice that `axes`
-    spans, 0 off the set B of `_stft_rows` for `reach`, with the window
+    """|V| on the box of the position-frequency lattice that `plan`
+    spans, filled on its rows and 0 on the others, with the window
     spreads the estimator's trusted radii are read from; what
     `estimate_wf_from_stft` needs of an `STFTData`."""
 
@@ -244,87 +283,42 @@ class STFTMagnitude:
     values: np.ndarray
     window_sigma_x: float
     window_sigma_xi: float
-    axes: tuple[np.ndarray, ...]
-    reach: float = math.inf
+    plan: LinePlan
 
     def magnitude(self) -> np.ndarray:
         return self.values
 
 
-def _box(g: Grid, reach: float) -> slice:
-    """Indices of the axis points within reach + one spacing of 0,
-    rounded out to whole steps: every corner that multilinear
-    interpolation reads for a coordinate in [-reach, reach]."""
-    if not math.isfinite(reach):
-        return slice(0, g.N)
-    k = math.ceil(reach / g.spacing) + 1
-    h = g.N // 2
-    return slice(max(h - k, 0), min(h + k + 1, g.N))
-
-
-@lru_cache(maxsize=8)
-def _reach_set(n: int, N: int, L: float, reach: float):
-    """The lines of the set B of `_stft_rows` on the grid (n, N, L): the
-    admitted box indices x_1 and, per x_1 at n >= 2, each later level's
-    (source row, table index) pairs and the box rows its last level
-    fills, memoised as `wavefront._geometry` is, in read-only int32
-    arrays (2^31 rows of at least 3 cells would be a box of over 50 GB)."""
-    g = Grid(n, N, L)
-    ex, ef = (np.maximum(np.abs(h.axis()[_box(h, reach)]) - h.spacing, 0.0) ** 2
-              for h in (g, g.dual()))
-    r2, P, F = reach * reach, ex.size, ef.size
-    x0s, rows = np.flatnonzero(ex <= r2), []
-    for x0 in x0s[:, None] if n > 1 else ():
-        # partial sums in coordinate order: ((e(x_1) + e(xi_1)) + e(x_2)) + ...
-        s, xrow, frow, levels = ex[x0], x0, np.zeros(1, np.intp), []
-        for _ in range(n - 1):
-            t = (s[:, None] + ef).ravel()
-            src, j = np.nonzero(t[:, None] + ex <= r2)
-            q, f = np.divmod(src, F)
-            s, xrow, frow = t[src] + ex[j], xrow[q] * P + j, frow[q] * F + f
-            levels.append((src.astype(np.int32), j.astype(np.int32)))
-        rows.append((tuple(levels), (xrow * F ** (n - 1) + frow).astype(np.int32)))
-    for a in (x0s, *(a for levels, dst in rows for a in (dst, *sum(levels, ())))):
-        a.flags.writeable = False
-    return x0s, tuple(rows)
-
-
-def _stft_rows(u: SampledField, window: WindowFunction, reach: float = math.inf):
-    """The FFT lines of V(x, xi) on the set B of the box `_box(., reach)`
-    that multilinear interpolation reads at points of norm <= reach: the
-    cells c with sum over a in (x_1, xi_1, ..., x_n) of max(|c_a| - D_a,
-    0)^2 <= reach^2, D_a the spacing of axis a.  The last frequency axis
-    is kept whole, since one FFT line yields all of it.  B is enough: a
-    stencil corner c of a point p lies within D_a of p on every axis, so
-    max(|c_a| - D_a, 0) <= |p_a| and the sum is at most |p|^2 <= reach^2.
+def _stft_rows(u: SampledField, window: WindowFunction, plan: LinePlan):
+    """The FFT lines of V(x, xi) that `plan` names.
 
     Yields (rows, lines): times the sign (-1)^(k_1 + ... + k_n) of its
     frequency indices, `_fft_scale` and 1/|window|, `lines[i]` is V on
-    row `rows[i]` of the box with its first 2n - 1 axes (x_1, ..., x_n,
-    xi_1, ..., xi_{n-1}) folded into one.
+    row `rows[i]` of the plan's box.
 
     The window is translated by whole grid steps with zero fill.  One
     without factors takes the general route: per x_1, one batched FFT of
     its translates at the x_2 its lines use, bit-identical to
     `fourier_forward` of each.  One with factors is separable, V(x, xi)
     = F_{y_n}[... F_{y_1}[u f_1(y_1 - x_1)] ... f_n(y_n - x_n)]: y_1 is
-    transformed for all admitted x_1 at once, then level a > 1, one
-    gathered batch per x_1, transforms y_a on the lines whose prefix
-    (x_1, xi_1, ..., x_a) has a partial sum <= reach^2 and keeps xi_a
-    where it still fits; it rounds differently at n >= 2.  Each FFT line
-    depends only on its own position, so no cell's bytes depend on reach.
+    transformed for the range of the plan's x_1 at once, then level
+    a > 1, one gathered batch per x_1, transforms y_a on the plan's
+    prefixes (x_1, xi_1, ..., x_a); it rounds differently at n >= 2.
+    Each FFT line depends only on its own position, so no cell's bytes
+    depend on the plan.
     """
     g = u.grid
     if not g.compatible(window.grid):
         raise ValueError("field and window grids differ")
-    n, N, xs, fs = g.n, g.N, _box(g, reach), _box(g.dual(), reach)
-    x0s, rows = _reach_set(n, N, g.L, reach)
+    if not g.compatible(plan.grid):
+        raise ValueError("field and plan grids differ")
+    n, N, xs, fs, x0s = g.n, g.N, plan.xs, plan.fs, plan.x0s
     # fourier_forward's per-axis sign flips, moved out of the transform (exact)
     signs, tables = window._stft_arrays
     signed = u.values * signs
     if window.factors is None and n > 1:
         per_x2 = (xs.stop - xs.start) ** (n - 2) * (fs.stop - fs.start) ** (n - 1)
-        for x0, (_, dst) in zip(x0s, rows):
+        for x0, (_, dst) in zip(x0s, plan.lines):
             local = dst - x0 * (xs.stop - xs.start) * per_x2
             lo, hi = local.min() // per_x2, local.max() // per_x2 + 1
             block = signed * tables[0][(xs.start + x0, slice(xs.start + lo, xs.start + hi),
@@ -333,12 +327,15 @@ def _stft_rows(u: SampledField, window: WindowFunction, reach: float = math.inf)
                 block = np.fft.fft(block, axis=ax)[(Ellipsis, fs) + (slice(None),) * (-ax - 1)]
             yield dst, block.reshape(-1, block.shape[-1])[local - lo * per_x2]
         return
-    # the admitted x_1 are consecutive, so the table slice is a view, not a copy
+    # y_1 is transformed on the whole range of the plan's x_1 through a view of
+    # the table, and the lines in its gaps are dropped: cheaper than a gather
+    at = x0s - x0s[0]
     t = tables[0][xs.start + x0s[0]:xs.start + x0s[-1] + 1]
     block = np.fft.fft(signed * t.reshape((-1, N) + (1,) * (n - 1)), axis=1)[:, fs]
     if n == 1:
-        yield x0s, block
-    for part, (levels, dst) in zip(block, rows):    # no rows at n=1
+        yield x0s, block[at]
+    for i, (levels, dst) in zip(at, plan.lines):    # no lines at n=1
+        part = block[i]
         for a, (src, j) in enumerate(levels, 1):
             lines = part.reshape((-1,) + (N,) * (n - a))[src]
             lines *= tables[a][xs.start + j].reshape((-1, N) + (1,) * (n - a - 1))
@@ -352,34 +349,31 @@ def stft(u: SampledField, window: WindowFunction) -> STFTData:
     n, N = u.grid.n, u.grid.N
     out = np.empty((N,) * n + (N,) * n, dtype=complex)
     post, nrm = (window._stft_arrays[0] * _fft_scale(u.grid)).reshape(-1, N), 1.0 / window.l2norm
-    for dst, lines in _stft_rows(u, window):
+    for dst, lines in _stft_rows(u, window, _lattice_plan(u.grid)):
         lines = lines * post[dst % N ** (n - 1)]
         lines *= nrm
         out.reshape(-1, N)[dst] = lines
     return STFTData(u.grid, u.grid.dual(), out, window.sigma_x, window.sigma_xi)
 
 
-def stft_magnitude(u: SampledField, window: WindowFunction,
-                   reach: float = math.inf) -> STFTMagnitude:
-    """|V| where multilinear interpolation at points of norm <= reach
-    reads it, equal there to `abs(stft(u, window).values)` at the same
-    lattice points, without ever holding the complex spectrogram.
+def stft_magnitude(u: SampledField, window: WindowFunction, plan: LinePlan) -> STFTMagnitude:
+    """|V| on the rows of `plan`, equal there to
+    `abs(stft(u, window).values)` at the same lattice points, without
+    ever holding the complex spectrogram.
 
-    The array covers the box `_box(., reach)`; only its cells in the set
-    B of `_stft_rows` are transformed, the others hold 0;
-    `estimate_wf_from_stft` refuses it when `reach` is below its fit's.
+    The array covers the plan's box and holds 0 off its rows;
+    `estimate_wf_from_stft` refuses it unless the plan is its fit's.
     The signs `stft` applies are left out: flipping a sign is exact, so
     |(z s) / |w|| = |(z |s|) / |w|| bit for bit."""
-    g, d = u.grid, u.grid.dual()
-    px, pf = g.axis()[_box(g, reach)], d.axis()[_box(d, reach)]
-    mag = np.zeros(px.shape * g.n + pf.shape * g.n)
+    g = u.grid
+    F = plan.fs.stop - plan.fs.start
+    mag = np.zeros((plan.xs.stop - plan.xs.start,) * g.n + (F,) * g.n)
     scale, nrm = abs(_fft_scale(g)), 1.0 / window.l2norm
-    for dst, lines in _stft_rows(u, window, reach):
+    for dst, lines in _stft_rows(u, window, plan):
         lines = lines * scale     # a contiguous copy of the strided crop
         lines *= nrm
-        mag.reshape(-1, pf.size)[dst] = np.abs(lines)
-    return STFTMagnitude(g, d, mag, window.sigma_x, window.sigma_xi,
-                         (px,) * g.n + (pf,) * g.n, reach)
+        mag.reshape(-1, F)[dst] = np.abs(lines)
+    return STFTMagnitude(g, g.dual(), mag, window.sigma_x, window.sigma_xi, plan)
 
 
 def parseval_constant(g: Grid) -> float:

@@ -519,9 +519,9 @@ def check_k_test_margin() -> CheckResult:
 
 @_check("wavefront")
 def check_reach_vs_full_lattice() -> CheckResult:
-    # estimate_wf transforms and stores |V| only within reach of the ray
-    # samples; every value the fit reads is the full lattice's, so any
-    # difference at all is a defect
+    # estimate_wf transforms and stores |V| only on the lines its ray
+    # samples read; every value the fit reads is the full lattice's, so
+    # any difference at all is a defect
     chirp2 = Chirp(0.5 * np.eye(2))
     cases = ((make_grid(1, 128, 12.0), [dist for _, dist in _MEMBERS]),
              (make_grid(2, 20, 7.0), [Delta((0.0, 0.0)), PlaneWave((0.1, -0.1)),

@@ -21,10 +21,11 @@ import numpy as np
 from ._read import ReadError, integer, number, show
 from .grids import Grid, SampledField
 from .spectral import (
+    LinePlan,
     STFTData,
     STFTMagnitude,
     WindowFunction,
-    _box,
+    _line_plan,
     fourier_forward,
     gaussian_window,
     stft_magnitude,
@@ -248,31 +249,29 @@ class WavefrontEstimate:
 @dataclass(frozen=True, eq=False)
 class _Geometry:
     """An estimate configuration's geometry, derived once, read-only: the
-    reach of the |V| the fit reads, the lattice axes cut to the `_box` of
-    that reach, the radii r in [r_min, r_max] with the design
-    [log(1 + r^2), 1] and its pseudo-inverse, and the stencil of the ray
-    samples r w on those axes, rows direction by direction."""
+    radii r in [r_min, r_max] with the design [log(1 + r^2), 1] and its
+    pseudo-inverse, the stencil of the ray samples r w on the lattice
+    axes cut to the box the fit reads, rows direction by direction, and
+    the plan of the FFT lines its corners read."""
 
-    reach: float
-    axes: tuple[np.ndarray, ...]
     r: np.ndarray
     design: np.ndarray
     pinv: np.ndarray
     directions: DirectionGrid
     stencil: _Stencil
+    plan: LinePlan
 
     def samples(self, v: STFTData | STFTMagnitude) -> np.ndarray:
         """|V| at r w, one row per direction w and one column per radius
-        r, read through a view of `v` cropped to the box axes."""
-        crop = []
-        for ax, box in zip(v.axes, self.axes):
-            lo = int(np.searchsorted(ax, box[0]))
-            crop.append(slice(lo, lo + box.size))
-        # a box-sized |V| holds 0 off the set B of its own reach
-        if (isinstance(v, STFTMagnitude) and v.reach < self.reach) or not all(
-                np.array_equal(ax[c], box) for ax, c, box in zip(v.axes, crop, self.axes)):
-            raise ValueError(f"the spectrogram does not cover the fit's reach {self.reach!r}")
-        return self.stencil.read(v.magnitude()[tuple(crop)]).reshape(self.directions.count, -1)
+        r: from an `STFTData` through a view cropped to the plan's box,
+        from an `STFTMagnitude` only if it is filled on the plan's rows,
+        since it holds 0 off its own."""
+        vals, p, q = v.magnitude(), getattr(v, "plan", None), self.plan
+        if p is None:
+            vals = vals[(q.xs,) * v.base_grid.n + (q.fs,) * v.base_grid.n]
+        elif (p.xs, p.fs) != (q.xs, q.fs) or not np.array_equal(p.rows, q.rows):
+            raise ValueError("the spectrogram is not filled on the lines this fit reads")
+        return self.stencil.read(vals).reshape(self.directions.count, -1)
 
 
 def _geometry_of(g: Grid, window_sigma_x: float, window_sigma_xi: float,
@@ -289,7 +288,8 @@ def _geometry(g: Grid, window_sigma_x: float, window_sigma_xi: float, r_min_frac
     box truncation, the box half-width minus twice the window spread on
     each side; `dirs` None is the default grid, resolved here, once per
     entry.  An entry holds 8 bytes per ray sample and phase-space axis
-    plus 16: about 1.2 MB for 2048 directions and 12 radii at n=2."""
+    plus 16, and 16 per FFT line: about 1.25 MB for 2048 directions and
+    12 radii at n=2, N=32."""
     tx = g.L - 2.0 * window_sigma_x
     tf = g.dual().L - 2.0 * window_sigma_xi
     if tx <= 0.0 or tf <= 0.0:
@@ -302,19 +302,25 @@ def _geometry(g: Grid, window_sigma_x: float, window_sigma_xi: float, r_min_frac
     if dirs.dim != 2 * g.n:
         raise ValueError(f"direction grid dimension {dirs.dim} != phase space dimension {2 * g.n}")
     r_max = r_max_frac * min(tx, tf)
-    # only |V| within reach of the ray samples is read, so nothing else
-    # is transformed or stored; the slack covers the rounding of |w| = 1
-    # in the samples r w, which DirectionGrid admits up to 1e-12
-    reach = r_max * (1.0 + 1e-9)
-    px, pf = (h.axis()[_box(h, reach)] for h in (g, g.dual()))
+    # the box holds, per axis, the points within reach + one spacing of 0,
+    # rounded out to whole steps: every corner that multilinear interpolation
+    # reads for a coordinate in [-reach, reach].  The reach r_max (1 + 1e-9)
+    # covers the rounding of |w| = 1 in the samples r w, which DirectionGrid
+    # admits up to 1e-12
+    k = [math.ceil(r_max * (1.0 + 1e-9) / h.spacing) + 1 for h in (g, g.dual())]
+    xs, fs = (slice(max(g.N // 2 - m, 0), min(g.N // 2 + m + 1, g.N)) for m in k)
     r = np.geomspace(r_min_frac * r_max, r_max, radii)   # its ends are exactly r_min and r_max
     design = np.column_stack([np.log1p(r**2), np.ones_like(r)])
     pinv = np.linalg.pinv(design)
-    for a in (px, pf, r, design, pinv):
+    for a in (r, design, pinv):
         a.flags.writeable = False
-    axes = (px,) * g.n + (pf,) * g.n
     pts = (r[None, :, None] * dirs.directions[:, None, :]).reshape(-1, dirs.dim)
-    return _Geometry(reach, axes, r, design, pinv, dirs, _stencil(axes, pts))
+    stencil = _stencil((g.axis()[xs],) * g.n + (g.dual().axis()[fs],) * g.n, pts)
+    # only the box rows (all axes but the last) that a corner reads are transformed
+    read = np.zeros(math.prod(stencil.shape[:-1]), dtype=bool)
+    for off in stencil.offsets:
+        read[(stencil.base + off) // stencil.shape[-1]] = True
+    return _Geometry(r, design, pinv, dirs, stencil, _line_plan(g, xs, fs, np.flatnonzero(read)))
 
 
 def estimate_wf(
@@ -337,16 +343,15 @@ def estimate_wf(
     if window is None:
         window = gaussian_window(u.grid)
     geo = _geometry_of(u.grid, window.sigma_x, window.sigma_xi, params)
-    return estimate_wf_from_stft(stft_magnitude(u, window, geo.reach), params)
+    return estimate_wf_from_stft(stft_magnitude(u, window, geo.plan), params)
 
 
 def estimate_wf_from_stft(v: STFTData | STFTMagnitude,
                           params: WavefrontParams | None = None) -> WavefrontEstimate:
     """`estimate_wf` on a spectrogram already computed: `stft(u, window)`
-    on the full lattice, or `stft_magnitude(u, window, reach)` for a
-    reach of at least the fit's, r_max (1 + 1e-9), which `estimate_wf`
-    passes.  A smaller reach, or axes that do not contain the box of the
-    fit's reach, is refused with a ValueError naming that reach."""
+    on the full lattice, or `stft_magnitude(u, window, plan)` with the
+    plan of the fit's geometry, which `estimate_wf` passes.  A magnitude
+    filled on other lines is refused with a ValueError."""
     if params is None:
         params = WavefrontParams()
     geo = _geometry_of(v.base_grid, v.window_sigma_x, v.window_sigma_xi, params)

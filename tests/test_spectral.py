@@ -9,6 +9,7 @@ from twistlab.catalog import Delta, GaussianPacket, PlaneWave, sample_analytic
 from twistlab.grids import SampledField, field_l2_distance, make_grid
 from twistlab.spectral import (
     WindowFunction,
+    _lattice_plan,
     _outer,
     fourier_forward,
     fourier_inverse,
@@ -19,7 +20,7 @@ from twistlab.spectral import (
     stft_magnitude,
 )
 from twistlab.suites import _oracle_stft
-from twistlab.wavefront import WavefrontParams, _geometry_of, _stencil, direction_grid
+from twistlab.wavefront import WavefrontParams, _geometry_of
 
 
 @pytest.fixture
@@ -31,20 +32,6 @@ def _rand_field(grid, rng):
     shape = (grid.N,) * grid.n
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return SampledField(grid, v)
-
-
-def _in_reach_set(mag, reach):
-    """The set B of `_stft_rows` on the axes of `mag`: the cells whose
-    max(|c_a| - spacing_a, 0)^2, summed in the order x_1, xi_1, ..., x_n
-    (all axes but the last frequency one), stay within reach^2."""
-    n = mag.base_grid.n
-    spacings = (mag.base_grid.spacing,) * n + (mag.freq_grid.spacing,) * n
-    total = 0.0
-    for a in [a for k in range(n) for a in (k, n + k)][:-1]:
-        shape = [1] * (2 * n)
-        shape[a] = -1
-        total = total + (np.maximum(np.abs(mag.axes[a]) - spacings[a], 0.0) ** 2).reshape(shape)
-    return np.broadcast_to(total <= reach * reach, mag.values.shape)
 
 
 def test_unitarity(grid64, rng):
@@ -115,7 +102,7 @@ def test_product_windows_carry_their_factors(n, big_n):
 def test_stft_arrays_built_once_read_only(grid2d, rng):
     u = _rand_field(grid2d, rng)
     for win in (gaussian_window(grid2d), WindowFunction(grid2d, hann_window(grid2d).values)):
-        stft_magnitude(u, win, 2.0)
+        stft_magnitude(u, win, _lattice_plan(grid2d))
         signs, tables = win._stft_arrays
         stft(u, win)
         assert win._stft_arrays[0] is signs and win._stft_arrays[1] is tables
@@ -228,54 +215,36 @@ def test_stft_matches_loop_oracle(n, big_n, kind, seed):
     if not kind.endswith("factors"):
         win = WindowFunction(g, win.values)
     want = _oracle_stft(u, win)
-    lattice_stft = stft(u, win)
-    full = lattice_stft.values
+    full = stft(u, win).values
     if win.factors is None or n == 1:
         assert full.tobytes() == want.tobytes()
     else:
         assert np.abs(full - want).max() <= 1e-13 * np.abs(want).max()
-    assert stft_magnitude(u, win).values.tobytes() == np.abs(full).tobytes()
-    # within a finite reach, |V| is computed on the set B of a box
-    # covering [-reach - spacing, reach + spacing] on each axis, and
-    # equals the full lattice's there
-    reach = float(rng.uniform(0.0, g.L))
-    mag = stft_magnitude(u, win, reach)
-    box = []
-    for axis, lattice in zip(mag.axes, lattice_stft.axes):
-        lo = int(np.searchsorted(lattice, axis[0]))
-        np.testing.assert_array_equal(axis, lattice[lo:lo + axis.size])
-        assert axis[0] <= max(-reach - lattice[1] + lattice[0], lattice[0])
-        assert axis[-1] >= min(reach + lattice[1] - lattice[0], lattice[-1])
-        box.append(slice(lo, lo + axis.size))
-    computed = _in_reach_set(mag, reach)
-    expect = np.abs(full[tuple(box)])
-    assert mag.values[computed].tobytes() == expect[computed].tobytes()
-    assert not np.any(mag.values[~computed])
+    assert stft_magnitude(u, win, _lattice_plan(g)).values.tobytes() == np.abs(full).tobytes()
 
 
-@pytest.mark.parametrize("n, sizes", [(1, (32, 64, 128, 130)), (2, (12, 20, 28, 34, 42))])
-def test_ray_stencil_reads_only_the_reach_set(n, sizes):
-    # every corner that multilinear interpolation weights at a point of
-    # norm <= r_max (the estimator's ray samples and random points of the
-    # ball) lies in the set B that stft_magnitude computes for the reach
-    # estimate_wf asks for
+@pytest.mark.parametrize("n, sizes", [(1, (32, 64, 128, 130)), (2, (12, 20, 28, 34))])
+def test_magnitude_fills_exactly_the_stencil_rows(n, sizes):
+    # the magnitude estimate_wf reads is filled on the box rows (all axes
+    # but the last frequency one) that some corner of the geometry's
+    # stencil reads and on no other, with the full lattice's bytes there;
+    # the window without factors takes the general route at n=2
     rng = np.random.default_rng(26)
-    params = WavefrontParams()
-    for big_n, win_of in itertools.product(sizes, (gaussian_window, hann_window)):
+    windows = (gaussian_window, hann_window, lambda g: WindowFunction(g, hann_window(g).values))
+    for big_n, win_of in itertools.product(sizes, windows):
         g = make_grid(n, big_n, 7.0)
-        win = win_of(g)
-        geo = _geometry_of(g, win.sigma_x, win.sigma_xi, params)
-        r_max, reach = geo.r[-1], geo.reach
-        mag = stft_magnitude(_rand_field(g, rng), win, reach)
-        inside = _in_reach_set(mag, reach)
-        assert n == 1 or not inside.all()
-        dirs = direction_grid(2 * n).directions
-        ball = rng.standard_normal((4000, 2 * n))
-        ball *= (r_max * rng.uniform(0.0, 1.0, (4000, 1)) ** (1.0 / (2 * n))
-                 / np.linalg.norm(ball, axis=1, keepdims=True))
-        pts = np.concatenate([(geo.r[None, :, None] * dirs[:, None, :]).reshape(-1, 2 * n), ball])
-        st = _stencil(mag.axes, pts)
-        assert st.outside.size == 0
-        for off, corner in zip(st.offsets, itertools.product((0, 1), repeat=2 * n)):
-            weight = np.prod([y if c else 1 - y for y, c in zip(st.y, corner)], axis=0)
-            assert inside.ravel()[st.base[weight != 0] + off].all(), (big_n, win_of, corner)
+        u, win = _rand_field(g, rng), win_of(g)
+        geo = _geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams())
+        st, plan = geo.stencil, geo.plan
+        assert st.outside.size == 0     # the box holds every ray sample
+        width = st.shape[-1]
+        read = np.unique(np.concatenate([(st.base + off) // width for off in st.offsets]))
+        lines = stft_magnitude(u, win, plan).values.reshape(-1, width)
+        assert np.array_equal(np.flatnonzero(lines.any(axis=1)), read), (big_n, win)
+        assert np.array_equal(plan.rows, read)
+        full = np.abs(stft(u, win).values)[(plan.xs,) * n + (plan.fs,) * n]
+        assert lines[read].tobytes() == full.reshape(-1, width)[read].tobytes(), (big_n, win)
+    # a plan names rows of its own grid's box only
+    other = make_grid(n, big_n + 2, 7.0)
+    with pytest.raises(ValueError, match="^field and plan grids differ$"):
+        stft_magnitude(_rand_field(other, rng), gaussian_window(other), plan)

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import re
 import warnings
 
 import numpy as np
@@ -151,16 +150,18 @@ def test_ray_stencil_in_memory_order(n, big_n):
     stencil = geo.stencil
     assert np.all(np.diff(stencil.base) >= 0)
     assert np.array_equal(np.sort(stencil.rows), np.arange(geo.directions.count * geo.r.size))
-    # back in point order, each offset is the lower corner's cell as searchsorted finds it
+    # back in point order, each offset is the lower corner's cell on the
+    # plan's box as searchsorted finds it
     pts = (geo.r[None, :, None] * geo.directions.directions[:, None, :]).reshape(-1, 2 * n)
+    axes = (g.axis()[geo.plan.xs],) * n + (g.dual().axis()[geo.plan.fs],) * n
     cells = [np.clip(np.searchsorted(ax, pts[:, k], "right") - 1, 0, len(ax) - 2)
-             for k, ax in enumerate(geo.axes)]
+             for k, ax in enumerate(axes)]
     base = np.empty_like(stencil.base)
     base[stencil.rows] = stencil.base
     assert np.array_equal(base, np.ravel_multi_index(cells, stencil.shape))
-    # the box axes are those of the spectrogram estimate_wf reads
-    mag = spectral.stft_magnitude(sample_analytic(Delta((0.0,) * n), g), win, geo.reach)
-    assert all(np.array_equal(a, b) for a, b in zip(geo.axes, mag.axes, strict=True))
+    # the box is that of the spectrogram estimate_wf reads
+    mag = spectral.stft_magnitude(sample_analytic(Delta((0.0,) * n), g), win, geo.plan)
+    assert mag.values.shape == stencil.shape
 
 
 def test_direction_grid_probe_matches_one_shot_oracle():
@@ -177,12 +178,11 @@ def test_direction_grid_probe_matches_one_shot_oracle():
 
 def _clear_estimator_caches():
     wavefront._geometry.cache_clear()
-    spectral._reach_set.cache_clear()
     spectral.gaussian_window.cache_clear()
 
 
 def test_cold_and_warm_estimates_agree():
-    # the memoised geometry, reach set and window change no byte of an estimate
+    # the memoised geometry and window change no byte of an estimate
     cases = [(make_grid(1, 64, 8.0), Delta(0.5), None),
              (make_grid(1, 64, 8.0), GaussianPacket((0.3,), 0.9, (-0.5,)), direction_grid(2, 90)),
              (make_grid(2, 16, 6.0), Delta((0.0, 0.75)), direction_grid(4, 256)),
@@ -205,7 +205,7 @@ def test_cold_and_warm_estimates_agree():
 
 def test_one_stencil_per_configuration():
     # one geometry is built per configuration; an estimate looks it up
-    # twice, for the reach and for the fit
+    # twice, for the plan and for the fit
     _clear_estimator_caches()
     g = make_grid(2, 16, 6.0)
     params = WavefrontParams(k_test=0.05, directions=direction_grid(4, 256))
@@ -230,10 +230,10 @@ def test_cached_stencil_and_window_are_read_only():
     geo = wavefront._geometry_of(g, 0.5, 0.5, params)
     assert wavefront._geometry_of(g, 0.5, 0.5, params) is geo
     with pytest.raises(dataclasses.FrozenInstanceError):
-        geo.reach = 0.0
-    stencil = geo.stencil
-    for arr in (*geo.axes, geo.r, geo.design, geo.pinv, geo.directions.directions,
-                stencil.base, stencil.rows, stencil.outside, *stencil.y):
+        geo.plan = None
+    stencil, plan = geo.stencil, geo.plan
+    for arr in (geo.r, geo.design, geo.pinv, geo.directions.directions,
+                stencil.base, stencil.rows, stencil.outside, *stencil.y, plan.rows, plan.x0s):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
     g = make_grid(2, 16, 6.0)
@@ -539,7 +539,7 @@ def test_decay_fit_matches_lstsq(n, big_n, L):
         u = sample_analytic(dist, g)
         est = estimate_wf(u, win)
         geo = wavefront._geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams())
-        samples = geo.samples(spectral.stft_magnitude(u, win, geo.reach))
+        samples = geo.samples(spectral.stft_magnitude(u, win, geo.plan))
         k_hat, residual = wavefront._decay_fit(samples, geo)
         want_k, want_res = _lstsq_fit(samples, geo.r)
         assert k_hat.tobytes() == est.k_hat.tobytes()
@@ -554,18 +554,25 @@ def test_decay_fit_matches_lstsq(n, big_n, L):
 
 @pytest.mark.parametrize("kind", ["gaussian", "hann", "random"])
 @pytest.mark.parametrize("n", [1, 2])
-@given(data=st.data())
-def test_estimate_reach_matches_full_lattice(n, kind, data):
-    # estimate_wf transforms and stores |V| only within reach of its ray
-    # samples; the fit must read the bytes the full spectrogram holds
-    big_n = data.draw(st.sampled_from(range(12, 25, 2) if n == 2 else range(32, 129, 2)))
-    g = make_grid(n, big_n, data.draw(st.floats(2.5, 8.0)))
-    count = data.draw(st.sampled_from(range(4, 361, 2)) if n == 1
-                      else st.sampled_from([2**k for k in range(3, 10)]))
-    params = WavefrontParams(k_test=0.05, r_max_frac=data.draw(st.floats(0.1, 1.0)),
-                             r_min_frac=data.draw(st.floats(0.05, 0.9)),
+@given(size=st.integers(0, 48), L=st.floats(2.5, 8.0), count=st.integers(0, 178),
+       r_max_frac=st.floats(0.1, 1.0), r_min_frac=st.floats(0.05, 0.9),
+       seed=st.integers(0, 2**31 - 1))
+# at n=1, 4, 6 and 8 directions read x_1 lines with a gap between 0 and r_min
+@example(size=32, L=7.0, count=0, r_max_frac=0.8, r_min_frac=0.2, seed=0)
+@example(size=32, L=7.0, count=1, r_max_frac=0.8, r_min_frac=0.2, seed=0)
+@example(size=32, L=7.0, count=2, r_max_frac=0.8, r_min_frac=0.2, seed=0)
+def test_estimate_reach_matches_full_lattice(n, kind, size, L, count, r_max_frac, r_min_frac,
+                                             seed):
+    # estimate_wf transforms and stores |V| only on the lines its ray
+    # samples read; the fit must read the bytes the full spectrogram holds.
+    # N is 32..128 at n=1 and 12..24 at n=2; the grid holds 4..360
+    # directions at n=1 and 8..512 at n=2
+    big_n = 32 + 2 * size if n == 1 else 12 + 2 * (size % 7)
+    g = make_grid(n, big_n, L)
+    count = 4 + 2 * count if n == 1 else 2 ** (3 + count % 7)
+    params = WavefrontParams(k_test=0.05, r_max_frac=r_max_frac, r_min_frac=r_min_frac,
                              directions=direction_grid(2 * n, count))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    rng = np.random.default_rng(seed)
     shape = (big_n,) * n
     u = SampledField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     if kind == "gaussian":
@@ -601,18 +608,24 @@ def test_default_threshold(grid128):
 
 @pytest.mark.parametrize("n, big_n, shrink", [(1, 128, 0.5), (2, 32, 0.5), (2, 64, 0.99)])
 def test_spectrogram_short_of_the_reach_refused(n, big_n, shrink):
-    # at half the reach the box misses cells the fit reads; at n=2, N=64,
-    # 0.99 of it keeps the fit's box, but cells the fit weights lie off
-    # that reach's set B and hold 0, so a read would give dead rays or
-    # moved slopes without an error
+    # a magnitude filled for `shrink` times the default r_max_frac: at
+    # half of it the box misses cells the fit reads; at n=2, N=64, 0.99 of
+    # it keeps the fit's box, but cells the fit weights are not filled and
+    # hold 0, so a read would give dead rays or moved slopes without an error
     g = make_grid(n, big_n, 7.0)
     u = sample_analytic(GaussianPacket((0.3,) * n, 0.9, (-0.5,) * n), g)
     win = gaussian_window(g)
-    reach = estimate_wf(u, win).r_max * (1.0 + 1e-9)
-    mag = spectral.stft_magnitude(u, win, shrink * reach)
-    with pytest.raises(ValueError, match=rf"^the spectrogram does not cover the fit's reach "
-                                         rf"{re.escape(repr(reach))}$"):
+    params = WavefrontParams(r_max_frac=shrink * WavefrontParams().r_max_frac)
+    other = wavefront._geometry_of(g, win.sigma_x, win.sigma_xi, params).plan
+    mag = spectral.stft_magnitude(u, win, other)
+    with pytest.raises(ValueError, match="^the spectrogram is not filled on the lines this fit "
+                                         "reads$"):
         estimate_wf_from_stft(mag)
+    # the fit's own lines are read, also from a plan its geometry has dropped
+    own = spectral.stft_magnitude(
+        u, win, wavefront._geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams()).plan)
+    wavefront._geometry.cache_clear()
+    assert estimate_wf_from_stft(own).k_hat.tobytes() == estimate_wf(u, win).k_hat.tobytes()
 
 
 def test_direction_count_cap(monkeypatch):

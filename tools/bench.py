@@ -15,9 +15,9 @@ pairs in which head read lower than base.
 Fresh-interpreter probes, K times per checkout, alternating:
 - the first `direction_grid(4)` after `import twistlab`: wall and CPU
   time, peak RSS before and after, and a hash of the grid's bytes;
-- one `twistlab wf` job at n=2, N=32, L=7 on the centred impulse with
-  k_test = 0.05: wall time, the job's own max RSS, and a hash of
-  `wf_estimate.json` and `wf_directions.csv`;
+- one `twistlab wf` job at n=2 on the centred impulse with k_test =
+  0.05, at N=32, L=7 and at N=128, L=14: wall and CPU time, the job's
+  own max RSS, and a hash of `wf_estimate.json` and `wf_directions.csv`;
 - `twistlab verify all`: wall and CPU time, the passed and total check
   counts, and a hash of `verify_all.json` without its timestamp and
   per-check seconds;
@@ -40,9 +40,13 @@ The spectrogram ladder runs in one interpreter that loads both
 checkouts' packages side by side: for n=1 at N=128, 256, 512 and n=2 at
 N=32, 64, 128 (L=7, a Gaussian packet, the Gaussian window, k_test
 0.05), after one warm-up call per side, SPECTROGRAM_CALLS alternating
-pairs of `stft_magnitude` within the reach `estimate_wf` uses and of
-`estimate_wf_from_stft` on its result.  Per case and side it records
-the median and quartiles of process CPU per call of each, the pairs in
+pairs of each side's spectrogram entry and of `estimate_wf_from_stft`
+on its result.  The entry is `stft_magnitude(u, window, reach)` with
+the reach `estimate_wf` uses in a package with `spectral._reach_set`,
+and `stft_magnitude(u, window, plan)` with the plan of the estimate's
+geometry in one without.  Per case and side it records the FFT lines
+the entry transforms along each axis y_1, ..., y_n, the median and
+quartiles of process CPU per call of each, the pairs in
 which head was faster, a hash of k_hat, value_at_rmax and `flagged`, how
 far head's estimate moved (the largest |k_hat| difference over the
 entries finite on both sides, null when a k_hat is finite on one side
@@ -124,6 +128,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 WF_CONFIG = {"schema_version": 1, "grid": {"n": 2, "N": 32, "L": 7.0},
              "field": {"kind": "delta", "a": [0.0, 0.0]}, "params": {"k_test": 0.05}}
+WF_CONFIG_N128 = dict(WF_CONFIG, grid={"n": 2, "N": 128, "L": 14.0})
 
 GRID_PROBE = """
 import hashlib, json, resource, time
@@ -435,13 +440,21 @@ import hashlib
 out = {}
 for n, sizes in ((1, (128, 256, 512)), (2, (32, 64, 128))):
     for N in sizes:
-        run, mags, ests = {}, {}, {}
+        run, mags, ests, fft_lines = {}, {}, {}, {}
         for side, tl in sides.items():
             g = tl.make_grid(n, N, 7.0)
             u = tl.sample_analytic(tl.GaussianPacket((0.3,) * n, 0.9, (-0.5,) * n), g)
             win, params = tl.spectral.gaussian_window(g), tl.WavefrontParams(k_test=0.05)
-            reach = tl.estimate_wf(u, win, params).r_max * (1.0 + 1e-9)
-            run[side] = (lambda tl=tl, u=u, win=win, reach=reach: tl.spectral.stft_magnitude(u, win, reach),
+            if hasattr(tl.spectral, "_reach_set"):     # the reach, then its lines
+                arg = tl.estimate_wf(u, win, params).r_max * (1.0 + 1e-9)
+                x0s, rows = tl.spectral._reach_set(n, N, g.L, arg)
+            else:                                       # the geometry's plan of lines
+                arg = tl.wavefront._geometry_of(g, win.sigma_x, win.sigma_xi, params).plan
+                x0s, rows = arg.x0s, arg.lines
+            # y_1 for the range of x_1 and every later axis; y_(a+2) on each line of level a + 1
+            fft_lines[side] = [int(x0s[-1] - x0s[0] + 1) * N ** (n - 1)] + [
+                sum(len(levels[a][0]) for levels, _ in rows) * N ** (n - 2 - a) for a in range(n - 1)]
+            run[side] = (lambda tl=tl, u=u, win=win, arg=arg: tl.spectral.stft_magnitude(u, win, arg),
                          lambda mag, tl=tl, params=params: tl.wavefront.estimate_wf_from_stft(mag, params))
             mags[side] = run[side][0]()     # also the warm-up call
             ests[side] = run[side][1](mags[side])
@@ -459,6 +472,7 @@ for n, sizes in ((1, (128, 256, 512)), (2, (32, 64, 128))):
         row["head_faster_in_pairs"] = {layer: sum(h < b for b, h in zip(
             cpu["base"][layer], cpu["head"][layer])) for layer in cpu["base"]}
         row["calls_per_side"] = calls
+        row["fft_lines"] = fft_lines
         row["estimate_sha256"] = {side: hashlib.sha256(b"".join(
             a.tobytes() for a in (e.k_hat, e.value_at_rmax, e.flagged))).hexdigest()
             for side, e in ests.items()}
@@ -569,14 +583,14 @@ def timed(cmd, tree: Path) -> tuple[dict, str]:
             "max_rss_mb": usage.ru_maxrss / 1024.0}, out
 
 
-def oneshot_wf(tree: Path, workdir: Path) -> dict:
+def oneshot_wf(tree: Path, workdir: Path, config: dict = WF_CONFIG) -> dict:
     cfg, out = workdir / "wf_n2.json", workdir / f"wf-{tree.name}"
-    cfg.write_text(json.dumps(WF_CONFIG))
+    cfg.write_text(json.dumps(config))
     res, _ = timed([sys.executable, "-m", "twistlab.cli", "wf", "--config", str(cfg),
                     "--out", str(out)], tree)
     digest = subprocess.run(["sha256sum", "wf_estimate.json", "wf_directions.csv"], cwd=out,
                             check=True, capture_output=True, text=True).stdout
-    return {"wall_s": res["wall_s"], "max_rss_mb": res["max_rss_mb"],
+    return {"wall_s": res["wall_s"], "cpu_s": res["cpu_s"], "max_rss_mb": res["max_rss_mb"],
             "sha256": " ".join(line.split()[0] for line in digest.splitlines())}
 
 
@@ -695,18 +709,21 @@ def main(argv=None) -> int:
                     "numpy": numpy_version, "blas_threads": 1},
         "commits": commits,
     }
-    probes = {side: {"grid": [], "wf": [], "verify": [], "exact": []} for side in trees}
+    probes = {side: {"grid": [], "wf": [], "wf128": [], "verify": [], "exact": []}
+              for side in trees}
     for i in range(args.repeats):
         for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
             probes[side]["grid"].append(
                 last_json([sys.executable, "-c", GRID_PROBE], trees[side]))
             probes[side]["wf"].append(oneshot_wf(trees[side], args.workdir))
+            probes[side]["wf128"].append(oneshot_wf(trees[side], args.workdir, WF_CONFIG_N128))
             probes[side]["verify"].append(verify_all(trees[side], args.workdir))
             probes[side]["exact"].append(last_json([sys.executable, "-c", EXACT_PROBE],
                                                    trees[side]))
             log(f"probe {i} {side}: " + " ".join(str(probes[side][k][-1]) for k in probes[side]))
     for key, name in (("grid", "first_direction_grid_4"), ("wf", "oneshot_wf_n2"),
-                      ("verify", "verify_all"), ("exact", "exact_layer")):
+                      ("wf128", "oneshot_wf_n2_N128"), ("verify", "verify_all"),
+                      ("exact", "exact_layer")):
         result[name] = {side: {"median": medians(probes[side][key]), "runs": probes[side][key]}
                         for side in probes}
         # a hash one side lacks was refused there: None makes it unequal
@@ -716,6 +733,7 @@ def main(argv=None) -> int:
         if len(equal) > 1:
             result[name]["bytes_equal_by_hash"] = equal
     result["oneshot_wf_n2"]["config"] = WF_CONFIG
+    result["oneshot_wf_n2_N128"]["config"] = WF_CONFIG_N128
     result["spectrogram_ladder"] = last_json(
         [sys.executable, "-c", SPECTROGRAM_LADDER, str(SPECTROGRAM_CALLS),
          str(trees["base"] / "src"), str(trees["head"] / "src")], trees["head"])
