@@ -258,7 +258,6 @@ def _cmd_wf(args, out: Path) -> int:
 
     cfg = _load_config(args)
     grid = grid_from_obj(need(cfg, "grid"), "grid")
-    u = _field_from(need(cfg, "field"), grid, "field")
     if grid.n > 2:
         raise ReadError("grid.n", "1 or 2, where direction grids exist", show(grid.n))
     wspec = cfg.get("window", {"kind": "gaussian"})
@@ -293,6 +292,8 @@ def _cmd_wf(args, out: Path) -> int:
         params = WavefrontParams(directions=dirs, **pspec)
     except ReadError as exc:
         raise exc.within("params") from None
+    # the field is sampled last, once every other key has been read
+    u = _field_from(need(cfg, "field"), grid, "field")
     est = estimate_wf(u, window, params)
     _write(out / "wf_estimate.json", est.to_json())
     _write(out / "wf_directions.csv", est.to_csv())

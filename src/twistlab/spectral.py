@@ -14,6 +14,7 @@ unit Gaussian as a fixed point.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -232,38 +233,44 @@ class LinePlan:
     of the lattice with indices `xs` on each position axis and `fs` on
     each frequency axis.  A row is a cell of the box's first 2n - 1 axes
     (x_1, ..., x_n, xi_1, ..., xi_{n-1}), one FFT line along the last.
-    `rows` are the rows filled, sorted, and `x0s` their x_1; at n >= 2,
-    `lines[i]` holds for x_1 = `x0s[i]` each later level's (source row,
-    table index) pairs and the rows its last level fills.  Every array
-    is read-only int32: 2^31 rows would be a box of over 50 GB."""
+    `rows` are the rows filled, sorted, and `x0s` their x_1; the rows of
+    x_1 = `x0s[i]` are `rows[bounds[i]:bounds[i + 1]]`.  At n >= 2,
+    `lines[i]` holds for that x_1 each later level's (source row, table
+    index) pairs: source-major below the last level, and at the last one
+    pair per row in row order, so that its lines come out in the order of
+    `rows`.  Every array is read-only int32: 2^31 rows would be a box of
+    over 50 GB."""
 
     grid: Grid
     xs: slice
     fs: slice
     rows: np.ndarray
     x0s: np.ndarray
+    bounds: np.ndarray
     lines: tuple
 
 
 def _line_plan(g: Grid, xs: slice, fs: slice, rows) -> LinePlan:
     """The plan that fills the box rows `rows`, sorted and distinct: per
     x_1, level a >= 1 transforms the distinct prefixes (x_1, xi_1, ...,
-    xi_a, x_{a+1}) of those rows, in source-major order."""
+    xi_a, x_{a+1}) of those rows, the last level each row's own."""
     n, P, F = g.n, xs.stop - xs.start, fs.stop - fs.start
     digits = np.unravel_index(rows, (P,) * n + (F,) * (n - 1))
     x0s, starts = np.unique(digits[0], return_index=True)
+    bounds = np.append(starts, len(rows))
     lines = []
-    for lo, hi in zip(starts, [*starts[1:], rows.size]) if n > 1 else ():
+    for lo, hi in zip(bounds[:-1], bounds[1:]) if n > 1 else ():
         line, levels = np.zeros(hi - lo, np.intp), []   # each row's line at the level before
         for a in range(1, n):
             key = (line * F + digits[n + a - 1][lo:hi]) * P + digits[a][lo:hi]
-            key, first, line = np.unique(key, return_index=True, return_inverse=True)
+            if a < n - 1:   # the last level's keys, one per row, stay in row order
+                key, line = np.unique(key, return_inverse=True)
             levels.append(tuple(k.astype(np.int32) for k in np.divmod(key, P)))
-        lines.append((tuple(levels), rows[lo:hi][first].astype(np.int32)))
-    rows, x0s = rows.astype(np.int32), x0s.astype(np.int32)
-    for a in (rows, x0s, *(a for levels, dst in lines for a in (dst, *sum(levels, ())))):
+        lines.append(tuple(levels))
+    rows, x0s, bounds = (a.astype(np.int32, copy=False) for a in (rows, x0s, bounds))
+    for a in (rows, x0s, bounds, *(a for levels in lines for pair in levels for a in pair)):
         a.flags.writeable = False
-    return LinePlan(g, xs, fs, rows, x0s, tuple(lines))
+    return LinePlan(g, xs, fs, rows, x0s, bounds, tuple(lines))
 
 
 def _lattice_plan(g: Grid) -> LinePlan:
@@ -273,10 +280,10 @@ def _lattice_plan(g: Grid) -> LinePlan:
 
 @dataclass(frozen=True, eq=False)
 class STFTMagnitude:
-    """|V| on the box of the position-frequency lattice that `plan`
-    spans, filled on its rows and 0 on the others, with the window
-    spreads the estimator's trusted radii are read from; what
-    `estimate_wf_from_stft` needs of an `STFTData`."""
+    """|V| on the FFT lines `plan` names, as a (plan rows, F) array whose
+    line i is box row `plan.rows[i]`, with the window spreads the
+    estimator's trusted radii are read from; what `estimate_wf_from_stft`
+    needs of an `STFTData`."""
 
     base_grid: Grid
     freq_grid: Grid
@@ -289,12 +296,35 @@ class STFTMagnitude:
         return self.values
 
 
+_Y1_BLOCK_ELEMS = 1 << 16
+"""The separable route of `_stft_rows` transforms y_1 for as many
+consecutive x_1 at once as this many complex values hold (1 MiB), and
+always for at least one."""
+_local = threading.local()
+
+
+def _y1_workspace(size: int) -> np.ndarray:
+    """This thread's workspace of `_Y1_BLOCK_ELEMS` complex values (made
+    at the first call, or again if that constant changed), so that a
+    repeated transform maps no fresh pages; a buffer of its own when
+    `size` is larger."""
+    if size > _Y1_BLOCK_ELEMS:
+        return np.empty(size, dtype=complex)
+    ws = getattr(_local, "y1", None)
+    if ws is None or ws.size != _Y1_BLOCK_ELEMS:
+        ws = _local.y1 = np.empty(_Y1_BLOCK_ELEMS, dtype=complex)
+    return ws
+
+
 def _stft_rows(u: SampledField, window: WindowFunction, plan: LinePlan):
     """The FFT lines of V(x, xi) that `plan` names.
 
-    Yields (rows, lines): times the sign (-1)^(k_1 + ... + k_n) of its
-    frequency indices, `_fft_scale` and 1/|window|, `lines[i]` is V on
-    row `rows[i]` of the plan's box.
+    Yields (run, lines), `run` a slice of the plan's rows: times the sign
+    (-1)^(k_1 + ... + k_n) of its frequency indices, `_fft_scale` and
+    1/|window|, `lines[i]` is V on box row `plan.rows[run][i]`.  Each
+    x_1's rows are one run, and the lines are the caller's to overwrite.
+    The separable route transforms y_1 in this thread's workspace, so a
+    thread consumes one such generator at a time.
 
     The window is translated by whole grid steps with zero fill.  One
     without factors takes the general route: per x_1, one batched FFT of
@@ -312,67 +342,86 @@ def _stft_rows(u: SampledField, window: WindowFunction, plan: LinePlan):
         raise ValueError("field and window grids differ")
     if not g.compatible(plan.grid):
         raise ValueError("field and plan grids differ")
-    n, N, xs, fs, x0s = g.n, g.N, plan.xs, plan.fs, plan.x0s
+    n, N, xs, fs, x0s, bounds = g.n, g.N, plan.xs, plan.fs, plan.x0s, plan.bounds
+    runs = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     # fourier_forward's per-axis sign flips, moved out of the transform (exact)
     signs, tables = window._stft_arrays
     signed = u.values * signs
     if window.factors is None and n > 1:
         per_x2 = (xs.stop - xs.start) ** (n - 2) * (fs.stop - fs.start) ** (n - 1)
-        for x0, (_, dst) in zip(x0s, plan.lines):
-            local = dst - x0 * (xs.stop - xs.start) * per_x2
-            lo, hi = local.min() // per_x2, local.max() // per_x2 + 1
+        for x0, run in zip(x0s, runs):
+            local = plan.rows[run] - x0 * (xs.stop - xs.start) * per_x2
+            lo, hi = local[0] // per_x2, local[-1] // per_x2 + 1
             block = signed * tables[0][(xs.start + x0, slice(xs.start + lo, xs.start + hi),
                                         *(xs,) * (n - 2))]
             for ax in range(-n, 0):  # axis order as in fourier_forward
                 block = np.fft.fft(block, axis=ax)[(Ellipsis, fs) + (slice(None),) * (-ax - 1)]
-            yield dst, block.reshape(-1, block.shape[-1])[local - lo * per_x2]
+            yield run, block.reshape(-1, block.shape[-1])[local - lo * per_x2]
         return
-    # y_1 is transformed on the whole range of the plan's x_1 through a view of
-    # the table, and the lines in its gaps are dropped: cheaper than a gather
-    at = x0s - x0s[0]
-    t = tables[0][xs.start + x0s[0]:xs.start + x0s[-1] + 1]
-    block = np.fft.fft(signed * t.reshape((-1, N) + (1,) * (n - 1)), axis=1)[:, fs]
-    if n == 1:
-        yield x0s, block[at]
-    for i, (levels, dst) in zip(at, plan.lines):    # no lines at n=1
-        part = block[i]
-        for a, (src, j) in enumerate(levels, 1):
-            lines = part.reshape((-1,) + (N,) * (n - a))[src]
-            lines *= tables[a][xs.start + j].reshape((-1, N) + (1,) * (n - a - 1))
-            part = np.fft.fft(lines, axis=1, out=lines)[:, fs]
-        yield dst, part
+    # y_1 is transformed for a range of consecutive x_1 at a time through a view
+    # of the table, and the lines of x_1 the plan skips are dropped: cheaper
+    # than a gather
+    width = max(1, _Y1_BLOCK_ELEMS // N ** n)
+    lo = 0
+    while lo < len(x0s):
+        hi = int(np.searchsorted(x0s, x0s[lo] + width))
+        t = tables[0][xs.start + x0s[lo]:xs.start + x0s[hi - 1] + 1]
+        block = _y1_workspace(len(t) * N ** n)[:len(t) * N ** n].reshape((len(t),) + signed.shape)
+        np.multiply(signed, t.reshape((-1, N) + (1,) * (n - 1)), out=block)
+        block = np.fft.fft(block, axis=1, out=block)[:, fs]
+        if n == 1:
+            yield slice(lo, hi), block[x0s[lo:hi] - x0s[lo]]
+        for x0, levels, run in zip(x0s[lo:hi], plan.lines[lo:hi], runs[lo:hi]):  # none at n=1
+            yield run, _later_levels(block[x0 - x0s[lo]], levels, tables, xs.start, fs)
+        lo = hi
+
+
+def _later_levels(part: np.ndarray, levels, tables, x_start: int, fs: slice) -> np.ndarray:
+    """One x_1's lines after y_2, ..., y_n are transformed on the plan's
+    prefixes, from its level-1 block `part`; a function, so that nothing
+    of one x_1's lines stays referenced while the next x_1's are built."""
+    n, N = len(levels) + 1, part.shape[-1]
+    for a, (src, j) in enumerate(levels, 1):
+        lines = part.reshape((-1,) + (N,) * (n - a))[src]
+        lines *= tables[a][x_start + j].reshape((-1, N) + (1,) * (n - a - 1))
+        part = np.fft.fft(lines, axis=1, out=lines)[:, fs]
+    return part
 
 
 def stft(u: SampledField, window: WindowFunction) -> STFTData:
     """V(x, xi) on the full lattice: for each grid point x, transform
     y -> u(y) conj(window(y - x)) and divide by the window norm."""
     n, N = u.grid.n, u.grid.N
-    out = np.empty((N,) * n + (N,) * n, dtype=complex)
+    plan = _lattice_plan(u.grid)
+    out = np.empty((len(plan.rows), N), dtype=complex)     # every row, in order
     post, nrm = (window._stft_arrays[0] * _fft_scale(u.grid)).reshape(-1, N), 1.0 / window.l2norm
-    for dst, lines in _stft_rows(u, window, _lattice_plan(u.grid)):
-        lines = lines * post[dst % N ** (n - 1)]
+    for run, lines in _stft_rows(u, window, plan):
+        lines = lines * post[plan.rows[run] % N ** (n - 1)]
         lines *= nrm
-        out.reshape(-1, N)[dst] = lines
+        out[run] = lines
     return STFTData(u.grid, u.grid.dual(), out, window.sigma_x, window.sigma_xi)
 
 
 def stft_magnitude(u: SampledField, window: WindowFunction, plan: LinePlan) -> STFTMagnitude:
-    """|V| on the rows of `plan`, equal there to
-    `abs(stft(u, window).values)` at the same lattice points, without
-    ever holding the complex spectrogram.
+    """|V| on the rows of `plan`, as the (rows, F) array of its lines:
+    line i equals `abs(stft(u, window).values)` on box row
+    `plan.rows[i]`, and the complex spectrogram is never held.
 
-    The array covers the plan's box and holds 0 off its rows;
-    `estimate_wf_from_stft` refuses it unless the plan is its fit's.
-    The signs `stft` applies are left out: flipping a sign is exact, so
-    |(z s) / |w|| = |(z |s|) / |w|| bit for bit."""
+    Each run of lines `_stft_rows` yields is scaled into a contiguous
+    copy, which costs less than scaling the strided crop of F of N
+    columns in place, and its `abs` is written straight into the array,
+    with no box, zero fill or scatter.  The signs `stft` applies are
+    left out: flipping a sign is exact, so |(z s) / |w|| = |(z |s|) / |w||
+    bit for bit.  `estimate_wf_from_stft` refuses the result unless the
+    plan is its fit's."""
     g = u.grid
-    F = plan.fs.stop - plan.fs.start
-    mag = np.zeros((plan.xs.stop - plan.xs.start,) * g.n + (F,) * g.n)
+    mag = np.empty((len(plan.rows), plan.fs.stop - plan.fs.start))
     scale, nrm = abs(_fft_scale(g)), 1.0 / window.l2norm
-    for dst, lines in _stft_rows(u, window, plan):
-        lines = lines * scale     # a contiguous copy of the strided crop
+    for run, lines in _stft_rows(u, window, plan):
+        lines = lines * scale
         lines *= nrm
-        mag.reshape(-1, F)[dst] = np.abs(lines)
+        np.abs(lines, out=mag[run])
+        del lines   # freed before the next run's lines are built
     return STFTMagnitude(g, g.dual(), mag, window.sigma_x, window.sigma_xi, plan)
 
 

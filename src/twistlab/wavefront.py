@@ -32,12 +32,12 @@ from .spectral import (
 )
 
 _SPHERE_SEED = 20240817
-# the most radii a ray fit takes: its stencil holds 48 bytes per radius
-# and direction at n=2, so 2048 directions take 25 MB at the cap
+# the most radii a ray fit takes: its stencil holds 40 bytes per radius
+# and direction at n=2, so 2048 directions take 21 MB at the cap
 MAX_RADII = 256
 # the most directions a grid takes: 8 times 2048, the S^3 default and the
 # most any caller in this repository asks for; at MAX_RADII the stencil
-# of that many directions holds 201 MB at n=2
+# of that many directions holds 168 MB at n=2
 MAX_DIRECTIONS = 16384
 # |V| at r_max at or below this counts as infinitely fast decay
 _DEAD_FLOOR = 1e-13
@@ -252,7 +252,8 @@ class _Geometry:
     radii r in [r_min, r_max] with the design [log(1 + r^2), 1] and its
     pseudo-inverse, the stencil of the ray samples r w on the lattice
     axes cut to the box the fit reads, rows direction by direction, and
-    the plan of the FFT lines its corners read."""
+    the plan of the FFT lines its corners read, which are the stencil's
+    lines (one array)."""
 
     r: np.ndarray
     design: np.ndarray
@@ -264,8 +265,8 @@ class _Geometry:
     def samples(self, v: STFTData | STFTMagnitude) -> np.ndarray:
         """|V| at r w, one row per direction w and one column per radius
         r: from an `STFTData` through a view cropped to the plan's box,
-        from an `STFTMagnitude` only if it is filled on the plan's rows,
-        since it holds 0 off its own."""
+        whose lines the stencil takes, and from an `STFTMagnitude` only
+        if its lines are the plan's."""
         vals, p, q = v.magnitude(), getattr(v, "plan", None), self.plan
         if p is None:
             vals = vals[(q.xs,) * v.base_grid.n + (q.fs,) * v.base_grid.n]
@@ -288,8 +289,8 @@ def _geometry(g: Grid, window_sigma_x: float, window_sigma_xi: float, r_min_frac
     box truncation, the box half-width minus twice the window spread on
     each side; `dirs` None is the default grid, resolved here, once per
     entry.  An entry holds 8 bytes per ray sample and phase-space axis
-    plus 16, and 16 per FFT line: about 1.25 MB for 2048 directions and
-    12 radii at n=2, N=32."""
+    plus 8, and at n=2 24 per FFT line: about 1.09 MB for 2048 directions
+    and 12 radii at n=2, N=32."""
     tx = g.L - 2.0 * window_sigma_x
     tf = g.dual().L - 2.0 * window_sigma_xi
     if tx <= 0.0 or tf <= 0.0:
@@ -314,13 +315,10 @@ def _geometry(g: Grid, window_sigma_x: float, window_sigma_xi: float, r_min_frac
     pinv = np.linalg.pinv(design)
     for a in (r, design, pinv):
         a.flags.writeable = False
-    pts = (r[None, :, None] * dirs.directions[:, None, :]).reshape(-1, dirs.dim)
-    stencil = _stencil((g.axis()[xs],) * g.n + (g.dual().axis()[fs],) * g.n, pts)
+    stencil = _stencil((g.axis()[xs],) * g.n + (g.dual().axis()[fs],) * g.n,
+                       (r, dirs.directions))
     # only the box rows (all axes but the last) that a corner reads are transformed
-    read = np.zeros(math.prod(stencil.shape[:-1]), dtype=bool)
-    for off in stencil.offsets:
-        read[(stencil.base + off) // stencil.shape[-1]] = True
-    return _Geometry(r, design, pinv, dirs, stencil, _line_plan(g, xs, fs, np.flatnonzero(read)))
+    return _Geometry(r, design, pinv, dirs, stencil, _line_plan(g, xs, fs, stencil.lines))
 
 
 def estimate_wf(
@@ -397,13 +395,28 @@ def _decay_fit(samples: np.ndarray, geo: _Geometry) -> tuple[np.ndarray, np.ndar
     return k_hat, residual
 
 
+_READ_BLOCK = 4096
+"""The samples `_Stencil.read` interpolates at a time: its work buffers
+hold this many values each, whatever the stencil's size."""
+
+
 @dataclass(frozen=True, eq=False)
 class _Stencil:
     """Where multilinear interpolation on equispaced axes reads for a
-    fixed set of points: the flat offset of each point's lower cell
-    corner, each axis's fractional weight y of the point in its cell, and
-    the indices of the points outside the box.  It depends only on the
-    axes and the points, so one stencil serves every array of `shape`.
+    fixed set of points, on two or more axes.  A row of the box is a
+    cell of every axis but the last, one line of F values along it; the
+    stencil reads only `lines`, the sorted rows some corner of a point's
+    cell lies in, as the (lines, F) array `shape`.  It depends only on
+    the axes and the points, so one stencil serves every such array.
+
+    Per point, `base` is the flat offset in that array of its cell's
+    lower corner and `y` each axis's fractional weight of the point in
+    its cell; `outside` are the indices of the points outside the box.
+    The row one step up the second-last axis is the next line, so the
+    four corners that differ in the last two axes lie at base + (0, 1,
+    F, F + 1).  For each other corner c of the axes before those two,
+    `steps[c - 1][line]` is the offset from a point's lower line to that
+    corner's, 0 for a line no point's cell starts on.
 
     The samples are held in memory order, sorted (stably) by their
     offset, so that each corner's gather walks the array forwards;
@@ -415,71 +428,140 @@ class _Stencil:
     itertools.product order with weights ((w0*w1)*w2)*..., and
     accumulates the sum in that order, so every in-box value comes from
     the floating-point operations of scipy's generic
-    RegularGridInterpolator linear path.  Every array is read-only.
+    RegularGridInterpolator linear path.  The indices are int32 and
+    every array is read-only.
     """
 
-    shape: tuple[int, ...]
-    offsets: tuple[int, ...]
+    box: tuple[int, ...]
+    lines: np.ndarray
     base: np.ndarray
+    steps: tuple[np.ndarray, ...]
     y: tuple[np.ndarray, ...]
     rows: np.ndarray
     outside: np.ndarray
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.lines), self.box[-1])
+
     def read(self, values: np.ndarray) -> np.ndarray:
         """The interpolated `values` at the stencil's points, zero
-        outside the box."""
-        values = np.ascontiguousarray(values, dtype=float)
+        outside the box: `values` is the (lines, F) array of the
+        stencil's lines, or the whole box, whose lines are taken first.
+        Works through `_READ_BLOCK` samples at a time, so beyond its
+        output it allocates only fixed work buffers."""
+        values = np.asarray(values, dtype=float)
+        if values.shape == self.box:
+            values = values[np.unravel_index(self.lines, self.box[:-1])]
         if values.shape != self.shape:
-            raise ValueError(f"values of shape {values.shape} on axes of shape {self.shape}")
-        flat = values.ravel()
-        weights = [(1 - y, y) for y in self.y]
-        # weight prefixes over all axes but the last (the first axis's
-        # weights themselves); the last factor is applied per corner so
-        # that only one corner weight is held at a time
-        prefixes = list(weights[0]) if len(weights) > 1 else [1.0]
-        for w in weights[1:-1]:
-            prefixes = [p * wk for p in prefixes for wk in w]
-        acc = np.zeros(len(self.base))
-        term, w = np.empty(len(self.base)), np.empty(len(self.base))
-        for off, (p, wk) in zip(self.offsets, itertools.product(prefixes, weights[-1])):
-            # every index is in range; "clip" only spares take a bounds check
-            np.take(flat[off:], self.base, out=term, mode="clip")
-            np.multiply(p, wk, out=w)
-            term *= w
-            acc += term
-        out = np.empty(len(self.base))
-        out[self.rows] = acc
+            raise ValueError(f"values of shape {values.shape} for the {self.shape[0]} lines "
+                             f"of a box of shape {self.box}")
+        flat = np.ascontiguousarray(values).ravel()
+        d, F, size = len(self.box), self.box[-1], len(self.base)
+        # the four corners that differ in the last two axes, in product order
+        shifted = [flat[c2 * F + c1:] for c2 in (0, 1) for c1 in (0, 1)]
+        out = np.empty(size)
+        block = min(_READ_BLOCK, size)
+        work = np.empty((d + 5, block))
+        index = np.empty((3, block), dtype=np.intp)
+        step = np.empty(block, dtype=np.int32)
+        for lo in range(0, size, block):
+            m = min(block, size - lo)
+            one_minus, (acc, term, pre, part, w) = work[:d, :m], work[d:, :m]
+            at, line, start = index[:, :m]
+            # weights of the low and the high node on each axis, as (1 - y, y)
+            weights = [(np.subtract(1, y[lo:lo + m], b), y[lo:lo + m])
+                       for y, b in zip(self.y, one_minus)]
+            np.copyto(at, self.base[lo:lo + m])
+            if self.steps:
+                np.floor_divide(at, F, line)
+            acc.fill(0.0)
+            for c, corner in enumerate(itertools.product((0, 1), repeat=d - 2)):
+                if c:
+                    self.steps[c - 1].take(line, out=step[:m])
+                    np.add(at, step[:m], start)
+                # the weight prefix over the axes before the last two
+                p = weights[0][corner[0]] if d > 2 else None
+                for k in range(1, d - 2):
+                    p = np.multiply(p, weights[k][corner[k]], pre)
+                for c2, w2 in enumerate(weights[d - 2]):
+                    pw = w2 if p is None else np.multiply(p, w2, part)
+                    for c1, w1 in enumerate(weights[d - 1]):
+                        # every index is in range; "clip" only spares take a bounds check
+                        shifted[2 * c2 + c1].take(start if c else at, out=term, mode="clip")
+                        np.multiply(pw, w1, w)
+                        term *= w
+                        acc += term
+            np.copyto(at, self.rows[lo:lo + m])
+            out[at] = acc
         out[self.outside] = 0.0
         return out
 
 
-def _stencil(axes, pts: np.ndarray) -> _Stencil:
-    """The multilinear interpolation stencil of the rows of `pts` on the
-    equispaced `axes`."""
-    shape = tuple(len(ax) for ax in axes)
-    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
-    base = np.zeros(len(pts), dtype=np.intp)
-    outside = np.zeros(len(pts), dtype=bool)
-    ys = []
+def _cell(ax: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """searchsorted(ax, x, "right") - 1 clipped to [0, len(ax) - 2], on
+    the equispaced `ax`: floor((x - a0)/step) moved by at most a node."""
+    top = len(ax) - 2
+    i = np.floor((x - ax[0]) / (ax[1] - ax[0])).astype(np.intp)
+    np.clip(i, 0, top, out=i)
+    i -= (x < ax[i]) & (i > 0)
+    i += (x >= ax[i + 1]) & (i < top)
+    return i
+
+
+def _stencil(axes, pts) -> _Stencil:
+    """The multilinear interpolation stencil on the equispaced `axes` of
+    the rows of `pts`, or, for a pair (r, w) of radii and unit
+    directions, of the points r w direction by direction, built without
+    the array of those points."""
+    axes = [np.asarray(ax, dtype=float) for ax in axes]
+    if isinstance(pts, tuple):
+        r, w = pts
+        count = len(r) * len(w)
+
+        def coord(k):
+            return np.multiply.outer(w[:, k], r).ravel()
+    else:
+        pts = np.asarray(pts, dtype=float)
+        count = len(pts)
+
+        def coord(k):
+            return pts[:, k]
+    box = tuple(len(ax) for ax in axes)
+    d, F = len(box), box[-1]
+    strides = [math.prod(box[k + 1:]) for k in range(d)]
+    base = np.zeros(count, dtype=np.intp)
+    outside = np.zeros(count, dtype=bool)
     for k, ax in enumerate(axes):
-        ax = np.asarray(ax, dtype=float)
-        x = np.ascontiguousarray(pts[:, k], dtype=float)
-        top = len(ax) - 2
-        i = np.floor((x - ax[0]) / (ax[1] - ax[0])).astype(np.intp)
-        np.clip(i, 0, top, out=i)
-        i -= (x < ax[i]) & (i > 0)
-        i += (x >= ax[i + 1]) & (i < top)
-        ys.append((x - ax[i]) / (ax[i + 1] - ax[i]))
-        base += i * strides[k]
+        x = coord(k)
+        base += _cell(ax, x) * strides[k]
         outside |= (x < ax[0]) | (x > ax[-1])
     rows = np.argsort(base, kind="stable")
-    # rows stay intp: scattering through int32 indices converts them on every read
-    base, ys = base[rows], [y[rows] for y in ys]
+    base = base[rows]
+    ys = []
+    for k, ax in enumerate(axes):   # each weight once, in memory order
+        x = coord(k)[rows]
+        i = base // strides[k] % box[k]
+        ys.append((x - ax[i]) / (ax[i + 1] - ax[i]))
+    # the rows the corners read: each point's lower row plus a row corner
+    lower, col = np.divmod(base, F)
+    row_strides = [s // F for s in strides[:-1]]
+    read = np.zeros(math.prod(box[:-1]), dtype=bool)
+    for c in itertools.product((0, 1), repeat=d - 1):
+        read[lower + int(np.dot(c, row_strides))] = True
+    lines = np.flatnonzero(read)
+    base = (np.searchsorted(lines, lower) * F + col).astype(np.int32)
+    steps = []
+    for c in list(itertools.product((0, 1), repeat=d - 2))[1:]:
+        target = lines + int(np.dot(c, row_strides[:-1]))
+        to = np.minimum(np.searchsorted(lines, target), len(lines) - 1)
+        steps.append(np.where(lines[to] == target, (to - np.arange(len(lines))) * F, 0)
+                     .astype(np.int32))
+    lines, rows = lines.astype(np.int32), rows.astype(np.int32)
     outside = np.flatnonzero(outside)
-    for a in (base, rows, outside, *ys):
+    for a in (lines, base, rows, outside, *steps, *ys):
         a.flags.writeable = False
-    offsets = tuple(int(np.dot(c, strides)) for c in itertools.product((0, 1), repeat=len(axes)))
-    return _Stencil(shape, offsets, base, tuple(ys), rows, outside)
+    return _Stencil(box, lines, base, tuple(steps), tuple(ys), rows, outside)
 
 
 # ---------------------------------------------------------------------------

@@ -898,3 +898,28 @@ def test_wf_direction_count_cap(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "o")]) == 2
         _refused(capsys, "params.direction_count",
                  f"expected an integer from 4 to 16384, got {count}")
+
+
+@pytest.mark.parametrize("fragment, message", [
+    ({"grid": {"n": 3, "N": 8, "L": 4.0}, "field": {"kind": "delta", "a": [0.0] * 3}},
+     "grid.n: expected 1 or 2, where direction grids exist, got 3"),
+    ({"params": {"direction_count": 99999999}},
+     "params.direction_count: expected an integer from 4 to 16384, got 99999999"),
+    ({"window": {"kind": "boxcar"}}, "window.kind: expected gaussian or hann, got 'boxcar'"),
+])
+@pytest.mark.parametrize("bad_field", [False, True])
+def test_wf_refuses_before_sampling_the_field(tmp_path, capsys, monkeypatch, fragment, message,
+                                              bad_field):
+    # every key but the field is read first, so a refused job samples no
+    # field, and a bad field is reported only once the other keys pass
+    from twistlab import catalog
+
+    monkeypatch.setattr(catalog, "sample_analytic",
+                        lambda *args: pytest.fail("the field was sampled"))
+    cfg = {"schema_version": 1, "grid": {"n": 1, "N": 64, "L": 8.0},
+           "field": {"kind": "delta", "a": 0.0}, **fragment}
+    if bad_field:
+        cfg["field"] = {"kind": "delta", "a": "x"}
+    assert main(["wf", "--config", _write(tmp_path / "wf.json", cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    _refused(capsys, *message.split(": ", 1))

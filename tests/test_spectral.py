@@ -1,10 +1,13 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from twistlab import spectral
 from twistlab.catalog import Delta, GaussianPacket, PlaneWave, sample_analytic
 from twistlab.grids import SampledField, field_l2_distance, make_grid
 from twistlab.spectral import (
@@ -225,26 +228,86 @@ def test_stft_matches_loop_oracle(n, big_n, kind, seed):
 
 @pytest.mark.parametrize("n, sizes", [(1, (32, 64, 128, 130)), (2, (12, 20, 28, 34))])
 def test_magnitude_fills_exactly_the_stencil_rows(n, sizes):
-    # the magnitude estimate_wf reads is filled on the box rows (all axes
-    # but the last frequency one) that some corner of the geometry's
-    # stencil reads and on no other, with the full lattice's bytes there;
-    # the window without factors takes the general route at n=2
+    # the magnitude estimate_wf reads holds one line per box row (all axes
+    # but the last frequency one) that some corner of a ray sample's cell
+    # lies in, in row order, each with the full lattice's bytes there; the
+    # window without factors takes the general route at n=2
     rng = np.random.default_rng(26)
     windows = (gaussian_window, hann_window, lambda g: WindowFunction(g, hann_window(g).values))
     for big_n, win_of in itertools.product(sizes, windows):
         g = make_grid(n, big_n, 7.0)
         u, win = _rand_field(g, rng), win_of(g)
         geo = _geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams())
-        st, plan = geo.stencil, geo.plan
-        assert st.outside.size == 0     # the box holds every ray sample
-        width = st.shape[-1]
-        read = np.unique(np.concatenate([(st.base + off) // width for off in st.offsets]))
-        lines = stft_magnitude(u, win, plan).values.reshape(-1, width)
-        assert np.array_equal(np.flatnonzero(lines.any(axis=1)), read), (big_n, win)
+        plan = geo.plan
+        axes = (g.axis()[plan.xs],) * n + (g.dual().axis()[plan.fs],) * n
+        pts = (geo.r[None, :, None] * geo.directions.directions[:, None, :]).reshape(-1, 2 * n)
+        assert all(np.all((ax[0] <= x) & (x <= ax[-1])) for ax, x in zip(axes, pts.T))
+        cells = [np.clip(np.searchsorted(ax, x, "right") - 1, 0, len(ax) - 2)
+                 for ax, x in zip(axes, pts.T)]
+        box = tuple(len(ax) for ax in axes)
+        read = np.unique(np.concatenate([
+            np.ravel_multi_index([c + k for c, k in zip(cells, corner)], box[:-1])
+            for corner in itertools.product((0, 1), repeat=2 * n - 1)]))
         assert np.array_equal(plan.rows, read)
+        lines = stft_magnitude(u, win, plan).values
+        assert lines.shape == (len(read), box[-1])
         full = np.abs(stft(u, win).values)[(plan.xs,) * n + (plan.fs,) * n]
-        assert lines[read].tobytes() == full.reshape(-1, width)[read].tobytes(), (big_n, win)
+        assert lines.tobytes() == full.reshape(-1, box[-1])[plan.rows].tobytes(), (big_n, win)
     # a plan names rows of its own grid's box only
     other = make_grid(n, big_n + 2, 7.0)
     with pytest.raises(ValueError, match="^field and plan grids differ$"):
         stft_magnitude(_rand_field(other, rng), gaussian_window(other), plan)
+
+
+@pytest.mark.parametrize("n, big_n", [(1, 128), (2, 20)])
+def test_y1_blocks_change_no_byte(monkeypatch, n, big_n):
+    # y_1 is transformed a few x_1 at a time, or one x_1 per buffer of its
+    # own when one x_1 is wider than the workspace; neither moves a byte
+    rng = np.random.default_rng(33)
+    g = make_grid(n, big_n, 7.0)
+    u = _rand_field(g, rng)
+    for win in (gaussian_window(g), hann_window(g)):
+        plan = _geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams()).plan
+        want = stft_magnitude(u, win, plan).values.tobytes()
+        for elems in (3 * big_n ** n, big_n ** n - 1):
+            monkeypatch.setattr(spectral, "_Y1_BLOCK_ELEMS", elems)
+            assert stft_magnitude(u, win, plan).values.tobytes() == want, elems
+            monkeypatch.undo()
+
+
+def test_threads_share_no_y1_workspace():
+    # each thread transforms y_1 in its own workspace: spectrograms of
+    # different sizes, run at once from more threads than cores, give the
+    # bytes of serial runs
+    rng = np.random.default_rng(34)
+    cases = []
+    for n, big_n in ((2, 28), (2, 32), (2, 36), (1, 512)):
+        g = make_grid(n, big_n, 7.0)
+        win = gaussian_window(g)
+        cases.append((_rand_field(g, rng), win,
+                      _geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams()).plan))
+
+    def run(case):
+        return stft_magnitude(*case).values.tobytes()
+
+    serial = [run(c) for c in cases]
+    got = [[] for _ in cases]
+    start = threading.Barrier(len(cases))
+
+    def worker(i):
+        start.wait(timeout=30)
+        for _ in range(5):
+            got[i].append(run(cases[i]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[s] * 5 for s in serial]

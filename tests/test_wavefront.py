@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -151,17 +153,79 @@ def test_ray_stencil_in_memory_order(n, big_n):
     assert np.all(np.diff(stencil.base) >= 0)
     assert np.array_equal(np.sort(stencil.rows), np.arange(geo.directions.count * geo.r.size))
     # back in point order, each offset is the lower corner's cell on the
-    # plan's box as searchsorted finds it
+    # plan's box as searchsorted finds it, mapped through the plan's rows
+    # to its line, and each row corner's step leads to that corner's line
     pts = (geo.r[None, :, None] * geo.directions.directions[:, None, :]).reshape(-1, 2 * n)
     axes = (g.axis()[geo.plan.xs],) * n + (g.dual().axis()[geo.plan.fs],) * n
     cells = [np.clip(np.searchsorted(ax, pts[:, k], "right") - 1, 0, len(ax) - 2)
              for k, ax in enumerate(axes)]
+    box = tuple(len(ax) for ax in axes)
+    assert stencil.box == box and stencil.lines is geo.plan.rows
+    width = box[-1]
+
+    def line_of(cells):
+        row = np.ravel_multi_index(cells, box[:-1])
+        at = np.searchsorted(geo.plan.rows, row)
+        assert np.array_equal(geo.plan.rows[at], row)
+        return at
+
     base = np.empty_like(stencil.base)
     base[stencil.rows] = stencil.base
-    assert np.array_equal(base, np.ravel_multi_index(cells, stencil.shape))
-    # the box is that of the spectrogram estimate_wf reads
+    assert np.array_equal(base, line_of(cells[:-1]) * width + cells[-1])
+    corners = list(itertools.product((0, 1), repeat=2 * n - 2))
+    assert len(stencil.steps) == len(corners) - 1
+    for corner, step in zip(corners[1:], stencil.steps):
+        moved = [c + k for c, k in zip(cells, corner)] + cells[-2:]
+        assert np.array_equal(base + step[base // width], line_of(moved[:-1]) * width + cells[-1])
+    # the one step up the second-last axis is the next line
+    up = cells[:-2] + [cells[-2] + 1]
+    assert np.array_equal(line_of(up), line_of(cells[:-1]) + 1)
+    # the lines are those of the spectrogram estimate_wf reads
     mag = spectral.stft_magnitude(sample_analytic(Delta((0.0,) * n), g), win, geo.plan)
-    assert mag.values.shape == stencil.shape
+    assert mag.values.shape == stencil.shape == (len(geo.plan.rows), width)
+
+
+def _arrays_held(obj, seen=None):
+    """The bytes of the distinct arrays a geometry holds in its fields,
+    its stencil's and its plan's, nested tuples included; the direction
+    grid is shared between entries and not counted."""
+    seen = {} if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        seen[id(obj)] = obj.nbytes
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _arrays_held(item, seen)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, DirectionGrid):
+        for field in dataclasses.fields(obj):
+            _arrays_held(getattr(obj, field.name), seen)
+    return sum(seen.values())
+
+
+def test_geometry_entry_holds_no_more_than_its_budget():
+    # n=2, N=32 with 2048 directions and 12 radii: 40 bytes per ray sample
+    # and a few per FFT line; 48 per sample and 16 per line came to 1.25 MB
+    g = make_grid(2, 32, 7.0)
+    win = gaussian_window(g)
+    geo = wavefront._geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams())
+    assert geo.directions.count * geo.r.size == 24576
+    assert _arrays_held(geo) <= 1.1e6
+
+
+def test_repeat_estimate_allocates_no_box():
+    # once its geometry is built, an estimate at n=2, N=64, L=10 holds |V|
+    # on its lines only: its peak stays under half the box of that reach
+    g = make_grid(2, 64, 10.0)
+    u = sample_analytic(GaussianPacket((0.3, 0.3), 0.9, (-0.5, -0.5)), g)
+    win = gaussian_window(g)
+    estimate_wf(u, win)
+    box = wavefront._geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams()).stencil.box
+    tracemalloc.start()
+    try:
+        estimate_wf(u, win)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * math.prod(box) / 2
 
 
 def test_direction_grid_probe_matches_one_shot_oracle():
@@ -233,7 +297,8 @@ def test_cached_stencil_and_window_are_read_only():
         geo.plan = None
     stencil, plan = geo.stencil, geo.plan
     for arr in (geo.r, geo.design, geo.pinv, geo.directions.directions,
-                stencil.base, stencil.rows, stencil.outside, *stencil.y, plan.rows, plan.x0s):
+                stencil.lines, stencil.base, stencil.rows, stencil.outside, *stencil.steps,
+                *stencil.y, plan.rows, plan.x0s, plan.bounds):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
     g = make_grid(2, 16, 6.0)

@@ -51,9 +51,11 @@ which head was faster, a hash of k_hat, value_at_rmax and `flagged`, how
 far head's estimate moved (the largest |k_hat| difference over the
 entries finite on both sides, null when a k_hat is finite on one side
 only; whether every flag is equal; whether value_at_rmax keeps its
-bytes), the nonzero magnitude cells, and the largest |V| difference
-over the cells both sides hold nonzero, with the count of cells only
-head holds nonzero.
+bytes), and the two sides' |V| compared on the rows of head's plan: a
+box is read at those rows, a (rows, F) line array as it is.  It records
+whether both plans have the same rows, the cells each side's magnitude
+holds and how many of them are nonzero, whether the lines are equal
+byte for byte, and their largest |V| difference.
 
 With `--rss-rounds R`, each checkout runs R cli-jobs rounds of seed 102
 in one interpreter, fingerprinting every output as perfbench does, and
@@ -440,7 +442,7 @@ import hashlib
 out = {}
 for n, sizes in ((1, (128, 256, 512)), (2, (32, 64, 128))):
     for N in sizes:
-        run, mags, ests, fft_lines = {}, {}, {}, {}
+        run, mags, ests, fft_lines, plans = {}, {}, {}, {}, {}
         for side, tl in sides.items():
             g = tl.make_grid(n, N, 7.0)
             u = tl.sample_analytic(tl.GaussianPacket((0.3,) * n, 0.9, (-0.5,) * n), g)
@@ -451,9 +453,12 @@ for n, sizes in ((1, (128, 256, 512)), (2, (32, 64, 128))):
             else:                                       # the geometry's plan of lines
                 arg = tl.wavefront._geometry_of(g, win.sigma_x, win.sigma_xi, params).plan
                 x0s, rows = arg.x0s, arg.lines
+                plans[side] = arg
+            if not hasattr(arg, "bounds"):              # per x_1 (levels, destination rows)
+                rows = [levels for levels, _ in rows]
             # y_1 for the range of x_1 and every later axis; y_(a+2) on each line of level a + 1
             fft_lines[side] = [int(x0s[-1] - x0s[0] + 1) * N ** (n - 1)] + [
-                sum(len(levels[a][0]) for levels, _ in rows) * N ** (n - 2 - a) for a in range(n - 1)]
+                sum(len(levels[a][0]) for levels in rows) * N ** (n - 2 - a) for a in range(n - 1)]
             run[side] = (lambda tl=tl, u=u, win=win, arg=arg: tl.spectral.stft_magnitude(u, win, arg),
                          lambda mag, tl=tl, params=params: tl.wavefront.estimate_wf_from_stft(mag, params))
             mags[side] = run[side][0]()     # also the warm-up call
@@ -479,13 +484,19 @@ for n, sizes in ((1, (128, 256, 512)), (2, (32, 64, 128))):
         row["estimate_bytes_equal"] = len(set(row["estimate_sha256"].values())) == 1
         row.update(estimate_diff(*([getattr(e, k) for k in ESTIMATE_ARRAYS]
                                    for e in (ests["base"], ests["head"]))))
-        b, h = mags["base"].values, mags["head"].values
-        both = (b != 0) & (h != 0)
+        # a side's |V| on the head plan's rows: its (rows, F) line array as it
+        # is, or the rows of its box
+        plan = plans["head"]
+        width = plan.fs.stop - plan.fs.start
+        lines = {side: m.values if m.values.shape == (len(plan.rows), width)
+                 else m.values.reshape(-1, width)[plan.rows] for side, m in mags.items()}
+        row["plan_rows_equal"] = "base" in plans and np.array_equal(plans["base"].rows, plan.rows)
+        row["cells_held"] = {side: int(m.values.size) for side, m in mags.items()}
         row["nonzero_cells"] = {side: int(np.count_nonzero(m.values)) for side, m in mags.items()}
-        row["head_only_nonzero_cells"] = int(np.count_nonzero((h != 0) & (b == 0)))
-        row["max_abs_diff_on_cells_both_compute"] = float(np.abs(h - b)[both].max(initial=0.0))
+        row["lines_bytes_equal"] = lines["base"].tobytes() == lines["head"].tobytes()
+        row["max_abs_diff_on_lines"] = float(np.abs(lines["head"] - lines["base"]).max(initial=0.0))
         out[f"n{n}_N{N}"] = row
-        del mags, ests, run, b, h, both
+        del mags, ests, run, lines
 print(json.dumps(out))
 """
 
