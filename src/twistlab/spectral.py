@@ -303,17 +303,18 @@ always for at least one."""
 _local = threading.local()
 
 
-def _y1_workspace(size: int) -> np.ndarray:
-    """This thread's workspace of `_Y1_BLOCK_ELEMS` complex values (made
-    at the first call, or again if that constant changed), so that a
-    repeated transform maps no fresh pages; a buffer of its own when
-    `size` is larger."""
+def _y1_workspace(shape: tuple[int, ...]) -> np.ndarray:
+    """A complex array of `shape` in this thread's workspace of
+    `_Y1_BLOCK_ELEMS` values (made at the first call, or again if that
+    constant changed), so that a repeated transform maps no fresh pages;
+    a buffer of its own when `shape` holds more."""
+    size = math.prod(shape)
     if size > _Y1_BLOCK_ELEMS:
-        return np.empty(size, dtype=complex)
+        return np.empty(shape, dtype=complex)
     ws = getattr(_local, "y1", None)
     if ws is None or ws.size != _Y1_BLOCK_ELEMS:
         ws = _local.y1 = np.empty(_Y1_BLOCK_ELEMS, dtype=complex)
-    return ws
+    return ws[:size].reshape(shape)
 
 
 def _stft_rows(u: SampledField, window: WindowFunction, plan: LinePlan):
@@ -366,7 +367,7 @@ def _stft_rows(u: SampledField, window: WindowFunction, plan: LinePlan):
     while lo < len(x0s):
         hi = int(np.searchsorted(x0s, x0s[lo] + width))
         t = tables[0][xs.start + x0s[lo]:xs.start + x0s[hi - 1] + 1]
-        block = _y1_workspace(len(t) * N ** n)[:len(t) * N ** n].reshape((len(t),) + signed.shape)
+        block = _y1_workspace((len(t),) + signed.shape)
         np.multiply(signed, t.reshape((-1, N) + (1,) * (n - 1)), out=block)
         block = np.fft.fft(block, axis=1, out=block)[:, fs]
         if n == 1:

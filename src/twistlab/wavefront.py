@@ -477,9 +477,10 @@ class _Stencil:
                 np.floor_divide(at, F, line)
             acc.fill(0.0)
             for c, corner in enumerate(itertools.product((0, 1), repeat=d - 2)):
+                first = at      # the lower line's offset, or this row corner's
                 if c:
                     self.steps[c - 1].take(line, out=step[:m])
-                    np.add(at, step[:m], start)
+                    first = np.add(at, step[:m], start)
                 # the weight prefix over the axes before the last two
                 p = weights[0][corner[0]] if d > 2 else None
                 for k in range(1, d - 2):
@@ -488,7 +489,7 @@ class _Stencil:
                     pw = w2 if p is None else np.multiply(p, w2, part)
                     for c1, w1 in enumerate(weights[d - 1]):
                         # every index is in range; "clip" only spares take a bounds check
-                        shifted[2 * c2 + c1].take(start if c else at, out=term, mode="clip")
+                        shifted[2 * c2 + c1].take(first, out=term, mode="clip")
                         np.multiply(pw, w1, w)
                         term *= w
                         acc += term

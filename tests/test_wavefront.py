@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import math
 import tracemalloc
 import warnings
 
@@ -218,14 +217,15 @@ def test_repeat_estimate_allocates_no_box():
     u = sample_analytic(GaussianPacket((0.3, 0.3), 0.9, (-0.5, -0.5)), g)
     win = gaussian_window(g)
     estimate_wf(u, win)
-    box = wavefront._geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams()).stencil.box
+    plan = wavefront._geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams()).plan
+    box = ((plan.xs.stop - plan.xs.start) * (plan.fs.stop - plan.fs.start)) ** 2
     tracemalloc.start()
     try:
         estimate_wf(u, win)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * math.prod(box) / 2
+    assert peak < 8 * box / 2
 
 
 def test_direction_grid_probe_matches_one_shot_oracle():
