@@ -39,28 +39,24 @@ is Q(y', x_n).
 leading indices and coordinates, P, the half-chirp and the output phase.
 The index maps
 and lead phases exp(-(i/2) x'.theta' y') of a block of x' rows are O(m)
-per row and built per block; cached, they would be O(m^2).  Each thread
-keeps two workspaces of `_BLOCK_ELEMS` complex elements that every
-block is taken, multiplied and transformed in, so a repeated call maps
-no fresh pages; a block wider than a workspace gets a buffer of its own.
+per row and built per block; cached, they would be O(m^2).  Every block
+is taken, multiplied and transformed in the thread's two workspaces of
+`spectral._BLOCK_ELEMS` complex elements, so a repeated call maps no
+fresh pages; a block wider than a workspace gets buffers of its own.
 FFTs with `out=` need numpy >= 2.0.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from . import spectral
 from .grids import Grid, SampledField
 from .matrices import AntisymmetricMatrix
 from .spectral import fourier_forward, fourier_inverse
-
-# complex elements in each of a thread's two block workspaces (1 MiB each)
-_BLOCK_ELEMS = 1 << 16
-_local = threading.local()
 
 
 def _theta_matrix(theta, n: int) -> np.ndarray:
@@ -123,19 +119,6 @@ def _plan(n: int, N: int, L: float, theta_bytes: bytes, wrap: bool) -> _Plan:
     return plan
 
 
-def _workspaces(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's two block workspaces (made at the first call, or
-    again if `_BLOCK_ELEMS` changed), or new buffers when one block of
-    `size` elements is wider than they are."""
-    if size > _BLOCK_ELEMS:
-        return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-    ws = getattr(_local, "ws", None)
-    if ws is None or ws[0].size != _BLOCK_ELEMS:
-        ws = _local.ws = (np.empty(_BLOCK_ELEMS, dtype=complex),
-                          np.empty(_BLOCK_ELEMS, dtype=complex))
-    return ws
-
-
 def _twisted_sum(f: SampledField, g: SampledField, theta: np.ndarray, wrap: bool) -> np.ndarray:
     """d^n sum_y f(x - y) g(y) exp(-(i/2) x.theta y) on the whole grid,
     by the factorisations in the module docstring."""
@@ -161,8 +144,8 @@ def _twisted_sum(f: SampledField, g: SampledField, theta: np.ndarray, wrap: bool
     np.fft.fft(rows, axis=-1, out=rows)
     fhat, ghat = rows[:m + 1], rows[m + 1:]
     out = np.empty((m, 1, N), dtype=complex)
-    per = max(1, _BLOCK_ELEMS // (m * P))  # x' rows per block
-    work, taken = _workspaces(per * m * P)
+    per = max(1, spectral._BLOCK_ELEMS // (m * P))  # x' rows per block
+    work, taken = (spectral._workspace(i, per * m * P) for i in (0, 1))
     for start in range(0, m, per):
         b = slice(start, min(start + per, m))
         size = (b.stop - start) * m * P

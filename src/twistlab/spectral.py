@@ -296,25 +296,25 @@ class STFTMagnitude:
         return self.values
 
 
-_Y1_BLOCK_ELEMS = 1 << 16
-"""The separable route of `_stft_rows` transforms y_1 for as many
-consecutive x_1 at once as this many complex values hold (1 MiB), and
-always for at least one."""
+_BLOCK_ELEMS = 1 << 16
+"""Complex values in each of a thread's two block workspaces (1 MiB
+each): the separable route of `_stft_rows` transforms y_1 in the first
+for as many consecutive x_1 at once as it holds, and always for at
+least one, and `products` works its blocks in both."""
 _local = threading.local()
 
 
-def _y1_workspace(shape: tuple[int, ...]) -> np.ndarray:
-    """A complex array of `shape` in this thread's workspace of
-    `_Y1_BLOCK_ELEMS` values (made at the first call, or again if that
-    constant changed), so that a repeated transform maps no fresh pages;
-    a buffer of its own when `shape` holds more."""
-    size = math.prod(shape)
-    if size > _Y1_BLOCK_ELEMS:
-        return np.empty(shape, dtype=complex)
-    ws = getattr(_local, "y1", None)
-    if ws is None or ws.size != _Y1_BLOCK_ELEMS:
-        ws = _local.y1 = np.empty(_Y1_BLOCK_ELEMS, dtype=complex)
-    return ws[:size].reshape(shape)
+def _workspace(which: int, size: int) -> np.ndarray:
+    """This thread's workspace `which` (0 or 1), a flat complex array of
+    `_BLOCK_ELEMS` values made at its first use (or again if that
+    constant changed), so that a repeated call maps no fresh pages; a
+    buffer of its own when a block of `size` values is wider."""
+    if size > _BLOCK_ELEMS:
+        return np.empty(size, dtype=complex)
+    ws = _local.__dict__.setdefault("ws", [None, None])
+    if ws[which] is None or ws[which].size != _BLOCK_ELEMS:
+        ws[which] = np.empty(_BLOCK_ELEMS, dtype=complex)
+    return ws[which]
 
 
 def _stft_rows(u: SampledField, window: WindowFunction, plan: LinePlan):
@@ -324,8 +324,9 @@ def _stft_rows(u: SampledField, window: WindowFunction, plan: LinePlan):
     (-1)^(k_1 + ... + k_n) of its frequency indices, `_fft_scale` and
     1/|window|, `lines[i]` is V on box row `plan.rows[run][i]`.  Each
     x_1's rows are one run, and the lines are the caller's to overwrite.
-    The separable route transforms y_1 in this thread's workspace, so a
-    thread consumes one such generator at a time.
+    The separable route transforms y_1 in this thread's first
+    workspace, so a thread consumes one such generator at a time and
+    runs no twisted product while it does.
 
     The window is translated by whole grid steps with zero fill.  One
     without factors takes the general route: per x_1, one batched FFT of
@@ -362,12 +363,13 @@ def _stft_rows(u: SampledField, window: WindowFunction, plan: LinePlan):
     # y_1 is transformed for a range of consecutive x_1 at a time through a view
     # of the table, and the lines of x_1 the plan skips are dropped: cheaper
     # than a gather
-    width = max(1, _Y1_BLOCK_ELEMS // N ** n)
+    width = max(1, _BLOCK_ELEMS // N ** n)
     lo = 0
     while lo < len(x0s):
         hi = int(np.searchsorted(x0s, x0s[lo] + width))
         t = tables[0][xs.start + x0s[lo]:xs.start + x0s[hi - 1] + 1]
-        block = _y1_workspace((len(t),) + signed.shape)
+        size = len(t) * signed.size
+        block = _workspace(0, size)[:size].reshape((len(t),) + signed.shape)
         np.multiply(signed, t.reshape((-1, N) + (1,) * (n - 1)), out=block)
         block = np.fft.fft(block, axis=1, out=block)[:, fs]
         if n == 1:

@@ -264,12 +264,13 @@ class _Geometry:
 
     def samples(self, v: STFTData | STFTMagnitude) -> np.ndarray:
         """|V| at r w, one row per direction w and one column per radius
-        r: from an `STFTData` through a view cropped to the plan's box,
-        whose lines the stencil takes, and from an `STFTMagnitude` only
+        r: from an `STFTData` through the plan's lines, gathered from a
+        view cropped to the plan's box, and from an `STFTMagnitude` only
         if its lines are the plan's."""
         vals, p, q = v.magnitude(), getattr(v, "plan", None), self.plan
         if p is None:
             vals = vals[(q.xs,) * v.base_grid.n + (q.fs,) * v.base_grid.n]
+            vals = vals[np.unravel_index(q.rows, self.stencil.box[:-1])]
         elif (p.xs, p.fs) != (q.xs, q.fs) or not np.array_equal(p.rows, q.rows):
             raise ValueError("the spectrogram is not filled on the lines this fit reads")
         return self.stencil.read(vals).reshape(self.directions.count, -1)
@@ -428,8 +429,8 @@ class _Stencil:
     itertools.product order with weights ((w0*w1)*w2)*..., and
     accumulates the sum in that order, so every in-box value comes from
     the floating-point operations of scipy's generic
-    RegularGridInterpolator linear path.  The indices are int32 and
-    every array is read-only.
+    RegularGridInterpolator linear path.  The indices are int32, which
+    `_stencil` checks they fit, and every array is read-only.
     """
 
     box: tuple[int, ...]
@@ -445,14 +446,11 @@ class _Stencil:
         return (len(self.lines), self.box[-1])
 
     def read(self, values: np.ndarray) -> np.ndarray:
-        """The interpolated `values` at the stencil's points, zero
-        outside the box: `values` is the (lines, F) array of the
-        stencil's lines, or the whole box, whose lines are taken first.
-        Works through `_READ_BLOCK` samples at a time, so beyond its
-        output it allocates only fixed work buffers."""
+        """The interpolated values at the stencil's points, zero outside
+        the box, from `values`, the (lines, F) array of the stencil's
+        lines.  Works through `_READ_BLOCK` samples at a time, so beyond
+        its output it allocates only fixed work buffers."""
         values = np.asarray(values, dtype=float)
-        if values.shape == self.box:
-            values = values[np.unravel_index(self.lines, self.box[:-1])]
         if values.shape != self.shape:
             raise ValueError(f"values of shape {values.shape} for the {self.shape[0]} lines "
                              f"of a box of shape {self.box}")
@@ -512,24 +510,21 @@ def _cell(ax: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _stencil(axes, pts) -> _Stencil:
     """The multilinear interpolation stencil on the equispaced `axes` of
-    the rows of `pts`, or, for a pair (r, w) of radii and unit
-    directions, of the points r w direction by direction, built without
-    the array of those points."""
+    the points r w, for a pair `pts` = (r, w) of radii and directions,
+    direction by direction, built without the array of those points.
+    Refused with a ValueError when an index it holds would not fit int32."""
     axes = [np.asarray(ax, dtype=float) for ax in axes]
-    if isinstance(pts, tuple):
-        r, w = pts
-        count = len(r) * len(w)
+    r, w = pts
+    count = len(r) * len(w)
 
-        def coord(k):
-            return np.multiply.outer(w[:, k], r).ravel()
-    else:
-        pts = np.asarray(pts, dtype=float)
-        count = len(pts)
+    def coord(k):
+        return np.multiply.outer(w[:, k], r).ravel()
 
-        def coord(k):
-            return pts[:, k]
     box = tuple(len(ax) for ax in axes)
     d, F = len(box), box[-1]
+    limit = np.iinfo(np.int32).max
+    if max(count, math.prod(box[:-1])) > limit:
+        raise ValueError(f"{count} points on a box of shape {box} overflow int32 indices")
     strides = [math.prod(box[k + 1:]) for k in range(d)]
     base = np.zeros(count, dtype=np.intp)
     outside = np.zeros(count, dtype=bool)
@@ -551,6 +546,8 @@ def _stencil(axes, pts) -> _Stencil:
     for c in itertools.product((0, 1), repeat=d - 1):
         read[lower + int(np.dot(c, row_strides))] = True
     lines = np.flatnonzero(read)
+    if len(lines) * F > limit:
+        raise ValueError(f"{len(lines)} lines of {F} values overflow int32 offsets")
     base = (np.searchsorted(lines, lower) * F + col).astype(np.int32)
     steps = []
     for c in list(itertools.product((0, 1), repeat=d - 2))[1:]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twistlab import products
+from twistlab import spectral
 from twistlab.catalog import GaussianPacket, sample_analytic
 from twistlab.grids import SampledField, field_l2_distance, make_grid
 from twistlab.products import (
@@ -16,7 +16,13 @@ from twistlab.products import (
     twisted_convolution,
     twisted_convolution_product,
 )
-from twistlab.spectral import fourier_forward, fourier_inverse
+from twistlab.spectral import (
+    _lattice_plan,
+    fourier_forward,
+    fourier_inverse,
+    gaussian_window,
+    stft_magnitude,
+)
 from twistlab.suites import _oracle_convolution
 
 J = [[0.0, 1.0], [-1.0, 0.0]]
@@ -166,7 +172,7 @@ def test_kernel_independent_of_block_size(monkeypatch, wrap):
     f, g, theta = _random_case(3, 8, 7)
     whole = twisted_convolution(f, g, theta, wrap=wrap).values
     # three x' rows per block zero-padded (P = 12), five periodic (the last block short)
-    monkeypatch.setattr(products, "_BLOCK_ELEMS", 3000)
+    monkeypatch.setattr(spectral, "_BLOCK_ELEMS", 3000)
     split = twisted_convolution(f, g, theta, wrap=wrap).values
     np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-14 * np.abs(whole).max())
 
@@ -216,6 +222,29 @@ def test_repeat_call_allocates_no_block(big_n, wrap):
     assert peak < 512 * 1024
 
 
+def test_spectrogram_works_in_the_products_workspace():
+    # a spectrogram transforms y_1 in the first of the two workspaces a
+    # product blocks in: in a new thread, after a product, it makes no
+    # workspace (1 MiB) of its own
+    f, g, theta = _random_case(2, 12, 6)
+    win, plan = gaussian_window(f.grid), _lattice_plan(f.grid)
+    peak = []
+
+    def run():
+        twisted_convolution(f, g, theta)
+        tracemalloc.start()
+        try:
+            stft_magnitude(f, win, plan)
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert len(peak) == 1 and peak[0] < 512 * 1024, peak
+
+
 def test_threads_share_no_workspace():
     # each thread blocks in its own workspaces: products of different sizes
     # and modes, run at once from more threads than cores, give the bytes
@@ -256,6 +285,6 @@ def test_block_wider_than_workspace(monkeypatch, wrap):
     # the patched workspace, so every block gets a buffer of its own
     f, g, theta = _random_case(2, 36, 9)
     whole = twisted_convolution(f, g, theta, wrap=wrap).values
-    monkeypatch.setattr(products, "_BLOCK_ELEMS", 1000)
+    monkeypatch.setattr(spectral, "_BLOCK_ELEMS", 1000)
     split = twisted_convolution(f, g, theta, wrap=wrap).values
     np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-14 * np.abs(whole).max())

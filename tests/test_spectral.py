@@ -270,7 +270,7 @@ def test_y1_blocks_change_no_byte(monkeypatch, n, big_n):
         plan = _geometry_of(g, win.sigma_x, win.sigma_xi, WavefrontParams()).plan
         want = stft_magnitude(u, win, plan).values.tobytes()
         for elems in (3 * big_n ** n, big_n ** n - 1):
-            monkeypatch.setattr(spectral, "_Y1_BLOCK_ELEMS", elems)
+            monkeypatch.setattr(spectral, "_BLOCK_ELEMS", elems)
             assert stft_magnitude(u, win, plan).values.tobytes() == want, elems
             monkeypatch.undo()
 

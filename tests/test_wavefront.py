@@ -133,7 +133,9 @@ def test_multilinear_matches_scipy(d, data):
     ])
     want = RegularGridInterpolator(axes, values, method="linear", bounds_error=False,
                                    fill_value=0.0)(pts)
-    got = _stencil(axes, pts).read(values)
+    # the points are r w for the one radius 1, and the stencil reads its lines
+    stencil = _stencil(axes, (np.ones(1), pts))
+    got = stencil.read(values[np.unravel_index(stencil.lines, stencil.box[:-1])])
     if d == 4:      # scipy's generic path: same operations in the same order
         assert got.tobytes() == want.tobytes()
     else:           # scipy's 2-D path multiplies in another order
@@ -182,6 +184,28 @@ def test_ray_stencil_in_memory_order(n, big_n):
     # the lines are those of the spectrogram estimate_wf reads
     mag = spectral.stft_magnitude(sample_analytic(Delta((0.0,) * n), g), win, geo.plan)
     assert mag.values.shape == stencil.shape == (len(geo.plan.rows), width)
+
+
+def test_stencil_refuses_int32_overflow():
+    # one point in every second cell of a 65537-node axis reads 65536 rows,
+    # so lines of F = 32768 values make an array of 2^31 cells, one more
+    # than int32 offsets address; F = 32767 fits.  Only the stencil is
+    # built, never the (lines, F) array it would read
+    axis = np.arange(65537.0)
+    for F, fits in ((32767, True), (32768, False)):
+        pts = np.column_stack([np.arange(0.5, 65536.0, 2.0), np.full(32768, F / 2)])
+        axes = (axis, np.arange(float(F)))
+        if fits:
+            stencil = _stencil(axes, (np.ones(1), pts))
+            assert stencil.shape == (65536, F) and stencil.base.dtype == np.int32
+            assert stencil.base.max() == 65534 * F + F // 2
+        else:
+            with pytest.raises(ValueError, match="^65536 lines of 32768 values overflow int32 offsets$"):
+                _stencil(axes, (np.ones(1), pts))
+    # a box of more rows than int32 indexes is refused before its rows are marked
+    big = np.arange(50000.0)
+    with pytest.raises(ValueError, match="overflow int32 indices$"):
+        _stencil((big, big, np.arange(2.0)), (np.ones(1), np.zeros((1, 3))))
 
 
 def _arrays_held(obj, seen=None):
